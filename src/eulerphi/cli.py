@@ -335,8 +335,7 @@ def parse_anchor(text: str) -> tuple:
 
 
 def _parse_char_values(text: str) -> list:
-    return [v if v.denominator == 1 else v
-            for v in (_parse_number(t) for t in text.split(","))]
+    return [_parse_number(t) for t in text.split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +684,10 @@ def emit_report(data: dict, format: str = "csv",
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # exact rationals are written to reports and cache files as p/q, and
+    # their digits can exceed Python's default int <-> str limit of 4300
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         cfg = parse_config(argv)
         data, ok = run_command(cfg)

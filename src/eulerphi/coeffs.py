@@ -36,6 +36,7 @@ from .primes import primes_upto, smallest_prime_factor
 from .products import (
     EulerProductSpec,
     ValueWithBound,
+    _plain,
     gamma,
     gamma_values,
     local_factor_at_one,
@@ -93,6 +94,10 @@ class TotientTable:
     phi: Union[list, np.ndarray]
     cumulative: Union[list, np.ndarray]
     ratio_cumsum: Union[list, np.ndarray]
+    # prefix sums of alpha that the decomposition kernel grows on demand;
+    # derived data, so never saved, compared or shown
+    _prefix_sums: object = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     @property
     def spec(self) -> EulerProductSpec:
@@ -195,7 +200,7 @@ def phi_direct(spec: EulerProductSpec, n: int,
     out = complex(n)
     for p, _ in factorize(n):
         out /= complex(local_factor_at_one(spec, p, exact=False))
-    return out.real if out.imag == 0 else out
+    return _plain(out)
 
 
 def phi_table(spec: EulerProductSpec, N: int, mode: str = "auto",
@@ -291,8 +296,7 @@ def make_e2(table: TotientTable, cF: ValueWithBound):
     N = table.N
     phi = table.phi_array()
     cumulative = np.concatenate(([0.0], np.cumsum(phi[1:])))
-    c = complex(cF.value)
-    c = c.real if c.imag == 0 else c
+    c = _plain(cF.value)
 
     def e2(xs):
         xs = np.asarray(xs, dtype=np.float64)
@@ -377,12 +381,7 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
     slop = 1e-13 * (abs(complex(lhs)) + abs(complex(rhs)) + 1)
     bound = phi_tail + abs(zs) * alpha_tail + zeta_slop * abs(complex(alpha_sum)) + slop
     diff = abs(complex(lhs) - complex(rhs))
-
-    def plain(v):
-        z = complex(v)
-        return z.real if z.imag == 0.0 else z
-
-    return SeriesCheckReport(s=s, N=N, lhs=plain(lhs), rhs=plain(rhs),
+    return SeriesCheckReport(s=s, N=N, lhs=_plain(lhs), rhs=_plain(rhs),
                              diff=diff, bound=bound, bound_kind=kind,
                              ok=diff <= bound)
 
@@ -412,8 +411,7 @@ def growth_scan(table: TotientTable, cF: ValueWithBound, X: int,
     phi = table.phi_array(X)
     cumulative = np.concatenate(([0.0], np.cumsum(phi[1:])))
     xs = np.arange(x_min, X + 1, dtype=np.float64)
-    c = complex(cF.value)
-    c = c.real if c.imag == 0 else c
+    c = _plain(cF.value)
     e = cumulative[x_min:] - c * xs * xs
     ratio = np.abs(e) / (xs * np.log(2 * xs) ** table.spec.degree)
     i = int(np.argmax(ratio))
@@ -421,12 +419,7 @@ def growth_scan(table: TotientTable, cF: ValueWithBound, X: int,
     argmax = int(xs[i])
     idx = np.unique(np.geomspace(x_min, X, num=min(samples, X - x_min + 1)
                                  ).round().astype(np.int64))
-
-    def plainify(v):
-        v = complex(v)
-        return v.real if v.imag == 0 else v
-
-    rows = tuple((int(x), plainify(e[x - x_min]), float(ratio[x - x_min]))
+    rows = tuple((int(x), _plain(e[x - x_min]), float(ratio[x - x_min]))
                  for x in idx)
     return GrowthScanReport(x_min=x_min, x_max=X, sup=sup, argmax=argmax,
                             rows=rows)

@@ -14,6 +14,28 @@ floor(x/n) depends only on floor(x), S_f(x) equals the cumulative sum of
 phi(j)/j up to floor(x), with a half-jump correction -phi(N)/(2N) exactly at
 integers.  The remainder R = E2 - x f1 satisfies R' = -f1 between integers
 and R(x) = g1(x)/2 for x >= 1, giving three independent routes to R.
+
+Every formula has one body, built from three private pieces:
+
+  * _Numbers, the number type of a call, chosen once by _numbers: exact
+    rationals when the table is exact and x is an int or Fraction, floats
+    otherwise.  It lifts C, A1, A2 (and any other operand) into that type.
+  * _PrefixSums, the running sums P1(k) = sum_{n<=k} alpha(n)/n and
+    P2(k) = sum_{n<=k} alpha(n)/n^2, kept on the table and grown to the
+    largest k asked.  Terms n > x of both series collapse onto A1 - P1 and
+    A2 - P2, which is how f1_series and g1 sum their infinite tails.
+  * _frac, the one {x/n} computation, which _fractional_parts applies over
+    the support of alpha.  It feeds S_g(x) = sum_{n<=x} alpha(n) {x/n}
+    ({x/n} - 1) (for g1, the decompose verdict and verify_identity_batch)
+    and the bare sawtooth sum of f1_series_raw.
+
+Only the primitives branch on exact/float, since that is where Python
+Fraction loops and numpy arrays really differ.  The routes that check each
+other stay separate code: f1_closed reads S_f from the phi table while
+f1_series sums the sawtooth and the P1/P2 tail; r_function's definition,
+integral and closed routes share no formula; and the exact verdict compares
+the phi sieve's cumulative sum against a right-hand side built from S_g, P1,
+P2 and S_f, never from the residual and with no terms cancelled.
 """
 
 from __future__ import annotations
@@ -21,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -36,73 +58,158 @@ from .errors import (
     XBelowOne,
     XBeyondTable,
 )
-from .products import Constants, ValueWithBound
+from .products import Constants, ValueWithBound, _plain
 
 Scalar = Union[int, float, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# Sawtooth and fractional parts
+# Number type of a call
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Numbers:
+    """Exact rationals or floats, with the constants 1/2 and 2 in that type."""
+
+    exact: bool
+    half: Scalar
+    two: Scalar
+
+    def lift(self, v):
+        """v in this type: a Fraction, or a plain Python float/complex.
+
+        float -> Fraction is lossless, so exact identities hold as equalities
+        in Q for any consistent constants (the truncation perturbations
+        cancel algebraically) rather than within rounding.
+        """
+        if not self.exact:
+            return _plain(v)
+        if isinstance(v, complex):
+            raise ModeUnavailable("complex constants have no exact-rational mode")
+        return Fraction(v)
+
+    def constants(self, constants: Constants) -> tuple:
+        """(C, A1, A2) lifted into this type."""
+        return tuple(self.lift(v.value)
+                     for v in (constants.c, constants.a1, constants.a2))
+
+
+_EXACT = _Numbers(exact=True, half=Fraction(1, 2), two=Fraction(2))
+_FLOAT = _Numbers(exact=False, half=0.5, two=2.0)
+
+
+def _numbers(x, exact_table: bool = True) -> _Numbers:
+    """Exact when x is an int or Fraction and the table is exact."""
+    return _EXACT if exact_table and isinstance(x, (int, Fraction)) else _FLOAT
+
+
+# ---------------------------------------------------------------------------
+# Kernel primitives: prefix sums of alpha, fractional parts
+# ---------------------------------------------------------------------------
+
+class _PrefixSums:
+    """P1[k] = sum_{n<=k} alpha(n)/n and P2[k] = sum_{n<=k} alpha(n)/n^2.
+
+    Fraction running sums on exact tables, numpy cumulative sums on float
+    tables.  They are extended only as far as the largest k asked, and each
+    extension continues the same sequential sum, so values do not depend on
+    the order of the queries.
+    """
+
+    def __init__(self, table: TotientTable):
+        self.alpha = table.coeffs.alpha
+        self.exact = table.exact
+        self.top = 0
+        if self.exact:
+            self.p1, self.p2 = [Fraction(0)], [Fraction(0)]
+        else:
+            dtype = np.result_type(self.alpha, np.float64)
+            self.p1 = np.zeros(table.N + 1, dtype=dtype)
+            self.p2 = np.zeros(table.N + 1, dtype=dtype)
+
+    def at(self, k: int) -> tuple:
+        """(P1[k], P2[k]), extending the sums to k first when needed."""
+        if k > self.top:
+            self._extend(self.top + 1, k)
+            self.top = k
+        return self.p1[k], self.p2[k]
+
+    def _extend(self, lo: int, hi: int) -> None:
+        if self.exact:
+            p1, p2 = self.p1[-1], self.p2[-1]
+            for n in range(lo, hi + 1):
+                a = self.alpha[n]
+                if a:
+                    p1 += a / n
+                    p2 += a / (n * n)
+                self.p1.append(p1)
+                self.p2.append(p2)
+            return
+        n = np.arange(lo, hi + 1, dtype=np.float64)
+        a = self.alpha[lo : hi + 1]
+        for p, terms in ((self.p1, a / n), (self.p2, a / (n * n))):
+            # seeding with P[lo-1] keeps the one sequential order of summation
+            p[lo : hi + 1] = np.cumsum(np.concatenate((p[lo - 1 : lo], terms)))[1:]
+
+
+def _prefix_sums(table: TotientTable, k: int) -> tuple:
+    """(P1[k], P2[k]) from the table's prefix sums, made on first use."""
+    if table._prefix_sums is None:
+        table._prefix_sums = _PrefixSums(table)
+    return table._prefix_sums.at(k)
+
+
+def _frac(x, n, num: _Numbers) -> np.ndarray:
+    """{x/n} for a sequence of positive integers n, in num's type.
+
+    Float x/n can round to just below an integer when n divides x; the
+    quotient counts as integral iff round(x/n) * n reproduces x.
+    """
+    if num.exact:
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        return np.array([Fraction(p % (q * m), q * m) for m in n], dtype=object)
+    x = float(x)
+    n = np.asarray(n, dtype=np.float64)
+    quot = x / n
+    return np.where(np.round(quot) * n == x, 0.0, quot - np.floor(quot))
+
+
+def _fractional_parts(x, table: TotientTable, k: int, num: _Numbers) -> tuple:
+    """(alpha(n), n, {x/n}) over the n <= k with alpha(n) != 0."""
+    alpha = table.coeffs.alpha
+    if num.exact:
+        ns = [n for n in range(1, k + 1) if alpha[n]]
+        a = np.array([alpha[n] for n in ns], dtype=object)
+        n = np.array(ns, dtype=object)
+    else:
+        a = table.coeffs.alpha_array(k) if table.exact else np.asarray(alpha)[: k + 1]
+        n = np.flatnonzero(a[1:]) + 1
+        a = a[n]
+        n = n.astype(np.float64)
+    return a, n, _frac(x, n, num)
+
+
+def _sawtooth(r: np.ndarray, num: _Numbers) -> np.ndarray:
+    """s from fractional parts r: 0 where r = 0, 1/2 - r elsewhere."""
+    return np.where(r == 0, num.lift(0), num.half - r)
+
+
+def _point_sums(x, table: TotientTable, k: int, num: _Numbers) -> tuple:
+    """(S_g(x), P1(k), P2(k)) in num's type, k = floor(x)."""
+    a, _, r = _fractional_parts(x, table, k, num)
+    p1, p2 = _prefix_sums(table, k)
+    return num.lift(np.sum(a * r * (r - 1))), num.lift(p1), num.lift(p2)
+
+
+# ---------------------------------------------------------------------------
+# Sawtooth
 # ---------------------------------------------------------------------------
 
 def sawtooth(x: Scalar) -> Scalar:
     """s(x): 0 at integers, 1/2 - {x} otherwise (midpoint convention)."""
-    if isinstance(x, (int,)):
-        return 0
-    if isinstance(x, Fraction):
-        k = math.floor(x)
-        r = x - k
-        return Fraction(0) if r == 0 else Fraction(1, 2) - r
-    k = math.floor(x)
-    if x == k:
-        return 0.0
-    return 0.5 - (x - k)
-
-
-def _floor_of(x: Scalar) -> int:
-    return math.floor(x)
-
-
-def _frac_parts(x: float, n: np.ndarray):
-    """floor(x/n) and {x/n} for integer n, robust to division rounding.
-
-    x/n can round to just below an integer when n divides x exactly; the
-    quotient is declared integral iff round(x/n) * n reproduces x.
-    """
-    q = x / n
-    m = np.round(q)
-    exact = m * n == x
-    fl = np.where(exact, m, np.floor(q))
-    fr = np.where(exact, 0.0, q - np.floor(q))
-    return fl, fr
-
-
-def _is_integer(x: Scalar) -> bool:
-    if isinstance(x, int):
-        return True
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    return x == math.floor(x)
-
-
-def _plain(v):
-    """Collapse numpy scalars; complex with zero imaginary part to real."""
-    v = complex(v)
-    return v.real if v.imag == 0 else v
-
-
-def _exactify(v) -> Fraction:
-    """Lift a constant to an exact rational; float -> Fraction is lossless.
-
-    Exact-mode identities then hold as equalities in Q for any consistent
-    constants (the truncation perturbations cancel algebraically), so rational
-    comparisons come out exact rather than within rounding.
-    """
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, complex):
-        raise ModeUnavailable("complex constants have no exact-rational mode")
-    return Fraction(v)
+    num = _numbers(x)
+    return num.lift(_sawtooth(_frac(x, [1], num), num)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +219,11 @@ def _exactify(v) -> Fraction:
 def _check_range(x, table: TotientTable, lowest) -> int:
     if x < lowest:
         raise XBelowOne(f"need x >= {lowest}, got {x}")
-    k = _floor_of(x)
+    k = math.floor(x)
     if k > table.N:
         raise XBeyondTable(f"x = {x} beyond table N = {table.N}")
     return k
+
 
 def f1_closed(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     """f1 via the closed form A1/2 - 2Cx + S_f(x), half-jump at integers.
@@ -124,16 +232,13 @@ def f1_closed(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     limits; the series value, exactly 0, is returned there.
     """
     k = _check_range(x, table, 0)
-    exact = table.exact and isinstance(x, (int, Fraction))
+    num = _numbers(x, table.exact)
     if x == 0:
-        return Fraction(0) if exact else 0.0
-    a1, c = constants.a1.value, constants.c.value
-    if exact:
-        a1, c = _exactify(a1), _exactify(c)
+        return num.lift(0)
+    c, a1, _ = num.constants(constants)
     s_f = table.ratio_cumsum[k]
-    if _is_integer(x):
-        half = Fraction(1, 2) if exact else 0.5
-        s_f = s_f - half * table.phi[k] / k
+    if x == k:
+        s_f = s_f - num.half * table.phi[k] / k
     return a1 / 2 - 2 * c * x + s_f
 
 
@@ -157,14 +262,12 @@ def f1_one_sided(N: int, table: TotientTable, constants: Constants) -> F1OneSide
         raise UsageError(f"need an integer N >= 1, got {N}")
     if N > table.N:
         raise XBeyondTable(f"N = {N} beyond table N = {table.N}")
-    a1, c = constants.a1.value, constants.c.value
-    if table.exact:
-        a1, c = _exactify(a1), _exactify(c)
+    num = _numbers(N, table.exact)
+    c, a1, _ = num.constants(constants)
     base = a1 / 2 - 2 * c * N
     left = base + table.ratio_cumsum[N - 1]
     right = base + table.ratio_cumsum[N]
-    two = Fraction(2) if table.exact else 2.0
-    half = (left + right) / two
+    half = (left + right) / num.two
     return F1OneSided(left=left, right=right, half=half, f1_value=half,
                       jump=table.phi[N] / N)
 
@@ -177,20 +280,9 @@ def f1_series_raw(x: Scalar, table: TotientTable, M: int) -> Scalar:
         raise UsageError(f"need M >= 1, got {M}")
     if x < 0:
         raise XBelowOne(f"need x >= 0, got {x}")
-    if table.exact and isinstance(x, (int, Fraction)):
-        total = Fraction(0)
-        for n in range(1, M + 1):
-            a = table.coeffs.alpha[n]
-            if a == 0:
-                continue
-            total += a * sawtooth(Fraction(x) / n) / n
-        return total
-    x = float(x)
-    n = np.arange(1, M + 1, dtype=np.float64)
-    _, fr = _frac_parts(x, n)
-    s = np.where(fr == 0, 0.0, 0.5 - fr)
-    a = table.coeffs.alpha_array(M)[1:] if table.exact else np.asarray(table.coeffs.alpha)[1 : M + 1]
-    return _plain(np.sum(a / n * s))
+    num = _numbers(x, table.exact)
+    a, n, r = _fractional_parts(x, table, M, num)
+    return num.lift(np.sum(a / n * _sawtooth(r, num)))
 
 
 def f1_series(x: Scalar, table: TotientTable, constants: Constants,
@@ -208,26 +300,13 @@ def f1_series(x: Scalar, table: TotientTable, constants: Constants,
         raise MSmallerThanX(f"tail formula needs M >= x, got M = {M} < x = {x}")
     if x < 0:
         raise XBelowOne(f"need x >= 0, got {x}")
+    num = _numbers(x, table.exact)
     if x == 0:
-        return Fraction(0) if table.exact and isinstance(x, (int, Fraction)) else 0.0
+        return num.lift(0)
     head = f1_series_raw(x, table, M)
-    a1, a2 = constants.a1.value, constants.a2.value
-    if table.exact and isinstance(x, (int, Fraction)):
-        a1, a2 = _exactify(a1), _exactify(a2)
-        p1 = Fraction(0)
-        p2 = Fraction(0)
-        for n in range(1, M + 1):
-            a = table.coeffs.alpha[n]
-            if a == 0:
-                continue
-            p1 += Fraction(a, n)
-            p2 += Fraction(a, n * n)
-        return head + (a1 - p1) / 2 - x * (a2 - p2)
-    n = np.arange(1, M + 1, dtype=np.float64)
-    a = table.coeffs.alpha_array(M)[1:] if table.exact else np.asarray(table.coeffs.alpha)[1 : M + 1]
-    p1 = np.sum(a / n)
-    p2 = np.sum(a / (n * n))
-    return _plain(head + (a1 - p1) / 2 - float(x) * (a2 - p2))
+    _, a1, a2 = num.constants(constants)
+    p1, p2 = (num.lift(p) for p in _prefix_sums(table, M))
+    return num.lift(head + (a1 - p1) / 2 - num.lift(x) * (a2 - p2))
 
 
 def f1_values(xs: np.ndarray, table: TotientTable,
@@ -240,8 +319,7 @@ def f1_values(xs: np.ndarray, table: TotientTable,
         raise XBelowOne(f"need x >= 0, got {xs.min()}")
     if xs.max() > table.N:
         raise XBeyondTable(f"{xs.max()} beyond table N = {table.N}")
-    a1 = _plain(constants.a1.value)
-    c = _plain(constants.c.value)
+    c, a1, _ = _FLOAT.constants(constants)
     if table.exact:
         rc = np.array([float(v) for v in table.ratio_cumsum])
     else:
@@ -261,44 +339,22 @@ def f1_values(xs: np.ndarray, table: TotientTable,
 # g1
 # ---------------------------------------------------------------------------
 
+def _g1_value(x, sums: tuple, num: _Numbers, constants: Constants) -> Scalar:
+    s_g, p1, p2 = sums
+    _, a1, a2 = num.constants(constants)
+    x = num.lift(x)
+    return num.lift(s_g + x * x * (a2 - p2) - x * (a1 - p1))
+
+
 def g1(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     """g1(x) = sum_n alpha(n) {x/n}({x/n}-1), summed in closed tail form.
 
     Terms with n > x have {x/n} = x/n, so the tail is
     x^2 (A2 - P2(x)) - x (A1 - P1(x)).
     """
-    if x < 0:
-        raise XBelowOne(f"need x >= 0, got {x}")
-    k = _floor_of(x)
-    if k > table.N:
-        raise XBeyondTable(f"x = {x} beyond table N = {table.N}")
-    a1, a2 = constants.a1.value, constants.a2.value
-    if table.exact and isinstance(x, (int, Fraction)):
-        a1, a2 = _exactify(a1), _exactify(a2)
-        xf = Fraction(x)
-        s_g = Fraction(0)
-        p1 = Fraction(0)
-        p2 = Fraction(0)
-        for n in range(1, k + 1):
-            a = table.coeffs.alpha[n]
-            if a == 0:
-                continue
-            q = xf / n
-            r = q - math.floor(q)
-            s_g += a * r * (r - 1)
-            p1 += Fraction(a, n)
-            p2 += Fraction(a, n * n)
-        return s_g + xf * xf * (a2 - p2) - xf * (a1 - p1)
-    x = float(x)
-    if k == 0:
-        return _plain(x * x * a2 - x * a1)
-    n = np.arange(1, k + 1, dtype=np.float64)
-    _, fr = _frac_parts(x, n)
-    a = table.coeffs.alpha_array(k)[1:] if table.exact else np.asarray(table.coeffs.alpha)[1 : k + 1]
-    s_g = np.sum(a * fr * (fr - 1))
-    p1 = np.sum(a / n)
-    p2 = np.sum(a / (n * n))
-    return _plain(s_g + x * x * (a2 - p2) - x * (a1 - p1))
+    k = _check_range(x, table, 0)
+    num = _numbers(x, table.exact)
+    return _g1_value(x, _point_sums(x, table, k, num), num, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -311,42 +367,26 @@ def frac_integral(n: int, x: Scalar) -> Scalar:
         raise UsageError(f"need an integer n >= 1, got {n}")
     if x < n:
         raise XBelowN(f"integral starts at n = {n}, got x = {x}")
-    if isinstance(x, Fraction) or isinstance(x, int):
-        q = Fraction(x) / n
-        fl = math.floor(q)
-        r = q - fl
-        return Fraction(n, 2) * (r * r + fl - 1)
-    q = x / n
-    m = round(q)
-    if m * n == x:
-        fl, r = float(m), 0.0
-    else:
-        fl = math.floor(q)
-        r = q - fl
-    return n / 2 * (r * r + fl - 1)
+    num = _numbers(x)
+    x = num.lift(x)
+    r = _frac(x, [n], num)[0]
+    fl = x / n - r
+    return num.lift(num.half * n * (r * r + fl - 1))
 
 
 # ---------------------------------------------------------------------------
 # R = E2 - x f1, three routes
 # ---------------------------------------------------------------------------
 
-def _integral_of_f1(x: float, table: TotientTable, constants: Constants):
+def _integral_of_f1(x, k: int, table: TotientTable, constants: Constants):
     # int_0^x f1 = A1 x / 2 - C x^2 + sum_k S_f(k+0) len(piece k), pieces
     # (k, k+1) where S_f is constant; exact for the piecewise-linear f1.
-    a1, c = constants.a1.value, constants.c.value
-    k = _floor_of(x)
+    num = _numbers(x, table.exact)
+    c, a1, _ = num.constants(constants)
+    x = num.lift(x)
     rc = table.ratio_cumsum
-    if table.exact and isinstance(x, (int, Fraction)):
-        a1, c = _exactify(a1), _exactify(c)
-        xf = Fraction(x)
-        full = sum(rc[j] for j in range(1, k))
-        partial = rc[k] * (xf - k) if k >= 1 else 0
-        return a1 * xf / 2 - c * xf * xf + full + partial
-    x = float(x)
-    rcf = np.array([float(v) for v in rc[: k + 1]]) if table.exact \
-        else np.asarray(rc)[: k + 1]
-    full = float(np.sum(rcf[1:k])) if k >= 2 else 0.0
-    partial = float(rcf[k]) * (x - k) if k >= 1 else 0.0
+    full = num.lift(np.sum(rc[1:k]) if k >= 2 else 0)
+    partial = num.lift(rc[k]) * (x - k) if k >= 1 else 0
     return a1 * x / 2 - c * x * x + full + partial
 
 
@@ -360,25 +400,18 @@ def r_function(x: Scalar, table: TotientTable, constants: Constants,
     closed:     R(x) = g1(x)/2, valid for x >= 1.
     """
     if route == "definition":
-        if x < 0:
-            raise XBelowOne(f"need x >= 0, got {x}")
-        k = _floor_of(x)
-        if k > table.N:
-            raise XBeyondTable(f"x = {x} beyond table N = {table.N}")
+        _check_range(x, table, 0)
         e2 = error_term(table, constants.c, x, convention="symmetric")
         return e2 - x * f1_closed(x, table, constants)
     if route == "integral":
         if x <= 0:
             raise NonPositiveX(f"integral route needs x > 0, got {x}")
-        k = _floor_of(x)
-        if k > table.N:
-            raise XBeyondTable(f"x = {x} beyond table N = {table.N}")
-        return -_integral_of_f1(x, table, constants)
+        k = _check_range(x, table, 0)
+        return -_integral_of_f1(x, k, table, constants)
     if route == "closed":
         if x < 1:
             raise XBelowOne(f"closed route needs x >= 1, got {x}")
-        two = Fraction(2) if table.exact and isinstance(x, (int, Fraction)) else 2.0
-        return g1(x, table, constants) / two
+        return g1(x, table, constants) / _numbers(x, table.exact).two
     raise UsageError(f"route must be definition, integral, or closed; got {route!r}")
 
 
@@ -404,24 +437,12 @@ class DecompositionReport:
     exact_verdict: str
 
 
-def _exact_reduced_identity(x: Fraction, table: TotientTable) -> bool:
+def _reduced_residual(x: Fraction, table: TotientTable, k: int,
+                      sums: tuple) -> Fraction:
     # sum'_{n<=x} phi(n) = x(S_f - J/2) + S_g/2 - x^2 P2 / 2 + x P1 / 2
     # with J = phi(x)/x at integer x (else 0); C and A1 have cancelled, so
-    # every quantity is rational and the comparison is exact.
-    k = math.floor(x)
-    alpha = table.coeffs.alpha
-    s_g = Fraction(0)
-    p1 = Fraction(0)
-    p2 = Fraction(0)
-    for n in range(1, k + 1):
-        a = alpha[n]
-        if a == 0:
-            continue
-        q = x / n
-        r = q - math.floor(q)
-        s_g += a * r * (r - 1)
-        p1 += Fraction(a, n)
-        p2 += Fraction(a, n * n)
+    # every quantity is rational and lhs - rhs is exactly 0 when it holds.
+    s_g, p1, p2 = sums
     s_f = table.ratio_cumsum[k]
     lhs = table.cumulative[k]
     j = Fraction(0)
@@ -429,23 +450,18 @@ def _exact_reduced_identity(x: Fraction, table: TotientTable) -> bool:
         j = table.phi[k] / Fraction(k)
         lhs = lhs - table.phi[k] / 2
     rhs = x * (s_f - j / 2) + s_g / 2 - x * x * p2 / 2 + x * p1 / 2
-    return lhs == rhs
+    return lhs - rhs
 
 
 def decompose(x: Scalar, table: TotientTable,
               constants: Constants) -> DecompositionReport:
     """Evaluate every piece of E2(x) = x f1(x) + g1(x)/2 at one point."""
-    if x < 1:
-        raise XBelowOne(f"decomposition needs x >= 1, got {x}")
-    k = _floor_of(x)
-    if k > table.N:
-        raise XBeyondTable(f"x = {x} beyond table N = {table.N}")
+    k = _check_range(x, table, 1)
+    num = _numbers(x, table.exact)
+    sums = _point_sums(x, table, k, num)
     e2 = error_term(table, constants.c, x, convention="symmetric")
-    f1v = f1_closed(x, table, constants)
-    g1v = g1(x, table, constants)
-    two = Fraction(2) if table.exact and isinstance(x, (int, Fraction)) else 2.0
-    xf1 = x * f1v
-    hg1 = g1v / two
+    xf1 = x * f1_closed(x, table, constants)
+    hg1 = _g1_value(x, sums, num, constants) / num.two
     residual = e2 - xf1 - hg1
     xf = float(x)
     b_c, b_a1, b_a2 = constants.c.bound, constants.a1.bound, constants.a2.bound
@@ -453,8 +469,9 @@ def decompose(x: Scalar, table: TotientTable,
     f1_b = b_a1 / 2 + 2 * xf * b_c
     g1_b = xf * xf * b_a2 + xf * b_a1
     verdict = "not-applicable"
-    if table.exact and isinstance(x, (int, Fraction)):
-        verdict = "pass" if _exact_reduced_identity(Fraction(x), table) else "fail"
+    if num.exact:
+        passed = _reduced_residual(Fraction(x), table, k, sums) == 0
+        verdict = "pass" if passed else "fail"
     return DecompositionReport(
         x=x,
         e2=ValueWithBound(e2, e2_b, constants.c.bound_kind),
@@ -464,46 +481,18 @@ def decompose(x: Scalar, table: TotientTable,
 
 
 def verify_identity_batch(xs, table: TotientTable) -> list:
-    """Run the constant-free reduced identity at many rational x at once.
+    """Run the constant-free reduced identity at many rational x.
 
-    Prefix sums of alpha(n)/n and alpha(n)/n^2 are shared across the batch,
-    leaving one O(floor(x)) rational sawtooth sum per point.  Returns
-    [(x, passed, rational_residual), ...].
+    The table's prefix sums of alpha(n)/n and alpha(n)/n^2 are shared across
+    the batch, leaving one O(floor(x)) rational sawtooth sum per point.
+    Returns [(x, passed, rational_residual), ...].
     """
     if not table.exact:
         raise ModeUnavailable("the reduced identity needs an exact table")
-    alpha = table.coeffs.alpha
-    n_max = table.N
-    p1 = [Fraction(0)] * (n_max + 1)
-    p2 = [Fraction(0)] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        a = alpha[n]
-        p1[n] = p1[n - 1] + (Fraction(a, n) if a else 0)
-        p2[n] = p2[n - 1] + (Fraction(a, n * n) if a else 0)
     out = []
     for x in xs:
-        xq = Fraction(x)
-        if xq < 1:
-            raise XBelowOne(f"identity needs x >= 1, got {x}")
-        k = math.floor(xq)
-        if k > n_max:
-            raise XBeyondTable(f"x = {x} beyond table N = {n_max}")
-        s_g = Fraction(0)
-        for n in range(1, k + 1):
-            a = alpha[n]
-            if a == 0:
-                continue
-            q = xq / n
-            r = q - (q.numerator // q.denominator)
-            if r:
-                s_g += a * r * (r - 1)
-        s_f = table.ratio_cumsum[k]
-        lhs = table.cumulative[k]
-        j = Fraction(0)
-        if xq.denominator == 1:
-            j = table.phi[k] / Fraction(k)
-            lhs = lhs - table.phi[k] / 2
-        rhs = xq * (s_f - j / 2) + s_g / 2 - xq * xq * p2[k] / 2 + xq * p1[k] / 2
-        res = lhs - rhs
-        out.append((xq, res == 0, res))
+        x = Fraction(x)
+        k = _check_range(x, table, 1)
+        res = _reduced_residual(x, table, k, _point_sums(x, table, k, _EXACT))
+        out.append((x, res == 0, res))
     return out

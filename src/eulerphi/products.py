@@ -49,6 +49,19 @@ Number = Union[int, float, complex, Fraction]
 _TOL = 1e-9
 
 
+def _plain(v) -> Number:
+    """A float-mode value as a Python float, or complex if its imaginary
+    part is nonzero.
+
+    Collapses numpy scalars too.  A Fraction is rounded with float(), so
+    exact-mode code keeps its Fractions away from this helper.
+    """
+    if isinstance(v, Fraction):
+        return float(v)
+    v = complex(v)
+    return v.real if v.imag == 0 else v
+
+
 # ---------------------------------------------------------------------------
 # Kronecker symbol
 # ---------------------------------------------------------------------------
@@ -214,8 +227,8 @@ def dirichlet_product(character: CharacterSpec) -> EulerProductSpec:
 
 
 def _normalize_root(r: Number) -> Number:
-    if isinstance(r, complex) and r.imag == 0:
-        r = r.real
+    if isinstance(r, complex):
+        r = _plain(r)
     if isinstance(r, float) and r == int(r):
         return int(r)
     return r
@@ -279,8 +292,7 @@ def local_factor_at_one(spec: EulerProductSpec, p: int, exact: Optional[bool] = 
     prod = 1.0 + 0.0j
     for r in roots:
         prod *= 1 - complex(r) / p
-    inv = 1 / prod
-    return inv.real if inv.imag == 0 else inv
+    return _plain(1 / prod)
 
 
 def gamma(spec: EulerProductSpec, p: int, exact: Optional[bool] = None):
@@ -298,8 +310,7 @@ def gamma(spec: EulerProductSpec, p: int, exact: Optional[bool] = None):
     prod = 1.0 + 0.0j
     for r in roots:
         prod *= 1 - complex(r) / p
-    g = p * (1 - prod)
-    return g.real if g.imag == 0 else g
+    return _plain(p * (1 - prod))
 
 
 def gamma_abs_bound(spec: EulerProductSpec) -> float:
@@ -394,8 +405,7 @@ def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWith
         for p in sorted(spec.roots):
             prod *= 1 - complex(gamma(spec, p, exact=False)) / (p * p)
         slop = (len(spec.roots) + 2) * _EPS * abs(prod)
-        v = prod.real if prod.imag == 0 else prod
-        return ValueWithBound(v, slop, "rigorous")
+        return ValueWithBound(_plain(prod), slop, "rigorous")
     b = gamma_abs_bound(spec)
     if prime_cutoff * prime_cutoff < 2 * b:
         raise CutoffTooSmall(
@@ -407,10 +417,7 @@ def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWith
     prod = 0.5 * np.prod(factors)
     tail = abs(prod) * math.expm1(2 * b / prime_cutoff)
     slop = (len(ps) + 2) * _EPS * abs(prod)
-    value = complex(prod)
-    if value.imag == 0:
-        value = value.real
-    return ValueWithBound(value, tail + slop, "rigorous")
+    return ValueWithBound(_plain(prod), tail + slop, "rigorous")
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +508,8 @@ def a1_constant(spec: EulerProductSpec, mode: str = "auto",
             la = abs(lv.value)
             if la <= lv.bound:
                 raise PrecisionUnreachable("L(1,chi) not separated from zero")
-            value = 1 / lv.value
             bound = lv.bound / (la * (la - lv.bound))
-            if isinstance(value, complex) and value.imag == 0:
-                value = value.real
-            return ValueWithBound(value, bound, "rigorous")
+            return ValueWithBound(_plain(1 / lv.value), bound, "rigorous")
         raise ModeUnavailable("no closed form for custom products")
     if mode != "partial_sums":
         raise ModeUnavailable(f"unknown mode {mode!r}")
@@ -520,10 +524,7 @@ def a1_constant(spec: EulerProductSpec, mode: str = "auto",
     value = sums[cutoff]
     lo = max(1, cutoff // 10)
     dev = float(np.max(np.abs(sums[lo:] - value)))
-    value = complex(value)
-    if value.imag == 0:
-        value = value.real
-    return ValueWithBound(value, dev, "heuristic")
+    return ValueWithBound(_plain(value), dev, "heuristic")
 
 
 def compute_constants(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6,
@@ -562,12 +563,17 @@ def spec_to_dict(spec: EulerProductSpec) -> dict:
             "default": spec.default_rule}
 
 
+def _is_json_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _num_from_json(v) -> Number:
-    if isinstance(v, list):
-        if len(v) != 2:
-            raise BadProductSpec(f"complex entries are [re,im] pairs, got {v}")
+    """A JSON number, or a complex number given as an [re, im] pair."""
+    if isinstance(v, list) and len(v) == 2 and all(map(_is_json_number, v)):
         return v[0] if v[1] == 0 else complex(v[0], v[1])
-    return v
+    if _is_json_number(v):
+        return v
+    raise BadProductSpec(f"expected a number or an [re, im] pair, got {v!r}")
 
 
 def spec_from_dict(d: dict) -> EulerProductSpec:

@@ -37,6 +37,7 @@ from .errors import (
     NotIntegrableNearZero,
     XBeyondGrid,
 )
+from .products import _plain
 
 Provider = Callable[[np.ndarray], np.ndarray]
 
@@ -172,11 +173,6 @@ def improper_integral(g: GridFunction, x: float) -> complex:
     return _plain(cum[j] + (w[j] + wx) / 2 * (x - xs[j]))
 
 
-def _plain(v):
-    v = complex(v)
-    return v.real if v.imag == 0 else v
-
-
 # ---------------------------------------------------------------------------
 # Residual of a candidate
 # ---------------------------------------------------------------------------
@@ -272,7 +268,6 @@ def homogeneous_probe(g: GridFunction, tol: float = None) -> tuple:
         raise NotHomogeneous(
             f"homogeneous-equation residual {sup_res} exceeds tolerance {tol}")
     xs = g.xs
-    a = complex(np.sum(np.conj(xs) * g.values) / np.sum(xs * xs))
-    a = a.real if a.imag == 0 else a
+    a = _plain(np.sum(np.conj(xs) * g.values) / np.sum(xs * xs))
     deviation = float(np.max(np.abs(g.values - a * xs)))
     return a, deviation

@@ -51,6 +51,11 @@ def mod4_constants(mod4_spec):
 
 
 @pytest.fixture(scope="session")
+def custom100_constants(custom100_spec):
+    return compute_constants(custom100_spec, a1_cutoff=10 ** 4)
+
+
+@pytest.fixture(scope="session")
 def true_zeta_constants():
     """Literal-value constants for sharp closed-form oracle checks."""
     c = ValueWithBound(TRUE_C_ZETA, 1e-15, "rigorous")
@@ -67,6 +72,12 @@ def zeta_exact_500(zeta_spec):
 @pytest.fixture(scope="session")
 def mod4_exact_500(mod4_spec):
     return phi_table(mod4_spec, 500, mode="exact")
+
+
+@pytest.fixture(scope="session")
+def custom100_exact_500(custom100_spec):
+    """gamma(p) = 2 - 1/p, so alpha takes non-integral Fraction values."""
+    return phi_table(custom100_spec, 500, mode="exact")
 
 
 @pytest.fixture(scope="session")

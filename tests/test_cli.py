@@ -18,6 +18,7 @@ from eulerphi.cli import (
 )
 from eulerphi.errors import (
     AnchorOutOfRange,
+    BadProductSpec,
     IoError,
     RootOutOfDisk,
     SOutOfRange,
@@ -215,3 +216,27 @@ def test_growth_csv_has_sup_line(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x,E,ratio"
     assert lines[-1].startswith("# sup=")
+
+
+def test_exact_decompose_beyond_int_digit_limit(capsys):
+    # at x = 12000.5 the exact x f1 and g1/2 have denominators longer than
+    # Python's default 4300-digit limit on int -> str conversion
+    code, out = run_main(["decompose", "--x", "12000.5", "--mode", "exact"],
+                         capsys)
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.splitlines()[:2])))
+    assert row["exact_verdict"] == "pass"
+    assert row["residual"] == "0"
+
+
+def test_non_numeric_roots_exit_code(tmp_path, capsys):
+    custom = ["decompose", "--x", "2.5", "--mode", "float",
+              "--product", "custom", "--degree", "1"]
+    want = EXIT_CODES[BadProductSpec]
+    assert main(custom + ["--roots", '{"2":["1/2"]}']) == want
+    assert main(custom + ["--roots", '{"2":[[0.5,"i"]]}']) == want
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "custom", "degree": 1,
+                                "roots": {"2": ["1/2"]}}))
+    assert main(["decompose", "--x", "2.5", "--spec-file", str(spec)]) == want
+    capsys.readouterr()

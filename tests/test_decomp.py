@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from eulerphi.coeffs import phi_table
 from eulerphi.decomp import (
     decompose,
     f1_closed,
@@ -162,12 +163,27 @@ def test_frac_integral_values():
         frac_integral(0, 1.0)
 
 
-def test_decompose_exact(zeta_exact_500, zeta_constants):
-    rep = decompose(Fraction(7, 2), zeta_exact_500, zeta_constants)
-    assert rep.exact_verdict == "pass"
-    assert rep.residual == 0
-    assert isinstance(rep.residual, Fraction)
-    assert rep.e2.value == rep.arithmetic_part.value + rep.analytic_part.value
+# exact tables with integer alpha (zeta, the mod-4 character) and with
+# non-integral Fraction alpha (custom100), each with its own constants
+EXACT_PRODUCTS = (("zeta_exact_500", "zeta_constants"),
+                  ("mod4_exact_500", "mod4_constants"),
+                  ("custom100_exact_500", "custom100_constants"))
+
+
+def exact_products(request):
+    return [(request.getfixturevalue(t), request.getfixturevalue(c))
+            for t, c in EXACT_PRODUCTS]
+
+
+def test_decompose_exact(request):
+    for table, cons in exact_products(request):
+        for x in (Fraction(7, 2), Fraction(1), Fraction(300, 7), 137):
+            rep = decompose(x, table, cons)
+            assert rep.exact_verdict == "pass"
+            assert rep.residual == 0
+            assert isinstance(rep.residual, Fraction)
+            assert rep.e2.value == (rep.arithmetic_part.value
+                                    + rep.analytic_part.value)
 
 
 def test_decompose_float(zeta_float_100k, zeta_constants):
@@ -177,9 +193,9 @@ def test_decompose_float(zeta_float_100k, zeta_constants):
     assert rep.e2.bound > 0
 
 
-def test_verify_identity_batch(zeta_exact_500, mod4_exact_500):
-    xs = [Fraction(k, 2) for k in range(2, 41)]
-    for table in (zeta_exact_500, mod4_exact_500):
+def test_verify_identity_batch(request):
+    xs = [Fraction(k, 2) for k in range(2, 41)] + [Fraction(3000, 7), 500]
+    for table, _ in exact_products(request):
         results = verify_identity_batch(xs, table)
         assert len(results) == len(xs)
         assert all(good for _, good, _ in results)
@@ -202,3 +218,35 @@ def test_f1_values_matches_scalar(zeta_exact_500, zeta_constants):
 def test_f1_values_domain(zeta_exact_500, zeta_constants):
     with pytest.raises(XBelowOne):
         f1_values(np.array([-1.0]), zeta_exact_500, zeta_constants)
+
+
+def test_exact_and_float_kernels_agree(request):
+    # the exact table at a rational x against a float table of the same
+    # product at float(x): g1 and f1_series differ by rounding only
+    for table, cons in exact_products(request):
+        ftable = phi_table(table.spec, table.N, mode="float")
+        for x in (Fraction(7, 2), Fraction(1), Fraction(300, 7), Fraction(499)):
+            tol = 1e-9 * (1 + x * x)
+            assert abs(g1(x, table, cons) - g1(float(x), ftable, cons)) <= tol
+            assert abs(f1_series(x, table, cons, 500)
+                       - f1_series(float(x), ftable, cons, 500)) <= tol
+
+
+def test_kernel_results_independent_of_query_order(custom100_spec,
+                                                   custom100_constants):
+    # a large x first grows the table's prefix sums in one step, a small x
+    # first grows them in two; both orders must give identical values
+    cons = custom100_constants
+    for mode, lift in (("exact", Fraction), ("float", float)):
+        xs = [lift(Fraction(5, 2)), lift(Fraction(250, 3))]
+        results = []
+        for order in (xs, xs[::-1]):
+            table = phi_table(custom100_spec, 300, mode=mode)
+            got = {x: (g1(x, table, cons), f1_series(x, table, cons, 290),
+                       decompose(x, table, cons).residual) for x in order}
+            results.append([got[x] for x in xs])
+        assert results[0] == results[1]
+    # the prefix sums a table keeps are not part of its equality
+    queried = phi_table(custom100_spec, 300, mode="exact")
+    g1(Fraction(250, 3), queried, cons)
+    assert queried == phi_table(custom100_spec, 300, mode="exact")
