@@ -19,7 +19,8 @@ Tables are cached under EULERPHI_CACHE_DIR (or --cache-dir) keyed by spec
 hash, size, and mode.
 
 Exit codes: 0 all requested verifications passed; 1 a verification failed;
-2 usage error; >= 10 one code per library error class (see EXIT_CODES).
+2 usage error; 10-35 one code per library error class (see EXIT_CODES);
+36 an internal error (an uncaught exception that is not a library error).
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ EXIT_CODES = {
     XBeyondGrid: 34,
     IoError: 35,
 }
+# any other exception escaping a command is a bug in eulerphi
+_INTERNAL_ERROR_EXIT = 36
 
 
 def exit_code_for(exc: EulerphiError) -> int:
@@ -370,9 +373,8 @@ def build_spec(cfg: RunConfig) -> _products.EulerProductSpec:
             raw = json.loads(o["roots"]) if isinstance(o["roots"], str) else o["roots"]
         except json.JSONDecodeError as e:
             raise UsageError(f"--roots is not valid JSON: {e}")
-        roots = {int(p): [_products._num_from_json(r) for r in rs]
-                 for p, rs in raw.items()}
-        return _products.custom_product(o["degree"], roots, o["default"])
+        return _products.spec_from_dict({"kind": "custom", "degree": o["degree"],
+                                         "roots": raw, "default": o["default"]})
     raise UsageError(f"unknown product {kind!r}")
 
 
@@ -695,6 +697,10 @@ def main(argv=None) -> int:
     except EulerphiError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return exit_code_for(e)
+    except Exception as e:
+        # a bug, not a failed verification: keep it apart from exit code 1
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return _INTERNAL_ERROR_EXIT
     return 0 if ok else 1
 
 

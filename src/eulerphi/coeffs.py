@@ -2,15 +2,22 @@
 
 alpha(n) is the multiplicative coefficient mu(n) prod_{p|n} gamma(p)
 (supported on squarefree n), and phi(n) = n prod_{p|n} F_p(1)^{-1} is the
-totient attached to the product.  The two are linked by the divisor sum
-phi(n)/n = sum_{m|n} alpha(m)/m, which is the sieve route used to build
-tables; phi_direct evaluates the multiplicative formula independently so the
-two routes can be cross-checked.
+totient attached to the product, so phi(n)/n = prod_{p|n} (1 + alpha(p)/p).
+Both alpha and phi(n)/n are built by one multiplicative sieve over the
+smallest-prime-factor (SPF) table: with p = spf(n) and m = n/p,
+
+    f(n) = f(m) * (higher if p | m else f(p)),
+
+where higher = 0 for alpha and 1 for phi(n)/n.  m <= n/2, so every entry is
+filled from earlier ones in about log2(N) whole-array steps.  phi_direct
+evaluates the product formula by trial factorization, and the tests check
+tables against the divisor sum phi(n)/n = sum_{m|n} alpha(m)/m.
 
 Tables come in two modes: 'exact' (fractions.Fraction entries, available when
-every gamma(p) is rational) and 'float' (numpy float64/complex128).  partial
-sums, the error term E(x) = sum_{n<=x} phi(n) - C x^2, and scan/report
-helpers live here too.
+every gamma(p) is rational) and 'float' (numpy float64/complex128); the sieve
+runs the same code on numpy object arrays of Fractions and on float arrays.
+Partial sums, the error term E(x) = sum_{n<=x} phi(n) - C x^2, and
+scan/report helpers live here too.
 """
 
 from __future__ import annotations
@@ -51,7 +58,10 @@ _EXACT_N_CAP = 10 ** 6
 # auto mode switches to float above this: Fraction sieves are O(N) object ops
 _EXACT_AUTO_CAP = 2 * 10 ** 5
 
-_CACHE_VERSION = 1
+# bumped whenever the file layout changes, so older files fail the header check
+_CACHE_VERSION = 2
+# entries per step of the multiplicative sieve; bounds its temporaries
+_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -73,13 +83,7 @@ class CoefficientTable:
 
     def alpha_array(self, upto: Optional[int] = None) -> np.ndarray:
         """alpha(0..upto) as a float64/complex128 array (a copy)."""
-        upto = self.N if upto is None else upto
-        if upto > self.N:
-            raise XBeyondTable(f"table holds N = {self.N}, asked for {upto}")
-        if self.exact:
-            return np.array([float(a) for a in self.alpha[: upto + 1]],
-                            dtype=np.float64)
-        return np.array(self.alpha[: upto + 1])
+        return _float_prefix(self.alpha, self.N, upto, self.exact)
 
 
 @dataclass
@@ -116,13 +120,15 @@ class TotientTable:
         return self.coeffs.exact
 
     def phi_array(self, upto: Optional[int] = None) -> np.ndarray:
-        upto = self.N if upto is None else upto
-        if upto > self.N:
-            raise XBeyondTable(f"table holds N = {self.N}, asked for {upto}")
-        if self.exact:
-            return np.array([float(v) for v in self.phi[: upto + 1]],
-                            dtype=np.float64)
-        return np.array(self.phi[: upto + 1])
+        return _float_prefix(self.phi, self.N, upto, self.exact)
+
+
+def _float_prefix(values, N: int, upto: Optional[int], exact: bool) -> np.ndarray:
+    """values[0..upto] as a float64/complex128 array (a copy)."""
+    upto = N if upto is None else upto
+    if upto > N:
+        raise XBeyondTable(f"table holds N = {N}, asked for {upto}")
+    return np.array(values[: upto + 1], dtype=np.float64 if exact else None)
 
 
 # ---------------------------------------------------------------------------
@@ -130,55 +136,77 @@ class TotientTable:
 # ---------------------------------------------------------------------------
 
 def _resolve_mode(spec: EulerProductSpec, N: int, mode: str) -> str:
+    """The table mode for (spec, N), checked against the size caps."""
+    if N < 1:
+        raise UsageError(f"N must be >= 1, got {N}")
     if mode == "auto":
-        return "exact" if (spec.exact_capable and N <= _EXACT_AUTO_CAP) else "float"
-    if mode not in ("exact", "float"):
+        mode = "exact" if (spec.exact_capable and N <= _EXACT_AUTO_CAP) else "float"
+    elif mode not in ("exact", "float"):
         raise UsageError(f"mode must be auto, exact, or float; got {mode!r}")
-    if mode == "exact" and not spec.exact_capable:
+    elif mode == "exact" and not spec.exact_capable:
         raise ModeUnavailable("spec has irrational/complex local data; exact "
                               "tables need rational gamma(p)")
+    if mode == "float" and N > _FLOAT_N_CAP:
+        raise OutOfMemory(f"float table capped at N = {_FLOAT_N_CAP}, got {N}")
+    if mode == "exact" and N > _EXACT_N_CAP:
+        raise OutOfMemory(f"exact table capped at N = {_EXACT_N_CAP}, got {N}")
     return mode
+
+
+def _multiplicative(spf: np.ndarray, ps: np.ndarray, at_primes: np.ndarray,
+                    higher, one) -> np.ndarray:
+    """f(0..N), f(0) = 0, f(1) = one, f(ps) = at_primes, and for composite n
+    f(n) = f(m) * (higher if p | m else f(p)) with p = spf[n], m = n/p.
+
+    The array takes at_primes' dtype (float64, complex128, or object for
+    Fractions).  m <= n/2, so a run [lo, hi) with hi <= 2 lo reads only
+    entries below lo and is filled in one step.
+    """
+    out = np.full(len(spf), one - one, dtype=at_primes.dtype)
+    out[1] = one
+    out[ps] = at_primes
+    lo = 4
+    while lo < len(out):
+        hi = min(2 * lo, lo + _CHUNK, len(out))
+        n = np.arange(lo, hi, dtype=spf.dtype)
+        p = spf[lo:hi]
+        m = n // p
+        composite = m > 1
+        n, p, m = n[composite], p[composite], m[composite]
+        factor = out[p]
+        factor[m % p == 0] = higher
+        out[n] = out[m] * factor
+        lo = hi
+    return out
+
+
+def _stored(values: np.ndarray, exact: bool):
+    """Exact tables hold lists of Fractions, float ones arrays."""
+    if exact:
+        return values.tolist()
+    values += 0  # turns the -0.0 that f(m) * 0 leaves into 0.0
+    return values
+
+
+def _alpha_table(spec: EulerProductSpec, N: int, mode: str, ps: np.ndarray,
+                 spf: np.ndarray) -> CoefficientTable:
+    if mode == "exact":
+        gam = np.array([gamma(spec, int(p), exact=True) for p in ps],
+                       dtype=object)
+        one = Fraction(1)
+    else:
+        gam = gamma_values(spec, ps)
+        one = 1.0
+    alpha = _multiplicative(spf, ps, -gam, 0, one)
+    return CoefficientTable(spec=spec, N=N, mode=mode,
+                            alpha=_stored(alpha, mode == "exact"))
 
 
 def sieve_alpha(spec: EulerProductSpec, N: int,
                 mode: str = "auto") -> CoefficientTable:
     """Tabulate alpha(n) = mu(n) prod_{p|n} gamma(p) for n <= N."""
-    if N < 1:
-        raise UsageError(f"N must be >= 1, got {N}")
     mode = _resolve_mode(spec, N, mode)
-    if mode == "float" and N > _FLOAT_N_CAP:
-        raise OutOfMemory(f"float table capped at N = {_FLOAT_N_CAP}, got {N}")
-    if mode == "exact" and N > _EXACT_N_CAP:
-        raise OutOfMemory(f"exact table capped at N = {_EXACT_N_CAP}, got {N}")
-
-    if mode == "float":
-        ps = primes_upto(N)
-        gam = gamma_values(spec, ps)
-        dtype = np.complex128 if np.iscomplexobj(gam) else np.float64
-        arr = np.ones(N + 1, dtype=dtype)
-        arr[0] = 0
-        for p, g in zip(ps, gam):
-            arr[p::p] *= -g
-            pp = p * p
-            if pp <= N:
-                arr[pp::pp] = 0
-        arr += 0.0  # normalize -0.0 entries left by sign flips
-        return CoefficientTable(spec=spec, N=N, mode="float", alpha=arr)
-
-    spf = smallest_prime_factor(N) if N >= 2 else np.zeros(N + 1, dtype=np.int64)
-    gcache: dict = {}
-    alpha: list = [Fraction(0)] * (N + 1)
-    alpha[1] = Fraction(1)
-    for n in range(2, N + 1):
-        p = int(spf[n])
-        m = n // p
-        if m % p == 0:
-            continue
-        g = gcache.get(p)
-        if g is None:
-            g = gcache[p] = -Fraction(gamma(spec, p, exact=True))
-        alpha[n] = alpha[m] * g
-    return CoefficientTable(spec=spec, N=N, mode="exact", alpha=alpha)
+    return _alpha_table(spec, N, mode, primes_upto(N), smallest_prime_factor(N))
 
 
 def phi_direct(spec: EulerProductSpec, n: int,
@@ -205,46 +233,25 @@ def phi_direct(spec: EulerProductSpec, n: int,
 
 def phi_table(spec: EulerProductSpec, N: int, mode: str = "auto",
               ctable: Optional[CoefficientTable] = None) -> TotientTable:
-    """Build phi(0..N) by the divisor sum phi(n)/n = sum_{m|n} alpha(m)/m."""
-    if ctable is not None:
-        if ctable.N < N:
-            raise XBeyondTable(f"coefficient table holds N = {ctable.N} < {N}")
-        mode = ctable.mode
-    else:
-        mode = _resolve_mode(spec, N, mode)
-        ctable = sieve_alpha(spec, N, mode=mode)
+    """Build phi(0..N) and its running sums from the SPF sieve of phi(n)/n.
 
-    if mode == "float":
-        a = np.asarray(ctable.alpha)
-        ratio = np.ones(N + 1, dtype=a.dtype)
-        ratio[0] = 0
-        support = np.nonzero(a[2:])[0] + 2
-        for m in support:
-            ratio[m::m] += a[m] / m
-        n = np.arange(N + 1, dtype=np.float64)
-        phi = ratio * n
-        cumulative = np.concatenate(([0], np.cumsum(phi[1:])))
-        ratio_cumsum = np.concatenate(([0], np.cumsum(ratio[1:])))
-        return TotientTable(coeffs=ctable, phi=phi, cumulative=cumulative,
-                            ratio_cumsum=ratio_cumsum)
-
-    a = ctable.alpha
-    ratio = [Fraction(0)] + [Fraction(1)] * N
-    for m in range(2, N + 1):
-        am = a[m]
-        if am == 0:
-            continue
-        t = am / m
-        for k in range(m, N + 1, m):
-            ratio[k] += t
-    phi = [ratio[k] * k for k in range(N + 1)]
-    cumulative = [Fraction(0)] * (N + 1)
-    ratio_cumsum = [Fraction(0)] * (N + 1)
-    for k in range(1, N + 1):
-        cumulative[k] = cumulative[k - 1] + phi[k]
-        ratio_cumsum[k] = ratio_cumsum[k - 1] + ratio[k]
-    return TotientTable(coeffs=ctable, phi=phi, cumulative=cumulative,
-                        ratio_cumsum=ratio_cumsum)
+    phi(n)/n = prod_{p|n} (1 + alpha(p)/p) is the same at p and at p^k, so
+    it is the sieve with higher = 1.  alpha comes from ctable (which may
+    hold more than N entries) or is sieved here on the same SPF table.
+    """
+    if ctable is not None and ctable.N < N:
+        raise XBeyondTable(f"coefficient table holds N = {ctable.N} < {N}")
+    mode = _resolve_mode(spec, N, mode) if ctable is None else ctable.mode
+    ps, spf = primes_upto(N), smallest_prime_factor(N)
+    if ctable is None:
+        ctable = _alpha_table(spec, N, mode, ps, spf)
+    alpha = np.asarray(ctable.alpha)
+    ratio = _multiplicative(spf, ps, 1 + alpha[ps] / ps, 1, alpha[1])
+    phi = ratio * np.arange(N + 1)
+    exact = mode == "exact"
+    return TotientTable(coeffs=ctable, phi=_stored(phi, exact),
+                        cumulative=_stored(np.cumsum(phi), exact),
+                        ratio_cumsum=_stored(np.cumsum(ratio), exact))
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +440,23 @@ def cache_path(directory: str, spec: EulerProductSpec, N: int, mode: str) -> str
     return os.path.join(directory, f"table-{spec_hash(spec)}-{N}-{mode}.npz")
 
 
+_FIELDS = ("alpha", "phi", "cumulative", "ratio_cumsum")
+
+
 def save_table(table: TotientTable, path: str) -> None:
-    """Persist a totient table; exact entries are stored as p/q strings."""
+    """Persist a totient table; an exact column is stored as its p/q strings,
+    newline-joined, in one ASCII byte array."""
     header = json.dumps({"version": _CACHE_VERSION,
                          "spec_hash": spec_hash(table.spec),
                          "N": table.N, "mode": table.mode}, sort_keys=True)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    columns = (table.coeffs.alpha, table.phi, table.cumulative,
+               table.ratio_cumsum)
     if table.exact:
-        def enc(seq):
-            return np.array([str(v) for v in seq], dtype=np.str_)
-        np.savez_compressed(path, header=np.array(header),
-                            alpha=enc(table.coeffs.alpha), phi=enc(table.phi),
-                            cumulative=enc(table.cumulative),
-                            ratio_cumsum=enc(table.ratio_cumsum))
-    else:
-        np.savez_compressed(path, header=np.array(header),
-                            alpha=np.asarray(table.coeffs.alpha),
-                            phi=np.asarray(table.phi),
-                            cumulative=np.asarray(table.cumulative),
-                            ratio_cumsum=np.asarray(table.ratio_cumsum))
+        columns = [np.frombuffer("\n".join(map(str, c)).encode("ascii"),
+                                 dtype=np.uint8) for c in columns]
+    np.savez_compressed(path, header=np.array(header),
+                        **dict(zip(_FIELDS, columns)))
 
 
 def load_table(path: str, spec: EulerProductSpec, N: int, mode: str) -> TotientTable:
@@ -462,15 +467,11 @@ def load_table(path: str, spec: EulerProductSpec, N: int, mode: str) -> TotientT
                 "N": N, "mode": mode}
         if header != want:
             raise CacheMismatch(f"cache header {header} != requested {want}")
-        if mode == "exact":
-            def dec(arr):
-                return [Fraction(s) for s in arr.tolist()]
-            ct = CoefficientTable(spec=spec, N=N, mode="exact",
-                                  alpha=dec(z["alpha"]))
-            return TotientTable(coeffs=ct, phi=dec(z["phi"]),
-                                cumulative=dec(z["cumulative"]),
-                                ratio_cumsum=dec(z["ratio_cumsum"]))
-        ct = CoefficientTable(spec=spec, N=N, mode="float", alpha=z["alpha"])
-        return TotientTable(coeffs=ct, phi=z["phi"],
-                            cumulative=z["cumulative"],
-                            ratio_cumsum=z["ratio_cumsum"])
+        columns = [z[k] for k in _FIELDS]
+    if mode == "exact":
+        columns = [[Fraction(t) for t in c.tobytes().decode("ascii").split("\n")]
+                   for c in columns]
+    alpha, phi, cumulative, ratio_cumsum = columns
+    ct = CoefficientTable(spec=spec, N=N, mode=mode, alpha=alpha)
+    return TotientTable(coeffs=ct, phi=phi, cumulative=cumulative,
+                        ratio_cumsum=ratio_cumsum)

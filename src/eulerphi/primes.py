@@ -18,16 +18,12 @@ def primes_upto(n: int) -> np.ndarray:
 
 
 def smallest_prime_factor(n: int) -> np.ndarray:
-    """spf[k] = least prime dividing k for k >= 2; spf[0] = spf[1] = 0."""
-    spf = np.arange(n + 1, dtype=np.int64)
-    if n >= 1:
-        spf[1] = 0
-    for p in range(2, int(n ** 0.5) + 1):
-        if spf[p] == p:
-            # claim multiples of p that no smaller prime touched yet
-            seg = spf[p * p:: p]
-            idx = np.arange(p * p, n + 1, p, dtype=np.int64)
-            seg[seg == idx] = p
+    """spf[k] = least prime dividing k for k >= 2; spf[0] = spf[1] = 0 (int32)."""
+    spf = np.arange(n + 1, dtype=np.int32)
+    spf[:2] = 0
+    # largest prime first, so the least prime dividing k writes spf[k] last
+    for p in primes_upto(int(n ** 0.5))[::-1]:
+        spf[p * p:: p] = p
     return spf
 
 

@@ -576,32 +576,61 @@ def _num_from_json(v) -> Number:
     raise BadProductSpec(f"expected a number or an [re, im] pair, got {v!r}")
 
 
+def _json_int(d: dict, key: str) -> int:
+    v = d[key]
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise BadProductSpec(f"{key} must be an integer, got {v!r}")
+    return v
+
+
+def _json_list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise BadProductSpec(f"{what} must be a list, got {v!r}")
+    return v
+
+
 def spec_from_dict(d: dict) -> EulerProductSpec:
-    """Parse the JSON product-spec format."""
+    """Parse the JSON product-spec format; any structural fault is a
+    BadProductSpec."""
+    if not isinstance(d, dict):
+        raise BadProductSpec(f"a product spec is a JSON object, got {d!r}")
     kind = d.get("kind")
     if kind == "zeta":
         return zeta_product()
     if kind == "dirichlet":
         if "kronecker" in d:
-            return dirichlet_product(build_character(kronecker=d["kronecker"]))
+            return dirichlet_product(build_character(kronecker=_json_int(d, "kronecker")))
         if "modulus" not in d or "values" not in d:
             raise BadProductSpec("dirichlet spec needs modulus+values or kronecker")
-        values = [_num_from_json(v) for v in d["values"]]
-        return dirichlet_product(build_character(q=d["modulus"], values=values))
+        values = [_num_from_json(v) for v in _json_list(d["values"], "values")]
+        return dirichlet_product(build_character(q=_json_int(d, "modulus"),
+                                                 values=values))
     if kind == "custom":
-        try:
-            degree = d["degree"]
-            raw = d["roots"]
-        except KeyError as e:
-            raise BadProductSpec(f"custom spec missing key {e}")
-        roots = {int(p): [_num_from_json(r) for r in rs] for p, rs in raw.items()}
-        return custom_product(degree, roots, d.get("default", "zero"))
+        if "degree" not in d or "roots" not in d:
+            raise BadProductSpec("custom spec needs degree and roots")
+        raw = d["roots"]
+        if not isinstance(raw, dict):
+            raise BadProductSpec(f"roots must be an object mapping primes to "
+                                 f"lists of roots, got {raw!r}")
+        roots = {}
+        for p, rs in raw.items():
+            try:
+                key = int(p)
+            except ValueError:
+                raise BadProductSpec(f"roots key {p!r} is not an integer")
+            roots[key] = [_num_from_json(r) for r in _json_list(rs, f"roots at {p!r}")]
+        return custom_product(_json_int(d, "degree"), roots,
+                              d.get("default", "zero"))
     raise BadProductSpec(f"unknown product kind {kind!r}")
 
 
 def load_spec_file(path: str) -> EulerProductSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as e:
+            raise BadProductSpec(f"spec file {path} is not JSON: {e}")
+    return spec_from_dict(d)
 
 
 def spec_hash(spec: EulerProductSpec) -> str:

@@ -239,4 +239,32 @@ def test_non_numeric_roots_exit_code(tmp_path, capsys):
     spec.write_text(json.dumps({"kind": "custom", "degree": 1,
                                 "roots": {"2": ["1/2"]}}))
     assert main(["decompose", "--x", "2.5", "--spec-file", str(spec)]) == want
-    capsys.readouterr()
+    # malformed structure of the roots object, and spec files that are not
+    # a well-formed spec or not JSON at all
+    constants = ["constants", "--product", "custom", "--degree", "1"]
+    for roots in ('[1]', '{"x":[1]}', '{"2":1}'):
+        assert main(constants + ["--roots", roots]) == want
+    for text in ('{"kind":"custom","degree":1,"roots":[1]}', "not json",
+                 '{"kind":"custom","degree":"1","roots":{"2":[1]}}',
+                 '{"kind":"dirichlet","kronecker":"x"}',
+                 '{"kind":"dirichlet","modulus":4,"values":5}', "[1]"):
+        spec.write_text(text)
+        assert main(["constants", "--spec-file", str(spec)]) == want
+    # --roots text that is not JSON stays a usage error
+    assert main(constants + ["--roots", "nope"]) == EXIT_CODES[UsageError]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    import eulerphi.cli as cli
+
+    def boom(cfg):
+        raise RuntimeError("kaput")
+
+    monkeypatch.setattr(cli, "run_command", boom)
+    code = main(["constants"])
+    assert code == 36
+    assert code != 1 and code not in EXIT_CODES.values()
+    err = capsys.readouterr().err
+    assert err.strip() == "error: internal: RuntimeError: kaput"

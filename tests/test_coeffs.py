@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import TRUE_C_ZETA
+from eulerphi import coeffs
 from eulerphi.coeffs import (
     cache_path,
     error_term,
@@ -28,11 +29,13 @@ from eulerphi.errors import (
     UsageError,
     XBeyondTable,
 )
+from eulerphi.primes import factorize, smallest_prime_factor
 from eulerphi.products import (
     ValueWithBound,
     build_character,
     custom_product,
     dirichlet_product,
+    gamma,
     zeta_product,
 )
 
@@ -86,6 +89,101 @@ def test_phi_direct_matches_tables(mod4_spec, mod4_exact_10k, custom100_exact_10
         assert phi_direct(mod4_spec, n, exact=True) == mod4_exact_10k.phi[n]
         spec = custom100_exact_10k.spec
         assert phi_direct(spec, n, exact=True) == custom100_exact_10k.phi[n]
+
+
+# --- divisor-sum oracle -------------------------------------------------------
+# alpha by trial factorization and phi(n)/n = sum_{m|n} alpha(m)/m by the
+# divisor sum, in plain Python: shares no code with the SPF sieve.
+
+def _oracle(spec, N, exact):
+    """(alpha(0..N), phi(0..N)) from the divisor sum."""
+    one = Fraction(1) if exact else 1.0
+    alpha = [0 * one, one]
+    for n in range(2, N + 1):
+        a = one
+        for p, e in factorize(n):
+            a *= 0 if e > 1 else -gamma(spec, p, exact=exact)
+        alpha.append(a)
+    ratio = [0 * one] * (N + 1)
+    for m in range(1, N + 1):
+        if alpha[m]:
+            for k in range(m, N + 1, m):
+                ratio[k] += alpha[m] / m
+    return alpha, [r * n for n, r in enumerate(ratio)]
+
+
+COMPLEX_SPEC = custom_product(2, {2: [1j, -1j], 3: [(1 + 1j) / 2, (1 - 1j) / 2]},
+                              "zero")
+
+
+def test_smallest_prime_factor():
+    for N in (0, 1, 2, 3, 4, 1000):
+        spf = smallest_prime_factor(N)
+        assert spf.dtype == np.int32 and len(spf) == N + 1
+        assert list(spf[:2]) == [0, 0][: N + 1]
+        assert all(spf[n] == factorize(n)[0][0] for n in range(2, N + 1))
+
+
+def test_phi_table_matches_divisor_sum_exact(zeta_spec, mod4_spec,
+                                             custom100_spec):
+    N = 2000
+    for spec in (zeta_spec, mod4_spec, custom100_spec):
+        table = phi_table(spec, N, mode="exact")
+        alpha, phi = _oracle(spec, N, exact=True)
+        assert table.coeffs.alpha == alpha
+        assert table.phi == phi
+        assert all(isinstance(v, Fraction) for v in table.phi)
+        assert table.cumulative[-1] == sum(phi)
+        assert table.ratio_cumsum[-1] == sum(v / max(n, 1)
+                                             for n, v in enumerate(phi))
+
+
+def test_phi_table_matches_divisor_sum_complex_float():
+    N = 2000
+    table = phi_table(COMPLEX_SPEC, N, mode="float")
+    alpha, phi = _oracle(COMPLEX_SPEC, N, exact=False)
+    n = np.arange(N + 1)
+    assert np.all(np.abs(np.asarray(table.coeffs.alpha) - alpha) <= 1e-15)
+    assert np.all(np.abs(np.asarray(table.phi) - phi) <= 1e-13 * n)
+
+
+def test_small_tables_match_phi_direct(monkeypatch, zeta_spec, mod4_spec,
+                                       custom100_spec):
+    # N = 1..40 covers N < 4 and every block edge 2^k; a chunk of 3 entries
+    # also puts chunk edges inside these sizes
+    for chunk in (coeffs._CHUNK, 3):
+        monkeypatch.setattr(coeffs, "_CHUNK", chunk)
+        for spec in (zeta_spec, mod4_spec, custom100_spec):
+            alpha, _ = _oracle(spec, 40, exact=True)
+            for N in range(1, 41):
+                table = phi_table(spec, N, mode="exact")
+                assert table.coeffs.alpha == alpha[: N + 1]
+                assert table.phi[0] == 0
+                assert all(isinstance(v, Fraction)
+                           for seq in (table.coeffs.alpha, table.phi,
+                                       table.cumulative, table.ratio_cumsum)
+                           for v in seq)
+                assert table.phi[1:] == [phi_direct(spec, n, exact=True)
+                                         for n in range(1, N + 1)]
+                assert sieve_alpha(spec, N, mode="exact").alpha == alpha[: N + 1]
+
+
+def test_phi_table_from_larger_ctable(zeta_spec, custom100_spec):
+    for spec in (zeta_spec, custom100_spec):
+        for mode in ("exact", "float"):
+            fresh = phi_table(spec, 300, mode=mode)
+            reused = phi_table(spec, 300,
+                               ctable=sieve_alpha(spec, 1000, mode=mode))
+            assert reused.mode == mode
+            for name in ("phi", "cumulative", "ratio_cumsum"):
+                assert np.array_equal(np.asarray(getattr(reused, name)),
+                                      np.asarray(getattr(fresh, name)))
+
+
+def test_float_alpha_has_no_negative_zero(zeta_spec, mod4_spec):
+    for spec in (zeta_spec, mod4_spec):
+        a = np.asarray(sieve_alpha(spec, 10 ** 4, mode="float").alpha)
+        assert not np.any((a == 0) & np.signbit(a))
 
 
 def test_phi_direct_float_route(zeta_spec):
@@ -177,6 +275,19 @@ def test_cache_roundtrip_exact(tmp_path, zeta_spec):
     assert back.phi == table.phi
     assert back.ratio_cumsum == table.ratio_cumsum
     assert isinstance(back.phi[7], Fraction)
+
+
+def test_exact_cache_is_not_padded(tmp_path, zeta_spec):
+    table = phi_table(zeta_spec, 3000, mode="exact")
+    path = cache_path(str(tmp_path), zeta_spec, 3000, "exact")
+    save_table(table, path)
+    text = sum(len(str(v))
+               for seq in (table.coeffs.alpha, table.phi, table.cumulative,
+                           table.ratio_cumsum)
+               for v in seq)
+    with np.load(path) as z:
+        raw = sum(z[k].nbytes for k in z.files if k != "header")
+    assert raw <= 1.1 * text
 
 
 def test_cache_mismatch(tmp_path, zeta_spec, mod4_spec):
