@@ -686,8 +686,8 @@ def emit_report(data: dict, format: str = "csv",
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # exact rationals are written to reports and cache files as p/q, and
-    # their digits can exceed Python's default int <-> str limit of 4300
+    # exact rationals are written to reports as p/q, and their digits can
+    # exceed Python's default int <-> str limit of 4300
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:

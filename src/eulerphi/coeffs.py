@@ -59,7 +59,7 @@ _EXACT_N_CAP = 10 ** 6
 _EXACT_AUTO_CAP = 2 * 10 ** 5
 
 # bumped whenever the file layout changes, so older files fail the header check
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 # entries per step of the multiplicative sieve; bounds its temporaries
 _CHUNK = 1 << 16
 
@@ -442,21 +442,60 @@ def cache_path(directory: str, spec: EulerProductSpec, N: int, mode: str) -> str
 
 _FIELDS = ("alpha", "phi", "cumulative", "ratio_cumsum")
 
+if hasattr(Fraction, "_from_coprime_ints"):         # Python >= 3.12
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+    def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+        return Fraction(numerator, denominator, _normalize=False)
+
+
+def _fraction_blob(column: list) -> tuple:
+    """The numerators and then the denominators of a Fraction column as one
+    blob of little-endian two's-complement bytes, plus the byte length of
+    each int."""
+    ints = [v.numerator for v in column] + [v.denominator for v in column]
+    parts = [v.to_bytes((v.bit_length() + 8) // 8, "little", signed=True)
+             for v in ints]
+    return (np.frombuffer(b"".join(parts), dtype=np.uint8),
+            np.array([len(b) for b in parts], dtype=np.uint32))
+
+
+def _blob_fractions(blob: np.ndarray, lengths: np.ndarray, count: int) -> list:
+    """The count Fractions of _fraction_blob, back from the blob and lengths.
+
+    No gcd is taken: the blob was written from Fractions, which are in
+    lowest terms.
+    """
+    if (blob.dtype != np.uint8 or lengths.shape != (2 * count,)
+            or int(lengths.sum(dtype=np.int64)) != blob.size):
+        raise CacheMismatch(f"cache column is not {count} fractions")
+    ends = np.cumsum(lengths, dtype=np.int64).tolist()
+    data = memoryview(blob)
+    ints = [int.from_bytes(data[start:end], "little", signed=True)
+            for start, end in zip([0] + ends[:-1], ends)]
+    nums, dens = ints[:count], ints[count:]
+    if min(dens) <= 0:
+        raise CacheMismatch("cache column has a denominator <= 0")
+    return [_coprime_fraction(p, q) for p, q in zip(nums, dens)]
+
 
 def save_table(table: TotientTable, path: str) -> None:
-    """Persist a totient table; an exact column is stored as its p/q strings,
-    newline-joined, in one ASCII byte array."""
+    """Persist a totient table.
+
+    An exact column is stored as one int blob (_fraction_blob) under its
+    field name, with the byte lengths under `<field>_len`; decimal text
+    would cost time quadratic in the length of each p/q.
+    """
     header = json.dumps({"version": _CACHE_VERSION,
                          "spec_hash": spec_hash(table.spec),
                          "N": table.N, "mode": table.mode}, sort_keys=True)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    columns = (table.coeffs.alpha, table.phi, table.cumulative,
-               table.ratio_cumsum)
+    columns = dict(zip(_FIELDS, (table.coeffs.alpha, table.phi,
+                                 table.cumulative, table.ratio_cumsum)))
     if table.exact:
-        columns = [np.frombuffer("\n".join(map(str, c)).encode("ascii"),
-                                 dtype=np.uint8) for c in columns]
-    np.savez_compressed(path, header=np.array(header),
-                        **dict(zip(_FIELDS, columns)))
+        for name in _FIELDS:
+            columns[name], columns[name + "_len"] = _fraction_blob(columns[name])
+    np.savez_compressed(path, header=np.array(header), **columns)
 
 
 def load_table(path: str, spec: EulerProductSpec, N: int, mode: str) -> TotientTable:
@@ -468,9 +507,9 @@ def load_table(path: str, spec: EulerProductSpec, N: int, mode: str) -> TotientT
         if header != want:
             raise CacheMismatch(f"cache header {header} != requested {want}")
         columns = [z[k] for k in _FIELDS]
-    if mode == "exact":
-        columns = [[Fraction(t) for t in c.tobytes().decode("ascii").split("\n")]
-                   for c in columns]
+        if mode == "exact":
+            columns = [_blob_fractions(c, z[k + "_len"], N + 1)
+                       for c, k in zip(columns, _FIELDS)]
     alpha, phi, cumulative, ratio_cumsum = columns
     ct = CoefficientTable(spec=spec, N=N, mode=mode, alpha=alpha)
     return TotientTable(coeffs=ct, phi=phi, cumulative=cumulative,

@@ -20,22 +20,29 @@ Every formula has one body, built from three private pieces:
   * _Numbers, the number type of a call, chosen once by _numbers: exact
     rationals when the table is exact and x is an int or Fraction, floats
     otherwise.  It lifts C, A1, A2 (and any other operand) into that type.
-  * _PrefixSums, the running sums P1(k) = sum_{n<=k} alpha(n)/n and
-    P2(k) = sum_{n<=k} alpha(n)/n^2, kept on the table and grown to the
-    largest k asked.  Terms n > x of both series collapse onto A1 - P1 and
-    A2 - P2, which is how f1_series and g1 sum their infinite tails.
-  * _frac, the one {x/n} computation, which _fractional_parts applies over
-    the support of alpha.  It feeds S_g(x) = sum_{n<=x} alpha(n) {x/n}
-    ({x/n} - 1) (for g1, the decompose verdict and verify_identity_batch)
-    and the bare sawtooth sum of f1_series_raw.
+  * _PrefixSums, the prefix sums A0(k) = sum_{n<=k} alpha(n),
+    P1(k) = sum_{n<=k} alpha(n)/n and P2(k) = sum_{n<=k} alpha(n)/n^2, kept
+    on the table and grown to the largest k asked.  On exact tables they are
+    Python-int numerators over one common denominator per sum; on float
+    tables, numpy cumulative sums.  Terms n > x of both series collapse onto
+    A1 - P1 and A2 - P2, which is how f1_series and g1 sum their infinite
+    tails.
+  * _point_sums, which gives S_g(x) = sum_{n<=x} alpha(n) {x/n}({x/n} - 1)
+    (for g1, the decompose verdict and verify_identity_batch).  In exact
+    mode it expands S_g into P2(k), P1(k) and sums of P1 and A0 at k//j,
+    and sums those over the O(sqrt k) blocks of constant k//j in integers.
+    In float mode it sums S_g term by term over {x/n} from _frac, the one
+    fractional-part routine, which also feeds the bare sawtooth sum of
+    f1_series_raw.
 
 Only the primitives branch on exact/float, since that is where Python
-Fraction loops and numpy arrays really differ.  The routes that check each
+integer loops and numpy arrays really differ.  The routes that check each
 other stay separate code: f1_closed reads S_f from the phi table while
 f1_series sums the sawtooth and the P1/P2 tail; r_function's definition,
 integral and closed routes share no formula; and the exact verdict compares
 the phi sieve's cumulative sum against a right-hand side built from S_g, P1,
-P2 and S_f, never from the residual and with no terms cancelled.
+P2 and S_f, never from the residual and with no terms cancelled.  (The block
+sum of P1 at k//j equals S_f(k) algebraically; the verdict keeps both.)
 """
 
 from __future__ import annotations
@@ -107,21 +114,61 @@ def _numbers(x, exact_table: bool = True) -> _Numbers:
 # Kernel primitives: prefix sums of alpha, fractional parts
 # ---------------------------------------------------------------------------
 
-class _PrefixSums:
-    """P1[k] = sum_{n<=k} alpha(n)/n and P2[k] = sum_{n<=k} alpha(n)/n^2.
+class _IntPrefix:
+    """sum_{n<=k} alpha(n)/n^power for k = 0..len(num)-1, as Python-int
+    numerators num[k] over one common denominator den.
 
-    Fraction running sums on exact tables, numpy cumulative sums on float
-    tables.  They are extended only as far as the largest k asked, and each
-    extension continues the same sequential sum, so values do not depend on
-    the order of the queries.
+    den is the lcm of the denominators of the terms summed so far (1 for
+    integer alpha and power 0), so an extension that brings in a new
+    denominator rescales every numerator once.
+    """
+
+    def __init__(self, power: int):
+        self.power = power
+        self.den = 1
+        self.num = [0]
+
+    def extend(self, alpha, lo: int, hi: int) -> None:
+        """Append the sums for k = lo..hi (lo = len(num))."""
+        terms = []   # alpha(n)/n^power in lowest terms, as (p, q)
+        for n in range(lo, hi + 1):
+            a, m = alpha[n], n ** self.power
+            g = math.gcd(a.numerator, m)
+            terms.append((a.numerator // g, a.denominator * (m // g)))
+        den = math.lcm(self.den, *(q for p, q in terms if p))
+        if den != self.den:
+            scale = den // self.den
+            self.num = [v * scale for v in self.num]
+            self.den = den
+        acc = self.num[-1]
+        for p, q in terms:
+            if p:
+                acc += p * (den // q)
+            self.num.append(acc)
+
+    def __getitem__(self, k: int) -> Fraction:
+        return Fraction(self.num[k], self.den)
+
+
+class _PrefixSums:
+    """Prefix sums of alpha: A0[k] = sum_{n<=k} alpha(n),
+    P1[k] = sum_{n<=k} alpha(n)/n and P2[k] = sum_{n<=k} alpha(n)/n^2.
+
+    Exact tables keep all three as integer numerators (_IntPrefix); float
+    tables keep P1 and P2 as numpy cumulative sums (float S_g is summed term
+    by term and needs no A0).  A query past the current end grows the sums
+    to min(N, max(k, 2 * top)), so exact numerators are rescaled O(log N)
+    times, and each extension continues the same sequential sum, so values
+    do not depend on the order of the queries.
     """
 
     def __init__(self, table: TotientTable):
         self.alpha = table.coeffs.alpha
+        self.N = table.N
         self.exact = table.exact
         self.top = 0
         if self.exact:
-            self.p1, self.p2 = [Fraction(0)], [Fraction(0)]
+            self.a0, self.p1, self.p2 = (_IntPrefix(e) for e in (0, 1, 2))
         else:
             dtype = np.result_type(self.alpha, np.float64)
             self.p1 = np.zeros(table.N + 1, dtype=dtype)
@@ -129,34 +176,50 @@ class _PrefixSums:
 
     def at(self, k: int) -> tuple:
         """(P1[k], P2[k]), extending the sums to k first when needed."""
-        if k > self.top:
-            self._extend(self.top + 1, k)
-            self.top = k
+        self._grow(k)
         return self.p1[k], self.p2[k]
 
-    def _extend(self, lo: int, hi: int) -> None:
-        if self.exact:
-            p1, p2 = self.p1[-1], self.p2[-1]
-            for n in range(lo, hi + 1):
-                a = self.alpha[n]
-                if a:
-                    p1 += a / n
-                    p2 += a / (n * n)
-                self.p1.append(p1)
-                self.p2.append(p2)
+    def floor_blocks(self, k: int) -> tuple:
+        """(sum_{j<=k} P1[k//j], sum_{j<=k} 2j A0[k//j]) on an exact table.
+
+        k//j takes O(sqrt k) distinct values v, each on a block of
+        consecutive j, so both sums run over blocks in integers and become
+        one Fraction each at the end.
+        """
+        self._grow(k)
+        a0, p1 = self.a0.num, self.p1.num
+        t0 = t1 = 0
+        j = 1
+        while j <= k:
+            v = k // j
+            last = k // v
+            t1 += (last - j + 1) * p1[v]
+            t0 += (last * (last + 1) - j * (j - 1)) * a0[v]
+            j = last + 1
+        return Fraction(t1, self.p1.den), Fraction(t0, self.a0.den)
+
+    def _grow(self, k: int) -> None:
+        if k <= self.top:
             return
-        n = np.arange(lo, hi + 1, dtype=np.float64)
-        a = self.alpha[lo : hi + 1]
-        for p, terms in ((self.p1, a / n), (self.p2, a / (n * n))):
-            # seeding with P[lo-1] keeps the one sequential order of summation
-            p[lo : hi + 1] = np.cumsum(np.concatenate((p[lo - 1 : lo], terms)))[1:]
+        lo, hi = self.top + 1, min(self.N, max(k, 2 * self.top))
+        if self.exact:
+            for s in (self.a0, self.p1, self.p2):
+                s.extend(self.alpha, lo, hi)
+        else:
+            n = np.arange(lo, hi + 1, dtype=np.float64)
+            a = self.alpha[lo : hi + 1]
+            for p, terms in ((self.p1, a / n), (self.p2, a / (n * n))):
+                # seeding with P[lo-1] keeps one sequential order of summation
+                p[lo : hi + 1] = np.cumsum(
+                    np.concatenate((p[lo - 1 : lo], terms)))[1:]
+        self.top = hi
 
 
-def _prefix_sums(table: TotientTable, k: int) -> tuple:
-    """(P1[k], P2[k]) from the table's prefix sums, made on first use."""
+def _prefix_sums(table: TotientTable) -> _PrefixSums:
+    """The table's prefix sums of alpha, made on first use."""
     if table._prefix_sums is None:
         table._prefix_sums = _PrefixSums(table)
-    return table._prefix_sums.at(k)
+    return table._prefix_sums
 
 
 def _frac(x, n, num: _Numbers) -> np.ndarray:
@@ -196,10 +259,27 @@ def _sawtooth(r: np.ndarray, num: _Numbers) -> np.ndarray:
 
 
 def _point_sums(x, table: TotientTable, k: int, num: _Numbers) -> tuple:
-    """(S_g(x), P1(k), P2(k)) in num's type, k = floor(x)."""
-    a, _, r = _fractional_parts(x, table, k, num)
-    p1, p2 = _prefix_sums(table, k)
-    return num.lift(np.sum(a * r * (r - 1))), num.lift(p1), num.lift(p2)
+    """(S_g(x), P1(k), P2(k)) in num's type, k = floor(x).
+
+    With q = floor(x/n) = floor(k/n), {x/n}({x/n} - 1) expands to
+    x^2/n^2 - x (2q + 1)/n + q (q + 1), and summing q/n and q (q + 1) over
+    n <= k by the j <= q that they count gives, exactly,
+
+        S_g = x^2 P2(k) - x P1(k) - 2x sum_j P1[k//j] + sum_j 2j A0[k//j],
+
+    which exact mode sums by floor blocks.  Float mode sums S_g term by term
+    instead, since the expanded form cancels x^2-sized terms in floats.
+    """
+    sums = _prefix_sums(table)
+    p1, p2 = sums.at(k)
+    if num.exact:
+        x = Fraction(x)
+        b1, b0 = sums.floor_blocks(k)
+        s_g = x * x * p2 - x * (p1 + 2 * b1) + b0
+    else:
+        a, _, r = _fractional_parts(x, table, k, num)
+        s_g = np.sum(a * r * (r - 1))
+    return num.lift(s_g), num.lift(p1), num.lift(p2)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +385,7 @@ def f1_series(x: Scalar, table: TotientTable, constants: Constants,
         return num.lift(0)
     head = f1_series_raw(x, table, M)
     _, a1, a2 = num.constants(constants)
-    p1, p2 = (num.lift(p) for p in _prefix_sums(table, M))
+    p1, p2 = (num.lift(p) for p in _prefix_sums(table).at(M))
     return num.lift(head + (a1 - p1) / 2 - num.lift(x) * (a2 - p2))
 
 
@@ -483,16 +563,20 @@ def decompose(x: Scalar, table: TotientTable,
 def verify_identity_batch(xs, table: TotientTable) -> list:
     """Run the constant-free reduced identity at many rational x.
 
-    The table's prefix sums of alpha(n)/n and alpha(n)/n^2 are shared across
-    the batch, leaving one O(floor(x)) rational sawtooth sum per point.
+    The table's prefix sums of alpha are shared across the batch, leaving
+    O(sqrt(floor(x))) big-integer operations per point for S_g.
     Returns [(x, passed, rational_residual), ...].
     """
     if not table.exact:
         raise ModeUnavailable("the reduced identity needs an exact table")
+    xs = [Fraction(x) for x in xs]
+    ks = [_check_range(x, table, 1) for x in xs]
+    if ks:
+        # grow the prefix sums to the largest k at once, which spares the
+        # rescaling of their numerators that growing point by point costs
+        _prefix_sums(table).at(max(ks))
     out = []
-    for x in xs:
-        x = Fraction(x)
-        k = _check_range(x, table, 1)
+    for x, k in zip(xs, ks):
         res = _reduced_residual(x, table, k, _point_sums(x, table, k, _EXACT))
         out.append((x, res == 0, res))
     return out

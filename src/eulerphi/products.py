@@ -320,7 +320,7 @@ def gamma_abs_bound(spec: EulerProductSpec) -> float:
 
 
 def gamma_values(spec: EulerProductSpec, ps: np.ndarray) -> np.ndarray:
-    """Vectorized float gamma(p) over an array of primes."""
+    """Vectorized float gamma(p) over an ascending array of primes."""
     if spec.kind == "zeta":
         return np.ones(len(ps), dtype=np.float64)
     if spec.kind == "dirichlet":
@@ -336,13 +336,10 @@ def gamma_values(spec: EulerProductSpec, ps: np.ndarray) -> np.ndarray:
         out = np.zeros(len(ps), dtype=dtype)
     else:
         out = (pf * (1 - (1 - 1 / pf) ** spec.degree)).astype(dtype)
-    if spec.roots:
-        index = {int(p): i for i, p in enumerate(ps)}
-        for p in spec.roots:
-            i = index.get(p)
-            if i is not None:
-                g = gamma(spec, p, exact=False)
-                out[i] = g
+    for p in spec.roots:
+        i = int(np.searchsorted(ps, p))
+        if i < len(ps) and ps[i] == p:
+            out[i] = gamma(spec, p, exact=False)
     return out
 
 

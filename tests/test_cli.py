@@ -5,6 +5,7 @@ import math
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eulerphi.cli import (
@@ -16,14 +17,17 @@ from eulerphi.cli import (
     parse_config,
     parse_x_values,
 )
+from eulerphi.coeffs import cache_path, load_table, phi_table
 from eulerphi.errors import (
     AnchorOutOfRange,
     BadProductSpec,
+    CacheMismatch,
     IoError,
     RootOutOfDisk,
     SOutOfRange,
     UsageError,
 )
+from eulerphi.products import spec_hash, zeta_product
 
 
 # --- parsing -----------------------------------------------------------------
@@ -176,6 +180,31 @@ def test_cache_warm_equals_cold(tmp_path, monkeypatch):
     assert os.listdir(tmp_path / "cache")   # something was cached
     assert main(args + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_old_cache_format_is_rejected_and_rebuilt(tmp_path):
+    # a format-2 file (p/q text columns) at the path of an exact table
+    spec, n = zeta_product(), 60
+    table = phi_table(spec, n, mode="exact")
+    path = cache_path(str(tmp_path), spec, n, "exact")
+    header = json.dumps({"version": 2, "spec_hash": spec_hash(spec), "N": n,
+                         "mode": "exact"}, sort_keys=True)
+    columns = (table.coeffs.alpha, table.phi, table.cumulative,
+               table.ratio_cumsum)
+    np.savez_compressed(path, header=np.array(header), **{
+        name: np.frombuffer("\n".join(map(str, c)).encode("ascii"),
+                            dtype=np.uint8)
+        for name, c in zip(("alpha", "phi", "cumulative", "ratio_cumsum"),
+                           columns)})
+    with pytest.raises(CacheMismatch):
+        load_table(path, spec, n, "exact")
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    args = ["table", "--n", str(n), "--mode", "exact"]
+    assert main(args + ["--no-cache", "--output", str(cold)]) == 0
+    assert main(args + ["--cache-dir", str(tmp_path),
+                        "--output", str(warm)]) == 0
+    assert warm.read_bytes() == cold.read_bytes()
+    assert load_table(path, spec, n, "exact") == table
 
 
 def test_usage_exit_code(capsys):

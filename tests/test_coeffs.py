@@ -267,27 +267,53 @@ def test_cache_roundtrip_float(tmp_path, zeta_spec):
                           np.asarray(table.ratio_cumsum))
 
 
-def test_cache_roundtrip_exact(tmp_path, zeta_spec):
-    table = phi_table(zeta_spec, 120, mode="exact")
-    path = cache_path(str(tmp_path), zeta_spec, 120, "exact")
-    save_table(table, path)
-    back = load_table(path, zeta_spec, 120, "exact")
-    assert back.phi == table.phi
-    assert back.ratio_cumsum == table.ratio_cumsum
-    assert isinstance(back.phi[7], Fraction)
+def test_cache_roundtrip_exact(tmp_path, zeta_spec, custom100_exact_500):
+    # integer and non-integral Fraction entries, with p/q of over 1000 digits
+    # in zeta's ratio_cumsum at N = 3000
+    for table in (phi_table(zeta_spec, 3000, mode="exact"),
+                  custom100_exact_500):
+        spec, N = table.spec, table.N
+        path = cache_path(str(tmp_path), spec, N, "exact")
+        save_table(table, path)
+        back = load_table(path, spec, N, "exact")
+        for got, want in ((back.coeffs.alpha, table.coeffs.alpha),
+                          (back.phi, table.phi),
+                          (back.cumulative, table.cumulative),
+                          (back.ratio_cumsum, table.ratio_cumsum)):
+            assert got == want
+            assert list(map(type, got)) == list(map(type, want))
+        assert back == table
 
 
 def test_exact_cache_is_not_padded(tmp_path, zeta_spec):
+    # every int costs the bytes of its two's complement form, plus a small
+    # per-entry length, never the width of the longest entry
     table = phi_table(zeta_spec, 3000, mode="exact")
     path = cache_path(str(tmp_path), zeta_spec, 3000, "exact")
     save_table(table, path)
-    text = sum(len(str(v))
+    need = sum((i.bit_length() + 8) // 8
                for seq in (table.coeffs.alpha, table.phi, table.cumulative,
                            table.ratio_cumsum)
-               for v in seq)
+               for v in seq for i in (v.numerator, v.denominator))
     with np.load(path) as z:
         raw = sum(z[k].nbytes for k in z.files if k != "header")
-    assert raw <= 1.1 * text
+    assert raw <= 1.1 * need
+
+
+def test_exact_cache_rejects_malformed_columns(tmp_path, zeta_spec):
+    table = phi_table(zeta_spec, 20, mode="exact")
+    path = str(tmp_path / "t.npz")
+    save_table(table, path)
+    with np.load(path) as z:
+        good = {k: z[k] for k in z.files}
+    # zeta's alpha denominators are all 1, one byte each at the blob's end
+    zero_den = dict(good, alpha=good["alpha"].copy())
+    zero_den["alpha"][-1] = 0
+    short = dict(good, phi_len=good["phi_len"][:-1])
+    for bad in (zero_den, short):
+        np.savez_compressed(path, **bad)
+        with pytest.raises(CacheMismatch):
+            load_table(path, zeta_spec, 20, "exact")
 
 
 def test_cache_mismatch(tmp_path, zeta_spec, mod4_spec):

@@ -234,19 +234,74 @@ def test_exact_and_float_kernels_agree(request):
 
 def test_kernel_results_independent_of_query_order(custom100_spec,
                                                    custom100_constants):
-    # a large x first grows the table's prefix sums in one step, a small x
-    # first grows them in two; both orders must give identical values
+    # k = 500, 7, 499 grows the table's prefix sums to 500 and then (for
+    # f1_series at M = 501) to 1000; the reverse order grows them to 499 and
+    # then to 998, and each growth rescales the exact numerators to a larger
+    # common denominator.  Both orders must give identical values.
     cons = custom100_constants
     for mode, lift in (("exact", Fraction), ("float", float)):
-        xs = [lift(Fraction(5, 2)), lift(Fraction(250, 3))]
+        xs = [lift(Fraction(1001, 2)), lift(Fraction(52, 7)),
+              lift(Fraction(499))]
         results = []
         for order in (xs, xs[::-1]):
-            table = phi_table(custom100_spec, 300, mode=mode)
-            got = {x: (g1(x, table, cons), f1_series(x, table, cons, 290),
+            table = phi_table(custom100_spec, 1000, mode=mode)
+            got = {x: (g1(x, table, cons),
+                       f1_series(x, table, cons, math.floor(x) + 1),
                        decompose(x, table, cons).residual) for x in order}
             results.append([got[x] for x in xs])
+        assert table._prefix_sums.top == 998
         assert results[0] == results[1]
     # the prefix sums a table keeps are not part of its equality
     queried = phi_table(custom100_spec, 300, mode="exact")
     g1(Fraction(250, 3), queried, cons)
     assert queried == phi_table(custom100_spec, 300, mode="exact")
+
+
+def _g1_oracle(x: Fraction, alpha, a1: Fraction, a2: Fraction) -> Fraction:
+    """g1(x) from the definition of S_g, summed term by term in Fractions,
+    plus the tail x^2 (A2 - sum alpha/n^2) - x (A1 - sum alpha/n) over n > x.
+    """
+    s_g = p1 = p2 = Fraction(0)
+    for n in range(1, math.floor(x) + 1):
+        r = x / n - math.floor(x / n)
+        s_g += alpha[n] * r * (r - 1)
+        p1 += Fraction(alpha[n], n)
+        p2 += Fraction(alpha[n], n * n)
+    return s_g + x * x * (a2 - p2) - x * (a1 - p1)
+
+
+def test_g1_matches_definition_at_block_edges(request):
+    # floor(k/j) changes value at j = m for k = m^2, m^2 - 1 and m(m+1), so
+    # these k put block boundaries at every kind of edge; primes have few
+    # divisors; each k is taken at an integer x and at two fractional x
+    ks = sorted({e for m in (2, 3, 5, 10, 21)
+                 for e in (m * m, m * m - 1, m * (m + 1))}
+                | {1, 2, 3, 5, 7, 11, 13, 97})
+    for table, cons in exact_products(request):
+        a1, a2 = Fraction(cons.a1.value), Fraction(cons.a2.value)
+        for k in ks:
+            for x in (Fraction(k), k + Fraction(1, 2), k + Fraction(3, 7)):
+                assert g1(x, table, cons) == _g1_oracle(
+                    x, table.coeffs.alpha, a1, a2), (table.spec.kind, x)
+
+
+def test_verify_identity_detects_changed_entries(zeta_spec, custom100_spec):
+    # the verdict compares the phi sieve's cumulative sums with a right side
+    # built from alpha, so changing either one fails the points that read it
+    xs = [Fraction(11, 2), Fraction(99, 2), Fraction(100), Fraction(201, 2),
+          Fraction(101), Fraction(451, 3)]
+    for spec in (zeta_spec, custom100_spec):
+        table = phi_table(spec, 200, mode="exact")
+        assert all(good for _, good, _ in verify_identity_batch(xs, table))
+
+        table = phi_table(spec, 200, mode="exact")
+        table.cumulative[100] += 1
+        failed = [x for x, good, _ in verify_identity_batch(xs, table)
+                  if not good]
+        assert failed == [Fraction(100), Fraction(201, 2)]
+
+        table = phi_table(spec, 200, mode="exact")
+        table.coeffs.alpha[6] += 1
+        failed = [x for x, good, _ in verify_identity_batch(xs, table)
+                  if not good]
+        assert failed == xs[1:]

@@ -20,6 +20,7 @@ from eulerphi.errors import (
     SOutOfRange,
     WrongSupport,
 )
+from eulerphi.primes import primes_upto
 from eulerphi.products import (
     a1_constant,
     build_character,
@@ -28,6 +29,7 @@ from eulerphi.products import (
     dirichlet_product,
     gamma,
     gamma_abs_bound,
+    gamma_values,
     kronecker_symbol,
     l_value,
     load_spec_file,
@@ -151,6 +153,21 @@ def test_local_factor_and_gamma_custom():
     # default rule fills unlisted primes: zero roots mean the factor is 1
     assert local_factor_at_one(spec, 5, exact=True) == 1
     assert gamma(spec, 5, exact=True) == 0
+
+
+def test_gamma_values_matches_scalar_gamma():
+    # listed primes at both ends of ps, inside it, and past its end
+    ps = primes_upto(1000)
+    roots = {2: [0.5, 0.25], 7: [1j, -1j], 997: [0.5, 0.5], 1009: [1, 1]}
+    for rule in ("zero", "one"):
+        spec = custom_product(2, roots, rule)
+        got = gamma_values(spec, ps)
+        for p, g in zip(ps.tolist(), got):
+            want = complex(gamma(spec, p, exact=False))
+            if p in roots:
+                assert g == want
+            else:
+                assert g == pytest.approx(want, rel=1e-15)
 
 
 def test_gamma_abs_bound():
