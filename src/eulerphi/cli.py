@@ -167,10 +167,6 @@ _DEFAULTS = {
     "config": None,
 }
 
-_COMMANDS = ("constants", "table", "error-term", "decompose",
-             "verify-identity", "volterra", "growth", "series-check")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="eulerphi",

@@ -4,7 +4,8 @@ alpha(n) is the multiplicative coefficient mu(n) prod_{p|n} gamma(p)
 (supported on squarefree n), and phi(n) = n prod_{p|n} F_p(1)^{-1} is the
 totient attached to the product, so phi(n)/n = prod_{p|n} (1 + alpha(p)/p).
 Both alpha and phi(n)/n are built by one multiplicative sieve over the
-smallest-prime-factor (SPF) table: with p = spf(n) and m = n/p,
+smallest-prime-factor (SPF) table, which also supplies the primes (the n >= 2
+with spf(n) = n), so there is no second sieve: with p = spf(n) and m = n/p,
 
     f(n) = f(m) * (higher if p | m else f(p)),
 
@@ -39,12 +40,14 @@ from .errors import (
     UsageError,
     XBeyondTable,
 )
-from .primes import primes_upto, smallest_prime_factor
+# primes_upto is not called here; perfbench/selftest.py checks that the
+# tracer wraps this module's binding of it
+from .primes import primes_upto, smallest_prime_factor, spf_primes  # noqa: F401
 from .products import (
     EulerProductSpec,
     ValueWithBound,
+    _number_type,
     _plain,
-    gamma,
     gamma_values,
     local_factor_at_one,
     spec_hash,
@@ -188,25 +191,21 @@ def _stored(values: np.ndarray, exact: bool):
     return values
 
 
-def _alpha_table(spec: EulerProductSpec, N: int, mode: str, ps: np.ndarray,
-                 spf: np.ndarray) -> CoefficientTable:
-    if mode == "exact":
-        gam = np.array([gamma(spec, int(p), exact=True) for p in ps],
-                       dtype=object)
-        one = Fraction(1)
-    else:
-        gam = gamma_values(spec, ps)
-        one = 1.0
-    alpha = _multiplicative(spf, ps, -gam, 0, one)
-    return CoefficientTable(spec=spec, N=N, mode=mode,
-                            alpha=_stored(alpha, mode == "exact"))
+def _alpha(spec: EulerProductSpec, spf: np.ndarray, ps: np.ndarray,
+           exact: bool) -> np.ndarray:
+    """alpha(0..N) on the SPF table spf with primes ps, before _stored."""
+    one = Fraction(1) if exact else 1.0
+    return _multiplicative(spf, ps, -gamma_values(spec, ps, exact), 0, one)
 
 
 def sieve_alpha(spec: EulerProductSpec, N: int,
                 mode: str = "auto") -> CoefficientTable:
     """Tabulate alpha(n) = mu(n) prod_{p|n} gamma(p) for n <= N."""
     mode = _resolve_mode(spec, N, mode)
-    return _alpha_table(spec, N, mode, primes_upto(N), smallest_prime_factor(N))
+    exact = mode == "exact"
+    spf = smallest_prime_factor(N)
+    return CoefficientTable(spec=spec, N=N, mode=mode, alpha=_stored(
+        _alpha(spec, spf, spf_primes(spf), exact), exact))
 
 
 def phi_direct(spec: EulerProductSpec, n: int,
@@ -218,38 +217,31 @@ def phi_direct(spec: EulerProductSpec, n: int,
     from .primes import factorize
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
-    if exact is None:
-        exact = spec.exact_capable
-    if exact:
-        out = Fraction(n)
-        for p, _ in factorize(n):
-            out /= Fraction(local_factor_at_one(spec, p, exact=True))
-        return out
-    out = complex(n)
+    exact = spec.exact_capable if exact is None else exact
+    lift, collapse = _number_type(exact)
+    out = lift(n)
     for p, _ in factorize(n):
-        out /= complex(local_factor_at_one(spec, p, exact=False))
-    return _plain(out)
+        out /= lift(local_factor_at_one(spec, p, exact=exact))
+    return collapse(out)
 
 
-def phi_table(spec: EulerProductSpec, N: int, mode: str = "auto",
-              ctable: Optional[CoefficientTable] = None) -> TotientTable:
+def phi_table(spec: EulerProductSpec, N: int, mode: str = "auto") -> TotientTable:
     """Build phi(0..N) and its running sums from the SPF sieve of phi(n)/n.
 
     phi(n)/n = prod_{p|n} (1 + alpha(p)/p) is the same at p and at p^k, so
-    it is the sieve with higher = 1.  alpha comes from ctable (which may
-    hold more than N entries) or is sieved here on the same SPF table.
+    it is the sieve with higher = 1, run on the SPF table that alpha is
+    sieved on.
     """
-    if ctable is not None and ctable.N < N:
-        raise XBeyondTable(f"coefficient table holds N = {ctable.N} < {N}")
-    mode = _resolve_mode(spec, N, mode) if ctable is None else ctable.mode
-    ps, spf = primes_upto(N), smallest_prime_factor(N)
-    if ctable is None:
-        ctable = _alpha_table(spec, N, mode, ps, spf)
-    alpha = np.asarray(ctable.alpha)
+    mode = _resolve_mode(spec, N, mode)
+    exact = mode == "exact"
+    spf = smallest_prime_factor(N)
+    ps = spf_primes(spf)
+    alpha = _alpha(spec, spf, ps, exact)
+    coeffs = CoefficientTable(spec=spec, N=N, mode=mode,
+                              alpha=_stored(alpha, exact))
     ratio = _multiplicative(spf, ps, 1 + alpha[ps] / ps, 1, alpha[1])
     phi = ratio * np.arange(N + 1)
-    exact = mode == "exact"
-    return TotientTable(coeffs=ctable, phi=_stored(phi, exact),
+    return TotientTable(coeffs=coeffs, phi=_stored(phi, exact),
                         cumulative=_stored(np.cumsum(phi), exact),
                         ratio_cumsum=_stored(np.cumsum(ratio), exact))
 
@@ -302,7 +294,7 @@ def make_e2(table: TotientTable, cF: ValueWithBound):
     """
     N = table.N
     phi = table.phi_array()
-    cumulative = np.concatenate(([0.0], np.cumsum(phi[1:])))
+    cumulative = _float_prefix(table.cumulative, N, None, table.exact)
     c = _plain(cF.value)
 
     def e2(xs):
@@ -415,8 +407,7 @@ def growth_scan(table: TotientTable, cF: ValueWithBound, X: int,
         raise XBeyondTable(f"X = {X} beyond table N = {table.N}")
     if x_min < 1 or x_min > X:
         raise UsageError(f"need 1 <= x_min <= X, got x_min={x_min}, X={X}")
-    phi = table.phi_array(X)
-    cumulative = np.concatenate(([0.0], np.cumsum(phi[1:])))
+    cumulative = _float_prefix(table.cumulative, table.N, X, table.exact)
     xs = np.arange(x_min, X + 1, dtype=np.float64)
     c = _plain(cF.value)
     e = cumulative[x_min:] - c * xs * xs
@@ -495,7 +486,7 @@ def save_table(table: TotientTable, path: str) -> None:
     if table.exact:
         for name in _FIELDS:
             columns[name], columns[name + "_len"] = _fraction_blob(columns[name])
-    np.savez_compressed(path, header=np.array(header), **columns)
+    np.savez(path, header=np.array(header), **columns)
 
 
 def load_table(path: str, spec: EulerProductSpec, N: int, mode: str) -> TotientTable:

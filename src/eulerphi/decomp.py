@@ -54,7 +54,7 @@ from typing import Union
 
 import numpy as np
 
-from .coeffs import TotientTable, error_term
+from .coeffs import TotientTable, _float_prefix, error_term
 from .errors import (
     MBeyondTable,
     ModeUnavailable,
@@ -400,10 +400,7 @@ def f1_values(xs: np.ndarray, table: TotientTable,
     if xs.max() > table.N:
         raise XBeyondTable(f"{xs.max()} beyond table N = {table.N}")
     c, a1, _ = _FLOAT.constants(constants)
-    if table.exact:
-        rc = np.array([float(v) for v in table.ratio_cumsum])
-    else:
-        rc = np.asarray(table.ratio_cumsum)
+    rc = _float_prefix(table.ratio_cumsum, table.N, None, table.exact)
     phi = table.phi_array()
     k = np.floor(xs).astype(np.int64)
     out = a1 / 2 - 2 * c * xs + rc[k]

@@ -27,6 +27,11 @@ def smallest_prime_factor(n: int) -> np.ndarray:
     return spf
 
 
+def spf_primes(spf: np.ndarray) -> np.ndarray:
+    """The primes of an SPF table, the n >= 2 with spf[n] == n (int64)."""
+    return np.flatnonzero(spf == np.arange(len(spf), dtype=spf.dtype))[1:]
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

@@ -277,40 +277,36 @@ def _as_fraction(x: Number) -> Fraction:
     return Fraction(x)
 
 
-def local_factor_at_one(spec: EulerProductSpec, p: int, exact: Optional[bool] = None):
-    """F_p(1) = prod_j (1 - alpha_j(p)/p)^{-1}.  Never zero since |alpha| <= 1 < p."""
+def _number_type(exact: bool) -> tuple:
+    """(lift, collapse) for exact rationals or floats.
+
+    lift turns a root, local factor or integer into a Fraction or a complex;
+    collapse turns a result into what callers get (a Fraction, or _plain).
+    """
+    return (_as_fraction, Fraction) if exact else (complex, _plain)
+
+
+def _local_product(spec: EulerProductSpec, p: int, exact: Optional[bool]):
+    """(prod_j (1 - alpha_j(p)/p), collapse) in the number type of exact."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if exact is None:
-        exact = spec.exact_capable
-    roots = spec.local_roots(p)
-    if exact:
-        prod = Fraction(1)
-        for r in roots:
-            prod *= 1 - _as_fraction(r) / p
-        return 1 / prod
-    prod = 1.0 + 0.0j
-    for r in roots:
-        prod *= 1 - complex(r) / p
-    return _plain(1 / prod)
+    lift, collapse = _number_type(spec.exact_capable if exact is None else exact)
+    prod = lift(1)
+    for r in spec.local_roots(p):
+        prod *= 1 - lift(r) / p
+    return prod, collapse
+
+
+def local_factor_at_one(spec: EulerProductSpec, p: int, exact: Optional[bool] = None):
+    """F_p(1) = prod_j (1 - alpha_j(p)/p)^{-1}.  Never zero since |alpha| <= 1 < p."""
+    prod, collapse = _local_product(spec, p, exact)
+    return collapse(1 / prod)
 
 
 def gamma(spec: EulerProductSpec, p: int, exact: Optional[bool] = None):
     """gamma(p) = p(1 - 1/F_p(1)) = p(1 - prod_j(1 - alpha_j(p)/p))."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if exact is None:
-        exact = spec.exact_capable
-    roots = spec.local_roots(p)
-    if exact:
-        prod = Fraction(1)
-        for r in roots:
-            prod *= 1 - _as_fraction(r) / p
-        return p * (1 - prod)
-    prod = 1.0 + 0.0j
-    for r in roots:
-        prod *= 1 - complex(r) / p
-    return _plain(p * (1 - prod))
+    prod, collapse = _local_product(spec, p, exact)
+    return collapse(p * (1 - prod))
 
 
 def gamma_abs_bound(spec: EulerProductSpec) -> float:
@@ -319,28 +315,34 @@ def gamma_abs_bound(spec: EulerProductSpec) -> float:
     return d * 2.0 ** (d - 1)
 
 
-def gamma_values(spec: EulerProductSpec, ps: np.ndarray) -> np.ndarray:
-    """Vectorized float gamma(p) over an ascending array of primes."""
+def gamma_values(spec: EulerProductSpec, ps: np.ndarray,
+                 exact: bool = False) -> np.ndarray:
+    """gamma(p) over an ascending array of primes, by the per-kind rules.
+
+    zeta gives 1, dirichlet chi(p), custom the default-rule value with the
+    listed primes overridden by gamma(spec, p).  Floats come back as float64
+    (complex128 unless the spec is exact-capable); exact=True gives an
+    object array of Fractions equal to gamma(spec, p, exact=True).
+    """
+    lift, dtype = (_as_fraction, object) if exact else (complex, np.complex128)
     if spec.kind == "zeta":
-        return np.ones(len(ps), dtype=np.float64)
-    if spec.kind == "dirichlet":
+        out = np.full(len(ps), lift(1), dtype=dtype)
+    elif spec.kind == "dirichlet":
         chi = spec.character
-        real = chi.is_real
-        table = np.array([complex(v) for v in chi.values],
-                         dtype=np.complex128)
+        table = np.array([lift(v) for v in chi.values], dtype=dtype)
         out = table[ps % chi.modulus]
-        return out.real.copy() if real else out
-    dtype = np.float64 if spec.exact_capable else np.complex128
-    pf = ps.astype(np.float64)
-    if spec.default_rule == "zero":
-        out = np.zeros(len(ps), dtype=dtype)
+    elif spec.default_rule == "zero":
+        out = np.full(len(ps), lift(0), dtype=dtype)
     else:
-        out = (pf * (1 - (1 - 1 / pf) ** spec.degree)).astype(dtype)
-    for p in spec.roots:
-        i = int(np.searchsorted(ps, p))
-        if i < len(ps) and ps[i] == p:
-            out[i] = gamma(spec, p, exact=False)
-    return out
+        pf, one = ((ps.astype(object), Fraction(1)) if exact
+                   else (ps.astype(np.float64), 1.0))
+        out = (pf * (one - (one - one / pf) ** spec.degree)).astype(dtype)
+    if spec.kind == "custom":
+        for p in spec.roots:
+            i = int(np.searchsorted(ps, p))
+            if i < len(ps) and ps[i] == p:
+                out[i] = gamma(spec, p, exact=exact)
+    return out if exact or not spec.exact_capable else out.real.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +395,13 @@ def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWith
     if prime_cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {prime_cutoff}")
     if spec.finite_support:
-        if spec.exact_capable:
-            prod = Fraction(1, 2)
-            for p in sorted(spec.roots):
-                prod *= 1 - _as_fraction(gamma(spec, p, exact=True)) / (p * p)
-            return ValueWithBound(prod, 0.0, "rigorous")
-        prod = 0.5 + 0.0j
+        exact = spec.exact_capable
+        lift, collapse = _number_type(exact)
+        prod = lift(Fraction(1, 2))
         for p in sorted(spec.roots):
-            prod *= 1 - complex(gamma(spec, p, exact=False)) / (p * p)
-        slop = (len(spec.roots) + 2) * _EPS * abs(prod)
-        return ValueWithBound(_plain(prod), slop, "rigorous")
+            prod *= 1 - lift(gamma(spec, p, exact=exact)) / (p * p)
+        slop = 0.0 if exact else (len(spec.roots) + 2) * _EPS * abs(prod)
+        return ValueWithBound(collapse(prod), slop, "rigorous")
     b = gamma_abs_bound(spec)
     if prime_cutoff * prime_cutoff < 2 * b:
         raise CutoffTooSmall(

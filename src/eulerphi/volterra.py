@@ -146,11 +146,30 @@ def _integrand_check(g: GridFunction) -> np.ndarray:
     return w
 
 
+def _trapezoid(w: np.ndarray, h: float) -> np.ndarray:
+    """int_{x_0}^{x_i} w dt by the trapezoid rule on a grid of spacing h."""
+    return np.concatenate(([0], np.cumsum((w[:-1] + w[1:]) / 2) * h))
+
+
+def _interpolate(xs: np.ndarray, w: np.ndarray, cum: np.ndarray, h: float,
+                 x: float):
+    """cum (a running integral of w over xs) carried on to x.
+
+    Inside a cell w is linear; past the last point and before the first
+    one it is held constant.
+    """
+    if x < xs[0]:
+        return cum[0] - w[0] * (xs[0] - x)
+    j = int(np.searchsorted(xs, x, side="right") - 1)
+    if j >= len(xs) - 1:
+        return cum[-1] + w[-1] * (x - xs[-1])
+    wx = w[j] + (w[j + 1] - w[j]) * (x - xs[j]) / h
+    return cum[j] + (w[j] + wx) / 2 * (x - xs[j])
+
+
 def _cumulative(g: GridFunction) -> np.ndarray:
     """W_i = int_0^{x_i} g/t dt: small-t model piece plus trapezoid."""
-    w = _integrand_check(g)
-    inner = np.concatenate(([0], np.cumsum((w[:-1] + w[1:]) / 2) * g.h))
-    return g.values[0] + inner
+    return g.values[0] + _trapezoid(_integrand_check(g), g.h)
 
 
 def improper_integral(g: GridFunction, x: float) -> complex:
@@ -160,17 +179,10 @@ def improper_integral(g: GridFunction, x: float) -> complex:
     if x <= 0:
         raise XBeyondGrid(f"need x > 0, got {x}")
     w = _integrand_check(g)
-    xs = g.xs
-    if x <= xs[0]:
+    if x <= g.xs[0]:
         # inside the modeled region: integrand is the constant g(t0)/t0
         return _plain(w[0] * x)
-    cum = _cumulative(g)
-    j = int(np.searchsorted(xs, x, side="right") - 1)
-    if j >= len(xs) - 1:
-        # past the last point by at most h/2: constant extrapolation
-        return _plain(cum[-1] + w[-1] * (x - xs[-1]))
-    wx = w[j] + (w[j + 1] - w[j]) * (x - xs[j]) / g.h
-    return _plain(cum[j] + (w[j] + wx) / 2 * (x - xs[j]))
+    return _plain(_interpolate(g.xs, w, _cumulative(g), g.h, x))
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +240,8 @@ def solve_from_e2(e2_provider: Provider, X: float, h: float,
         raise AnchorOutOfRange(f"anchor x0 = {x0} outside (0, {X}]")
     e2 = np.asarray(e2_provider(xs))
     w = e2 / (xs * xs)
-    cum = np.concatenate(([0], np.cumsum((w[:-1] + w[1:]) / 2) * h))
-
-    def w_to(x: float) -> float:
-        # int_{xs[0]}^{x} w dt, linear interpolation inside cells
-        if x < xs[0]:
-            return -(w[0] * (xs[0] - x))
-        j = int(np.searchsorted(xs, x, side="right") - 1)
-        if j >= len(xs) - 1:
-            return cum[-1] + w[-1] * (x - xs[-1])
-        wx = w[j] + (w[j + 1] - w[j]) * (x - xs[j]) / h
-        return cum[j] + (w[j] + wx) / 2 * (x - xs[j])
-
-    i_from_x0 = cum - w_to(x0)
+    cum = _trapezoid(w, h)
+    i_from_x0 = cum - _interpolate(xs, w, cum, h, x0)
     e2_at_x0 = np.asarray(e2_provider(np.array([x0])))[0]
     k = (v0 - e2_at_x0) / x0
     values = e2 + xs * i_from_x0 + k * xs

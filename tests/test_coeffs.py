@@ -29,7 +29,12 @@ from eulerphi.errors import (
     UsageError,
     XBeyondTable,
 )
-from eulerphi.primes import factorize, smallest_prime_factor
+from eulerphi.primes import (
+    factorize,
+    primes_upto,
+    smallest_prime_factor,
+    spf_primes,
+)
 from eulerphi.products import (
     ValueWithBound,
     build_character,
@@ -122,6 +127,10 @@ def test_smallest_prime_factor():
         assert spf.dtype == np.int32 and len(spf) == N + 1
         assert list(spf[:2]) == [0, 0][: N + 1]
         assert all(spf[n] == factorize(n)[0][0] for n in range(2, N + 1))
+    # the tables take their primes off the SPF table, not from a second sieve
+    for N in list(range(1, 41)) + [10 ** 5]:
+        assert np.array_equal(spf_primes(smallest_prime_factor(N)),
+                              primes_upto(N))
 
 
 def test_phi_table_matches_divisor_sum_exact(zeta_spec, mod4_spec,
@@ -168,18 +177,6 @@ def test_small_tables_match_phi_direct(monkeypatch, zeta_spec, mod4_spec,
                 assert sieve_alpha(spec, N, mode="exact").alpha == alpha[: N + 1]
 
 
-def test_phi_table_from_larger_ctable(zeta_spec, custom100_spec):
-    for spec in (zeta_spec, custom100_spec):
-        for mode in ("exact", "float"):
-            fresh = phi_table(spec, 300, mode=mode)
-            reused = phi_table(spec, 300,
-                               ctable=sieve_alpha(spec, 1000, mode=mode))
-            assert reused.mode == mode
-            for name in ("phi", "cumulative", "ratio_cumsum"):
-                assert np.array_equal(np.asarray(getattr(reused, name)),
-                                      np.asarray(getattr(fresh, name)))
-
-
 def test_float_alpha_has_no_negative_zero(zeta_spec, mod4_spec):
     for spec in (zeta_spec, mod4_spec):
         a = np.asarray(sieve_alpha(spec, 10 ** 4, mode="float").alpha)
@@ -218,11 +215,25 @@ def test_make_e2_matches_scalar(zeta_exact_500, zeta_constants):
     got = e2(xs)
     want = [float(error_term(zeta_exact_500, zeta_constants.c, float(x),
                              convention="symmetric")) for x in xs]
-    # scalar route subtracts from the exact cumulative, vector route from a
-    # float cumsum; they may differ by accumulated rounding at the top end
+    # scalar route subtracts C x^2 from the exact cumulative, vector route
+    # from its float view; they may differ by rounding at the top end
     assert np.allclose(got, want, rtol=0, atol=1e-7)
     with pytest.raises(XBeyondTable):
         e2(np.array([501.5]))
+
+
+def test_float_scans_read_stored_cumulative(zeta_float_100k, mod4_float_100k,
+                                            zeta_constants, mod4_constants):
+    for table, cF in ((zeta_float_100k, zeta_constants.c),
+                      (mod4_float_100k, mod4_constants.c)):
+        cum, phi, c = np.asarray(table.cumulative), np.asarray(table.phi), cF.value
+        xs = np.array([0.5, 1.0, 2.25, 99.0, 5000.5, 99999.75, 100000.0])
+        k = np.floor(xs).astype(np.int64)
+        want = cum[k] - c * xs * xs - np.where(k == xs, phi[k] / 2, 0)
+        assert make_e2(table, cF)(xs).tobytes() == want.tobytes()
+        rep = growth_scan(table, cF, 10 ** 5, samples=30)
+        for x, e, _ in rep.rows:
+            assert e == cum[x] - c * float(x) * float(x)
 
 
 def test_series_identity_check_small(zeta_spec):
@@ -283,6 +294,10 @@ def test_cache_roundtrip_exact(tmp_path, zeta_spec, custom100_exact_500):
             assert got == want
             assert list(map(type, got)) == list(map(type, want))
         assert back == table
+        # files written compressed (before format 3 went uncompressed) load
+        with np.load(path) as z:
+            np.savez_compressed(path, **{k: z[k] for k in z.files})
+        assert load_table(path, spec, N, "exact") == table
 
 
 def test_exact_cache_is_not_padded(tmp_path, zeta_spec):

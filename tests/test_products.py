@@ -168,6 +168,15 @@ def test_gamma_values_matches_scalar_gamma():
                 assert g == want
             else:
                 assert g == pytest.approx(want, rel=1e-15)
+    rational = {2: [0.5, 0.25], 7: [1, -1], 997: [0.5, 0.5], 1009: [1, 1]}
+    for spec in ([zeta_product()]
+                 + [dirichlet_product(build_character(kronecker=d))
+                    for d in (-4, 8)]
+                 + [custom_product(2, rational, rule) for rule in ("zero", "one")]):
+        got = gamma_values(spec, ps, exact=True)
+        want = [gamma(spec, p, exact=True) for p in ps.tolist()]
+        assert got.tolist() == want
+        assert all(type(g) is Fraction for g in got)
 
 
 def test_gamma_abs_bound():

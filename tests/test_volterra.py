@@ -112,6 +112,21 @@ def test_solve_zero_e2_gives_homogeneous_member():
     assert np.max(np.abs(sol.values - 2.0 * sol.xs)) < 1e-12
 
 
+def test_solve_polynomial_e2_from_any_anchor():
+    # E2 = -c t^2 + a t^3 is solved by F = -2c x^2 + (3a/2) x^3 + b x; E2/t^2
+    # is linear, so the trapezoid and the in-cell interpolation are exact.
+    # Before the first grid point and past the last one E2/t^2 is held
+    # constant, which is exact for a = 0
+    c, b = 0.3, 0.7
+    for a, x0 in ((0.0, 2.5e-4), (0.1, 1.2342), (0.0, 5.0)):
+        def exact(x):
+            return -2 * c * x ** 2 + 1.5 * a * x ** 3 + b * x
+
+        sol = solve_from_e2(lambda t: -c * t ** 2 + a * t ** 3, 5.0, 1e-3,
+                            (x0, exact(x0)))
+        assert np.max(np.abs(sol.values - exact(sol.xs))) < 1e-10
+
+
 def test_solve_anchor_validation():
     with pytest.raises(AnchorOutOfRange):
         solve_from_e2(zero_e2, 5.0, 1e-3, (6.0, 1.0))
