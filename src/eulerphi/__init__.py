@@ -88,6 +88,7 @@ from .decomp import (
     DecompositionReport,
     F1OneSided,
     decompose,
+    decompose_batch,
     f1_closed,
     f1_one_sided,
     f1_series,

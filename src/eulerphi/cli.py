@@ -156,7 +156,6 @@ _DEFAULTS = {
     "prime_cutoff": 10 ** 6,
     "a1_mode": "auto",
     "a1_cutoff": 10 ** 6,
-    "m": None,
     "samples": 20,
     "x_min": 2,
     "limit": None,
@@ -241,6 +240,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# JSON types a config-file value may take where its flag has no type (a
+# string flag); any other such flag takes a JSON string
+_FILE_TYPES = {"x": (str, int, float), "roots": (str, dict, list)}
+
+
+def _option_actions(parser: argparse.ArgumentParser) -> dict:
+    """dest -> argparse action, over the options of every command."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for p in sub.choices.values() for a in p._actions}
+
+
+def _file_value(key: str, v, action: argparse.Action):
+    """A config-file value checked against its flag's type and choices, and
+    converted by the flag's type as a command-line value would be.
+
+    null stands for an unset option, so it is taken only where the option
+    is unset by default.
+    """
+    if v is None:
+        ok = _DEFAULTS[key] is None
+    elif isinstance(v, bool) or action.nargs == 0:   # store_true flags
+        ok = isinstance(v, bool) and action.nargs == 0
+    elif action.type is int:
+        ok = isinstance(v, int)
+    elif action.type is float:
+        ok = isinstance(v, (int, float))
+    else:
+        ok = isinstance(v, _FILE_TYPES.get(key, str))
+    if not ok:
+        raise UsageError(f"config key {key!r} has a value of the wrong "
+                         f"type: {v!r}")
+    if v is None:
+        return v
+    if action.choices is not None and v not in action.choices:
+        raise UsageError(f"config key {key!r} must be one of "
+                         f"{', '.join(action.choices)}; got {v!r}")
+    return action.type(v) if action.type is not None else v
+
+
 def parse_config(argv) -> RunConfig:
     """argv -> RunConfig; a --config JSON file fills unset options."""
     parser = _build_parser()
@@ -259,10 +298,11 @@ def parse_config(argv) -> RunConfig:
             raise UsageError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(file_opts, dict):
             raise UsageError("config file must hold a JSON object")
+        actions = _option_actions(parser)
         for k, v in file_opts.items():
             if k not in _DEFAULTS or k == "config":
                 raise UsageError(f"unknown config key {k!r}")
-            opts[k] = v
+            opts[k] = _file_value(k, v, actions[k])
     for k, v in cli.items():
         if v is not None:
             opts[k] = v
@@ -484,17 +524,14 @@ def cmd_decompose(cfg: RunConfig):
     if not table.exact:
         xs = [float(v) for v in xs]
     cons = get_constants(cfg, spec, table)
-    rows = []
-    ok = True
-    for x in xs:
-        rep = _decomp.decompose(x, table, cons)
-        rows.append({"x": x, "E2": rep.e2.value,
-                     "x_f1": rep.arithmetic_part.value,
-                     "half_g1": rep.analytic_part.value,
-                     "residual": rep.residual,
-                     "exact_verdict": rep.exact_verdict})
-        if rep.exact_verdict == "fail":
-            ok = False
+    reports = _decomp.decompose_batch(xs, table, cons)
+    rows = [{"x": x, "E2": rep.e2.value,
+             "x_f1": rep.arithmetic_part.value,
+             "half_g1": rep.analytic_part.value,
+             "residual": rep.residual,
+             "exact_verdict": rep.exact_verdict}
+            for x, rep in zip(xs, reports)]
+    ok = all(rep.exact_verdict != "fail" for rep in reports)
     return {"meta": _meta(cfg, spec, table.mode), "rows": rows}, ok
 
 

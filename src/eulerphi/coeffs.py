@@ -62,7 +62,7 @@ _EXACT_N_CAP = 10 ** 6
 _EXACT_AUTO_CAP = 2 * 10 ** 5
 
 # bumped whenever the file layout changes, so older files fail the header check
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 # entries per step of the multiplicative sieve; bounds its temporaries
 _CHUNK = 1 << 16
 
@@ -91,18 +91,18 @@ class CoefficientTable:
 
 @dataclass
 class TotientTable:
-    """phi(0..N) plus running sums used by the decomposition formulas.
+    """phi(0..N) and its running sum cumulative[k] = sum_{n<=k} phi(n).
 
-    cumulative[k] = sum_{n<=k} phi(n); ratio_cumsum[k] = sum_{n<=k} phi(n)/n.
-    Entry 0 of each is 0.
+    Entry 0 of each is 0.  Every other running sum (of alpha, and
+    S_f(k) = sum_{n<=k} phi(n)/n) is kept by the decomposition kernel,
+    which grows it only as far as a query reads.
     """
 
     coeffs: CoefficientTable
     phi: Union[list, np.ndarray]
     cumulative: Union[list, np.ndarray]
-    ratio_cumsum: Union[list, np.ndarray]
-    # prefix sums of alpha that the decomposition kernel grows on demand;
-    # derived data, so never saved, compared or shown
+    # the decomposition kernel's prefix sums, grown on demand; derived
+    # data, so never saved, compared or shown
     _prefix_sums: object = field(default=None, init=False, repr=False,
                                  compare=False)
 
@@ -226,7 +226,7 @@ def phi_direct(spec: EulerProductSpec, n: int,
 
 
 def phi_table(spec: EulerProductSpec, N: int, mode: str = "auto") -> TotientTable:
-    """Build phi(0..N) and its running sums from the SPF sieve of phi(n)/n.
+    """Build phi(0..N) and its running sum from the SPF sieve of phi(n)/n.
 
     phi(n)/n = prod_{p|n} (1 + alpha(p)/p) is the same at p and at p^k, so
     it is the sieve with higher = 1, run on the SPF table that alpha is
@@ -242,8 +242,7 @@ def phi_table(spec: EulerProductSpec, N: int, mode: str = "auto") -> TotientTabl
     ratio = _multiplicative(spf, ps, 1 + alpha[ps] / ps, 1, alpha[1])
     phi = ratio * np.arange(N + 1)
     return TotientTable(coeffs=coeffs, phi=_stored(phi, exact),
-                        cumulative=_stored(np.cumsum(phi), exact),
-                        ratio_cumsum=_stored(np.cumsum(ratio), exact))
+                        cumulative=_stored(np.cumsum(phi), exact))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +430,7 @@ def cache_path(directory: str, spec: EulerProductSpec, N: int, mode: str) -> str
     return os.path.join(directory, f"table-{spec_hash(spec)}-{N}-{mode}.npz")
 
 
-_FIELDS = ("alpha", "phi", "cumulative", "ratio_cumsum")
+_FIELDS = ("alpha", "phi", "cumulative")
 
 if hasattr(Fraction, "_from_coprime_ints"):         # Python >= 3.12
     _coprime_fraction = Fraction._from_coprime_ints
@@ -482,7 +481,7 @@ def save_table(table: TotientTable, path: str) -> None:
                          "N": table.N, "mode": table.mode}, sort_keys=True)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     columns = dict(zip(_FIELDS, (table.coeffs.alpha, table.phi,
-                                 table.cumulative, table.ratio_cumsum)))
+                                 table.cumulative)))
     if table.exact:
         for name in _FIELDS:
             columns[name], columns[name + "_len"] = _fraction_blob(columns[name])
@@ -501,7 +500,6 @@ def load_table(path: str, spec: EulerProductSpec, N: int, mode: str) -> TotientT
         if mode == "exact":
             columns = [_blob_fractions(c, z[k + "_len"], N + 1)
                        for c, k in zip(columns, _FIELDS)]
-    alpha, phi, cumulative, ratio_cumsum = columns
+    alpha, phi, cumulative = columns
     ct = CoefficientTable(spec=spec, N=N, mode=mode, alpha=alpha)
-    return TotientTable(coeffs=ct, phi=phi, cumulative=cumulative,
-                        ratio_cumsum=ratio_cumsum)
+    return TotientTable(coeffs=ct, phi=phi, cumulative=cumulative)

@@ -20,13 +20,14 @@ Every formula has one body, built from three private pieces:
   * _Numbers, the number type of a call, chosen once by _numbers: exact
     rationals when the table is exact and x is an int or Fraction, floats
     otherwise.  It lifts C, A1, A2 (and any other operand) into that type.
-  * _PrefixSums, the prefix sums A0(k) = sum_{n<=k} alpha(n),
-    P1(k) = sum_{n<=k} alpha(n)/n and P2(k) = sum_{n<=k} alpha(n)/n^2, kept
-    on the table and grown to the largest k asked.  On exact tables they are
-    Python-int numerators over one common denominator per sum; on float
-    tables, numpy cumulative sums.  Terms n > x of both series collapse onto
-    A1 - P1 and A2 - P2, which is how f1_series and g1 sum their infinite
-    tails.
+  * _PrefixSums, the one holder of running sums: A0(k) = sum_{n<=k}
+    alpha(n), P1(k) = sum_{n<=k} alpha(n)/n and P2(k) = sum_{n<=k}
+    alpha(n)/n^2 from the alpha column, and S_f(k) = sum_{n<=k} phi(n)/n
+    from the phi column, kept on the table and grown to the largest k
+    asked.  On exact tables they are Python-int numerators over one common
+    denominator per sum; on float tables, numpy cumulative sums.  Terms
+    n > x of both series collapse onto A1 - P1 and A2 - P2, which is how
+    f1_series and g1 sum their infinite tails.
   * _point_sums, which gives S_g(x) = sum_{n<=x} alpha(n) {x/n}({x/n} - 1)
     (for g1, the decompose verdict and verify_identity_batch).  In exact
     mode it expands S_g into P2(k), P1(k) and sums of P1 and A0 at k//j,
@@ -37,8 +38,8 @@ Every formula has one body, built from three private pieces:
 
 Only the primitives branch on exact/float, since that is where Python
 integer loops and numpy arrays really differ.  The routes that check each
-other stay separate code: f1_closed reads S_f from the phi table while
-f1_series sums the sawtooth and the P1/P2 tail; r_function's definition,
+other stay separate code: f1_closed reads S_f, the kernel's running sum of
+the phi column, while f1_series sums the sawtooth and the P1/P2 tail; r_function's definition,
 integral and closed routes share no formula; and the exact verdict compares
 the phi sieve's cumulative sum against a right-hand side built from S_g, P1,
 P2 and S_f, never from the residual and with no terms cancelled.  (The block
@@ -54,7 +55,7 @@ from typing import Union
 
 import numpy as np
 
-from .coeffs import TotientTable, _float_prefix, error_term
+from .coeffs import TotientTable, error_term
 from .errors import (
     MBeyondTable,
     ModeUnavailable,
@@ -111,31 +112,44 @@ def _numbers(x, exact_table: bool = True) -> _Numbers:
 
 
 # ---------------------------------------------------------------------------
-# Kernel primitives: prefix sums of alpha, fractional parts
+# Kernel primitives: prefix sums of alpha and phi, fractional parts
 # ---------------------------------------------------------------------------
 
+def _lcm(values: list) -> int:
+    """lcm of many ints, by pairwise lcms in a balanced tree: folding them
+    into one growing lcm would cost a big-integer step per value."""
+    while len(values) > 1:
+        values = [math.lcm(*values[i : i + 2])
+                  for i in range(0, len(values), 2)]
+    return values[0]
+
+
 class _IntPrefix:
-    """sum_{n<=k} alpha(n)/n^power for k = 0..len(num)-1, as Python-int
+    """sum_{n<=k} column(n)/n^power for k = 0..len(num)-1, as Python-int
     numerators num[k] over one common denominator den.
 
     den is the lcm of the denominators of the terms summed so far (1 for
-    integer alpha and power 0), so an extension that brings in a new
-    denominator rescales every numerator once.
+    an integer column at power 0), so an extension that brings in a new
+    denominator rescales every numerator once.  The last value read is
+    kept as a Fraction, since the formulas at one point read the same k
+    more than once and each Fraction costs a big-integer gcd.
     """
 
-    def __init__(self, power: int):
+    def __init__(self, column, power: int):
+        self.column = column
         self.power = power
         self.den = 1
         self.num = [0]
+        self._read = (None, None)
 
-    def extend(self, alpha, lo: int, hi: int) -> None:
+    def extend(self, lo: int, hi: int) -> None:
         """Append the sums for k = lo..hi (lo = len(num))."""
-        terms = []   # alpha(n)/n^power in lowest terms, as (p, q)
+        terms = []   # column(n)/n^power in lowest terms, as (p, q)
         for n in range(lo, hi + 1):
-            a, m = alpha[n], n ** self.power
+            a, m = self.column[n], n ** self.power
             g = math.gcd(a.numerator, m)
             terms.append((a.numerator // g, a.denominator * (m // g)))
-        den = math.lcm(self.den, *(q for p, q in terms if p))
+        den = _lcm([self.den] + [q for p, q in terms if p])
         if den != self.den:
             scale = den // self.den
             self.num = [v * scale for v in self.num]
@@ -147,37 +161,64 @@ class _IntPrefix:
             self.num.append(acc)
 
     def __getitem__(self, k: int) -> Fraction:
-        return Fraction(self.num[k], self.den)
+        if self._read[0] != k:
+            self._read = (k, Fraction(self.num[k], self.den))
+        return self._read[1]
 
 
 class _PrefixSums:
-    """Prefix sums of alpha: A0[k] = sum_{n<=k} alpha(n),
-    P1[k] = sum_{n<=k} alpha(n)/n and P2[k] = sum_{n<=k} alpha(n)/n^2.
+    """The running sums the formulas read: of alpha, A0[k] = sum_{n<=k}
+    alpha(n), P1[k] = sum_{n<=k} alpha(n)/n and P2[k] = sum_{n<=k}
+    alpha(n)/n^2, and of phi, S_f[k] = sum_{n<=k} phi(n)/n.
 
-    Exact tables keep all three as integer numerators (_IntPrefix); float
-    tables keep P1 and P2 as numpy cumulative sums (float S_g is summed term
-    by term and needs no A0).  A query past the current end grows the sums
-    to min(N, max(k, 2 * top)), so exact numerators are rescaled O(log N)
-    times, and each extension continues the same sequential sum, so values
-    do not depend on the order of the queries.
+    Exact tables keep all four as integer numerators (_IntPrefix); float
+    tables keep P1, P2 and S_f as numpy cumulative sums (float S_g is summed
+    term by term and needs no A0).  A query past the current end grows the
+    sums to min(N, max(k, 2 * top)), so exact numerators are rescaled
+    O(log N) times, and each extension continues the same sequential sum,
+    so values do not depend on the order of the queries.
     """
 
     def __init__(self, table: TotientTable):
         self.alpha = table.coeffs.alpha
+        self.phi = table.phi
         self.N = table.N
         self.exact = table.exact
         self.top = 0
         if self.exact:
-            self.a0, self.p1, self.p2 = (_IntPrefix(e) for e in (0, 1, 2))
+            self.a0, self.p1, self.p2 = (_IntPrefix(self.alpha, e)
+                                         for e in (0, 1, 2))
+            self.s_f = _IntPrefix(self.phi, 1)
         else:
-            dtype = np.result_type(self.alpha, np.float64)
-            self.p1 = np.zeros(table.N + 1, dtype=dtype)
-            self.p2 = np.zeros(table.N + 1, dtype=dtype)
+            dtype = np.result_type(self.alpha, self.phi, np.float64)
+            self.p1, self.p2, self.s_f = (np.zeros(table.N + 1, dtype=dtype)
+                                          for _ in range(3))
 
     def at(self, k: int) -> tuple:
         """(P1[k], P2[k]), extending the sums to k first when needed."""
         self._grow(k)
         return self.p1[k], self.p2[k]
+
+    def s_f_at(self, k: int):
+        """S_f[k], extending the sums to k first when needed."""
+        self._grow(k)
+        return self.s_f[k]
+
+    def s_f_floats(self, k: int) -> np.ndarray:
+        """S_f[0..k] as floats: each exact value rounded once, or a view on
+        float tables."""
+        self._grow(k)
+        if self.exact:
+            return np.array([v / self.s_f.den for v in self.s_f.num[: k + 1]])
+        return self.s_f[: k + 1]
+
+    def s_f_total(self, k: int):
+        """sum_{1<=j<k} S_f[j]: the integer numerators over their common
+        denominator on exact tables, numpy's sum on float ones."""
+        self._grow(k)
+        if self.exact:
+            return Fraction(sum(self.s_f.num[1:k]), self.s_f.den)
+        return np.sum(self.s_f[1:k])
 
     def floor_blocks(self, k: int) -> tuple:
         """(sum_{j<=k} P1[k//j], sum_{j<=k} 2j A0[k//j]) on an exact table.
@@ -203,12 +244,13 @@ class _PrefixSums:
             return
         lo, hi = self.top + 1, min(self.N, max(k, 2 * self.top))
         if self.exact:
-            for s in (self.a0, self.p1, self.p2):
-                s.extend(self.alpha, lo, hi)
+            for s in (self.a0, self.p1, self.p2, self.s_f):
+                s.extend(lo, hi)
         else:
             n = np.arange(lo, hi + 1, dtype=np.float64)
             a = self.alpha[lo : hi + 1]
-            for p, terms in ((self.p1, a / n), (self.p2, a / (n * n))):
+            for p, terms in ((self.p1, a / n), (self.p2, a / (n * n)),
+                             (self.s_f, self.phi[lo : hi + 1] / n)):
                 # seeding with P[lo-1] keeps one sequential order of summation
                 p[lo : hi + 1] = np.cumsum(
                     np.concatenate((p[lo - 1 : lo], terms)))[1:]
@@ -316,7 +358,7 @@ def f1_closed(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     if x == 0:
         return num.lift(0)
     c, a1, _ = num.constants(constants)
-    s_f = table.ratio_cumsum[k]
+    s_f = _prefix_sums(table).s_f_at(k)
     if x == k:
         s_f = s_f - num.half * table.phi[k] / k
     return a1 / 2 - 2 * c * x + s_f
@@ -345,8 +387,9 @@ def f1_one_sided(N: int, table: TotientTable, constants: Constants) -> F1OneSide
     num = _numbers(N, table.exact)
     c, a1, _ = num.constants(constants)
     base = a1 / 2 - 2 * c * N
-    left = base + table.ratio_cumsum[N - 1]
-    right = base + table.ratio_cumsum[N]
+    sums = _prefix_sums(table)
+    left = base + sums.s_f_at(N - 1)
+    right = base + sums.s_f_at(N)
     half = (left + right) / num.two
     return F1OneSided(left=left, right=right, half=half, f1_value=half,
                       jump=table.phi[N] / N)
@@ -400,10 +443,11 @@ def f1_values(xs: np.ndarray, table: TotientTable,
     if xs.max() > table.N:
         raise XBeyondTable(f"{xs.max()} beyond table N = {table.N}")
     c, a1, _ = _FLOAT.constants(constants)
-    rc = _float_prefix(table.ratio_cumsum, table.N, None, table.exact)
-    phi = table.phi_array()
     k = np.floor(xs).astype(np.int64)
-    out = a1 / 2 - 2 * c * xs + rc[k]
+    top = int(k.max())
+    s_f = _prefix_sums(table).s_f_floats(top)
+    phi = table.phi_array(top)
+    out = a1 / 2 - 2 * c * xs + s_f[k]
     at_int = (xs == k) & (k >= 1)
     if np.any(at_int):
         kk = np.maximum(k, 1)
@@ -461,9 +505,9 @@ def _integral_of_f1(x, k: int, table: TotientTable, constants: Constants):
     num = _numbers(x, table.exact)
     c, a1, _ = num.constants(constants)
     x = num.lift(x)
-    rc = table.ratio_cumsum
-    full = num.lift(np.sum(rc[1:k]) if k >= 2 else 0)
-    partial = num.lift(rc[k]) * (x - k) if k >= 1 else 0
+    sums = _prefix_sums(table)
+    full = num.lift(sums.s_f_total(k))
+    partial = num.lift(sums.s_f_at(k)) * (x - k) if k >= 1 else 0
     return a1 * x / 2 - c * x * x + full + partial
 
 
@@ -520,7 +564,7 @@ def _reduced_residual(x: Fraction, table: TotientTable, k: int,
     # with J = phi(x)/x at integer x (else 0); C and A1 have cancelled, so
     # every quantity is rational and lhs - rhs is exactly 0 when it holds.
     s_g, p1, p2 = sums
-    s_f = table.ratio_cumsum[k]
+    s_f = _prefix_sums(table).s_f_at(k)
     lhs = table.cumulative[k]
     j = Fraction(0)
     if x.denominator == 1:
@@ -557,23 +601,35 @@ def decompose(x: Scalar, table: TotientTable,
         residual=residual, exact_verdict=verdict)
 
 
+def _grown_for(xs, table: TotientTable) -> list:
+    """floor(x) of every x in a batch (each checked to be >= 1 and in the
+    table), with the table's prefix sums grown to the largest at once: that
+    spares the rescaling of their numerators that growing point by point
+    costs."""
+    ks = [_check_range(x, table, 1) for x in xs]
+    if ks:
+        _prefix_sums(table).at(max(ks))
+    return ks
+
+
+def decompose_batch(xs, table: TotientTable, constants: Constants) -> list:
+    """decompose at every x of a batch, on prefix sums grown once."""
+    _grown_for(xs, table)
+    return [decompose(x, table, constants) for x in xs]
+
+
 def verify_identity_batch(xs, table: TotientTable) -> list:
     """Run the constant-free reduced identity at many rational x.
 
-    The table's prefix sums of alpha are shared across the batch, leaving
+    The table's prefix sums are shared across the batch, leaving
     O(sqrt(floor(x))) big-integer operations per point for S_g.
     Returns [(x, passed, rational_residual), ...].
     """
     if not table.exact:
         raise ModeUnavailable("the reduced identity needs an exact table")
     xs = [Fraction(x) for x in xs]
-    ks = [_check_range(x, table, 1) for x in xs]
-    if ks:
-        # grow the prefix sums to the largest k at once, which spares the
-        # rescaling of their numerators that growing point by point costs
-        _prefix_sums(table).at(max(ks))
     out = []
-    for x, k in zip(xs, ks):
+    for x, k in zip(xs, _grown_for(xs, table)):
         res = _reduced_residual(x, table, k, _point_sums(x, table, k, _EXACT))
         out.append((x, res == 0, res))
     return out

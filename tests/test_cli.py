@@ -1,5 +1,6 @@
 """Command-line surface: parsing, reports, determinism, caching, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from eulerphi.cli import (
     parse_config,
     parse_x_values,
 )
+from eulerphi import coeffs
 from eulerphi.coeffs import cache_path, load_table, phi_table
 from eulerphi.errors import (
     AnchorOutOfRange,
@@ -76,6 +78,44 @@ def test_config_unknown_key_named(tmp_path):
     cfg_path.write_text(json.dumps({"bogus_key": 1}))
     with pytest.raises(UsageError, match="bogus_key"):
         parse_config(["constants", "--config", str(cfg_path)])
+
+
+@pytest.mark.parametrize("command, options", [
+    ("table", {"n": "5"}),
+    ("table", {"n": 5.5}),
+    ("table", {"n": True}),
+    ("volterra", {"h": "0.1"}),
+    ("volterra", {"h": None}),
+    ("growth", {"samples": "3"}),
+    ("volterra", {"op": "bogus"}),
+    ("table", {"mode": "bogus"}),
+    ("table", {"no_cache": "yes"}),
+    ("table", {"output": 5}),
+    ("volterra", {"anchor": 5}),
+    ("constants", {"product": "dirichlet", "modulus": 4,
+                   "values": [0, 1, 0, -1]}),
+])
+def test_config_values_checked_against_flags(tmp_path, capsys, command,
+                                             options):
+    # a value of the wrong JSON type, or outside the flag's choices, is a
+    # usage error, not an internal error or a silent default
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(options))
+    with pytest.raises(UsageError):
+        parse_config([command, "--config", str(cfg_path)])
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert "internal" not in capsys.readouterr().err
+
+
+def test_config_values_converted_like_flags(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "X": 100, "h": 0.01, "samples": 3, "n": None, "no_cache": True,
+        "op": "probe", "x": 2.5, "roots": {"2": [0.5]}}))
+    cfg = parse_config(["volterra", "--config", str(cfg_path)])
+    assert cfg.X == 100.0 and isinstance(cfg.X, float)
+    assert (cfg.h, cfg.samples, cfg.n, cfg.no_cache, cfg.op, cfg.x,
+            cfg.roots) == (0.01, 3, None, True, "probe", 2.5, {"2": [0.5]})
 
 
 def test_exit_code_map_is_distinct():
@@ -183,28 +223,65 @@ def test_cache_warm_equals_cold(tmp_path, monkeypatch):
 
 
 def test_old_cache_format_is_rejected_and_rebuilt(tmp_path):
-    # a format-2 file (p/q text columns) at the path of an exact table
+    # format 2 (p/q text columns) and format 3 (int blobs), both with the
+    # fourth column, sum_{n<=k} phi(n)/n, that format 4 no longer stores
     spec, n = zeta_product(), 60
     table = phi_table(spec, n, mode="exact")
     path = cache_path(str(tmp_path), spec, n, "exact")
-    header = json.dumps({"version": 2, "spec_hash": spec_hash(spec), "N": n,
-                         "mode": "exact"}, sort_keys=True)
-    columns = (table.coeffs.alpha, table.phi, table.cumulative,
-               table.ratio_cumsum)
-    np.savez_compressed(path, header=np.array(header), **{
+    ratio_cumsum = [Fraction(0)]
+    for k in range(1, n + 1):
+        ratio_cumsum.append(ratio_cumsum[-1] + table.phi[k] / k)
+    names = ("alpha", "phi", "cumulative", "ratio_cumsum")
+    columns = dict(zip(names, (table.coeffs.alpha, table.phi,
+                               table.cumulative, ratio_cumsum)))
+    text_columns = {
         name: np.frombuffer("\n".join(map(str, c)).encode("ascii"),
                             dtype=np.uint8)
-        for name, c in zip(("alpha", "phi", "cumulative", "ratio_cumsum"),
-                           columns)})
-    with pytest.raises(CacheMismatch):
-        load_table(path, spec, n, "exact")
-    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
-    args = ["table", "--n", str(n), "--mode", "exact"]
-    assert main(args + ["--no-cache", "--output", str(cold)]) == 0
-    assert main(args + ["--cache-dir", str(tmp_path),
-                        "--output", str(warm)]) == 0
-    assert warm.read_bytes() == cold.read_bytes()
-    assert load_table(path, spec, n, "exact") == table
+        for name, c in columns.items()}
+    blob_columns = {}
+    for name, c in columns.items():
+        blob_columns[name], blob_columns[name + "_len"] = (
+            coeffs._fraction_blob(c))
+    for version, old_columns in ((2, text_columns), (3, blob_columns)):
+        header = json.dumps({"version": version, "spec_hash": spec_hash(spec),
+                             "N": n, "mode": "exact"}, sort_keys=True)
+        np.savez_compressed(path, header=np.array(header), **old_columns)
+        with pytest.raises(CacheMismatch):
+            load_table(path, spec, n, "exact")
+        cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+        args = ["table", "--n", str(n), "--mode", "exact"]
+        assert main(args + ["--no-cache", "--output", str(cold)]) == 0
+        assert main(args + ["--cache-dir", str(tmp_path),
+                            "--output", str(warm)]) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+        assert load_table(path, spec, n, "exact") == table
+        with np.load(path) as z:
+            assert sorted(z.files) == ["alpha", "alpha_len", "cumulative",
+                                       "cumulative_len", "header", "phi",
+                                       "phi_len"]
+
+
+# SHA-256 of exact reports that hold no constant (C, A1), so no float bit
+# can move them: any change of their bytes is a change of the exact values
+DEFAULT_ONE = ["--product", "custom", "--degree", "2", "--roots",
+               '{"2":[0.5,0.25],"3":[0.5,0.25],"5":[0.5,0.25]}',
+               "--default", "one"]
+GOLDEN_REPORTS = [
+    (["table", "--n", "3000", "--mode", "exact"],
+     "3699499c75a6891ffab26304fd85a498c94ca92cbe3d4de5850b499d5652c5f3"),
+    (["table", "--n", "3000", "--mode", "exact"] + DEFAULT_ONE,
+     "ff3f925004d9a5c58dba9c0967dd88ea6d67745a184dde92066978cbfbfca124"),
+    (["verify-identity", "--product", "dirichlet", "--kronecker", "-4",
+      "--x", "1:300:1/7"],
+     "afff6ec32e99cc7fe6b918dd8ea30f7c6cb177ac7e69a977714e16bce888db64"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_REPORTS)
+def test_exact_reports_match_golden_digests(tmp_path, args, digest):
+    out = tmp_path / "report.csv"
+    assert main(args + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_usage_exit_code(capsys):

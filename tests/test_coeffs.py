@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -143,8 +144,9 @@ def test_phi_table_matches_divisor_sum_exact(zeta_spec, mod4_spec,
         assert table.phi == phi
         assert all(isinstance(v, Fraction) for v in table.phi)
         assert table.cumulative[-1] == sum(phi)
-        assert table.ratio_cumsum[-1] == sum(v / max(n, 1)
-                                             for n, v in enumerate(phi))
+        # the table holds alpha, phi and their one running sum, nothing more
+        assert [f.name for f in fields(table) if f.init] == [
+            "coeffs", "phi", "cumulative"]
 
 
 def test_phi_table_matches_divisor_sum_complex_float():
@@ -170,7 +172,7 @@ def test_small_tables_match_phi_direct(monkeypatch, zeta_spec, mod4_spec,
                 assert table.phi[0] == 0
                 assert all(isinstance(v, Fraction)
                            for seq in (table.coeffs.alpha, table.phi,
-                                       table.cumulative, table.ratio_cumsum)
+                                       table.cumulative)
                            for v in seq)
                 assert table.phi[1:] == [phi_direct(spec, n, exact=True)
                                          for n in range(1, N + 1)]
@@ -274,23 +276,33 @@ def test_cache_roundtrip_float(tmp_path, zeta_spec):
     assert np.array_equal(np.asarray(back.phi), np.asarray(table.phi))
     assert np.array_equal(np.asarray(back.coeffs.alpha),
                           np.asarray(table.coeffs.alpha))
-    assert np.array_equal(np.asarray(back.ratio_cumsum),
-                          np.asarray(table.ratio_cumsum))
+    assert np.array_equal(np.asarray(back.cumulative),
+                          np.asarray(table.cumulative))
 
 
-def test_cache_roundtrip_exact(tmp_path, zeta_spec, custom100_exact_500):
-    # integer and non-integral Fraction entries, with p/q of over 1000 digits
-    # in zeta's ratio_cumsum at N = 3000
+@pytest.fixture(scope="module")
+def custom_one_exact_3000():
+    """gamma(p) = 2 - 1/p off three listed primes, so phi(n) and its running
+    sum are non-integral, with p/q of over 1000 digits by N = 3000."""
+    spec = custom_product(2, {p: [0.5, 0.25] for p in (2, 3, 5)}, "one")
+    table = phi_table(spec, 3000, mode="exact")
+    assert max(len(str(v)) for v in table.cumulative) > 1000
+    return table
+
+
+def test_cache_roundtrip_exact(tmp_path, zeta_spec, custom100_exact_500,
+                               custom_one_exact_3000):
+    # integer entries (zeta), non-integral Fractions (custom100) and p/q of
+    # over 1000 digits (the default-one product)
     for table in (phi_table(zeta_spec, 3000, mode="exact"),
-                  custom100_exact_500):
+                  custom100_exact_500, custom_one_exact_3000):
         spec, N = table.spec, table.N
         path = cache_path(str(tmp_path), spec, N, "exact")
         save_table(table, path)
         back = load_table(path, spec, N, "exact")
         for got, want in ((back.coeffs.alpha, table.coeffs.alpha),
                           (back.phi, table.phi),
-                          (back.cumulative, table.cumulative),
-                          (back.ratio_cumsum, table.ratio_cumsum)):
+                          (back.cumulative, table.cumulative)):
             assert got == want
             assert list(map(type, got)) == list(map(type, want))
         assert back == table
@@ -300,15 +312,14 @@ def test_cache_roundtrip_exact(tmp_path, zeta_spec, custom100_exact_500):
         assert load_table(path, spec, N, "exact") == table
 
 
-def test_exact_cache_is_not_padded(tmp_path, zeta_spec):
+def test_exact_cache_is_not_padded(tmp_path, custom_one_exact_3000):
     # every int costs the bytes of its two's complement form, plus a small
     # per-entry length, never the width of the longest entry
-    table = phi_table(zeta_spec, 3000, mode="exact")
-    path = cache_path(str(tmp_path), zeta_spec, 3000, "exact")
+    table = custom_one_exact_3000
+    path = cache_path(str(tmp_path), table.spec, 3000, "exact")
     save_table(table, path)
     need = sum((i.bit_length() + 8) // 8
-               for seq in (table.coeffs.alpha, table.phi, table.cumulative,
-                           table.ratio_cumsum)
+               for seq in (table.coeffs.alpha, table.phi, table.cumulative)
                for v in seq for i in (v.numerator, v.denominator))
     with np.load(path) as z:
         raw = sum(z[k].nbytes for k in z.files if k != "header")

@@ -1,14 +1,17 @@
 """The sawtooth series f1, the fractional-part series g1, and the identity."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from eulerphi.coeffs import phi_table
+from eulerphi.coeffs import phi_direct, phi_table
 from eulerphi.decomp import (
+    _prefix_sums,
     decompose,
+    decompose_batch,
     f1_closed,
     f1_one_sided,
     f1_series,
@@ -200,6 +203,46 @@ def test_verify_identity_batch(request):
         assert len(results) == len(xs)
         assert all(good for _, good, _ in results)
         assert all(res == 0 for _, _, res in results)
+
+
+def test_decompose_batch_matches_pointwise(zeta_spec, custom100_spec,
+                                          zeta_constants, custom100_constants):
+    # descending x, so decompose point by point grows the prefix sums in
+    # other steps than the batch's one growth to the largest floor(x)
+    xs = [Fraction(k, 7) for k in range(3500, 6, -97)] + [Fraction(1)]
+    for spec, cons, mode in ((zeta_spec, zeta_constants, "exact"),
+                             (custom100_spec, custom100_constants, "exact"),
+                             (zeta_spec, zeta_constants, "float")):
+        pts = xs if mode == "exact" else [float(x) for x in xs]
+        batch = decompose_batch(pts, phi_table(spec, 500, mode=mode), cons)
+        table = phi_table(spec, 500, mode=mode)
+        assert batch == [decompose(x, table, cons) for x in pts]
+        if mode == "exact":
+            assert all(rep.exact_verdict == "pass" for rep in batch)
+
+
+def test_s_f_kernel_matches_phi_direct(zeta_spec, mod4_spec, custom100_spec):
+    # S_f(k) = sum_{n<=k} phi(n)/n from the kernel, read in a scrambled
+    # order so the sums grow in uneven steps, against phi_direct's trial
+    # factorization, which shares no code with the sieve or the kernel
+    K = 300
+    ks = list(range(K + 1))
+    random.Random(11).shuffle(ks)
+    for spec in (zeta_spec, mod4_spec, custom100_spec):
+        want = [Fraction(0)]
+        for n in range(1, K + 1):
+            want.append(want[-1] + Fraction(phi_direct(spec, n, exact=True), n))
+        exact = _prefix_sums(phi_table(spec, 2 * K, mode="exact"))
+        floats = _prefix_sums(phi_table(spec, 2 * K, mode="float"))
+        for k in ks:
+            got = exact.s_f_at(k)
+            assert isinstance(got, Fraction) and got == want[k], (spec.kind, k)
+            err = abs(Fraction(float(floats.s_f_at(k))) - want[k])
+            assert err <= Fraction(1e-12) * k, (spec.kind, k)
+        # the exact sums' float view rounds each value once, and their
+        # total is exact
+        assert exact.s_f_floats(K).tolist() == [float(v) for v in want]
+        assert exact.s_f_total(K) == sum(want[1:K])
 
 
 def test_verify_identity_needs_exact(zeta_float_100k):
