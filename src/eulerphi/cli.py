@@ -13,8 +13,11 @@ Commands map one-to-one onto library operations:
 
 Output is CSV (default) or JSON, deterministic for a fixed config: floats are
 written with 17 significant digits, exact rationals as p/q strings, and no
-timestamps are embedded.  A JSON config file may hold any long-option value
-under its dest name; command-line flags win, unknown keys are rejected.
+timestamps are embedded.  Commands return their report as columns, which
+emit_report formats and writes a block of rows at a time; a failed write,
+a closed stdout pipe included, is an IoError.  A JSON config file may hold
+any long-option value under its dest name; command-line flags win, unknown
+keys are rejected.
 Tables are cached under EULERPHI_CACHE_DIR (or --cache-dir) keyed by spec
 hash, size, and mode.
 
@@ -26,8 +29,8 @@ Exit codes: 0 all requested verifications passed; 1 a verification failed;
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import logging
 import math
 import os
 import sys
@@ -74,6 +77,8 @@ from .errors import (
 )
 
 CACHE_ENV = "EULERPHI_CACHE_DIR"
+
+_log = logging.getLogger("eulerphi")
 
 EXIT_CODES = {
     UsageError: 2,
@@ -381,8 +386,17 @@ def _parse_char_values(text: str) -> list:
 # Spec / table / constants assembly
 # ---------------------------------------------------------------------------
 
+# options read only for one product kind
+_KIND_OPTIONS = {"dirichlet": ("kronecker", "modulus", "values"),
+                 "custom": ("degree", "roots")}
+
+
 def build_spec(cfg: RunConfig) -> _products.EulerProductSpec:
     o = cfg.options
+    for kind, keys in _KIND_OPTIONS.items():
+        for key in keys:
+            if o[key] is not None and o["product"] != kind:
+                raise UsageError(f"--{key} is read only with --product {kind}")
     if o["spec_file"]:
         try:
             return _products.load_spec_file(o["spec_file"])
@@ -424,8 +438,10 @@ def get_table(cfg: RunConfig, spec, n: int, mode: str) -> _coeffs.TotientTable:
         if os.path.exists(path):
             try:
                 return _coeffs.load_table(path, spec, n, mode)
-            except (CacheMismatch, OSError, ValueError, KeyError):
-                pass  # stale or corrupt: rebuild below
+            except (CacheMismatch, OSError, ValueError, KeyError) as e:
+                # stale or corrupt: rebuild below
+                _log.warning("rejected cache file %s: %s: %s", path,
+                             type(e).__name__, e)
     table = _coeffs.phi_table(spec, n, mode=mode)
     if use_cache:
         try:
@@ -465,20 +481,23 @@ def _meta(cfg: RunConfig, spec, mode: str) -> dict:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _vwb_row(name: str, v: _products.ValueWithBound) -> dict:
-    return {"name": name, "value": v.value, "bound": v.bound,
-            "bound_kind": v.bound_kind}
+def _one_row(**values) -> dict:
+    """The columns of a one-row report."""
+    return {k: [v] for k, v in values.items()}
 
 
 def cmd_constants(cfg: RunConfig):
     spec = build_spec(cfg)
     cons = get_constants(cfg, spec)
-    rows = [_vwb_row("C_F", cons.c), _vwb_row("A1", cons.a1),
-            _vwb_row("A2", cons.a2)]
+    named = [("C_F", cons.c), ("A1", cons.a1), ("A2", cons.a2)]
     if spec.kind == "dirichlet" and not spec.character.is_principal:
-        rows.append(_vwb_row("L1_chi", _products.l_value(spec.character, 1.0)))
-        rows.append(_vwb_row("L2_chi", _products.l_value(spec.character, 2.0)))
-    return {"meta": _meta(cfg, spec, "float"), "rows": rows}, True
+        named.append(("L1_chi", _products.l_value(spec.character, 1.0)))
+        named.append(("L2_chi", _products.l_value(spec.character, 2.0)))
+    columns = {"name": [name for name, _ in named],
+               "value": [v.value for _, v in named],
+               "bound": [v.bound for _, v in named],
+               "bound_kind": [v.bound_kind for _, v in named]}
+    return {"meta": _meta(cfg, spec, "float"), "columns": columns}, True
 
 
 def cmd_table(cfg: RunConfig):
@@ -486,12 +505,11 @@ def cmd_table(cfg: RunConfig):
     spec = build_spec(cfg)
     n = o["n"] or 1000
     table = get_table(cfg, spec, n, o["mode"])
-    limit = min(o["limit"] or n, n)
-    alpha = table.coeffs.alpha
-    rows = [{"n": i, "alpha": alpha[i], "phi": table.phi[i],
-             "cumulative": table.cumulative[i]}
-            for i in range(1, limit + 1)]
-    return {"meta": _meta(cfg, spec, table.mode), "rows": rows}, True
+    limit = max(0, min(o["limit"] or n, n))
+    rows = slice(1, limit + 1)
+    columns = {"n": np.arange(1, limit + 1), "alpha": table.coeffs.alpha[rows],
+               "phi": table.phi[rows], "cumulative": table.cumulative[rows]}
+    return {"meta": _meta(cfg, spec, table.mode), "columns": columns}, True
 
 
 def cmd_error_term(cfg: RunConfig):
@@ -505,12 +523,12 @@ def cmd_error_term(cfg: RunConfig):
     if not table.exact:
         xs = [float(v) for v in xs]
     cons = get_constants(cfg, spec, table)
-    rows = []
-    for x in xs:
-        v = _coeffs.error_term(table, cons.c, x, convention=o["convention"])
-        rows.append({"x": x, "value": v,
-                     "bound": cons.c.bound * float(x) ** 2})
-    return {"meta": _meta(cfg, spec, table.mode), "rows": rows}, True
+    columns = {
+        "x": xs,
+        "value": [_coeffs.error_term(table, cons.c, x,
+                                     convention=o["convention"]) for x in xs],
+        "bound": [cons.c.bound * float(x) ** 2 for x in xs]}
+    return {"meta": _meta(cfg, spec, table.mode), "columns": columns}, True
 
 
 def cmd_decompose(cfg: RunConfig):
@@ -525,14 +543,14 @@ def cmd_decompose(cfg: RunConfig):
         xs = [float(v) for v in xs]
     cons = get_constants(cfg, spec, table)
     reports = _decomp.decompose_batch(xs, table, cons)
-    rows = [{"x": x, "E2": rep.e2.value,
-             "x_f1": rep.arithmetic_part.value,
-             "half_g1": rep.analytic_part.value,
-             "residual": rep.residual,
-             "exact_verdict": rep.exact_verdict}
-            for x, rep in zip(xs, reports)]
+    columns = {"x": xs,
+               "E2": [rep.e2.value for rep in reports],
+               "x_f1": [rep.arithmetic_part.value for rep in reports],
+               "half_g1": [rep.analytic_part.value for rep in reports],
+               "residual": [rep.residual for rep in reports],
+               "exact_verdict": [rep.exact_verdict for rep in reports]}
     ok = all(rep.exact_verdict != "fail" for rep in reports)
-    return {"meta": _meta(cfg, spec, table.mode), "rows": rows}, ok
+    return {"meta": _meta(cfg, spec, table.mode), "columns": columns}, ok
 
 
 def cmd_verify_identity(cfg: RunConfig):
@@ -544,10 +562,12 @@ def cmd_verify_identity(cfg: RunConfig):
     n = _needed_n(cfg, xs)
     table = get_table(cfg, spec, n, "exact")
     results = _decomp.verify_identity_batch(xs, table)
-    rows = [{"x": x, "verdict": "pass" if good else "fail", "residual": res}
-            for x, good, res in results]
+    columns = {"x": [x for x, _, _ in results],
+               "verdict": ["pass" if good else "fail"
+                           for _, good, _ in results],
+               "residual": [res for _, _, res in results]}
     ok = all(good for _, good, _ in results)
-    return {"meta": _meta(cfg, spec, "exact"), "rows": rows}, ok
+    return {"meta": _meta(cfg, spec, "exact"), "columns": columns}, ok
 
 
 def cmd_volterra(cfg: RunConfig):
@@ -563,12 +583,10 @@ def cmd_volterra(cfg: RunConfig):
     if o["op"] == "residual":
         fam = _volterra.solution_family(table, cons, o["A"])
         rep = _volterra.residual(fam, e2p, X, h)
-        f1v = fam(rep.xs)
-        e2v = e2p(rep.xs)
-        rows = [{"x": x, "F1": f, "E2": e, "residual": r}
-                for x, f, e, r in zip(rep.xs, f1v, e2v, rep.residuals)]
+        columns = {"x": rep.xs, "F1": fam(rep.xs), "E2": e2p(rep.xs),
+                   "residual": rep.residuals}
         summary = {"sup": rep.sup, "argmax": rep.argmax}
-        data = {"meta": _meta(cfg, spec, "float"), "rows": rows,
+        data = {"meta": _meta(cfg, spec, "float"), "columns": columns,
                 "summary": summary}
         return data, rep.sup <= tol
 
@@ -581,12 +599,11 @@ def cmd_volterra(cfg: RunConfig):
     rep = _volterra.residual(sol, e2p, X, h)
 
     if o["op"] == "solve":
-        e2v = e2p(sol.xs)
-        rows = [{"x": x, "F1": f, "E2": e, "residual": r}
-                for x, f, e, r in zip(sol.xs, sol.values, e2v, rep.residuals)]
+        columns = {"x": sol.xs, "F1": sol.values, "E2": e2p(sol.xs),
+                   "residual": rep.residuals}
         summary = {"sup": rep.sup, "argmax": rep.argmax,
                    "anchor_x0": x0, "anchor_value": v0}
-        data = {"meta": _meta(cfg, spec, "float"), "rows": rows,
+        data = {"meta": _meta(cfg, spec, "float"), "columns": columns,
                 "summary": summary}
         return data, rep.sup <= tol
 
@@ -595,9 +612,9 @@ def cmd_volterra(cfg: RunConfig):
     diff = _volterra.GridFunction(xs=sol.xs, values=sol.values - base,
                                   X=X, h=h)
     a_fit, deviation = _volterra.homogeneous_probe(diff)
-    rows = [{"A_fit": a_fit, "deviation": deviation,
-             "anchor_x0": x0, "anchor_value": v0}]
-    data = {"meta": _meta(cfg, spec, "float"), "rows": rows,
+    columns = _one_row(A_fit=a_fit, deviation=deviation, anchor_x0=x0,
+                       anchor_value=v0)
+    data = {"meta": _meta(cfg, spec, "float"), "columns": columns,
             "summary": {"sup": rep.sup, "argmax": rep.argmax}}
     return data, deviation <= max(tol, 10 * rep.sup * X)
 
@@ -613,9 +630,11 @@ def cmd_growth(cfg: RunConfig):
     cons = get_constants(cfg, spec, table)
     rep = _coeffs.growth_scan(table, cons.c, X, samples=o["samples"],
                               x_min=o["x_min"])
-    rows = [{"x": x, "E": e, "ratio": r} for x, e, r in rep.rows]
+    columns = {"x": [x for x, _, _ in rep.rows],
+               "E": [e for _, e, _ in rep.rows],
+               "ratio": [r for _, _, r in rep.rows]}
     summary = {"sup": rep.sup, "argmax": rep.argmax}
-    return {"meta": _meta(cfg, spec, "float"), "rows": rows,
+    return {"meta": _meta(cfg, spec, "float"), "columns": columns,
             "summary": summary}, True
 
 
@@ -625,10 +644,10 @@ def cmd_series_check(cfg: RunConfig):
     n = o["n"] or 10 ** 5
     table = get_table(cfg, spec, n, "float")
     rep = _coeffs.series_identity_check(spec, o["s"], n, table=table)
-    rows = [{"s": rep.s, "N": rep.N, "lhs": rep.lhs, "rhs": rep.rhs,
-             "diff": rep.diff, "bound": rep.bound,
-             "bound_kind": rep.bound_kind, "ok": rep.ok}]
-    return {"meta": _meta(cfg, spec, "float"), "rows": rows}, rep.ok
+    columns = _one_row(s=rep.s, N=rep.N, lhs=rep.lhs, rhs=rep.rhs,
+                       diff=rep.diff, bound=rep.bound,
+                       bound_kind=rep.bound_kind, ok=rep.ok)
+    return {"meta": _meta(cfg, spec, "float"), "columns": columns}, rep.ok
 
 
 _RUNNERS = {
@@ -686,35 +705,108 @@ def _json_ready(v):
     return v
 
 
+# rows are formatted and written a block at a time: a report never sits in
+# memory as one string
+_BLOCK_ROWS = 8192
+
+
+def _row_count(columns: dict) -> int:
+    lengths = {len(c) for c in columns.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"report columns differ in length: {sorted(lengths)}")
+    return lengths.pop() if lengths else 0
+
+
+def _blocks(columns: dict):
+    """Each block of up to _BLOCK_ROWS rows, as one list of Python values per
+    column (numpy arrays through .tolist())."""
+    for lo in range(0, _row_count(columns), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        yield [c[lo:hi].tolist() if isinstance(c, np.ndarray) else c[lo:hi]
+               for c in columns.values()]
+
+
+def _column_format(column) -> Optional[str]:
+    """The %-format of every cell of a float64 or integer array; None for any
+    other column, whose cells go through _fmt_csv one by one."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return "%.17g"
+        if np.issubdtype(column.dtype, np.integer):
+            return "%d"
+    return None
+
+
+def _write_csv(data: dict, out) -> None:
+    columns = data["columns"]
+    if _row_count(columns):
+        out.write(",".join(columns) + "\n")
+        formats = [_column_format(c) for c in columns.values()]
+        row_format = ",".join(formats) + "\n" if all(formats) else None
+        for block in _blocks(columns):
+            if row_format:
+                out.write("".join(map(row_format.__mod__, zip(*block))))
+                continue
+            cells = [map(fmt.__mod__ if fmt else _fmt_csv, col)
+                     for fmt, col in zip(formats, block)]
+            out.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+    summary = data.get("summary")
+    if summary:
+        out.write("# " + " ".join(f"{k}={_fmt_csv(v)}"
+                                  for k, v in summary.items()) + "\n")
+
+
+def _write_json(data: dict, out) -> None:
+    """The bytes of json.dump({meta, rows[, summary]}, indent=2), with the
+    rows built from the columns and encoded one block at a time."""
+    def nested(value) -> str:   # a value of the top-level object
+        return json.dumps(_json_ready(value), indent=2).replace("\n", "\n  ")
+
+    columns = data["columns"]
+    out.write('{\n  "meta": ' + nested(data["meta"]) + ',\n  "rows": ')
+    opening = "[\n"
+    for block in _blocks(columns):
+        rows = nested([dict(zip(columns, row)) for row in zip(*block)])
+        # "[\n    {...},\n    {...}\n  ]": keep the rows between the brackets
+        out.write(opening + rows[2:-4])
+        opening = ",\n"
+    out.write("[]" if opening == "[\n" else "\n  ]")
+    if "summary" in data:
+        out.write(',\n  "summary": ' + nested(data["summary"]))
+    out.write("\n}\n")
+
+
+_WRITERS = {"csv": _write_csv, "json": _write_json}
+
+
 def emit_report(data: dict, format: str = "csv",
                 path: Optional[str] = None) -> None:
-    """Write {meta, rows[, summary]} as CSV (header row) or JSON."""
-    buf = io.StringIO()
-    if format == "json":
-        json.dump(_json_ready(data), buf, indent=2)
-        buf.write("\n")
-    elif format == "csv":
-        rows = data.get("rows", [])
-        if rows:
-            keys = list(rows[0].keys())
-            buf.write(",".join(keys) + "\n")
-            for row in rows:
-                buf.write(",".join(_fmt_csv(row[k]) for k in keys) + "\n")
-        summary = data.get("summary")
-        if summary:
-            buf.write("# " + " ".join(f"{k}={_fmt_csv(v)}"
-                                      for k, v in summary.items()) + "\n")
-    else:
+    """Write {meta, columns[, summary]} as CSV (a header row, then one line
+    per row) or as JSON {meta, rows[, summary]}, a block of rows at a time.
+
+    A failed write, to --output or to stdout, is an IoError.  When stdout's
+    reader has gone (a closed pipe), stdout is pointed at os.devnull so that
+    the flush at interpreter exit does not fail a second time.
+    """
+    if format not in _WRITERS:
         raise UsageError(f"format must be csv or json, got {format!r}")
-    text = buf.getvalue()
-    if path is None:
-        sys.stdout.write(text)
-    else:
+    write = _WRITERS[format]
+    if path is not None:
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                write(data, fh)
         except OSError as e:
             raise IoError(f"cannot write report to {path}: {e}")
+        return
+    try:
+        write(data, sys.stdout)
+        sys.stdout.flush()
+    except OSError as e:
+        if isinstance(e, BrokenPipeError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise IoError(f"cannot write report to stdout: {e}")
 
 
 def main(argv=None) -> int:

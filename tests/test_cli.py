@@ -1,9 +1,13 @@
 """Command-line surface: parsing, reports, determinism, caching, exit codes."""
 
 import hashlib
+import io
 import json
+import logging
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,13 +15,16 @@ import pytest
 
 from eulerphi.cli import (
     EXIT_CODES,
+    build_spec,
     emit_report,
     exit_code_for,
     main,
     parse_anchor,
     parse_config,
     parse_x_values,
+    run_command,
 )
+import eulerphi
 from eulerphi import coeffs
 from eulerphi.coeffs import cache_path, load_table, phi_table
 from eulerphi.errors import (
@@ -130,7 +137,8 @@ def test_exit_code_map_is_distinct():
 def test_emit_csv_and_json(tmp_path):
     data = {"meta": {"spec_hash": "abc", "version": "0", "mode": "float",
                      "command": "t"},
-            "rows": [{"x": Fraction(300, 7), "v": 0.125, "ok": True}],
+            "columns": {"x": [Fraction(300, 7)], "v": np.array([0.125]),
+                        "ok": [True]},
             "summary": {"sup": 1.0}}
     csv_path = tmp_path / "r.csv"
     emit_report(data, "csv", str(csv_path))
@@ -147,9 +155,152 @@ def test_emit_csv_and_json(tmp_path):
 
 
 def test_emit_report_io_error(tmp_path):
-    data = {"meta": {}, "rows": []}
+    data = {"meta": {}, "columns": {}}
     with pytest.raises(IoError):
         emit_report(data, "csv", str(tmp_path / "no" / "dir" / "x.csv"))
+
+
+# The per-row emitter that the columnar one replaced: every cell through an
+# isinstance chain, rows as dicts.  Kept here as the oracle for its bytes.
+
+def _row_fmt_csv(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, (float, np.floating)):
+        return "%.17g" % float(v)
+    if isinstance(v, (complex, np.complexfloating)):
+        z = complex(v)
+        return "%.17g%+.17gj" % (z.real, z.imag)
+    return str(v)
+
+
+def _row_json_ready(v):
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, (complex, np.complexfloating)):
+        z = complex(v)
+        return [z.real, z.imag]
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    if isinstance(v, dict):
+        return {k: _row_json_ready(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_row_json_ready(x) for x in v]
+    return v
+
+
+def _row_emit(data: dict, format: str) -> bytes:
+    """The bytes the row emitter wrote for a {meta, rows[, summary]} report."""
+    buf = io.StringIO()
+    if format == "json":
+        json.dump(_row_json_ready(data), buf, indent=2)
+        buf.write("\n")
+    else:
+        rows = data.get("rows", [])
+        if rows:
+            keys = list(rows[0].keys())
+            buf.write(",".join(keys) + "\n")
+            for row in rows:
+                buf.write(",".join(_row_fmt_csv(row[k]) for k in keys) + "\n")
+        summary = data.get("summary")
+        if summary:
+            buf.write("# " + " ".join(f"{k}={_row_fmt_csv(v)}"
+                                      for k, v in summary.items()) + "\n")
+    return buf.getvalue().encode("utf-8")
+
+
+def _as_rows(data: dict) -> dict:
+    """A columns report as the row dicts of numpy scalars commands built."""
+    columns = data["columns"]
+    rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+    out = {"meta": data["meta"], "rows": rows}
+    if "summary" in data:
+        out["summary"] = data["summary"]
+    return out
+
+
+def _assert_emits_like_rows(data: dict, tmp_path) -> None:
+    for format in ("csv", "json"):
+        path = tmp_path / f"report.{format}"
+        emit_report(data, format, str(path))
+        assert path.read_bytes() == _row_emit(_as_rows(data), format), format
+
+
+COMPLEX_ROOTS = ["--product", "custom", "--degree", "2", "--roots",
+                 '{"2":[[0,1],[0,-1]],"3":[[0.5,0.5],[0.5,-0.5]]}']
+# a root without its conjugate: complex alpha, totients and error terms
+NONREAL_ROOT = ["--product", "custom", "--degree", "1", "--roots",
+                '{"2":[[0,0.5]]}']
+ORACLE_RUNS = [
+    ["constants"],
+    ["constants", "--product", "dirichlet", "--kronecker", "-4"],
+    ["table", "--n", "300", "--mode", "float"],
+    ["table", "--n", "300", "--mode", "exact"],
+    ["table", "--n", "100", "--mode", "float"] + NONREAL_ROOT,
+    ["error-term", "--x", "1:60:0.5", "--mode", "float"],
+    ["error-term", "--x", "1:60:1/3", "--mode", "exact"],
+    ["decompose", "--x", "1:40:0.5", "--mode", "float"],
+    ["decompose", "--x", "1:40:1/3", "--mode", "exact"],
+    ["verify-identity", "--x", "1:40:1/7"],
+    ["volterra", "--op", "residual", "--X", "5", "--h", "0.01"],
+    ["volterra", "--op", "residual", "--X", "5", "--h", "0.01"]
+    + NONREAL_ROOT,
+    ["volterra", "--op", "solve", "--X", "5", "--h", "0.002",
+     "--anchor", "1.5=auto"],
+    ["volterra", "--op", "probe", "--X", "5", "--h", "0.002",
+     "--anchor", "2=3.0"],
+    ["growth", "--X", "2000", "--samples", "8"],
+    ["growth", "--X", "2000", "--samples", "8"] + COMPLEX_ROOTS,
+    ["series-check", "--n", "5000"],
+]
+
+
+@pytest.mark.parametrize("args", ORACLE_RUNS, ids=" ".join)
+def test_columns_emit_like_rows(tmp_path, args):
+    data, _ = run_command(parse_config(args))
+    assert set(data) <= {"meta", "columns", "summary"}
+    _assert_emits_like_rows(data, tmp_path)
+
+
+def test_complex_columns_reach_the_oracle():
+    # so the oracle runs above cover the complex cell format too
+    data, _ = run_command(parse_config(["table", "--n", "100", "--mode",
+                                        "float"] + NONREAL_ROOT))
+    assert data["columns"]["phi"].dtype == np.complex128
+
+
+@pytest.mark.parametrize("summary", [None, {"sup": 0.5, "argmax": 3}])
+def test_empty_columns_emit_like_rows(tmp_path, summary):
+    data = {"meta": {"command": "t"}, "columns": {}}
+    if summary is not None:
+        data["summary"] = summary
+    _assert_emits_like_rows(data, tmp_path)
+    data["columns"] = {"x": np.zeros(0), "name": []}
+    _assert_emits_like_rows(data, tmp_path)
+
+
+def test_block_boundary_emits_like_rows(tmp_path):
+    # one row past a whole block, for the all-fixed-format row path and for
+    # the per-cell path
+    n = 8193
+    xs = np.linspace(-1.0, 1.0, n) / 3
+    fixed = {"x": xs, "k": np.arange(n, dtype=np.int64) - 4096,
+             "y": np.exp(xs * 700)}
+    data = {"meta": {"command": "t"}, "columns": fixed,
+            "summary": {"sup": 1.0}}
+    _assert_emits_like_rows(data, tmp_path)
+    data["columns"] = dict(fixed, q=[Fraction(k, 7) for k in range(n)],
+                           z=xs * (1 - 2j), ok=[k % 2 == 0 for k in range(n)],
+                           none=[None] * n)
+    _assert_emits_like_rows(data, tmp_path)
 
 
 # --- end-to-end runs -------------------------------------------------------------
@@ -374,3 +525,72 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert code != 1 and code not in EXIT_CODES.values()
     err = capsys.readouterr().err
     assert err.strip() == "error: internal: RuntimeError: kaput"
+
+
+def test_closed_stdout_pipe_is_io_error():
+    # a reader that stops after the header: the report is far larger than a
+    # pipe buffer, so a write hits the closed pipe
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(eulerphi.__file__)))
+    code = "import sys; from eulerphi.cli import main; sys.exit(main())"
+    with subprocess.Popen(
+            [sys.executable, "-c", code, "volterra", "--op", "residual",
+             "--X", "100", "--h", "0.001"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"x,F1,E2,residual\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == EXIT_CODES[IoError]
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith(
+        "error: IoError: cannot write report to stdout: ")
+
+
+@pytest.mark.parametrize("options", [
+    {"kronecker": -4},
+    {"modulus": 4, "values": "0,1,0,-1"},
+    {"values": "0,1,0,-1"},
+    {"degree": 2},
+    {"roots": '{"2":[0.5]}'},
+    {"product": "custom", "degree": 1, "roots": '{"2":[0.5]}',
+     "kronecker": -4},
+    {"product": "dirichlet", "kronecker": -4, "degree": 1},
+])
+def test_options_of_another_product_kind_rejected(tmp_path, capsys, options):
+    # options only one product kind reads are a usage error with any other
+    # kind, from flags and from a config file alike, not silently dropped
+    flags = [a for k, v in options.items() for a in (f"--{k}", str(v))]
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(options))
+    for args in (["constants"] + flags,
+                 ["constants", "--config", str(cfg_path)]):
+        with pytest.raises(UsageError, match="is read only with --product"):
+            build_spec(parse_config(args))
+        assert main(args) == EXIT_CODES[UsageError]
+    assert "internal" not in capsys.readouterr().err
+
+
+def test_library_logger_prints_nothing_by_default():
+    handlers = logging.getLogger("eulerphi").handlers
+    assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+
+def test_rejected_cache_file_is_logged(tmp_path, caplog):
+    spec, n = zeta_product(), 50
+    path = cache_path(str(tmp_path), spec, n, "float")
+    with open(path, "wb") as fh:
+        fh.write(b"not an npz file")
+    args = ["table", "--n", str(n), "--mode", "float",
+            "--cache-dir", str(tmp_path), "--output", str(tmp_path / "t.csv")]
+    with caplog.at_level(logging.WARNING, logger="eulerphi"):
+        assert main(args) == 0
+    [record] = [r for r in caplog.records if r.name == "eulerphi"]
+    assert record.levelno == logging.WARNING
+    message = record.getMessage()
+    assert path in message and "ValueError" in message
+    # the rejected file was rebuilt, so a second run logs nothing
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="eulerphi"):
+        assert main(args) == 0
+    assert not [r for r in caplog.records if r.name == "eulerphi"]
