@@ -139,14 +139,14 @@ class RunConfig:
 
 
 _DEFAULTS = {
-    "product": "zeta",
+    "product": None,
     "kronecker": None,
     "modulus": None,
     "values": None,
     "spec_file": None,
     "degree": None,
     "roots": None,
-    "default": "zero",
+    "default": None,
     "mode": "auto",
     "n": None,
     "x": None,
@@ -388,25 +388,41 @@ def _parse_char_values(text: str) -> list:
 
 # options read only for one product kind
 _KIND_OPTIONS = {"dirichlet": ("kronecker", "modulus", "values"),
-                 "custom": ("degree", "roots")}
+                 "custom": ("degree", "roots", "default")}
+
+
+def _given(o: dict, keys) -> list:
+    """The flags of the options among keys that are set."""
+    return [f"--{key}" for key in keys if o[key] is not None]
 
 
 def build_spec(cfg: RunConfig) -> _products.EulerProductSpec:
+    """The product of --spec-file, or of --product (zeta when unset) and
+    its kind's options; any option that would be ignored is a UsageError."""
     o = cfg.options
-    for kind, keys in _KIND_OPTIONS.items():
-        for key in keys:
-            if o[key] is not None and o["product"] != kind:
-                raise UsageError(f"--{key} is read only with --product {kind}")
     if o["spec_file"]:
+        clash = _given(o, ("product", *(k for keys in _KIND_OPTIONS.values()
+                                        for k in keys)))
+        if clash:
+            raise UsageError(f"--spec-file defines the product; drop "
+                             f"{', '.join(clash)}")
         try:
             return _products.load_spec_file(o["spec_file"])
         except OSError as e:
             raise IoError(f"cannot read spec file {o['spec_file']}: {e}")
-    kind = o["product"]
+    kind = o["product"] or "zeta"
+    for other, keys in _KIND_OPTIONS.items():
+        for key in keys:
+            if o[key] is not None and kind != other:
+                raise UsageError(f"--{key} is read only with --product {other}")
     if kind == "zeta":
         return _products.zeta_product()
     if kind == "dirichlet":
         if o["kronecker"] is not None:
+            clash = _given(o, ("modulus", "values"))
+            if clash:
+                raise UsageError(f"--kronecker and {', '.join(clash)} each "
+                                 f"define the character; give one source")
             chi = _products.build_character(kronecker=o["kronecker"])
         elif o["modulus"] is not None and o["values"] is not None:
             vals = [int(v) if isinstance(v, Fraction) and v.denominator == 1
@@ -424,7 +440,8 @@ def build_spec(cfg: RunConfig) -> _products.EulerProductSpec:
         except json.JSONDecodeError as e:
             raise UsageError(f"--roots is not valid JSON: {e}")
         return _products.spec_from_dict({"kind": "custom", "degree": o["degree"],
-                                         "roots": raw, "default": o["default"]})
+                                         "roots": raw,
+                                         "default": o["default"] or "zero"})
     raise UsageError(f"unknown product {kind!r}")
 
 
@@ -522,12 +539,12 @@ def cmd_error_term(cfg: RunConfig):
     table = get_table(cfg, spec, n, o["mode"])
     if not table.exact:
         xs = [float(v) for v in xs]
-    cons = get_constants(cfg, spec, table)
+    c = _products.c_constant(spec, o["prime_cutoff"])
     columns = {
         "x": xs,
-        "value": [_coeffs.error_term(table, cons.c, x,
-                                     convention=o["convention"]) for x in xs],
-        "bound": [cons.c.bound * float(x) ** 2 for x in xs]}
+        "value": [_coeffs.error_term(table, c, x, convention=o["convention"])
+                  for x in xs],
+        "bound": [c.bound * float(x) ** 2 for x in xs]}
     return {"meta": _meta(cfg, spec, table.mode), "columns": columns}, True
 
 
@@ -627,8 +644,8 @@ def cmd_growth(cfg: RunConfig):
     if X > n:
         raise UsageError(f"--X {X} beyond --n {n}")
     table = get_table(cfg, spec, n, "float")
-    cons = get_constants(cfg, spec, table)
-    rep = _coeffs.growth_scan(table, cons.c, X, samples=o["samples"],
+    c = _products.c_constant(spec, o["prime_cutoff"])
+    rep = _coeffs.growth_scan(table, c, X, samples=o["samples"],
                               x_min=o["x_min"])
     columns = {"x": [x for x, _, _ in rep.rows],
                "E": [e for _, e, _ in rep.rows],

@@ -383,6 +383,22 @@ _EPS = 2.0 ** -52
 # C(F)
 # ---------------------------------------------------------------------------
 
+def _listed_product(spec: EulerProductSpec, first, factor) -> tuple:
+    """(first * prod over the listed primes p of factor(p, local_p), exact).
+
+    local_p = prod_j (1 - alpha_j(p)/p) is the local product at p.  For a
+    spec with finite support this is the whole Euler product: exact=True
+    gives a Fraction (every root rational), exact=False a float or complex.
+    """
+    exact = spec.exact_capable
+    lift, collapse = _number_type(exact)
+    prod = lift(first)
+    for p in sorted(spec.roots):
+        local, _ = _local_product(spec, p, exact)
+        prod *= factor(p, local)
+    return collapse(prod), exact
+
+
 def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWithBound:
     """C(F) = (1/2) prod_p (1 - gamma(p)/p^2), truncated at prime_cutoff.
 
@@ -395,13 +411,11 @@ def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWith
     if prime_cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {prime_cutoff}")
     if spec.finite_support:
-        exact = spec.exact_capable
-        lift, collapse = _number_type(exact)
-        prod = lift(Fraction(1, 2))
-        for p in sorted(spec.roots):
-            prod *= 1 - lift(gamma(spec, p, exact=exact)) / (p * p)
-        slop = 0.0 if exact else (len(spec.roots) + 2) * _EPS * abs(prod)
-        return ValueWithBound(collapse(prod), slop, "rigorous")
+        # 1 - gamma(p)/p^2 with gamma(p) = p (1 - local)
+        value, exact = _listed_product(
+            spec, Fraction(1, 2), lambda p, local: 1 - p * (1 - local) / (p * p))
+        slop = 0.0 if exact else (len(spec.roots) + 2) * _EPS * abs(value)
+        return ValueWithBound(value, slop, "rigorous")
     b = gamma_abs_bound(spec)
     if prime_cutoff * prime_cutoff < 2 * b:
         raise CutoffTooSmall(
@@ -486,27 +500,41 @@ def a1_constant(spec: EulerProductSpec, mode: str = "auto",
                 cutoff: int = 10 ** 6, coeffs=None) -> ValueWithBound:
     """A1 = sum_{n>=1} alpha(n)/n, assumed convergent (hypothesis on the user).
 
-    closed_form: zeta -> exactly 0 (classical); dirichlet non-principal ->
-    1/L(1,chi); dirichlet principal -> exactly 0 (same classical fact, the
-    coefficients restrict mu to n coprime to q).  partial_sums: the partial
-    sum at cutoff with a heuristic radius, the maximum deviation of the
-    partial sums over the last decade [cutoff/10, cutoff].
+    closed_form, the choice of auto for every kind; formally
+    sum alpha(n) n^-s = 1/F(s), and each value is rigorous:
+      * zeta -> exactly 0 (the classical fact, Abel's theorem on 1/zeta);
+      * dirichlet principal -> exactly 0 (the same fact: the coefficients
+        restrict mu to n coprime to q); non-principal -> 1/L(1,chi);
+      * custom, default zero -> prod_{listed p} prod_j (1 - alpha_j(p)/p),
+        the finite product 1/F(1): a Fraction with bound 0 when every root
+        is rational, else a float whose bound is its rounding error;
+      * custom, default one -> exactly 0: 1/F(s) = zeta(s)^-d H(s) with H a
+        finite product, so under the assumed convergence Abel's theorem
+        gives 0, as for zeta.
+    partial_sums, the independent cross-check, never chosen by auto: the
+    partial sum at cutoff of a float alpha sieve (coeffs when it reaches
+    cutoff), with a heuristic radius, the maximum deviation of the partial
+    sums over the last decade [cutoff/10, cutoff].
     """
     if mode == "auto":
-        mode = "partial_sums" if spec.kind == "custom" else "closed_form"
+        mode = "closed_form"
     if mode == "closed_form":
-        if spec.kind == "zeta":
+        if spec.finite_support:
+            value, exact = _listed_product(spec, 1, lambda p, local: local)
+            # per root, 1 - alpha/p costs at most 2 unit roundoffs and the
+            # complex product it enters sqrt(5): under 2.5 _EPS, so 3 _EPS
+            # per root bounds the relative error of the whole product
+            slop = (0.0 if exact else
+                    3 * spec.degree * len(spec.roots) * _EPS * abs(value))
+            return ValueWithBound(value, slop, "rigorous")
+        if spec.kind != "dirichlet" or spec.character.is_principal:
             return ValueWithBound(0.0, 0.0, "rigorous")
-        if spec.kind == "dirichlet":
-            if spec.character.is_principal:
-                return ValueWithBound(0.0, 0.0, "rigorous")
-            lv = l_value(spec.character, 1.0)
-            la = abs(lv.value)
-            if la <= lv.bound:
-                raise PrecisionUnreachable("L(1,chi) not separated from zero")
-            bound = lv.bound / (la * (la - lv.bound))
-            return ValueWithBound(_plain(1 / lv.value), bound, "rigorous")
-        raise ModeUnavailable("no closed form for custom products")
+        lv = l_value(spec.character, 1.0)
+        la = abs(lv.value)
+        if la <= lv.bound:
+            raise PrecisionUnreachable("L(1,chi) not separated from zero")
+        bound = lv.bound / (la * (la - lv.bound))
+        return ValueWithBound(_plain(1 / lv.value), bound, "rigorous")
     if mode != "partial_sums":
         raise ModeUnavailable(f"unknown mode {mode!r}")
     from . import coeffs as _coeffs

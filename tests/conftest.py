@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from eulerphi.primes import primes_upto
 from eulerphi.products import (
@@ -15,6 +16,11 @@ from eulerphi.products import (
     zeta_product,
 )
 from eulerphi.coeffs import phi_table
+
+# fixed examples for CI runs (pytest --hypothesis-profile=ci), so a property
+# test cannot pass on one run and fail on the next
+settings.register_profile("ci", derandomize=True, max_examples=100,
+                          deadline=None)
 
 PI = math.pi
 CATALAN = 0.9159655941772190          # sum (-1)^k / (2k+1)^2

@@ -32,6 +32,7 @@ from eulerphi.errors import (
     BadProductSpec,
     CacheMismatch,
     IoError,
+    PrecisionUnreachable,
     RootOutOfDisk,
     SOutOfRange,
     UsageError,
@@ -412,11 +413,13 @@ def test_old_cache_format_is_rejected_and_rebuilt(tmp_path):
                                        "phi_len"]
 
 
-# SHA-256 of exact reports that hold no constant (C, A1), so no float bit
-# can move them: any change of their bytes is a change of the exact values
-DEFAULT_ONE = ["--product", "custom", "--degree", "2", "--roots",
-               '{"2":[0.5,0.25],"3":[0.5,0.25],"5":[0.5,0.25]}',
-               "--default", "one"]
+# SHA-256 of exact reports that hold no constant (C, A1), or only exact
+# ones (a finite-support product: C and A1 are finite products in Q), so no
+# float bit can move them: any change of their bytes is a change of the
+# exact values
+CUSTOM_ROOTS = ["--product", "custom", "--degree", "2", "--roots",
+                '{"2":[0.5,0.25],"3":[0.5,0.25],"5":[0.5,0.25]}']
+DEFAULT_ONE = CUSTOM_ROOTS + ["--default", "one"]
 GOLDEN_REPORTS = [
     (["table", "--n", "3000", "--mode", "exact"],
      "3699499c75a6891ffab26304fd85a498c94ca92cbe3d4de5850b499d5652c5f3"),
@@ -425,6 +428,8 @@ GOLDEN_REPORTS = [
     (["verify-identity", "--product", "dirichlet", "--kronecker", "-4",
       "--x", "1:300:1/7"],
      "afff6ec32e99cc7fe6b918dd8ea30f7c6cb177ac7e69a977714e16bce888db64"),
+    (["decompose", "--x", "1:100:1/3", "--mode", "exact"] + CUSTOM_ROOTS,
+     "85b6ffab98928bc0e46fb6816b26d5a50ed00d28afcbf6594d880124ef44d539"),
 ]
 
 
@@ -568,6 +573,47 @@ def test_options_of_another_product_kind_rejected(tmp_path, capsys, options):
         with pytest.raises(UsageError, match="is read only with --product"):
             build_spec(parse_config(args))
         assert main(args) == EXIT_CODES[UsageError]
+    assert "internal" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options", [
+    {"spec_file": "SPEC", "product": "zeta"},
+    {"spec_file": "SPEC", "kronecker": -4},
+    {"spec_file": "SPEC", "degree": 1, "roots": '{"2":[0.5]}'},
+    {"spec_file": "SPEC", "default": "one"},
+    {"product": "dirichlet", "kronecker": -4, "modulus": 4},
+    {"product": "dirichlet", "kronecker": -4, "modulus": 4,
+     "values": "0,1,0,-1"},
+])
+def test_two_sources_of_one_product_rejected(tmp_path, capsys, options):
+    # a spec file and product flags, or a discriminant and a value table,
+    # are a usage error from flags and from a config file alike: neither
+    # silently wins
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "zeta"}))
+    options = {k: str(spec) if v == "SPEC" else v for k, v in options.items()}
+    flags = [a for k, v in options.items()
+             for a in (f"--{k.replace('_', '-')}", str(v))]
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(options))
+    for args in (["constants"] + flags,
+                 ["constants", "--config", str(cfg_path)]):
+        with pytest.raises(UsageError, match="--spec-file|--kronecker"):
+            build_spec(parse_config(args))
+        assert main(args) == EXIT_CODES[UsageError]
+    assert "internal" not in capsys.readouterr().err
+
+
+def test_large_modulus_commands_that_read_only_c(tmp_path, capsys):
+    # growth and error-term read C alone, so they never sum L(1, chi): at
+    # modulus 401 that sum cannot reach its 1e-12 target within max_terms,
+    # which stays the documented limit of constants and decompose
+    chi = ["--product", "dirichlet", "--kronecker", "401"]
+    out = ["--output", str(tmp_path / "report.csv")]
+    assert main(["growth", "--X", "1000"] + chi + out) == 0
+    assert main(["error-term", "--x", "100.5"] + chi + out) == 0
+    for args in (["constants"], ["decompose", "--x", "100.5"]):
+        assert main(args + chi + out) == EXIT_CODES[PrecisionUnreachable]
     assert "internal" not in capsys.readouterr().err
 
 

@@ -1,18 +1,20 @@
 """Characters, product specs, local data, and the constants C(F), A1, A2."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CATALAN, PI, TRUE_A1_MOD4, TRUE_C_MOD4, TRUE_C_ZETA
+from eulerphi.coeffs import sieve_alpha
 from eulerphi.errors import (
     BadModulus,
     BadProductSpec,
     CutoffTooSmall,
     DegreeNotMinimal,
-    ModeUnavailable,
     NonMultiplicative,
     NotPrime,
     PrincipalCharacter,
@@ -252,10 +254,70 @@ def test_a1_partial_sums_finite_support():
     assert abs(a1.value - 1 / 9) < 1e-12
 
 
-def test_a1_closed_form_unavailable_for_custom():
-    spec = custom_product(2, {2: [1, 1]}, "zero")
-    with pytest.raises(ModeUnavailable):
-        a1_constant(spec, mode="closed_form")
+def test_a1_closed_form_for_custom():
+    # default zero: the finite product prod_p prod_j (1 - alpha_j(p)/p)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    rational = [
+        ({2: [1, 1], 3: [1, 1]}, Fraction(1, 9)),
+        # (21/32)(55/72)(171/200), the benchmark's custom roots
+        ({p: [half, quarter] for p in (2, 3, 5)}, Fraction(4389, 10240)),
+    ]
+    for roots, want in rational:
+        for mode in ("auto", "closed_form"):
+            a1 = a1_constant(custom_product(2, roots, "zero"), mode=mode)
+            assert (a1.value, a1.bound, a1.bound_kind) == (want, 0, "rigorous")
+            assert isinstance(a1.value, Fraction)
+    # complex roots: (5/4)(13/18), a float within its rounding slop
+    spec = custom_product(2, {2: [1j, -1j], 3: [0.5 + 0.5j, 0.5 - 0.5j]},
+                          "zero")
+    a1 = a1_constant(spec)
+    assert a1.bound_kind == "rigorous" and 0 < a1.bound < 1e-14
+    assert abs(Fraction(a1.value) - Fraction(65, 72)) <= a1.bound
+    # default one: exactly 0, as for zeta
+    for roots in ({2: [1, 1], 3: [1, 1]}, {2: [1j, -1j]},
+                  {p: [half, quarter] for p in (2, 3, 5)}):
+        a1 = a1_constant(custom_product(2, roots, "one"))
+        assert (a1.value, a1.bound, a1.bound_kind) == (0, 0, "rigorous")
+
+
+def test_a1_closed_form_zero_within_partial_sums_radius():
+    # the independent cross-check of the default-one closed form 0, at the
+    # default cutoff 1e6 (the benchmark's custom product)
+    roots = {p: [0.5, 0.25] for p in (2, 3, 5)}
+    partial = a1_constant(custom_product(2, roots, "one"), mode="partial_sums")
+    assert partial.bound_kind == "heuristic"
+    assert abs(partial.value) <= partial.bound
+
+
+# alpha is supported on the divisors of prod_{listed p} p^d, so the sum over
+# an exact table that reaches that product is all of A1; drawn specs keep
+# it at most 210^2
+_A1_SUPPORT_CAP = 210 ** 2
+
+
+@st.composite
+def _finite_products(draw):
+    degree = draw(st.integers(1, 3))
+    sets = [ps for r in range(1, 5)
+            for ps in itertools.combinations((2, 3, 5, 7), r)
+            if math.prod(ps) ** degree <= _A1_SUPPORT_CAP]
+    primes = draw(st.sampled_from(sets))
+    root = st.fractions(min_value=-1, max_value=1, max_denominator=12)
+    # the first prime keeps all its roots nonzero, so the degree is minimal
+    first = st.lists(root.filter(bool), min_size=degree, max_size=degree)
+    rest = st.lists(root, min_size=degree, max_size=degree)
+    roots = {p: draw(first if i == 0 else rest) for i, p in enumerate(primes)}
+    return custom_product(degree, roots, "zero"), math.prod(primes) ** degree
+
+
+@settings(deadline=None)
+@given(_finite_products())
+def test_a1_closed_form_is_the_exact_coefficient_sum(drawn):
+    spec, top = drawn
+    alpha = sieve_alpha(spec, top, mode="exact").alpha
+    want = sum(Fraction(a) / n for n, a in enumerate(alpha) if n and a)
+    a1 = a1_constant(spec)
+    assert (a1.value, a1.bound, a1.bound_kind) == (want, 0, "rigorous")
 
 
 def test_a2_is_twice_c(zeta_constants, mod4_constants):
