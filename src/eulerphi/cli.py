@@ -18,11 +18,12 @@ emit_report formats and writes a block of rows at a time; a failed write,
 a closed stdout pipe included, is an IoError.  A JSON config file may hold
 any long-option value under its dest name; command-line flags win, unknown
 keys are rejected.
-Tables are cached under EULERPHI_CACHE_DIR (or --cache-dir) keyed by spec
-hash, size, and mode.
+Float tables are cached under EULERPHI_CACHE_DIR (or --cache-dir) keyed by
+spec hash and size; exact tables are always built, since loading one would
+create as many Fractions as building it.
 
 Exit codes: 0 all requested verifications passed; 1 a verification failed;
-2 usage error; 10-35 one code per library error class (see EXIT_CODES);
+2 usage error; 10-35 one code per library error class (its exit_code);
 36 an internal error (an uncaught exception that is not a library error).
 """
 
@@ -47,77 +48,20 @@ from . import products as _products
 from . import volterra as _volterra
 from .errors import (
     AnchorOutOfRange,
-    BadGrid,
-    BadModulus,
-    BadProductSpec,
     CacheMismatch,
-    CutoffTooSmall,
-    DegreeNotMinimal,
     EulerphiError,
     IoError,
-    MBeyondTable,
     ModeUnavailable,
-    MSmallerThanX,
-    NonMultiplicative,
-    NonPositiveX,
-    NotHomogeneous,
-    NotIntegrableNearZero,
-    NotPrime,
-    OutOfMemory,
-    PrecisionUnreachable,
-    PrincipalCharacter,
-    RootOutOfDisk,
-    SOutOfRange,
     UsageError,
-    WrongSupport,
-    XBelowN,
-    XBelowOne,
-    XBeyondGrid,
-    XBeyondTable,
 )
 
 CACHE_ENV = "EULERPHI_CACHE_DIR"
 
 _log = logging.getLogger("eulerphi")
 
-EXIT_CODES = {
-    UsageError: 2,
-    BadModulus: 10,
-    WrongSupport: 11,
-    NonMultiplicative: 12,
-    RootOutOfDisk: 14,
-    DegreeNotMinimal: 15,
-    BadProductSpec: 13,
-    NotPrime: 16,
-    CutoffTooSmall: 17,
-    PrincipalCharacter: 18,
-    PrecisionUnreachable: 19,
-    ModeUnavailable: 20,
-    SOutOfRange: 21,
-    OutOfMemory: 22,
-    XBeyondTable: 23,
-    CacheMismatch: 24,
-    MBeyondTable: 25,
-    MSmallerThanX: 26,
-    XBelowN: 27,
-    XBelowOne: 28,
-    NonPositiveX: 29,
-    BadGrid: 30,
-    AnchorOutOfRange: 31,
-    NotIntegrableNearZero: 32,
-    NotHomogeneous: 33,
-    XBeyondGrid: 34,
-    IoError: 35,
-}
-# any other exception escaping a command is a bug in eulerphi
-_INTERNAL_ERROR_EXIT = 36
-
-
-def exit_code_for(exc: EulerphiError) -> int:
-    for klass in type(exc).__mro__:
-        if klass in EXIT_CODES:
-            return EXIT_CODES[klass]
-    return 1
+# any other exception escaping a command is a bug in eulerphi, and exits as
+# a bare EulerphiError does
+_INTERNAL_ERROR_EXIT = EulerphiError.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +392,14 @@ def build_spec(cfg: RunConfig) -> _products.EulerProductSpec:
 def get_table(cfg: RunConfig, spec, n: int, mode: str) -> _coeffs.TotientTable:
     o = cfg.options
     cache_dir = o["cache_dir"] or os.environ.get(CACHE_ENV)
-    use_cache = bool(cache_dir) and not o["no_cache"]
     mode = _coeffs._resolve_mode(spec, n, mode)
+    # exact tables are rebuilt every run: loading one costs as much
+    use_cache = bool(cache_dir) and not o["no_cache"] and mode == "float"
     if use_cache:
-        path = _coeffs.cache_path(cache_dir, spec, n, mode)
+        path = _coeffs.cache_path(cache_dir, spec, n)
         if os.path.exists(path):
             try:
-                return _coeffs.load_table(path, spec, n, mode)
+                return _coeffs.load_table(path, spec, n)
             except (CacheMismatch, OSError, ValueError, KeyError) as e:
                 # stale or corrupt: rebuild below
                 _log.warning("rejected cache file %s: %s: %s", path,
@@ -838,7 +783,7 @@ def main(argv=None) -> int:
         emit_report(data, cfg.options["format"], cfg.options["output"])
     except EulerphiError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return exit_code_for(e)
+        return e.exit_code
     except Exception as e:
         # a bug, not a failed verification: keep it apart from exit code 1
         print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)

@@ -48,6 +48,7 @@ from .products import (
     ValueWithBound,
     _number_type,
     _plain,
+    _point_numbers,
     gamma_values,
     local_factor_at_one,
     spec_hash,
@@ -217,12 +218,11 @@ def phi_direct(spec: EulerProductSpec, n: int,
     from .primes import factorize
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
-    exact = spec.exact_capable if exact is None else exact
-    lift, collapse = _number_type(exact)
-    out = lift(n)
+    num = _number_type(spec.exact_capable if exact is None else exact)
+    out = num.lift(n)
     for p, _ in factorize(n):
-        out /= lift(local_factor_at_one(spec, p, exact=exact))
-    return collapse(out)
+        out /= num.lift(local_factor_at_one(spec, p, exact=num.exact))
+    return num.collapse(out)
 
 
 def phi_table(spec: EulerProductSpec, N: int, mode: str = "auto") -> TotientTable:
@@ -276,14 +276,11 @@ def error_term(table: TotientTable, cF: ValueWithBound, x,
     if convention not in ("plain", "symmetric"):
         raise UsageError(f"convention must be plain or symmetric, got {convention!r}")
     k = _floor_index(x, table.N)
-    exact = (table.exact and isinstance(x, (int, Fraction))
-             and not isinstance(cF.value, complex))
+    num = _point_numbers(x, table.exact)
     s = table.cumulative[k]
     if convention == "symmetric" and x == k and k >= 1:
-        half = Fraction(1, 2) if exact else 0.5
-        s = s - half * table.phi[k]
-    c = Fraction(cF.value) if exact else cF.value
-    return s - c * x * x
+        s = s - num.collapse(table.phi[k]) / 2
+    return s - num.collapse(cF.value) * x * x
 
 
 def make_e2(table: TotientTable, cF: ValueWithBound):
@@ -426,80 +423,37 @@ def growth_scan(table: TotientTable, cF: ValueWithBound, X: int,
 # Table cache (npz with a JSON header)
 # ---------------------------------------------------------------------------
 
-def cache_path(directory: str, spec: EulerProductSpec, N: int, mode: str) -> str:
-    return os.path.join(directory, f"table-{spec_hash(spec)}-{N}-{mode}.npz")
+def cache_path(directory: str, spec: EulerProductSpec, N: int) -> str:
+    return os.path.join(directory, f"table-{spec_hash(spec)}-{N}-float.npz")
 
 
 _FIELDS = ("alpha", "phi", "cumulative")
 
-if hasattr(Fraction, "_from_coprime_ints"):         # Python >= 3.12
-    _coprime_fraction = Fraction._from_coprime_ints
-else:
-    def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
-        return Fraction(numerator, denominator, _normalize=False)
-
-
-def _fraction_blob(column: list) -> tuple:
-    """The numerators and then the denominators of a Fraction column as one
-    blob of little-endian two's-complement bytes, plus the byte length of
-    each int."""
-    ints = [v.numerator for v in column] + [v.denominator for v in column]
-    parts = [v.to_bytes((v.bit_length() + 8) // 8, "little", signed=True)
-             for v in ints]
-    return (np.frombuffer(b"".join(parts), dtype=np.uint8),
-            np.array([len(b) for b in parts], dtype=np.uint32))
-
-
-def _blob_fractions(blob: np.ndarray, lengths: np.ndarray, count: int) -> list:
-    """The count Fractions of _fraction_blob, back from the blob and lengths.
-
-    No gcd is taken: the blob was written from Fractions, which are in
-    lowest terms.
-    """
-    if (blob.dtype != np.uint8 or lengths.shape != (2 * count,)
-            or int(lengths.sum(dtype=np.int64)) != blob.size):
-        raise CacheMismatch(f"cache column is not {count} fractions")
-    ends = np.cumsum(lengths, dtype=np.int64).tolist()
-    data = memoryview(blob)
-    ints = [int.from_bytes(data[start:end], "little", signed=True)
-            for start, end in zip([0] + ends[:-1], ends)]
-    nums, dens = ints[:count], ints[count:]
-    if min(dens) <= 0:
-        raise CacheMismatch("cache column has a denominator <= 0")
-    return [_coprime_fraction(p, q) for p, q in zip(nums, dens)]
-
 
 def save_table(table: TotientTable, path: str) -> None:
-    """Persist a totient table.
+    """Persist a float totient table, one numpy array per column.
 
-    An exact column is stored as one int blob (_fraction_blob) under its
-    field name, with the byte lengths under `<field>_len`; decimal text
-    would cost time quadratic in the length of each p/q.
+    Exact tables are not cached: loading one would create as many
+    Fractions as building it does, so it would save next to nothing.
     """
+    if table.exact:
+        raise ModeUnavailable("only float tables are cached")
     header = json.dumps({"version": _CACHE_VERSION,
                          "spec_hash": spec_hash(table.spec),
-                         "N": table.N, "mode": table.mode}, sort_keys=True)
+                         "N": table.N, "mode": "float"}, sort_keys=True)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    columns = dict(zip(_FIELDS, (table.coeffs.alpha, table.phi,
-                                 table.cumulative)))
-    if table.exact:
-        for name in _FIELDS:
-            columns[name], columns[name + "_len"] = _fraction_blob(columns[name])
-    np.savez(path, header=np.array(header), **columns)
+    np.savez(path, header=np.array(header), **dict(zip(_FIELDS, (
+        table.coeffs.alpha, table.phi, table.cumulative))))
 
 
-def load_table(path: str, spec: EulerProductSpec, N: int, mode: str) -> TotientTable:
-    """Load a cached table, verifying spec hash, N, and mode."""
+def load_table(path: str, spec: EulerProductSpec, N: int) -> TotientTable:
+    """Load a cached float table, verifying spec hash and N."""
     with np.load(path, allow_pickle=False) as z:
         header = json.loads(str(z["header"]))
         want = {"version": _CACHE_VERSION, "spec_hash": spec_hash(spec),
-                "N": N, "mode": mode}
+                "N": N, "mode": "float"}
         if header != want:
             raise CacheMismatch(f"cache header {header} != requested {want}")
-        columns = [z[k] for k in _FIELDS]
-        if mode == "exact":
-            columns = [_blob_fractions(c, z[k + "_len"], N + 1)
-                       for c, k in zip(columns, _FIELDS)]
-    alpha, phi, cumulative = columns
-    ct = CoefficientTable(spec=spec, N=N, mode=mode, alpha=alpha)
+        alpha, phi, cumulative = (z[k] for k in _FIELDS)
+    ct = CoefficientTable(spec=spec, N=N, mode="float", alpha=alpha)
     return TotientTable(coeffs=ct, phi=phi, cumulative=cumulative)

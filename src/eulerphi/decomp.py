@@ -17,9 +17,9 @@ and R(x) = g1(x)/2 for x >= 1, giving three independent routes to R.
 
 Every formula has one body, built from three private pieces:
 
-  * _Numbers, the number type of a call, chosen once by _numbers: exact
-    rationals when the table is exact and x is an int or Fraction, floats
-    otherwise.  It lifts C, A1, A2 (and any other operand) into that type.
+  * the number type of a call (products._point_numbers): exact rationals
+    when the table is exact and x is an int or Fraction, floats otherwise.
+    Its collapse brings C, A1, A2, operands and results into that type.
   * _PrefixSums, the one holder of running sums: A0(k) = sum_{n<=k}
     alpha(n), P1(k) = sum_{n<=k} alpha(n)/n and P2(k) = sum_{n<=k}
     alpha(n)/n^2 from the alpha column, and S_f(k) = sum_{n<=k} phi(n)/n
@@ -66,49 +66,15 @@ from .errors import (
     XBelowOne,
     XBeyondTable,
 )
-from .products import Constants, ValueWithBound, _plain
+from .products import (
+    Constants,
+    ValueWithBound,
+    _Numbers,
+    _number_type,
+    _point_numbers,
+)
 
 Scalar = Union[int, float, Fraction]
-
-
-# ---------------------------------------------------------------------------
-# Number type of a call
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Numbers:
-    """Exact rationals or floats, with the constants 1/2 and 2 in that type."""
-
-    exact: bool
-    half: Scalar
-    two: Scalar
-
-    def lift(self, v):
-        """v in this type: a Fraction, or a plain Python float/complex.
-
-        float -> Fraction is lossless, so exact identities hold as equalities
-        in Q for any consistent constants (the truncation perturbations
-        cancel algebraically) rather than within rounding.
-        """
-        if not self.exact:
-            return _plain(v)
-        if isinstance(v, complex):
-            raise ModeUnavailable("complex constants have no exact-rational mode")
-        return Fraction(v)
-
-    def constants(self, constants: Constants) -> tuple:
-        """(C, A1, A2) lifted into this type."""
-        return tuple(self.lift(v.value)
-                     for v in (constants.c, constants.a1, constants.a2))
-
-
-_EXACT = _Numbers(exact=True, half=Fraction(1, 2), two=Fraction(2))
-_FLOAT = _Numbers(exact=False, half=0.5, two=2.0)
-
-
-def _numbers(x, exact_table: bool = True) -> _Numbers:
-    """Exact when x is an int or Fraction and the table is exact."""
-    return _EXACT if exact_table and isinstance(x, (int, Fraction)) else _FLOAT
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +230,12 @@ def _prefix_sums(table: TotientTable) -> _PrefixSums:
     return table._prefix_sums
 
 
+def _constants(num: _Numbers, constants: Constants) -> tuple:
+    """(C, A1, A2) in num's type."""
+    return tuple(num.collapse(v.value)
+                 for v in (constants.c, constants.a1, constants.a2))
+
+
 def _frac(x, n, num: _Numbers) -> np.ndarray:
     """{x/n} for a sequence of positive integers n, in num's type.
 
@@ -295,9 +267,9 @@ def _fractional_parts(x, table: TotientTable, k: int, num: _Numbers) -> tuple:
     return a, n, _frac(x, n, num)
 
 
-def _sawtooth(r: np.ndarray, num: _Numbers) -> np.ndarray:
+def _sawtooth(r: np.ndarray) -> np.ndarray:
     """s from fractional parts r: 0 where r = 0, 1/2 - r elsewhere."""
-    return np.where(r == 0, num.lift(0), num.half - r)
+    return np.where(r == 0, r, (1 - 2 * r) / 2)
 
 
 def _point_sums(x, table: TotientTable, k: int, num: _Numbers) -> tuple:
@@ -321,7 +293,7 @@ def _point_sums(x, table: TotientTable, k: int, num: _Numbers) -> tuple:
     else:
         a, _, r = _fractional_parts(x, table, k, num)
         s_g = np.sum(a * r * (r - 1))
-    return num.lift(s_g), num.lift(p1), num.lift(p2)
+    return num.collapse(s_g), num.collapse(p1), num.collapse(p2)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +302,8 @@ def _point_sums(x, table: TotientTable, k: int, num: _Numbers) -> tuple:
 
 def sawtooth(x: Scalar) -> Scalar:
     """s(x): 0 at integers, 1/2 - {x} otherwise (midpoint convention)."""
-    num = _numbers(x)
-    return num.lift(_sawtooth(_frac(x, [1], num), num)[0])
+    num = _point_numbers(x)
+    return num.collapse(_sawtooth(_frac(x, [1], num))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +326,13 @@ def f1_closed(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     limits; the series value, exactly 0, is returned there.
     """
     k = _check_range(x, table, 0)
-    num = _numbers(x, table.exact)
+    num = _point_numbers(x, table.exact)
     if x == 0:
-        return num.lift(0)
-    c, a1, _ = num.constants(constants)
+        return num.collapse(0)
+    c, a1, _ = _constants(num, constants)
     s_f = _prefix_sums(table).s_f_at(k)
     if x == k:
-        s_f = s_f - num.half * table.phi[k] / k
+        s_f = s_f - num.collapse(table.phi[k]) / 2 / k
     return a1 / 2 - 2 * c * x + s_f
 
 
@@ -384,13 +356,12 @@ def f1_one_sided(N: int, table: TotientTable, constants: Constants) -> F1OneSide
         raise UsageError(f"need an integer N >= 1, got {N}")
     if N > table.N:
         raise XBeyondTable(f"N = {N} beyond table N = {table.N}")
-    num = _numbers(N, table.exact)
-    c, a1, _ = num.constants(constants)
+    c, a1, _ = _constants(_point_numbers(N, table.exact), constants)
     base = a1 / 2 - 2 * c * N
     sums = _prefix_sums(table)
     left = base + sums.s_f_at(N - 1)
     right = base + sums.s_f_at(N)
-    half = (left + right) / num.two
+    half = (left + right) / 2
     return F1OneSided(left=left, right=right, half=half, f1_value=half,
                       jump=table.phi[N] / N)
 
@@ -403,9 +374,9 @@ def f1_series_raw(x: Scalar, table: TotientTable, M: int) -> Scalar:
         raise UsageError(f"need M >= 1, got {M}")
     if x < 0:
         raise XBelowOne(f"need x >= 0, got {x}")
-    num = _numbers(x, table.exact)
+    num = _point_numbers(x, table.exact)
     a, n, r = _fractional_parts(x, table, M, num)
-    return num.lift(np.sum(a / n * _sawtooth(r, num)))
+    return num.collapse(np.sum(a / n * _sawtooth(r)))
 
 
 def f1_series(x: Scalar, table: TotientTable, constants: Constants,
@@ -423,13 +394,13 @@ def f1_series(x: Scalar, table: TotientTable, constants: Constants,
         raise MSmallerThanX(f"tail formula needs M >= x, got M = {M} < x = {x}")
     if x < 0:
         raise XBelowOne(f"need x >= 0, got {x}")
-    num = _numbers(x, table.exact)
+    num = _point_numbers(x, table.exact)
     if x == 0:
-        return num.lift(0)
+        return num.collapse(0)
     head = f1_series_raw(x, table, M)
-    _, a1, a2 = num.constants(constants)
-    p1, p2 = (num.lift(p) for p in _prefix_sums(table).at(M))
-    return num.lift(head + (a1 - p1) / 2 - num.lift(x) * (a2 - p2))
+    _, a1, a2 = _constants(num, constants)
+    p1, p2 = (num.collapse(p) for p in _prefix_sums(table).at(M))
+    return num.collapse(head + (a1 - p1) / 2 - num.collapse(x) * (a2 - p2))
 
 
 def f1_values(xs: np.ndarray, table: TotientTable,
@@ -442,7 +413,7 @@ def f1_values(xs: np.ndarray, table: TotientTable,
         raise XBelowOne(f"need x >= 0, got {xs.min()}")
     if xs.max() > table.N:
         raise XBeyondTable(f"{xs.max()} beyond table N = {table.N}")
-    c, a1, _ = _FLOAT.constants(constants)
+    c, a1, _ = _constants(_number_type(False), constants)
     k = np.floor(xs).astype(np.int64)
     top = int(k.max())
     s_f = _prefix_sums(table).s_f_floats(top)
@@ -462,9 +433,9 @@ def f1_values(xs: np.ndarray, table: TotientTable,
 
 def _g1_value(x, sums: tuple, num: _Numbers, constants: Constants) -> Scalar:
     s_g, p1, p2 = sums
-    _, a1, a2 = num.constants(constants)
-    x = num.lift(x)
-    return num.lift(s_g + x * x * (a2 - p2) - x * (a1 - p1))
+    _, a1, a2 = _constants(num, constants)
+    x = num.collapse(x)
+    return num.collapse(s_g + x * x * (a2 - p2) - x * (a1 - p1))
 
 
 def g1(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
@@ -474,7 +445,7 @@ def g1(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     x^2 (A2 - P2(x)) - x (A1 - P1(x)).
     """
     k = _check_range(x, table, 0)
-    num = _numbers(x, table.exact)
+    num = _point_numbers(x, table.exact)
     return _g1_value(x, _point_sums(x, table, k, num), num, constants)
 
 
@@ -488,11 +459,11 @@ def frac_integral(n: int, x: Scalar) -> Scalar:
         raise UsageError(f"need an integer n >= 1, got {n}")
     if x < n:
         raise XBelowN(f"integral starts at n = {n}, got x = {x}")
-    num = _numbers(x)
-    x = num.lift(x)
+    num = _point_numbers(x)
+    x = num.collapse(x)
     r = _frac(x, [n], num)[0]
     fl = x / n - r
-    return num.lift(num.half * n * (r * r + fl - 1))
+    return num.collapse(n * (r * r + fl - 1) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +473,12 @@ def frac_integral(n: int, x: Scalar) -> Scalar:
 def _integral_of_f1(x, k: int, table: TotientTable, constants: Constants):
     # int_0^x f1 = A1 x / 2 - C x^2 + sum_k S_f(k+0) len(piece k), pieces
     # (k, k+1) where S_f is constant; exact for the piecewise-linear f1.
-    num = _numbers(x, table.exact)
-    c, a1, _ = num.constants(constants)
-    x = num.lift(x)
+    num = _point_numbers(x, table.exact)
+    c, a1, _ = _constants(num, constants)
+    x = num.collapse(x)
     sums = _prefix_sums(table)
-    full = num.lift(sums.s_f_total(k))
-    partial = num.lift(sums.s_f_at(k)) * (x - k) if k >= 1 else 0
+    full = num.collapse(sums.s_f_total(k))
+    partial = num.collapse(sums.s_f_at(k)) * (x - k) if k >= 1 else 0
     return a1 * x / 2 - c * x * x + full + partial
 
 
@@ -532,7 +503,7 @@ def r_function(x: Scalar, table: TotientTable, constants: Constants,
     if route == "closed":
         if x < 1:
             raise XBelowOne(f"closed route needs x >= 1, got {x}")
-        return g1(x, table, constants) / _numbers(x, table.exact).two
+        return g1(x, table, constants) / 2
     raise UsageError(f"route must be definition, integral, or closed; got {route!r}")
 
 
@@ -578,11 +549,11 @@ def decompose(x: Scalar, table: TotientTable,
               constants: Constants) -> DecompositionReport:
     """Evaluate every piece of E2(x) = x f1(x) + g1(x)/2 at one point."""
     k = _check_range(x, table, 1)
-    num = _numbers(x, table.exact)
+    num = _point_numbers(x, table.exact)
     sums = _point_sums(x, table, k, num)
     e2 = error_term(table, constants.c, x, convention="symmetric")
     xf1 = x * f1_closed(x, table, constants)
-    hg1 = _g1_value(x, sums, num, constants) / num.two
+    hg1 = _g1_value(x, sums, num, constants) / 2
     residual = e2 - xf1 - hg1
     xf = float(x)
     b_c, b_a1, b_a2 = constants.c.bound, constants.a1.bound, constants.a2.bound
@@ -628,8 +599,9 @@ def verify_identity_batch(xs, table: TotientTable) -> list:
     if not table.exact:
         raise ModeUnavailable("the reduced identity needs an exact table")
     xs = [Fraction(x) for x in xs]
+    exact = _number_type(True)
     out = []
     for x, k in zip(xs, _grown_for(xs, table)):
-        res = _reduced_residual(x, table, k, _point_sums(x, table, k, _EXACT))
+        res = _reduced_residual(x, table, k, _point_sums(x, table, k, exact))
         out.append((x, res == 0, res))
     return out

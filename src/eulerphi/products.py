@@ -17,13 +17,14 @@ ValueWithBound, an estimate plus an absolute error radius.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -277,24 +278,47 @@ def _as_fraction(x: Number) -> Fraction:
     return Fraction(x)
 
 
-def _number_type(exact: bool) -> tuple:
-    """(lift, collapse) for exact rationals or floats.
+@dataclass(frozen=True)
+class _Numbers:
+    """Exact rationals or floats.
 
-    lift turns a root, local factor or integer into a Fraction or a complex;
-    collapse turns a result into what callers get (a Fraction, or _plain).
+    lift turns a root, local factor or integer into the type products are
+    taken in: a Fraction, or a complex.  collapse turns a value into what
+    callers get: a Fraction, or _plain's float (complex only when the
+    imaginary part is nonzero); float -> Fraction is lossless, so exact
+    identities hold as equalities in Q.  dtype is numpy's type for an array
+    of lifted values.  A complex value has no exact form: ModeUnavailable.
     """
-    return (_as_fraction, Fraction) if exact else (complex, _plain)
+
+    exact: bool
+    lift: Callable
+    collapse: Callable
+    dtype: object
+
+
+_EXACT = _Numbers(True, _as_fraction, _as_fraction, object)
+_FLOAT = _Numbers(False, complex, _plain, np.complex128)
+
+
+def _number_type(exact: bool) -> _Numbers:
+    return _EXACT if exact else _FLOAT
+
+
+def _point_numbers(x, exact_table: bool = True) -> _Numbers:
+    """The number type of a call at x: exact when the table (if any) is
+    exact and x is an int or Fraction, floats otherwise."""
+    return _number_type(exact_table and isinstance(x, (int, Fraction)))
 
 
 def _local_product(spec: EulerProductSpec, p: int, exact: Optional[bool]):
     """(prod_j (1 - alpha_j(p)/p), collapse) in the number type of exact."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    lift, collapse = _number_type(spec.exact_capable if exact is None else exact)
-    prod = lift(1)
+    num = _number_type(spec.exact_capable if exact is None else exact)
+    prod = num.lift(1)
     for r in spec.local_roots(p):
-        prod *= 1 - lift(r) / p
-    return prod, collapse
+        prod *= 1 - num.lift(r) / p
+    return prod, num.collapse
 
 
 def local_factor_at_one(spec: EulerProductSpec, p: int, exact: Optional[bool] = None):
@@ -324,19 +348,19 @@ def gamma_values(spec: EulerProductSpec, ps: np.ndarray,
     (complex128 unless the spec is exact-capable); exact=True gives an
     object array of Fractions equal to gamma(spec, p, exact=True).
     """
-    lift, dtype = (_as_fraction, object) if exact else (complex, np.complex128)
+    num = _number_type(exact)
     if spec.kind == "zeta":
-        out = np.full(len(ps), lift(1), dtype=dtype)
+        out = np.full(len(ps), num.lift(1), dtype=num.dtype)
     elif spec.kind == "dirichlet":
         chi = spec.character
-        table = np.array([lift(v) for v in chi.values], dtype=dtype)
+        table = np.array([num.lift(v) for v in chi.values], dtype=num.dtype)
         out = table[ps % chi.modulus]
     elif spec.default_rule == "zero":
-        out = np.full(len(ps), lift(0), dtype=dtype)
+        out = np.full(len(ps), num.lift(0), dtype=num.dtype)
     else:
         pf, one = ((ps.astype(object), Fraction(1)) if exact
                    else (ps.astype(np.float64), 1.0))
-        out = (pf * (one - (one - one / pf) ** spec.degree)).astype(dtype)
+        out = (pf * (one - (one - one / pf) ** spec.degree)).astype(num.dtype)
     if spec.kind == "custom":
         for p in spec.roots:
             i = int(np.searchsorted(ps, p))
@@ -390,13 +414,12 @@ def _listed_product(spec: EulerProductSpec, first, factor) -> tuple:
     spec with finite support this is the whole Euler product: exact=True
     gives a Fraction (every root rational), exact=False a float or complex.
     """
-    exact = spec.exact_capable
-    lift, collapse = _number_type(exact)
-    prod = lift(first)
+    num = _number_type(spec.exact_capable)
+    prod = num.lift(first)
     for p in sorted(spec.roots):
-        local, _ = _local_product(spec, p, exact)
+        local, _ = _local_product(spec, p, num.exact)
         prod *= factor(p, local)
-    return collapse(prod), exact
+    return num.collapse(prod), num.exact
 
 
 def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWithBound:
@@ -434,9 +457,13 @@ def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWith
 # Dirichlet L-values
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache
 def l_value(chi: CharacterSpec, s: float, precision: float = 1e-12,
             max_terms: int = 10 ** 8) -> ValueWithBound:
     """L(s, chi) = sum chi(n) n^{-s} for non-principal chi and s > 0.
+
+    Memoized, since the sum runs over q K terms: constants reads L(1, chi)
+    for A1 and again for its own row.
 
     Block summation over full periods: the direct sum runs to N = qK, and the
     remaining blocks b(k) = sum_r chi(r) (qk+r)^{-s} are summed by the
@@ -613,16 +640,31 @@ def _json_list(v, what: str) -> list:
     return v
 
 
+# the keys a spec of each kind reads
+_SPEC_KEYS = {"zeta": {"kind"},
+              "dirichlet": {"kind", "kronecker", "modulus", "values"},
+              "custom": {"kind", "degree", "roots", "default"}}
+
+
 def spec_from_dict(d: dict) -> EulerProductSpec:
-    """Parse the JSON product-spec format; any structural fault is a
-    BadProductSpec."""
+    """Parse the JSON product-spec format; any structural fault, a key its
+    kind does not read included, is a BadProductSpec."""
     if not isinstance(d, dict):
         raise BadProductSpec(f"a product spec is a JSON object, got {d!r}")
     kind = d.get("kind")
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise BadProductSpec(f"unknown product kind {kind!r}")
+    unread = sorted(set(d) - _SPEC_KEYS[kind])
+    if unread:
+        raise BadProductSpec(f"a {kind} spec reads no key "
+                             f"{', '.join(map(repr, unread))}")
     if kind == "zeta":
         return zeta_product()
     if kind == "dirichlet":
         if "kronecker" in d:
+            if "modulus" in d or "values" in d:
+                raise BadProductSpec("kronecker and modulus/values each "
+                                     "define the character; give one source")
             return dirichlet_product(build_character(kronecker=_json_int(d, "kronecker")))
         if "modulus" not in d or "values" not in d:
             raise BadProductSpec("dirichlet spec needs modulus+values or kronecker")
@@ -645,7 +687,6 @@ def spec_from_dict(d: dict) -> EulerProductSpec:
             roots[key] = [_num_from_json(r) for r in _json_list(rs, f"roots at {p!r}")]
         return custom_product(_json_int(d, "degree"), roots,
                               d.get("default", "zero"))
-    raise BadProductSpec(f"unknown product kind {kind!r}")
 
 
 def load_spec_file(path: str) -> EulerProductSpec:

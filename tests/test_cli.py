@@ -14,10 +14,8 @@ import numpy as np
 import pytest
 
 from eulerphi.cli import (
-    EXIT_CODES,
     build_spec,
     emit_report,
-    exit_code_for,
     main,
     parse_anchor,
     parse_config,
@@ -25,13 +23,16 @@ from eulerphi.cli import (
     run_command,
 )
 import eulerphi
-from eulerphi import coeffs
-from eulerphi.coeffs import cache_path, load_table, phi_table
+from eulerphi import coeffs, products
+from eulerphi.coeffs import cache_path, load_table, phi_table, save_table
 from eulerphi.errors import (
     AnchorOutOfRange,
     BadProductSpec,
     CacheMismatch,
+    DegreeNotMinimal,
+    EulerphiError,
     IoError,
+    ModeUnavailable,
     PrecisionUnreachable,
     RootOutOfDisk,
     SOutOfRange,
@@ -126,11 +127,40 @@ def test_config_values_converted_like_flags(tmp_path):
             cfg.roots) == (0.01, 3, None, True, "probe", 2.5, {"2": [0.5]})
 
 
+def _error_classes() -> list:
+    """EulerphiError and every class below it."""
+    out, todo = [], [EulerphiError]
+    while todo:
+        cls = todo.pop()
+        out.append(cls)
+        todo.extend(cls.__subclasses__())
+    return out
+
+
 def test_exit_code_map_is_distinct():
-    codes = list(EXIT_CODES.values())
+    classes = _error_classes()
+    # each class names its own code, and no two share one
+    assert all("exit_code" in vars(cls) for cls in classes)
+    codes = [cls.exit_code for cls in classes]
     assert len(set(codes)) == len(codes)
-    assert exit_code_for(SOutOfRange("s")) == EXIT_CODES[SOutOfRange]
-    assert exit_code_for(RootOutOfDisk("r")) == EXIT_CODES[RootOutOfDisk]
+    assert 0 not in codes and 1 not in codes
+    assert EulerphiError.exit_code == 36
+    assert (BadProductSpec.exit_code, RootOutOfDisk.exit_code,
+            DegreeNotMinimal.exit_code) == (13, 14, 15)
+    assert SOutOfRange("s").exit_code == 21
+    # the README's table lists every class but the base, with its code
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    table = text.split("### Exit codes", 1)[1]
+    listed = {}
+    for line in table.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) == 4 and cells[0].isdigit():
+            listed[cells[1]] = int(cells[0])
+            listed[cells[3]] = int(cells[2])
+    assert listed == {cls.__name__: cls.exit_code for cls in classes
+                      if cls not in (EulerphiError, UsageError)}
 
 
 # --- reports -------------------------------------------------------------------
@@ -355,6 +385,16 @@ def test_constants_json_shape(capsys):
                for r in obj["rows"])
 
 
+def test_constants_sums_l1_once(tmp_path):
+    # A1 = 1/L(1, chi) and the L1_chi row read one sum at s = 1; L2_chi
+    # needs the only other one
+    products.l_value.cache_clear()
+    assert main(["constants", "--product", "dirichlet", "--kronecker", "-4",
+                 "--output", str(tmp_path / "c.csv")]) == 0
+    info = products.l_value.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+
+
 def test_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["decompose", "--x", "1:10:0.5", "--mode", "float",
@@ -367,50 +407,65 @@ def test_determinism_byte_identical(tmp_path):
 def test_cache_warm_equals_cold(tmp_path, monkeypatch):
     monkeypatch.setenv("EULERPHI_CACHE_DIR", str(tmp_path / "cache"))
     out1, out2 = tmp_path / "cold.csv", tmp_path / "warm.csv"
-    args = ["table", "--n", "500", "--mode", "exact"]
+    args = ["table", "--n", "500", "--mode", "float"]
     assert main(args + ["--output", str(out1)]) == 0
     assert os.listdir(tmp_path / "cache")   # something was cached
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the warm run built its table")
+
+    monkeypatch.setattr(coeffs, "phi_table", no_build)
     assert main(args + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_old_cache_format_is_rejected_and_rebuilt(tmp_path):
-    # format 2 (p/q text columns) and format 3 (int blobs), both with the
-    # fourth column, sum_{n<=k} phi(n)/n, that format 4 no longer stores
+    # format 3 held a fourth column, sum_{n<=k} phi(n)/n, that format 4 no
+    # longer stores
     spec, n = zeta_product(), 60
-    table = phi_table(spec, n, mode="exact")
-    path = cache_path(str(tmp_path), spec, n, "exact")
-    ratio_cumsum = [Fraction(0)]
-    for k in range(1, n + 1):
-        ratio_cumsum.append(ratio_cumsum[-1] + table.phi[k] / k)
-    names = ("alpha", "phi", "cumulative", "ratio_cumsum")
-    columns = dict(zip(names, (table.coeffs.alpha, table.phi,
-                               table.cumulative, ratio_cumsum)))
-    text_columns = {
-        name: np.frombuffer("\n".join(map(str, c)).encode("ascii"),
-                            dtype=np.uint8)
-        for name, c in columns.items()}
-    blob_columns = {}
-    for name, c in columns.items():
-        blob_columns[name], blob_columns[name + "_len"] = (
-            coeffs._fraction_blob(c))
-    for version, old_columns in ((2, text_columns), (3, blob_columns)):
-        header = json.dumps({"version": version, "spec_hash": spec_hash(spec),
-                             "N": n, "mode": "exact"}, sort_keys=True)
-        np.savez_compressed(path, header=np.array(header), **old_columns)
-        with pytest.raises(CacheMismatch):
-            load_table(path, spec, n, "exact")
-        cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
-        args = ["table", "--n", str(n), "--mode", "exact"]
+    table = phi_table(spec, n, mode="float")
+    path = cache_path(str(tmp_path), spec, n)
+    header = json.dumps({"version": 3, "spec_hash": spec_hash(spec),
+                         "N": n, "mode": "float"}, sort_keys=True)
+    ratio_cumsum = np.cumsum(table.phi / np.maximum(np.arange(n + 1), 1))
+    np.savez(path, header=np.array(header), alpha=table.coeffs.alpha,
+             phi=table.phi, cumulative=table.cumulative,
+             ratio_cumsum=ratio_cumsum)
+    with pytest.raises(CacheMismatch):
+        load_table(path, spec, n)
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    args = ["table", "--n", str(n), "--mode", "float"]
+    assert main(args + ["--no-cache", "--output", str(cold)]) == 0
+    assert main(args + ["--cache-dir", str(tmp_path),
+                        "--output", str(warm)]) == 0
+    assert warm.read_bytes() == cold.read_bytes()
+    back = load_table(path, spec, n)
+    for got, want in ((back.coeffs.alpha, table.coeffs.alpha),
+                      (back.phi, table.phi),
+                      (back.cumulative, table.cumulative)):
+        assert np.array_equal(got, want)
+    with np.load(path) as z:
+        assert sorted(z.files) == ["alpha", "cumulative", "header", "phi"]
+
+
+def test_exact_tables_are_not_cached(tmp_path):
+    # loading an exact table would create as many Fractions as building it,
+    # so exact runs neither read nor write a cache file
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    cold, cached = tmp_path / "cold.csv", tmp_path / "cached.csv"
+    for args in (["table", "--n", "500", "--mode", "exact"],
+                 ["verify-identity", "--x", "1:50:1/3"],
+                 ["decompose", "--x", "1:50:1/2"]):       # auto: exact
         assert main(args + ["--no-cache", "--output", str(cold)]) == 0
-        assert main(args + ["--cache-dir", str(tmp_path),
-                            "--output", str(warm)]) == 0
-        assert warm.read_bytes() == cold.read_bytes()
-        assert load_table(path, spec, n, "exact") == table
-        with np.load(path) as z:
-            assert sorted(z.files) == ["alpha", "alpha_len", "cumulative",
-                                       "cumulative_len", "header", "phi",
-                                       "phi_len"]
+        assert main(args + ["--cache-dir", str(cache),
+                            "--output", str(cached)]) == 0
+        assert cached.read_bytes() == cold.read_bytes()
+        assert os.listdir(cache) == []
+    path = tmp_path / "exact.npz"
+    with pytest.raises(ModeUnavailable):
+        save_table(phi_table(zeta_product(), 50, mode="exact"), str(path))
+    assert not path.exists()
 
 
 # SHA-256 of exact reports that hold no constant (C, A1), or only exact
@@ -449,9 +504,9 @@ def test_usage_exit_code(capsys):
 
 
 def test_error_class_exit_codes(capsys):
-    assert main(["series-check", "--s", "1.5"]) == EXIT_CODES[SOutOfRange]
+    assert main(["series-check", "--s", "1.5"]) == SOutOfRange.exit_code
     assert main(["volterra", "--op", "solve", "--X", "5", "--anchor",
-                 "9=auto"]) == EXIT_CODES[AnchorOutOfRange]
+                 "9=auto"]) == AnchorOutOfRange.exit_code
     capsys.readouterr()
 
 
@@ -494,7 +549,7 @@ def test_exact_decompose_beyond_int_digit_limit(capsys):
 def test_non_numeric_roots_exit_code(tmp_path, capsys):
     custom = ["decompose", "--x", "2.5", "--mode", "float",
               "--product", "custom", "--degree", "1"]
-    want = EXIT_CODES[BadProductSpec]
+    want = BadProductSpec.exit_code
     assert main(custom + ["--roots", '{"2":["1/2"]}']) == want
     assert main(custom + ["--roots", '{"2":[[0.5,"i"]]}']) == want
     spec = tmp_path / "spec.json"
@@ -509,11 +564,19 @@ def test_non_numeric_roots_exit_code(tmp_path, capsys):
     for text in ('{"kind":"custom","degree":1,"roots":[1]}', "not json",
                  '{"kind":"custom","degree":"1","roots":{"2":[1]}}',
                  '{"kind":"dirichlet","kronecker":"x"}',
-                 '{"kind":"dirichlet","modulus":4,"values":5}', "[1]"):
+                 '{"kind":"dirichlet","modulus":4,"values":5}', "[1]",
+                 # a key the kind does not read, or two sources of one
+                 # character, is rejected as flags are
+                 '{"kind":"dirichlet","kronecker":-4,"modulus":8,'
+                 '"values":[0,1,0,-1,0,-1,0,1]}',
+                 '{"kind":"dirichlet","kronecker":-4,"modulus":4}',
+                 '{"kind":"custom","degree":1,"roots":{"2":[0.5]},'
+                 '"defualt":"one"}',
+                 '{"kind":"zeta","degree":3}', '{"kind":["zeta"]}'):
         spec.write_text(text)
         assert main(["constants", "--spec-file", str(spec)]) == want
     # --roots text that is not JSON stays a usage error
-    assert main(constants + ["--roots", "nope"]) == EXIT_CODES[UsageError]
+    assert main(constants + ["--roots", "nope"]) == UsageError.exit_code
     err = capsys.readouterr().err
     assert "Traceback" not in err
 
@@ -527,7 +590,8 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_command", boom)
     code = main(["constants"])
     assert code == 36
-    assert code != 1 and code not in EXIT_CODES.values()
+    assert code != 1 and code not in {cls.exit_code for cls in _error_classes()
+                                      if cls is not EulerphiError}
     err = capsys.readouterr().err
     assert err.strip() == "error: internal: RuntimeError: kaput"
 
@@ -545,7 +609,7 @@ def test_closed_stdout_pipe_is_io_error():
         assert proc.stdout.readline() == b"x,F1,E2,residual\n"
         proc.stdout.close()
         err = proc.stderr.read().decode()
-        assert proc.wait(timeout=120) == EXIT_CODES[IoError]
+        assert proc.wait(timeout=120) == IoError.exit_code
     lines = err.splitlines()
     assert len(lines) == 1, err
     assert lines[0].startswith(
@@ -572,7 +636,7 @@ def test_options_of_another_product_kind_rejected(tmp_path, capsys, options):
                  ["constants", "--config", str(cfg_path)]):
         with pytest.raises(UsageError, match="is read only with --product"):
             build_spec(parse_config(args))
-        assert main(args) == EXIT_CODES[UsageError]
+        assert main(args) == UsageError.exit_code
     assert "internal" not in capsys.readouterr().err
 
 
@@ -600,7 +664,7 @@ def test_two_sources_of_one_product_rejected(tmp_path, capsys, options):
                  ["constants", "--config", str(cfg_path)]):
         with pytest.raises(UsageError, match="--spec-file|--kronecker"):
             build_spec(parse_config(args))
-        assert main(args) == EXIT_CODES[UsageError]
+        assert main(args) == UsageError.exit_code
     assert "internal" not in capsys.readouterr().err
 
 
@@ -613,7 +677,7 @@ def test_large_modulus_commands_that_read_only_c(tmp_path, capsys):
     assert main(["growth", "--X", "1000"] + chi + out) == 0
     assert main(["error-term", "--x", "100.5"] + chi + out) == 0
     for args in (["constants"], ["decompose", "--x", "100.5"]):
-        assert main(args + chi + out) == EXIT_CODES[PrecisionUnreachable]
+        assert main(args + chi + out) == PrecisionUnreachable.exit_code
     assert "internal" not in capsys.readouterr().err
 
 
@@ -624,7 +688,7 @@ def test_library_logger_prints_nothing_by_default():
 
 def test_rejected_cache_file_is_logged(tmp_path, caplog):
     spec, n = zeta_product(), 50
-    path = cache_path(str(tmp_path), spec, n, "float")
+    path = cache_path(str(tmp_path), spec, n)
     with open(path, "wb") as fh:
         fh.write(b"not an npz file")
     args = ["table", "--n", str(n), "--mode", "float",

@@ -270,76 +270,19 @@ def test_growth_scan_shape(zeta_float_100k, zeta_constants):
 
 def test_cache_roundtrip_float(tmp_path, zeta_spec):
     table = phi_table(zeta_spec, 2000, mode="float")
-    path = cache_path(str(tmp_path), zeta_spec, 2000, "float")
+    path = cache_path(str(tmp_path), zeta_spec, 2000)
     save_table(table, path)
-    back = load_table(path, zeta_spec, 2000, "float")
+    back = load_table(path, zeta_spec, 2000)
     assert np.array_equal(np.asarray(back.phi), np.asarray(table.phi))
     assert np.array_equal(np.asarray(back.coeffs.alpha),
                           np.asarray(table.coeffs.alpha))
     assert np.array_equal(np.asarray(back.cumulative),
                           np.asarray(table.cumulative))
-
-
-@pytest.fixture(scope="module")
-def custom_one_exact_3000():
-    """gamma(p) = 2 - 1/p off three listed primes, so phi(n) and its running
-    sum are non-integral, with p/q of over 1000 digits by N = 3000."""
-    spec = custom_product(2, {p: [0.5, 0.25] for p in (2, 3, 5)}, "one")
-    table = phi_table(spec, 3000, mode="exact")
-    assert max(len(str(v)) for v in table.cumulative) > 1000
-    return table
-
-
-def test_cache_roundtrip_exact(tmp_path, zeta_spec, custom100_exact_500,
-                               custom_one_exact_3000):
-    # integer entries (zeta), non-integral Fractions (custom100) and p/q of
-    # over 1000 digits (the default-one product)
-    for table in (phi_table(zeta_spec, 3000, mode="exact"),
-                  custom100_exact_500, custom_one_exact_3000):
-        spec, N = table.spec, table.N
-        path = cache_path(str(tmp_path), spec, N, "exact")
-        save_table(table, path)
-        back = load_table(path, spec, N, "exact")
-        for got, want in ((back.coeffs.alpha, table.coeffs.alpha),
-                          (back.phi, table.phi),
-                          (back.cumulative, table.cumulative)):
-            assert got == want
-            assert list(map(type, got)) == list(map(type, want))
-        assert back == table
-        # files written compressed (before format 3 went uncompressed) load
-        with np.load(path) as z:
-            np.savez_compressed(path, **{k: z[k] for k in z.files})
-        assert load_table(path, spec, N, "exact") == table
-
-
-def test_exact_cache_is_not_padded(tmp_path, custom_one_exact_3000):
-    # every int costs the bytes of its two's complement form, plus a small
-    # per-entry length, never the width of the longest entry
-    table = custom_one_exact_3000
-    path = cache_path(str(tmp_path), table.spec, 3000, "exact")
-    save_table(table, path)
-    need = sum((i.bit_length() + 8) // 8
-               for seq in (table.coeffs.alpha, table.phi, table.cumulative)
-               for v in seq for i in (v.numerator, v.denominator))
+    # files written compressed (before format 3 went uncompressed) load
     with np.load(path) as z:
-        raw = sum(z[k].nbytes for k in z.files if k != "header")
-    assert raw <= 1.1 * need
-
-
-def test_exact_cache_rejects_malformed_columns(tmp_path, zeta_spec):
-    table = phi_table(zeta_spec, 20, mode="exact")
-    path = str(tmp_path / "t.npz")
-    save_table(table, path)
-    with np.load(path) as z:
-        good = {k: z[k] for k in z.files}
-    # zeta's alpha denominators are all 1, one byte each at the blob's end
-    zero_den = dict(good, alpha=good["alpha"].copy())
-    zero_den["alpha"][-1] = 0
-    short = dict(good, phi_len=good["phi_len"][:-1])
-    for bad in (zero_den, short):
-        np.savez_compressed(path, **bad)
-        with pytest.raises(CacheMismatch):
-            load_table(path, zeta_spec, 20, "exact")
+        np.savez_compressed(path, **{k: z[k] for k in z.files})
+    back = load_table(path, zeta_spec, 2000)
+    assert np.array_equal(back.cumulative, table.cumulative)
 
 
 def test_cache_mismatch(tmp_path, zeta_spec, mod4_spec):
@@ -347,11 +290,9 @@ def test_cache_mismatch(tmp_path, zeta_spec, mod4_spec):
     path = str(tmp_path / "t.npz")
     save_table(table, path)
     with pytest.raises(CacheMismatch):
-        load_table(path, mod4_spec, 100, "float")
+        load_table(path, mod4_spec, 100)
     with pytest.raises(CacheMismatch):
-        load_table(path, zeta_spec, 200, "float")
-    with pytest.raises(CacheMismatch):
-        load_table(path, zeta_spec, 100, "exact")
+        load_table(path, zeta_spec, 200)
 
 
 def test_error_term_bound_is_quadratic(zeta_float_100k):
