@@ -75,12 +75,6 @@ class RunConfig:
     command: str
     options: dict = field(default_factory=dict)
 
-    def __getattr__(self, name):
-        try:
-            return self.__dict__["options"][name]
-        except KeyError:
-            raise AttributeError(name)
-
 
 _DEFAULTS = {
     "product": None,
@@ -226,7 +220,10 @@ def _file_value(key: str, v, action: argparse.Action):
     if action.choices is not None and v not in action.choices:
         raise UsageError(f"config key {key!r} must be one of "
                          f"{', '.join(action.choices)}; got {v!r}")
-    return action.type(v) if action.type is not None else v
+    try:
+        return action.type(v) if action.type is not None else v
+    except OverflowError:   # an int beyond float range
+        raise UsageError(f"config key {key!r} is out of range: {v!r}")
 
 
 def parse_config(argv) -> RunConfig:
@@ -268,6 +265,12 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError(f"--n must be >= 1, got {o['n']}")
     if cfg.command == "volterra" and not o["h"] > 0:
         raise UsageError(f"--h must be > 0, got {o['h']}")
+    # json reads NaN and Infinity, so a config file can hold them too
+    for key in ("X", "tolerance"):
+        if not math.isfinite(o[key]):
+            raise UsageError(f"--{key} must be finite, got {o[key]}")
+    if o["samples"] < 0:
+        raise UsageError(f"--samples must be >= 0, got {o['samples']}")
 
 
 # ---------------------------------------------------------------------------

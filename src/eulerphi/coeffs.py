@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -94,18 +94,15 @@ class CoefficientTable:
 class TotientTable:
     """phi(0..N) and its running sum cumulative[k] = sum_{n<=k} phi(n).
 
-    Entry 0 of each is 0.  Every other running sum (of alpha, and
-    S_f(k) = sum_{n<=k} phi(n)/n) is kept by the decomposition kernel,
-    which grows it only as far as a query reads.
+    Entry 0 of each is 0.  The table holds no other running sum: the
+    decomposition kernel sums alpha and phi(n)/n afresh for each batch of
+    points, up to its largest floor(x), and keeps only the values its
+    formulas read.
     """
 
     coeffs: CoefficientTable
     phi: Union[list, np.ndarray]
     cumulative: Union[list, np.ndarray]
-    # the decomposition kernel's prefix sums, grown on demand; derived
-    # data, so never saved, compared or shown
-    _prefix_sums: object = field(default=None, init=False, repr=False,
-                                 compare=False)
 
     @property
     def spec(self) -> EulerProductSpec:

@@ -20,30 +20,35 @@ Every formula has one body, built from three private pieces:
   * the number type of a call (products._point_numbers): exact rationals
     when the table is exact and x is an int or Fraction, floats otherwise.
     Its collapse brings C, A1, A2, operands and results into that type.
-  * _PrefixSums, the one holder of running sums: A0(k) = sum_{n<=k}
-    alpha(n), P1(k) = sum_{n<=k} alpha(n)/n and P2(k) = sum_{n<=k}
-    alpha(n)/n^2 from the alpha column, and S_f(k) = sum_{n<=k} phi(n)/n
-    from the phi column, kept on the table and grown to the largest k
-    asked.  On exact tables they are Python-int numerators over one common
-    denominator per sum; on float tables, numpy cumulative sums.  Terms
+  * _sweep, the one source of running sums: P1(k) = sum_{n<=k} alpha(n)/n
+    and P2(k) = sum_{n<=k} alpha(n)/n^2 from the alpha column, and
+    S_f(k) = sum_{n<=k} phi(n)/n from the phi column.  Each public entry
+    hands it the floor values of its points (a whole batch at once), and
+    it sweeps the columns once up to the largest, returning the sums only
+    where the formulas read them; nothing is kept on the table or grown
+    later.  On exact tables each column's terms go over one common
+    denominator and one running integer numerator is recorded at the read
+    points; on float tables each sum is one numpy cumulative sum.  Terms
     n > x of both series collapse onto A1 - P1 and A2 - P2, which is how
     f1_series and g1 sum their infinite tails.
   * _point_sums, which gives S_g(x) = sum_{n<=x} alpha(n) {x/n}({x/n} - 1)
     (for g1, the decompose verdict and verify_identity_batch).  In exact
-    mode it expands S_g into P2(k), P1(k) and sums of P1 and A0 at k//j,
-    and sums those over the O(sqrt k) blocks of constant k//j in integers.
-    In float mode it sums S_g term by term over {x/n} from _frac, the one
-    fractional-part routine, which also feeds the bare sawtooth sum of
-    f1_series_raw.
+    mode it expands S_g into P2(k), P1(k) and sums of P1 and
+    A0 = sum_{n<=k} alpha(n) at k//j, which the sweep records only at the
+    O(sqrt k) values k//j and sums over the blocks of constant k//j in
+    integers.  In float mode it sums S_g term by term over {x/n} from
+    _frac, the one fractional-part routine, which also feeds the bare
+    sawtooth sum of f1_series_raw.
 
 Only the primitives branch on exact/float, since that is where Python
 integer loops and numpy arrays really differ.  The routes that check each
-other stay separate code: f1_closed reads S_f, the kernel's running sum of
-the phi column, while f1_series sums the sawtooth and the P1/P2 tail; r_function's definition,
-integral and closed routes share no formula; and the exact verdict compares
-the phi sieve's cumulative sum against a right-hand side built from S_g, P1,
-P2 and S_f, never from the residual and with no terms cancelled.  (The block
-sum of P1 at k//j equals S_f(k) algebraically; the verdict keeps both.)
+other stay separate code: f1_closed reads S_f, the sweep's running sum of
+the phi column, while f1_series sums the sawtooth and the P1/P2 tail;
+r_function's definition, integral and closed routes share no formula; and
+the exact verdict compares the phi sieve's cumulative sum against a
+right-hand side built from S_g, P1, P2 and S_f, never from the residual and
+with no terms cancelled.  (The block sum of P1 at k//j equals S_f(k)
+algebraically; the verdict keeps both.)
 """
 
 from __future__ import annotations
@@ -90,144 +95,113 @@ def _lcm(values: list) -> int:
     return values[0]
 
 
-class _IntPrefix:
-    """sum_{n<=k} column(n)/n^power for k = 0..len(num)-1, as Python-int
-    numerators num[k] over one common denominator den.
+def _blocks(k: int):
+    """(v, first, last) over the blocks of consecutive j <= k on which
+    k//j = v; there are O(sqrt k) of them."""
+    j = 1
+    while j <= k:
+        v = k // j
+        last = k // v
+        yield v, j, last
+        j = last + 1
 
-    den is the lcm of the denominators of the terms summed so far (1 for
-    an integer column at power 0), so an extension that brings in a new
-    denominator rescales every numerator once.  The last value read is
-    kept as a Fraction, since the formulas at one point read the same k
-    more than once and each Fraction costs a big-integer gcd.
+
+def _exact_column(column, power: int, top: int, reads: set,
+                  total: bool = False) -> tuple:
+    """One pass over n <= top of the sums sum_{n<=k} column(n)/n^power,
+    recorded at each k of reads (and at 0).
+
+    Every term goes over one denominator D, the lcm of the term
+    denominators up to top, so the pass keeps one running integer
+    numerator.  Returns (D, {k: numerator}, {k: numerator of
+    sum_{1<=j<k} of the sums}); the last is all 0 unless total.
     """
-
-    def __init__(self, column, power: int):
-        self.column = column
-        self.power = power
-        self.den = 1
-        self.num = [0]
-        self._read = (None, None)
-
-    def extend(self, lo: int, hi: int) -> None:
-        """Append the sums for k = lo..hi (lo = len(num))."""
-        terms = []   # column(n)/n^power in lowest terms, as (p, q)
-        for n in range(lo, hi + 1):
-            a, m = self.column[n], n ** self.power
-            g = math.gcd(a.numerator, m)
-            terms.append((a.numerator // g, a.denominator * (m // g)))
-        den = _lcm([self.den] + [q for p, q in terms if p])
-        if den != self.den:
-            scale = den // self.den
-            self.num = [v * scale for v in self.num]
-            self.den = den
-        acc = self.num[-1]
-        for p, q in terms:
-            if p:
-                acc += p * (den // q)
-            self.num.append(acc)
-
-    def __getitem__(self, k: int) -> Fraction:
-        if self._read[0] != k:
-            self._read = (k, Fraction(self.num[k], self.den))
-        return self._read[1]
+    terms = []   # column(n)/n^power in lowest terms, as (p, q)
+    for n in range(1, top + 1):
+        a, m = column[n], n ** power
+        g = math.gcd(a.numerator, m)
+        terms.append((a.numerator // g, a.denominator * (m // g)))
+    den = _lcm([1] + [q for p, q in terms if p])
+    acc = tot = 0
+    nums, tots = {0: 0}, {0: 0}
+    for n, (p, q) in enumerate(terms, 1):
+        if p:
+            acc += p * (den // q)
+        if n in reads:
+            nums[n], tots[n] = acc, tot
+        if total:
+            tot += acc
+    return den, nums, tots
 
 
-class _PrefixSums:
-    """The running sums the formulas read: of alpha, A0[k] = sum_{n<=k}
-    alpha(n), P1[k] = sum_{n<=k} alpha(n)/n and P2[k] = sum_{n<=k}
-    alpha(n)/n^2, and of phi, S_f[k] = sum_{n<=k} phi(n)/n.
+def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
+    """The running sums a batch reads, from one pass over the alpha and phi
+    columns up to its largest floor value; nothing is kept on the table.
 
-    Exact tables keep all four as integer numerators (_IntPrefix); float
-    tables keep P1, P2 and S_f as numpy cumulative sums (float S_g is summed
-    term by term and needs no A0).  A query past the current end grows the
-    sums to min(N, max(k, 2 * top)), so exact numerators are rescaled
-    O(log N) times, and each extension continues the same sequential sum,
-    so values do not depend on the order of the queries.
+    names picks among P1(k) = sum_{n<=k} alpha(n)/n ("p1"), P2(k) =
+    sum_{n<=k} alpha(n)/n^2 ("p2"), S_f(k) = sum_{n<=k} phi(n)/n ("s_f")
+    and, with "s_f", T(k) = sum_{1<=j<k} S_f(j) ("t_f"), the integral
+    route's second accumulator.  Each maps to something indexed by every k
+    of ks: a dict of Fractions on exact tables; on float tables the numpy
+    cumulative sum up to the top, in the one sequential order of summation
+    (and a dict of numpy sums for T).
+
+    With "p1" on an exact table, "blocks" maps each k of blocks to
+    (sum_{j<=k} P1(k//j), sum_{j<=k} 2j A0(k//j)), A0(k) = sum_{n<=k}
+    alpha(n), summed in integers over the floor blocks from P1 and A0
+    recorded only at the O(sqrt k) values k//j.
     """
-
-    def __init__(self, table: TotientTable):
-        self.alpha = table.coeffs.alpha
-        self.phi = table.phi
-        self.N = table.N
-        self.exact = table.exact
-        self.top = 0
-        if self.exact:
-            self.a0, self.p1, self.p2 = (_IntPrefix(self.alpha, e)
-                                         for e in (0, 1, 2))
-            self.s_f = _IntPrefix(self.phi, 1)
-        else:
-            dtype = np.result_type(self.alpha, self.phi, np.float64)
-            self.p1, self.p2, self.s_f = (np.zeros(table.N + 1, dtype=dtype)
-                                          for _ in range(3))
-
-    def at(self, k: int) -> tuple:
-        """(P1[k], P2[k]), extending the sums to k first when needed."""
-        self._grow(k)
-        return self.p1[k], self.p2[k]
-
-    def s_f_at(self, k: int):
-        """S_f[k], extending the sums to k first when needed."""
-        self._grow(k)
-        return self.s_f[k]
-
-    def s_f_floats(self, k: int) -> np.ndarray:
-        """S_f[0..k] as floats: each exact value rounded once, or a view on
-        float tables."""
-        self._grow(k)
-        if self.exact:
-            return np.array([v / self.s_f.den for v in self.s_f.num[: k + 1]])
-        return self.s_f[: k + 1]
-
-    def s_f_total(self, k: int):
-        """sum_{1<=j<k} S_f[j]: the integer numerators over their common
-        denominator on exact tables, numpy's sum on float ones."""
-        self._grow(k)
-        if self.exact:
-            return Fraction(sum(self.s_f.num[1:k]), self.s_f.den)
-        return np.sum(self.s_f[1:k])
-
-    def floor_blocks(self, k: int) -> tuple:
-        """(sum_{j<=k} P1[k//j], sum_{j<=k} 2j A0[k//j]) on an exact table.
-
-        k//j takes O(sqrt k) distinct values v, each on a block of
-        consecutive j, so both sums run over blocks in integers and become
-        one Fraction each at the end.
-        """
-        self._grow(k)
-        a0, p1 = self.a0.num, self.p1.num
-        t0 = t1 = 0
-        j = 1
-        while j <= k:
-            v = k // j
-            last = k // v
-            t1 += (last - j + 1) * p1[v]
-            t0 += (last * (last + 1) - j * (j - 1)) * a0[v]
-            j = last + 1
-        return Fraction(t1, self.p1.den), Fraction(t0, self.a0.den)
-
-    def _grow(self, k: int) -> None:
-        if k <= self.top:
-            return
-        lo, hi = self.top + 1, min(self.N, max(k, 2 * self.top))
-        if self.exact:
-            for s in (self.a0, self.p1, self.p2, self.s_f):
-                s.extend(lo, hi)
-        else:
-            n = np.arange(lo, hi + 1, dtype=np.float64)
-            a = self.alpha[lo : hi + 1]
-            for p, terms in ((self.p1, a / n), (self.p2, a / (n * n)),
-                             (self.s_f, self.phi[lo : hi + 1] / n)):
-                # seeding with P[lo-1] keeps one sequential order of summation
-                p[lo : hi + 1] = np.cumsum(
-                    np.concatenate((p[lo - 1 : lo], terms)))[1:]
-        self.top = hi
+    alpha, phi = table.coeffs.alpha, table.phi
+    columns = {"p1": (alpha, 1), "p2": (alpha, 2), "s_f": (phi, 1)}
+    top = max(ks, default=0)
+    out = {}
+    if not table.exact:
+        n = np.arange(1, top + 1, dtype=np.float64)
+        dtype = np.result_type(alpha, phi, np.float64)
+        for name in columns.keys() & set(names):
+            column, power = columns[name]
+            out[name] = np.zeros(top + 1, dtype=dtype)
+            out[name][1:] = np.cumsum(column[1 : top + 1] / n ** power)
+        if "t_f" in names:
+            out["t_f"] = {k: np.sum(out["s_f"][1:k]) for k in ks}
+        return out
+    at_k = set(ks)
+    quotients = {v for k in blocks for v, _, _ in _blocks(k)}
+    for name in columns.keys() & set(names):
+        column, power = columns[name]
+        total = name == "s_f" and "t_f" in names
+        den, nums, tots = _exact_column(
+            column, power, top, at_k | quotients if name == "p1" else at_k,
+            total)
+        out[name] = {k: Fraction(nums[k], den) for k in at_k}
+        if total:
+            out["t_f"] = {k: Fraction(tots[k], den) for k in at_k}
+        if name == "p1":
+            p1_den, p1 = den, nums
+    if blocks:
+        a0_den, a0, _ = _exact_column(alpha, 0, top, quotients)
+        out["blocks"] = {}
+        for k in set(blocks):
+            t1 = t0 = 0
+            for v, first, last in _blocks(k):
+                t1 += (last - first + 1) * p1[v]
+                t0 += (last * (last + 1) - first * (first - 1)) * a0[v]
+            out["blocks"][k] = Fraction(t1, p1_den), Fraction(t0, a0_den)
+    return out
 
 
-def _prefix_sums(table: TotientTable) -> _PrefixSums:
-    """The table's prefix sums of alpha, made on first use."""
-    if table._prefix_sums is None:
-        table._prefix_sums = _PrefixSums(table)
-    return table._prefix_sums
+def _batch_sweep(xs, table: TotientTable, lowest, names: tuple) -> dict:
+    """_sweep at floor(x) for every x of a batch, each checked to be >=
+    lowest and in the table; the x that are exact points also get their
+    floor blocks, which exact S_g reads."""
+    ks = [_check_range(x, table, lowest) for x in xs]
+    blocks = [k for x, k in zip(xs, ks)
+              if _point_numbers(x, table.exact).exact]
+    return _sweep(table, ks, names, blocks)
+
+
+# what decompose and the reduced identity read at each point
+_DECOMPOSE_SUMS = ("p1", "p2", "s_f")
 
 
 def _constants(num: _Numbers, constants: Constants) -> tuple:
@@ -272,8 +246,10 @@ def _sawtooth(r: np.ndarray) -> np.ndarray:
     return np.where(r == 0, r, (1 - 2 * r) / 2)
 
 
-def _point_sums(x, table: TotientTable, k: int, num: _Numbers) -> tuple:
-    """(S_g(x), P1(k), P2(k)) in num's type, k = floor(x).
+def _point_sums(x, table: TotientTable, k: int, num: _Numbers,
+                sums: dict) -> tuple:
+    """(S_g(x), P1(k), P2(k)) in num's type, k = floor(x), from a sweep's
+    sums.
 
     With q = floor(x/n) = floor(k/n), {x/n}({x/n} - 1) expands to
     x^2/n^2 - x (2q + 1)/n + q (q + 1), and summing q/n and q (q + 1) over
@@ -284,11 +260,10 @@ def _point_sums(x, table: TotientTable, k: int, num: _Numbers) -> tuple:
     which exact mode sums by floor blocks.  Float mode sums S_g term by term
     instead, since the expanded form cancels x^2-sized terms in floats.
     """
-    sums = _prefix_sums(table)
-    p1, p2 = sums.at(k)
+    p1, p2 = sums["p1"][k], sums["p2"][k]
     if num.exact:
         x = Fraction(x)
-        b1, b0 = sums.floor_blocks(k)
+        b1, b0 = sums["blocks"][k]
         s_g = x * x * p2 - x * (p1 + 2 * b1) + b0
     else:
         a, _, r = _fractional_parts(x, table, k, num)
@@ -319,6 +294,14 @@ def _check_range(x, table: TotientTable, lowest) -> int:
     return k
 
 
+def _f1_value(x, k: int, s_f, table: TotientTable, num: _Numbers,
+              constants: Constants) -> Scalar:
+    c, a1, _ = _constants(num, constants)
+    if x == k:
+        s_f = s_f - num.collapse(table.phi[k]) / 2 / k
+    return a1 / 2 - 2 * c * x + s_f
+
+
 def f1_closed(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     """f1 via the closed form A1/2 - 2Cx + S_f(x), half-jump at integers.
 
@@ -329,11 +312,8 @@ def f1_closed(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     num = _point_numbers(x, table.exact)
     if x == 0:
         return num.collapse(0)
-    c, a1, _ = _constants(num, constants)
-    s_f = _prefix_sums(table).s_f_at(k)
-    if x == k:
-        s_f = s_f - num.collapse(table.phi[k]) / 2 / k
-    return a1 / 2 - 2 * c * x + s_f
+    s_f = _sweep(table, [k], ("s_f",))["s_f"][k]
+    return _f1_value(x, k, s_f, table, num, constants)
 
 
 @dataclass(frozen=True)
@@ -358,9 +338,9 @@ def f1_one_sided(N: int, table: TotientTable, constants: Constants) -> F1OneSide
         raise XBeyondTable(f"N = {N} beyond table N = {table.N}")
     c, a1, _ = _constants(_point_numbers(N, table.exact), constants)
     base = a1 / 2 - 2 * c * N
-    sums = _prefix_sums(table)
-    left = base + sums.s_f_at(N - 1)
-    right = base + sums.s_f_at(N)
+    s_f = _sweep(table, [N - 1, N], ("s_f",))["s_f"]
+    left = base + s_f[N - 1]
+    right = base + s_f[N]
     half = (left + right) / 2
     return F1OneSided(left=left, right=right, half=half, f1_value=half,
                       jump=table.phi[N] / N)
@@ -399,7 +379,8 @@ def f1_series(x: Scalar, table: TotientTable, constants: Constants,
         return num.collapse(0)
     head = f1_series_raw(x, table, M)
     _, a1, a2 = _constants(num, constants)
-    p1, p2 = (num.collapse(p) for p in _prefix_sums(table).at(M))
+    sums = _sweep(table, [M], ("p1", "p2"))
+    p1, p2 = num.collapse(sums["p1"][M]), num.collapse(sums["p2"][M])
     return num.collapse(head + (a1 - p1) / 2 - num.collapse(x) * (a2 - p2))
 
 
@@ -415,10 +396,14 @@ def f1_values(xs: np.ndarray, table: TotientTable,
         raise XBeyondTable(f"{xs.max()} beyond table N = {table.N}")
     c, a1, _ = _constants(_number_type(False), constants)
     k = np.floor(xs).astype(np.int64)
-    top = int(k.max())
-    s_f = _prefix_sums(table).s_f_floats(top)
-    phi = table.phi_array(top)
-    out = a1 / 2 - 2 * c * xs + s_f[k]
+    ks, at = np.unique(k, return_inverse=True)
+    s_f = _sweep(table, ks.tolist(), ("s_f",))["s_f"]
+    if table.exact:   # each exact value rounded once
+        s_f = np.array([float(s_f[j]) for j in ks.tolist()])
+    else:
+        s_f = s_f[ks]
+    phi = table.phi_array(int(ks[-1]))
+    out = a1 / 2 - 2 * c * xs + s_f[at]
     at_int = (xs == k) & (k >= 1)
     if np.any(at_int):
         kk = np.maximum(k, 1)
@@ -446,7 +431,8 @@ def g1(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     """
     k = _check_range(x, table, 0)
     num = _point_numbers(x, table.exact)
-    return _g1_value(x, _point_sums(x, table, k, num), num, constants)
+    sums = _batch_sweep([x], table, 0, ("p1", "p2"))
+    return _g1_value(x, _point_sums(x, table, k, num, sums), num, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +462,9 @@ def _integral_of_f1(x, k: int, table: TotientTable, constants: Constants):
     num = _point_numbers(x, table.exact)
     c, a1, _ = _constants(num, constants)
     x = num.collapse(x)
-    sums = _prefix_sums(table)
-    full = num.collapse(sums.s_f_total(k))
-    partial = num.collapse(sums.s_f_at(k)) * (x - k) if k >= 1 else 0
+    sums = _sweep(table, [k], ("s_f", "t_f"))
+    full = num.collapse(sums["t_f"][k])
+    partial = num.collapse(sums["s_f"][k]) * (x - k) if k >= 1 else 0
     return a1 * x / 2 - c * x * x + full + partial
 
 
@@ -530,12 +516,11 @@ class DecompositionReport:
 
 
 def _reduced_residual(x: Fraction, table: TotientTable, k: int,
-                      sums: tuple) -> Fraction:
+                      point_sums: tuple, s_f: Fraction) -> Fraction:
     # sum'_{n<=x} phi(n) = x(S_f - J/2) + S_g/2 - x^2 P2 / 2 + x P1 / 2
     # with J = phi(x)/x at integer x (else 0); C and A1 have cancelled, so
     # every quantity is rational and lhs - rhs is exactly 0 when it holds.
-    s_g, p1, p2 = sums
-    s_f = _prefix_sums(table).s_f_at(k)
+    s_g, p1, p2 = point_sums
     lhs = table.cumulative[k]
     j = Fraction(0)
     if x.denominator == 1:
@@ -545,15 +530,21 @@ def _reduced_residual(x: Fraction, table: TotientTable, k: int,
     return lhs - rhs
 
 
-def decompose(x: Scalar, table: TotientTable,
-              constants: Constants) -> DecompositionReport:
-    """Evaluate every piece of E2(x) = x f1(x) + g1(x)/2 at one point."""
+def decompose(x: Scalar, table: TotientTable, constants: Constants,
+              _sums: dict = None) -> DecompositionReport:
+    """Evaluate every piece of E2(x) = x f1(x) + g1(x)/2 at one point.
+
+    _sums: a batch's sweep that covers x (decompose_batch's), instead of
+    a sweep of x's own.
+    """
     k = _check_range(x, table, 1)
     num = _point_numbers(x, table.exact)
-    sums = _point_sums(x, table, k, num)
+    sums = _sums or _batch_sweep([x], table, 1, _DECOMPOSE_SUMS)
+    point_sums = _point_sums(x, table, k, num, sums)
+    s_f = sums["s_f"][k]
     e2 = error_term(table, constants.c, x, convention="symmetric")
-    xf1 = x * f1_closed(x, table, constants)
-    hg1 = _g1_value(x, sums, num, constants) / 2
+    xf1 = x * _f1_value(x, k, s_f, table, num, constants)
+    hg1 = _g1_value(x, point_sums, num, constants) / 2
     residual = e2 - xf1 - hg1
     xf = float(x)
     b_c, b_a1, b_a2 = constants.c.bound, constants.a1.bound, constants.a2.bound
@@ -562,7 +553,7 @@ def decompose(x: Scalar, table: TotientTable,
     g1_b = xf * xf * b_a2 + xf * b_a1
     verdict = "not-applicable"
     if num.exact:
-        passed = _reduced_residual(Fraction(x), table, k, sums) == 0
+        passed = _reduced_residual(Fraction(x), table, k, point_sums, s_f) == 0
         verdict = "pass" if passed else "fail"
     return DecompositionReport(
         x=x,
@@ -572,36 +563,29 @@ def decompose(x: Scalar, table: TotientTable,
         residual=residual, exact_verdict=verdict)
 
 
-def _grown_for(xs, table: TotientTable) -> list:
-    """floor(x) of every x in a batch (each checked to be >= 1 and in the
-    table), with the table's prefix sums grown to the largest at once: that
-    spares the rescaling of their numerators that growing point by point
-    costs."""
-    ks = [_check_range(x, table, 1) for x in xs]
-    if ks:
-        _prefix_sums(table).at(max(ks))
-    return ks
-
-
 def decompose_batch(xs, table: TotientTable, constants: Constants) -> list:
-    """decompose at every x of a batch, on prefix sums grown once."""
-    _grown_for(xs, table)
-    return [decompose(x, table, constants) for x in xs]
+    """decompose at every x of a batch, on one sweep of the batch's sums."""
+    sums = _batch_sweep(xs, table, 1, _DECOMPOSE_SUMS)
+    return [decompose(x, table, constants, _sums=sums) for x in xs]
 
 
 def verify_identity_batch(xs, table: TotientTable) -> list:
     """Run the constant-free reduced identity at many rational x.
 
-    The table's prefix sums are shared across the batch, leaving
-    O(sqrt(floor(x))) big-integer operations per point for S_g.
+    One sweep of the columns serves the batch, leaving O(sqrt(floor(x)))
+    big-integer operations per point for S_g.
     Returns [(x, passed, rational_residual), ...].
     """
     if not table.exact:
         raise ModeUnavailable("the reduced identity needs an exact table")
     xs = [Fraction(x) for x in xs]
+    sums = _batch_sweep(xs, table, 1, _DECOMPOSE_SUMS)
     exact = _number_type(True)
     out = []
-    for x, k in zip(xs, _grown_for(xs, table)):
-        res = _reduced_residual(x, table, k, _point_sums(x, table, k, exact))
+    for x in xs:
+        k = math.floor(x)
+        res = _reduced_residual(x, table, k,
+                                _point_sums(x, table, k, exact, sums),
+                                sums["s_f"][k])
         out.append((x, res == 0, res))
     return out

@@ -47,8 +47,8 @@ def test_parse_constants_flags():
     cfg = parse_config(["constants", "--product", "zeta",
                         "--prime-cutoff", "1000000"])
     assert cfg.command == "constants"
-    assert cfg.product == "zeta"
-    assert cfg.prime_cutoff == 10 ** 6
+    assert cfg.options["product"] == "zeta"
+    assert cfg.options["prime_cutoff"] == 10 ** 6
 
 
 def test_parse_x_range():
@@ -75,11 +75,11 @@ def test_parse_anchor():
 def test_config_file_merge_and_override(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"x": "2.5,7.5", "mode": "float"}))
-    cfg = parse_config(["decompose", "--config", str(cfg_path)])
-    assert cfg.x == "2.5,7.5" and cfg.mode == "float"
+    o = parse_config(["decompose", "--config", str(cfg_path)]).options
+    assert o["x"] == "2.5,7.5" and o["mode"] == "float"
     # CLI flag wins over the file value
-    cfg = parse_config(["decompose", "--config", str(cfg_path), "--x", "3"])
-    assert cfg.x == "3"
+    o = parse_config(["decompose", "--config", str(cfg_path), "--x", "3"]).options
+    assert o["x"] == "3"
 
 
 def test_config_unknown_key_named(tmp_path):
@@ -121,10 +121,35 @@ def test_config_values_converted_like_flags(tmp_path):
     cfg_path.write_text(json.dumps({
         "X": 100, "h": 0.01, "samples": 3, "n": None, "no_cache": True,
         "op": "probe", "x": 2.5, "roots": {"2": [0.5]}}))
-    cfg = parse_config(["volterra", "--config", str(cfg_path)])
-    assert cfg.X == 100.0 and isinstance(cfg.X, float)
-    assert (cfg.h, cfg.samples, cfg.n, cfg.no_cache, cfg.op, cfg.x,
-            cfg.roots) == (0.01, 3, None, True, "probe", 2.5, {"2": [0.5]})
+    o = parse_config(["volterra", "--config", str(cfg_path)]).options
+    assert o["X"] == 100.0 and isinstance(o["X"], float)
+    assert ([o[k] for k in ("h", "samples", "n", "no_cache", "op", "x",
+                            "roots")]
+            == [0.01, 3, None, True, "probe", 2.5, {"2": [0.5]}])
+
+
+@pytest.mark.parametrize("command, flags, options", [
+    ("volterra", ["--X", "nan"], {"X": math.nan}),
+    ("volterra", ["--X", "inf"], {"X": math.inf}),
+    ("volterra", ["--X=-inf"], {"X": -math.inf}),
+    ("volterra", ["--X", "5", "--tolerance", "nan"], {"tolerance": math.nan}),
+    ("growth", ["--X", "nan"], {"X": math.nan}),
+    ("growth", ["--X", "inf"], {"X": math.inf}),
+    ("growth", ["--samples", "-3"], {"samples": -3}),
+    ("growth", ["--X", "1" + "0" * 400], {"X": 10 ** 400}),
+])
+def test_non_finite_and_negative_values_are_usage_errors(
+        tmp_path, capsys, command, flags, options):
+    # no comparison against NaN can pass, and int(inf) or a negative sample
+    # count would end as an internal error; json reads NaN and Infinity, so
+    # config files are checked the same way as flags
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(options))
+    for argv in ([command, *flags], [command, "--config", str(cfg_path)]):
+        with pytest.raises(UsageError):
+            parse_config(argv)
+        assert main(argv) == 2
+        assert "internal" not in capsys.readouterr().err
 
 
 def _error_classes() -> list:

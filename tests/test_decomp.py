@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from eulerphi.coeffs import phi_direct, phi_table
 from eulerphi.decomp import (
-    _prefix_sums,
+    _sweep,
     decompose,
     decompose_batch,
     f1_closed,
@@ -32,8 +33,11 @@ from eulerphi.errors import (
     XBelowN,
     XBelowOne,
 )
+from eulerphi.products import Constants, ValueWithBound
 
 PI2 = math.pi ** 2
+ZERO = ValueWithBound(0.0, 0.0)
+ZERO_CONSTANTS = Constants(c=ZERO, a1=ZERO, a2=ZERO)
 
 
 def test_sawtooth_values():
@@ -207,8 +211,8 @@ def test_verify_identity_batch(request):
 
 def test_decompose_batch_matches_pointwise(zeta_spec, custom100_spec,
                                           zeta_constants, custom100_constants):
-    # descending x, so decompose point by point grows the prefix sums in
-    # other steps than the batch's one growth to the largest floor(x)
+    # the batch reads one sweep to its largest floor(x); point by point,
+    # each x sweeps to its own, so the common denominators differ
     xs = [Fraction(k, 7) for k in range(3500, 6, -97)] + [Fraction(1)]
     for spec, cons, mode in ((zeta_spec, zeta_constants, "exact"),
                              (custom100_spec, custom100_constants, "exact"),
@@ -222,9 +226,9 @@ def test_decompose_batch_matches_pointwise(zeta_spec, custom100_spec,
 
 
 def test_s_f_kernel_matches_phi_direct(zeta_spec, mod4_spec, custom100_spec):
-    # S_f(k) = sum_{n<=k} phi(n)/n from the kernel, read in a scrambled
-    # order so the sums grow in uneven steps, against phi_direct's trial
-    # factorization, which shares no code with the sieve or the kernel
+    # S_f(k) = sum_{n<=k} phi(n)/n from the sweep, asked for in a scrambled
+    # order, against phi_direct's trial factorization, which shares no code
+    # with the sieve or the kernel
     K = 300
     ks = list(range(K + 1))
     random.Random(11).shuffle(ks)
@@ -232,17 +236,21 @@ def test_s_f_kernel_matches_phi_direct(zeta_spec, mod4_spec, custom100_spec):
         want = [Fraction(0)]
         for n in range(1, K + 1):
             want.append(want[-1] + Fraction(phi_direct(spec, n, exact=True), n))
-        exact = _prefix_sums(phi_table(spec, 2 * K, mode="exact"))
-        floats = _prefix_sums(phi_table(spec, 2 * K, mode="float"))
+        exact_table = phi_table(spec, 2 * K, mode="exact")
+        exact = _sweep(exact_table, ks, ("s_f", "t_f"))
+        floats = _sweep(phi_table(spec, 2 * K, mode="float"), ks, ("s_f",))
         for k in ks:
-            got = exact.s_f_at(k)
+            got = exact["s_f"][k]
             assert isinstance(got, Fraction) and got == want[k], (spec.kind, k)
-            err = abs(Fraction(float(floats.s_f_at(k))) - want[k])
+            err = abs(Fraction(float(floats["s_f"][k])) - want[k])
             assert err <= Fraction(1e-12) * k, (spec.kind, k)
-        # the exact sums' float view rounds each value once, and their
+        # f1_values' float view of the exact sums rounds each value once
+        # (with C = A1 = 0, f1 off the integers is S_f itself), and their
         # total is exact
-        assert exact.s_f_floats(K).tolist() == [float(v) for v in want]
-        assert exact.s_f_total(K) == sum(want[1:K])
+        xs = np.arange(K + 1) + 0.5
+        view = f1_values(xs[ks], exact_table, ZERO_CONSTANTS)
+        assert view.tolist() == [float(want[k]) for k in ks]
+        assert exact["t_f"][K] == sum(want[1:K])
 
 
 def test_verify_identity_needs_exact(zeta_float_100k):
@@ -277,10 +285,9 @@ def test_exact_and_float_kernels_agree(request):
 
 def test_kernel_results_independent_of_query_order(custom100_spec,
                                                    custom100_constants):
-    # k = 500, 7, 499 grows the table's prefix sums to 500 and then (for
-    # f1_series at M = 501) to 1000; the reverse order grows them to 499 and
-    # then to 998, and each growth rescales the exact numerators to a larger
-    # common denominator.  Both orders must give identical values.
+    # each call sweeps to its own top (floor(x), or M = floor(x) + 1 for
+    # f1_series), so the exact numerators sit over different common
+    # denominators; both orders of the calls must give identical values
     cons = custom100_constants
     for mode, lift in (("exact", Fraction), ("float", float)):
         xs = [lift(Fraction(1001, 2)), lift(Fraction(52, 7)),
@@ -292,12 +299,7 @@ def test_kernel_results_independent_of_query_order(custom100_spec,
                        f1_series(x, table, cons, math.floor(x) + 1),
                        decompose(x, table, cons).residual) for x in order}
             results.append([got[x] for x in xs])
-        assert table._prefix_sums.top == 998
         assert results[0] == results[1]
-    # the prefix sums a table keeps are not part of its equality
-    queried = phi_table(custom100_spec, 300, mode="exact")
-    g1(Fraction(250, 3), queried, cons)
-    assert queried == phi_table(custom100_spec, 300, mode="exact")
 
 
 def _g1_oracle(x: Fraction, alpha, a1: Fraction, a2: Fraction) -> Fraction:
@@ -328,12 +330,16 @@ def test_g1_matches_definition_at_block_edges(request):
                     x, table.coeffs.alpha, a1, a2), (table.spec.kind, x)
 
 
-def test_verify_identity_detects_changed_entries(zeta_spec, custom100_spec):
+def test_verify_identity_detects_changed_entries(zeta_spec, custom100_spec,
+                                                zeta_constants,
+                                                custom100_constants):
     # the verdict compares the phi sieve's cumulative sums with a right side
-    # built from alpha, so changing either one fails the points that read it
+    # built from alpha and, for S_f, from the phi column, so changing any of
+    # the three fails the points that read it
     xs = [Fraction(11, 2), Fraction(99, 2), Fraction(100), Fraction(201, 2),
           Fraction(101), Fraction(451, 3)]
-    for spec in (zeta_spec, custom100_spec):
+    for spec, cons in ((zeta_spec, zeta_constants),
+                       (custom100_spec, custom100_constants)):
         table = phi_table(spec, 200, mode="exact")
         assert all(good for _, good, _ in verify_identity_batch(xs, table))
 
@@ -348,3 +354,28 @@ def test_verify_identity_detects_changed_entries(zeta_spec, custom100_spec):
         failed = [x for x, good, _ in verify_identity_batch(xs, table)
                   if not good]
         assert failed == xs[1:]
+
+        # S_f comes from phi, not from the block sum of P1 (equal in Q), so
+        # a changed phi(40) fails every x past it, in both verdicts
+        table = phi_table(spec, 200, mode="exact")
+        table.phi[40] += 1
+        failed = [x for x, good, _ in verify_identity_batch(xs, table)
+                  if not good]
+        assert failed == xs[1:]
+        assert [x for x in xs if decompose(x, table, cons).exact_verdict
+                == "fail"] == xs[1:]
+
+
+def test_exact_kernel_keeps_only_read_points(zeta_spec):
+    # one point at floor(x) = 5000 reads P1 and A0 at the ~140 values
+    # 5000//j and P1, P2, S_f at 5000 only; sums kept at every k <= 5000
+    # would hold 5000 numerators of 7000 bits or more per sum
+    table = phi_table(zeta_spec, 5000, mode="exact")
+    tracemalloc.start()
+    try:
+        [(_, passed, _)] = verify_identity_batch([Fraction(10001, 2)], table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed
+    assert peak < 4 * 2 ** 20, peak
