@@ -75,7 +75,7 @@ class PrincipalCharacter(EulerphiError):
 
 
 class PrecisionUnreachable(EulerphiError):
-    """Target bound needs more terms than the configured cap."""
+    """L(1, chi) is not separated from 0 by its bound, so A1 = 1/L(1, chi) has none."""
 
     exit_code = 19
 

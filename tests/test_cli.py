@@ -27,13 +27,13 @@ from eulerphi import coeffs, products
 from eulerphi.coeffs import cache_path, load_table, phi_table, save_table
 from eulerphi.errors import (
     AnchorOutOfRange,
+    BadModulus,
     BadProductSpec,
     CacheMismatch,
     DegreeNotMinimal,
     EulerphiError,
     IoError,
     ModeUnavailable,
-    PrecisionUnreachable,
     RootOutOfDisk,
     SOutOfRange,
     UsageError,
@@ -410,16 +410,6 @@ def test_constants_json_shape(capsys):
                for r in obj["rows"])
 
 
-def test_constants_sums_l1_once(tmp_path):
-    # A1 = 1/L(1, chi) and the L1_chi row read one sum at s = 1; L2_chi
-    # needs the only other one
-    products.l_value.cache_clear()
-    assert main(["constants", "--product", "dirichlet", "--kronecker", "-4",
-                 "--output", str(tmp_path / "c.csv")]) == 0
-    info = products.l_value.cache_info()
-    assert (info.misses, info.hits) == (2, 1)
-
-
 def test_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["decompose", "--x", "1:10:0.5", "--mode", "float",
@@ -694,16 +684,26 @@ def test_two_sources_of_one_product_rejected(tmp_path, capsys, options):
 
 
 def test_large_modulus_commands_that_read_only_c(tmp_path, capsys):
-    # growth and error-term read C alone, so they never sum L(1, chi): at
-    # modulus 401 that sum cannot reach its 1e-12 target within max_terms,
-    # which stays the documented limit of constants and decompose
+    # growth and error-term read C alone; constants, decompose and volterra
+    # also read L(1, chi), whose Euler-Maclaurin sum reaches any modulus
     chi = ["--product", "dirichlet", "--kronecker", "401"]
     out = ["--output", str(tmp_path / "report.csv")]
     assert main(["growth", "--X", "1000"] + chi + out) == 0
     assert main(["error-term", "--x", "100.5"] + chi + out) == 0
-    for args in (["constants"], ["decompose", "--x", "100.5"]):
-        assert main(args + chi + out) == PrecisionUnreachable.exit_code
+    for args in (["constants"], ["decompose", "--x", "100.5"],
+                 ["volterra", "--op", "residual", "--X", "20", "--h", "0.01"]):
+        assert main(args + chi + out) == 0
     assert "internal" not in capsys.readouterr().err
+
+
+def test_modulus_above_cap_exits_bad_modulus(capsys):
+    # refused before a table of |D| values is built
+    assert products.MAX_MODULUS < 1000000001
+    code = main(["growth", "--X", "10", "--product", "dirichlet",
+                 "--kronecker", "1000000001"])
+    assert code == BadModulus.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadModulus") and "Traceback" not in err
 
 
 def test_library_logger_prints_nothing_by_default():

@@ -1,10 +1,12 @@
 """Characters, product specs, local data, and the constants C(F), A1, A2."""
 
+import functools
 import itertools
 import json
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +102,20 @@ def test_character_validation_errors():
         build_character(q=5, values=[0, 1, 2, 1, 1])   # |value| != 1
     with pytest.raises(NonMultiplicative):
         build_character(q=5, values=[0, 1, 1, -1, -1])  # chi(2)chi(3) != chi(6)
+
+
+@pytest.mark.parametrize("d, changed", [
+    (4001, (2, 3, 1000, 4000)),       # prime: (Z/q)^* is cyclic
+    (120, None),                      # every unit of a non-cyclic group
+])
+def test_one_changed_unit_value_is_not_multiplicative(d, changed):
+    values = list(build_character(kronecker=d).values)
+    units = [a for a in range(d) if math.gcd(a, d) == 1]
+    for a in changed or units:
+        bad = values.copy()
+        bad[a] = -bad[a]
+        with pytest.raises(NonMultiplicative):
+            build_character(q=d, values=bad)
 
 
 def test_principal_character_flag():
@@ -224,6 +240,83 @@ def test_l_value_oracles():
     chi3 = build_character(kronecker=-3)
     l3 = l_value(chi3, 1.0)
     assert abs(l3.value - PI / (3 * math.sqrt(3))) <= l3.bound
+    # the ends of the range: L(0, chi_4) = 1/2, and L(s, chi) -> 1
+    for s, limit in ((1e-300, 0.5), (1.7e308, 1.0)):
+        lv = l_value(chi4, s)
+        assert abs(lv.value - limit) <= lv.bound
+
+
+def _quartic_character(q):
+    """chi(g^k) = i^k for a primitive root g of the prime q = 1 mod 4."""
+    factors = [int(p) for p in primes_upto(q) if (q - 1) % p == 0]
+    g = next(g for g in range(2, q)
+             if all(pow(g, (q - 1) // p, q) != 1 for p in factors))
+    values, x = [0] * q, 1
+    for k in range(q - 1):
+        values[x] = (1, 1j, -1, -1j)[k % 4]
+        x = x * g % q
+    return build_character(q=q, values=values)
+
+
+@functools.lru_cache
+def _hurwitz_taylor(s):
+    """binom(-s, j) zeta(s + j, 3/2) for j = 1..100, at 40 digits."""
+    with mpmath.workdps(40):
+        s, binom, out = mpmath.mpf(s), mpmath.mpf(1), []
+        for j in range(1, 101):
+            binom *= (-s - j + 1) / j
+            out.append(binom * mpmath.zeta(s + j, 1.5))
+    return out
+
+
+@functools.lru_cache
+def _moments(chi):
+    """sum_a chi(a) (a/q - 1/2)^j for j = 1..100, at 40 digits, for chi
+    with values in {0, +-1, +-i}: each an exact Gaussian integer over
+    (2q)^j."""
+    q = chi.modulus
+    sums = [[0, 0] for _ in range(100)]
+    for a, v in enumerate(chi.values):
+        if v:
+            v, h, power = complex(v), 2 * a - q, 1
+            for total in sums:
+                power *= h
+                total[0] += int(v.real) * power
+                total[1] += int(v.imag) * power
+    with mpmath.workdps(40):
+        return [mpmath.mpc(*total) / (2 * q) ** j
+                for j, total in enumerate(sums, 1)]
+
+
+@functools.lru_cache
+def _l_oracle(chi, s):
+    """L(s, chi) = q^-s sum_a chi(a) zeta(s, a/q) at 40 digits.
+
+    zeta(s, x) = x^-s + zeta(s, 3/2 + h) with h = x - 1/2, the second
+    expanded in powers of h: sum_j binom(-s, j) zeta(s + j, 3/2) h^j.  Its
+    j = 0 term, the one with a pole at s = 1, drops out since sum_a chi(a)
+    = 0, and the rest converge like 3^-j.
+    """
+    q = chi.modulus
+    with mpmath.workdps(40):
+        total = mpmath.fsum(mpmath.mpc(complex(v)) * (mpmath.mpf(a) / q) ** -s
+                            for a, v in enumerate(chi.values) if v)
+        total += mpmath.fsum(c * m for c, m in zip(_hurwitz_taylor(s),
+                                                   _moments(chi)))
+        return total * mpmath.mpf(q) ** -s
+
+
+@pytest.mark.parametrize("q", [5, 401, 4001])
+def test_l_value_within_bound_of_hurwitz_oracle(q):
+    for chi in (build_character(kronecker=q), _quartic_character(q)):
+        for s in (0.05, 0.5, 1 - 1e-9, 1.0, 1 + 1e-7, 2.0, 10.0):
+            lv = l_value(chi, s)
+            exact = _l_oracle(chi, s)
+            assert abs(mpmath.mpc(lv.value) - exact) <= lv.bound, (q, s)
+            assert lv.bound < 1e-10 and lv.bound_kind == "rigorous"
+            assert isinstance(lv.value, complex) != chi.is_real
+        a1 = a1_constant(dirichlet_product(chi))
+        assert abs(mpmath.mpc(a1.value) - 1 / _l_oracle(chi, 1.0)) <= a1.bound
 
 
 def test_l_value_errors():
@@ -231,8 +324,9 @@ def test_l_value_errors():
     with pytest.raises(PrincipalCharacter):
         l_value(principal, 1.0)
     chi4 = build_character(kronecker=-4)
-    with pytest.raises(SOutOfRange):
-        l_value(chi4, 0.0)
+    for s in (0.0, math.inf, math.nan):
+        with pytest.raises(SOutOfRange):
+            l_value(chi4, s)
 
 
 def test_a1_zeta_is_exactly_zero(zeta_constants):
