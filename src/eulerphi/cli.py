@@ -20,7 +20,7 @@ any long-option value under its dest name; command-line flags win, unknown
 keys are rejected.
 Float tables are cached under EULERPHI_CACHE_DIR (or --cache-dir) keyed by
 spec hash and size; exact tables are always built, since loading one would
-create as many Fractions as building it.
+create as many Python ints or Fractions as building it.
 
 Exit codes: 0 all requested verifications passed; 1 a verification failed;
 2 usage error; 10-35 one code per library error class (its exit_code);
@@ -416,7 +416,10 @@ def get_table(cfg: RunConfig, spec, n: int, mode: str) -> _coeffs.TotientTable:
     return table
 
 
-def get_constants(cfg: RunConfig, spec, table=None) -> _products.Constants:
+def get_constants(cfg: RunConfig, spec, table=None,
+                  l1=None) -> _products.Constants:
+    """C, A1 and A2 by the run's options; a float table that reaches the A1
+    cutoff and an L(1, chi) already computed are reused."""
     o = cfg.options
     coeffs = None
     if (table is not None and not table.exact
@@ -424,7 +427,7 @@ def get_constants(cfg: RunConfig, spec, table=None) -> _products.Constants:
         coeffs = table.coeffs
     return _products.compute_constants(
         spec, prime_cutoff=o["prime_cutoff"], a1_mode=o["a1_mode"],
-        a1_cutoff=o["a1_cutoff"], coeffs=coeffs)
+        a1_cutoff=o["a1_cutoff"], coeffs=coeffs, l1=l1)
 
 
 def _needed_n(cfg: RunConfig, xs) -> int:
@@ -453,11 +456,13 @@ def _one_row(**values) -> dict:
 
 def cmd_constants(cfg: RunConfig):
     spec = build_spec(cfg)
-    cons = get_constants(cfg, spec)
-    named = [("C_F", cons.c), ("A1", cons.a1), ("A2", cons.a2)]
+    l_values = []
     if spec.kind == "dirichlet" and not spec.character.is_principal:
-        named.append(("L1_chi", _products.l_value(spec.character, 1.0)))
-        named.append(("L2_chi", _products.l_value(spec.character, 2.0)))
+        l_values = [(f"L{s}_chi", _products.l_value(spec.character, float(s)))
+                    for s in (1, 2)]
+    # A1 = 1/L(1, chi) reads the L1_chi row's value, not a second sum
+    cons = get_constants(cfg, spec, l1=l_values[0][1] if l_values else None)
+    named = [("C_F", cons.c), ("A1", cons.a1), ("A2", cons.a2)] + l_values
     columns = {"name": [name for name, _ in named],
                "value": [v.value for _, v in named],
                "bound": [v.bound for _, v in named],
@@ -472,8 +477,12 @@ def cmd_table(cfg: RunConfig):
     table = get_table(cfg, spec, n, o["mode"])
     limit = max(0, min(o["limit"] or n, n))
     rows = slice(1, limit + 1)
-    columns = {"n": np.arange(1, limit + 1), "alpha": table.coeffs.alpha[rows],
-               "phi": table.phi[rows], "cumulative": table.cumulative[rows]}
+    columns = {"n": np.arange(1, limit + 1)}
+    for name, values in (("alpha", table.coeffs.alpha), ("phi", table.phi),
+                         ("cumulative", table.cumulative)):
+        # integer tables print as exact values, "1" in JSON, like Fractions
+        columns[name] = (list(map(Fraction, values[rows])) if table.exact
+                         else values[rows])
     return {"meta": _meta(cfg, spec, table.mode), "columns": columns}, True
 
 

@@ -15,7 +15,7 @@ phi(j)/j up to floor(x), with a half-jump correction -phi(N)/(2N) exactly at
 integers.  The remainder R = E2 - x f1 satisfies R' = -f1 between integers
 and R(x) = g1(x)/2 for x >= 1, giving three independent routes to R.
 
-Every formula has one body, built from three private pieces:
+Every formula has one body, built from four private pieces:
 
   * the number type of a call (products._point_numbers): exact rationals
     when the table is exact and x is an int or Fraction, floats otherwise.
@@ -31,6 +31,12 @@ Every formula has one body, built from three private pieces:
     points; on float tables each sum is one numpy cumulative sum.  Terms
     n > x of both series collapse onto A1 - P1 and A2 - P2, which is how
     f1_series and g1 sum their infinite tails.
+  * the scale of an exact batch, the lcm of its sums' denominators.  The
+    batch's points form each piece of the identity times the scale, so the
+    sums enter as integer numerators and every Fraction has a small
+    denominator (from x, 2, k and the constants); a value is divided
+    by the scale, and gcd-normalised over the large denominator, only
+    where a report holds it.  x f1 uses S_f's own, smaller denominator.
   * _point_sums, which gives S_g(x) = sum_{n<=x} alpha(n) {x/n}({x/n} - 1)
     (for g1, the decompose verdict and verify_identity_batch).  In exact
     mode it expands S_g into P2(k), P1(k) and sums of P1 and
@@ -142,14 +148,16 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
     sum_{n<=k} alpha(n)/n^2 ("p2"), S_f(k) = sum_{n<=k} phi(n)/n ("s_f")
     and, with "s_f", T(k) = sum_{1<=j<k} S_f(j) ("t_f"), the integral
     route's second accumulator.  Each maps to something indexed by every k
-    of ks: a dict of Fractions on exact tables; on float tables the numpy
-    cumulative sum up to the top, in the one sequential order of summation
-    (and a dict of numpy sums for T).
+    of ks.  On float tables that is the numpy cumulative sum up to the top,
+    in the one sequential order of summation (and a dict of numpy sums for
+    T).  On exact tables it is an _ExactSum, integer numerators over the
+    sum's denominator, and "scale" is the lcm of those denominators; no
+    Fraction is built.  _value reads a sum as a number.
 
-    With "p1" on an exact table, "blocks" maps each k of blocks to
-    (sum_{j<=k} P1(k//j), sum_{j<=k} 2j A0(k//j)), A0(k) = sum_{n<=k}
-    alpha(n), summed in integers over the floor blocks from P1 and A0
-    recorded only at the O(sqrt k) values k//j.
+    With "p1" on an exact table, "b1" and "b0" map each k of blocks to the
+    numerators of sum_{j<=k} P1(k//j) and sum_{j<=k} 2j A0(k//j),
+    A0(k) = sum_{n<=k} alpha(n), summed in integers over the floor blocks
+    from P1 and A0 recorded only at the O(sqrt k) values k//j.
     """
     alpha, phi = table.coeffs.alpha, table.phi
     columns = {"p1": (alpha, 1), "p2": (alpha, 2), "s_f": (phi, 1)}
@@ -167,27 +175,57 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
         return out
     at_k = set(ks)
     quotients = {v for k in blocks for v, _, _ in _blocks(k)}
+    dens, nums = {}, {}
     for name in columns.keys() & set(names):
         column, power = columns[name]
         total = name == "s_f" and "t_f" in names
-        den, nums, tots = _exact_column(
+        dens[name], nums[name], tots = _exact_column(
             column, power, top, at_k | quotients if name == "p1" else at_k,
             total)
-        out[name] = {k: Fraction(nums[k], den) for k in at_k}
         if total:
-            out["t_f"] = {k: Fraction(tots[k], den) for k in at_k}
-        if name == "p1":
-            p1_den, p1 = den, nums
+            dens["t_f"], nums["t_f"] = dens[name], tots
     if blocks:
-        a0_den, a0, _ = _exact_column(alpha, 0, top, quotients)
-        out["blocks"] = {}
+        p1 = nums["p1"]
+        dens["b1"] = dens["p1"]
+        dens["b0"], a0, _ = _exact_column(alpha, 0, top, quotients)
+        nums["b1"], nums["b0"] = {}, {}
         for k in set(blocks):
             t1 = t0 = 0
             for v, first, last in _blocks(k):
                 t1 += (last - first + 1) * p1[v]
                 t0 += (last * (last + 1) - first * (first - 1)) * a0[v]
-            out["blocks"][k] = Fraction(t1, p1_den), Fraction(t0, a0_den)
+            nums["b1"][k], nums["b0"][k] = t1, t0
+    scale = math.lcm(*dens.values())
+    out["scale"] = scale
+    for name, den in dens.items():
+        out[name] = _ExactSum(den, scale // den, {
+            k: v for k, v in nums[name].items() if k in at_k})
     return out
+
+
+@dataclass(frozen=True)
+class _ExactSum:
+    """An exact running sum at the k a batch reads: numerators[k] / den.
+
+    factor = scale // den brings a numerator over the sweep's scale, the
+    common denominator of all its sums."""
+
+    den: int
+    factor: int
+    numerators: dict
+
+    def scaled(self, k: int) -> int:
+        """The numerator at k over the sweep's scale."""
+        return self.numerators[k] * self.factor
+
+
+def _value(sums: dict, name: str, k: int, num: _Numbers) -> Scalar:
+    """The sum `name` at k of a sweep, as a number in num's type."""
+    s = sums[name]
+    if not isinstance(s, _ExactSum):
+        return num.collapse(s[k])
+    v = s.numerators[k]
+    return num.collapse(Fraction(v, s.den) if num.exact else v / s.den)
 
 
 def _batch_sweep(xs, table: TotientTable, lowest, names: tuple) -> dict:
@@ -204,9 +242,9 @@ def _batch_sweep(xs, table: TotientTable, lowest, names: tuple) -> dict:
 _DECOMPOSE_SUMS = ("p1", "p2", "s_f")
 
 
-def _constants(num: _Numbers, constants: Constants) -> tuple:
-    """(C, A1, A2) in num's type."""
-    return tuple(num.collapse(v.value)
+def _constants(num: _Numbers, constants: Constants, scale: int = 1) -> tuple:
+    """(C, A1, A2) in num's type, times scale."""
+    return tuple(num.collapse(v.value) * scale
                  for v in (constants.c, constants.a1, constants.a2))
 
 
@@ -231,7 +269,7 @@ def _fractional_parts(x, table: TotientTable, k: int, num: _Numbers) -> tuple:
     alpha = table.coeffs.alpha
     if num.exact:
         ns = [n for n in range(1, k + 1) if alpha[n]]
-        a = np.array([alpha[n] for n in ns], dtype=object)
+        a = np.array([num.collapse(alpha[n]) for n in ns], dtype=object)
         n = np.array(ns, dtype=object)
     else:
         a = table.coeffs.alpha_array(k) if table.exact else np.asarray(alpha)[: k + 1]
@@ -249,7 +287,7 @@ def _sawtooth(r: np.ndarray) -> np.ndarray:
 def _point_sums(x, table: TotientTable, k: int, num: _Numbers,
                 sums: dict) -> tuple:
     """(S_g(x), P1(k), P2(k)) in num's type, k = floor(x), from a sweep's
-    sums.
+    sums; exact values come multiplied by the sweep's scale.
 
     With q = floor(x/n) = floor(k/n), {x/n}({x/n} - 1) expands to
     x^2/n^2 - x (2q + 1)/n + q (q + 1), and summing q/n and q (q + 1) over
@@ -257,18 +295,20 @@ def _point_sums(x, table: TotientTable, k: int, num: _Numbers,
 
         S_g = x^2 P2(k) - x P1(k) - 2x sum_j P1[k//j] + sum_j 2j A0[k//j],
 
-    which exact mode sums by floor blocks.  Float mode sums S_g term by term
-    instead, since the expanded form cancels x^2-sized terms in floats.
+    which exact mode sums by floor blocks, in integer numerators over the
+    scale: with x = a/b it is one Fraction over b^2.  Float mode sums S_g
+    term by term instead, since the expanded form cancels x^2-sized terms
+    in floats.
     """
-    p1, p2 = sums["p1"][k], sums["p2"][k]
     if num.exact:
-        x = Fraction(x)
-        b1, b0 = sums["blocks"][k]
-        s_g = x * x * p2 - x * (p1 + 2 * b1) + b0
-    else:
-        a, _, r = _fractional_parts(x, table, k, num)
-        s_g = np.sum(a * r * (r - 1))
-    return num.collapse(s_g), num.collapse(p1), num.collapse(p2)
+        a, b = x.numerator, x.denominator
+        p1, p2 = sums["p1"].scaled(k), sums["p2"].scaled(k)
+        s_g = Fraction(a * a * p2 - a * b * (p1 + 2 * sums["b1"].scaled(k))
+                       + b * b * sums["b0"].scaled(k), b * b)
+        return s_g, p1, p2
+    a, _, r = _fractional_parts(x, table, k, num)
+    return (num.collapse(np.sum(a * r * (r - 1))), _value(sums, "p1", k, num),
+            _value(sums, "p2", k, num))
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +335,11 @@ def _check_range(x, table: TotientTable, lowest) -> int:
 
 
 def _f1_value(x, k: int, s_f, table: TotientTable, num: _Numbers,
-              constants: Constants) -> Scalar:
-    c, a1, _ = _constants(num, constants)
+              constants: Constants, scale: int = 1) -> Scalar:
+    # f1(x) times scale, from S_f(k) times scale
+    c, a1, _ = _constants(num, constants, scale)
     if x == k:
-        s_f = s_f - num.collapse(table.phi[k]) / 2 / k
+        s_f = s_f - num.collapse(table.phi[k]) * scale / 2 / k
     return a1 / 2 - 2 * c * x + s_f
 
 
@@ -312,7 +353,7 @@ def f1_closed(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     num = _point_numbers(x, table.exact)
     if x == 0:
         return num.collapse(0)
-    s_f = _sweep(table, [k], ("s_f",))["s_f"][k]
+    s_f = _value(_sweep(table, [k], ("s_f",)), "s_f", k, num)
     return _f1_value(x, k, s_f, table, num, constants)
 
 
@@ -336,14 +377,15 @@ def f1_one_sided(N: int, table: TotientTable, constants: Constants) -> F1OneSide
         raise UsageError(f"need an integer N >= 1, got {N}")
     if N > table.N:
         raise XBeyondTable(f"N = {N} beyond table N = {table.N}")
-    c, a1, _ = _constants(_point_numbers(N, table.exact), constants)
+    num = _point_numbers(N, table.exact)
+    c, a1, _ = _constants(num, constants)
     base = a1 / 2 - 2 * c * N
-    s_f = _sweep(table, [N - 1, N], ("s_f",))["s_f"]
-    left = base + s_f[N - 1]
-    right = base + s_f[N]
+    sums = _sweep(table, [N - 1, N], ("s_f",))
+    left = base + _value(sums, "s_f", N - 1, num)
+    right = base + _value(sums, "s_f", N, num)
     half = (left + right) / 2
     return F1OneSided(left=left, right=right, half=half, f1_value=half,
-                      jump=table.phi[N] / N)
+                      jump=num.collapse(table.phi[N]) / N)
 
 
 def f1_series_raw(x: Scalar, table: TotientTable, M: int) -> Scalar:
@@ -380,7 +422,7 @@ def f1_series(x: Scalar, table: TotientTable, constants: Constants,
     head = f1_series_raw(x, table, M)
     _, a1, a2 = _constants(num, constants)
     sums = _sweep(table, [M], ("p1", "p2"))
-    p1, p2 = num.collapse(sums["p1"][M]), num.collapse(sums["p2"][M])
+    p1, p2 = _value(sums, "p1", M, num), _value(sums, "p2", M, num)
     return num.collapse(head + (a1 - p1) / 2 - num.collapse(x) * (a2 - p2))
 
 
@@ -394,14 +436,15 @@ def f1_values(xs: np.ndarray, table: TotientTable,
         raise XBelowOne(f"need x >= 0, got {xs.min()}")
     if xs.max() > table.N:
         raise XBeyondTable(f"{xs.max()} beyond table N = {table.N}")
-    c, a1, _ = _constants(_number_type(False), constants)
+    num = _number_type(False)
+    c, a1, _ = _constants(num, constants)
     k = np.floor(xs).astype(np.int64)
     ks, at = np.unique(k, return_inverse=True)
-    s_f = _sweep(table, ks.tolist(), ("s_f",))["s_f"]
+    sums = _sweep(table, ks.tolist(), ("s_f",))
     if table.exact:   # each exact value rounded once
-        s_f = np.array([float(s_f[j]) for j in ks.tolist()])
+        s_f = np.array([_value(sums, "s_f", j, num) for j in ks.tolist()])
     else:
-        s_f = s_f[ks]
+        s_f = sums["s_f"][ks]
     phi = table.phi_array(int(ks[-1]))
     out = a1 / 2 - 2 * c * xs + s_f[at]
     at_int = (xs == k) & (k >= 1)
@@ -416,9 +459,11 @@ def f1_values(xs: np.ndarray, table: TotientTable,
 # g1
 # ---------------------------------------------------------------------------
 
-def _g1_value(x, sums: tuple, num: _Numbers, constants: Constants) -> Scalar:
+def _g1_value(x, sums: tuple, num: _Numbers, constants: Constants,
+              scale: int = 1) -> Scalar:
+    # g1(x) times scale, from _point_sums' values times scale
     s_g, p1, p2 = sums
-    _, a1, a2 = _constants(num, constants)
+    _, a1, a2 = _constants(num, constants, scale)
     x = num.collapse(x)
     return num.collapse(s_g + x * x * (a2 - p2) - x * (a1 - p1))
 
@@ -432,7 +477,9 @@ def g1(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     k = _check_range(x, table, 0)
     num = _point_numbers(x, table.exact)
     sums = _batch_sweep([x], table, 0, ("p1", "p2"))
-    return _g1_value(x, _point_sums(x, table, k, num, sums), num, constants)
+    scale = sums["scale"] if num.exact else 1
+    return _g1_value(x, _point_sums(x, table, k, num, sums), num, constants,
+                     scale) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +510,8 @@ def _integral_of_f1(x, k: int, table: TotientTable, constants: Constants):
     c, a1, _ = _constants(num, constants)
     x = num.collapse(x)
     sums = _sweep(table, [k], ("s_f", "t_f"))
-    full = num.collapse(sums["t_f"][k])
-    partial = num.collapse(sums["s_f"][k]) * (x - k) if k >= 1 else 0
+    full = _value(sums, "t_f", k, num)
+    partial = _value(sums, "s_f", k, num) * (x - k) if k >= 1 else 0
     return a1 * x / 2 - c * x * x + full + partial
 
 
@@ -516,16 +563,19 @@ class DecompositionReport:
 
 
 def _reduced_residual(x: Fraction, table: TotientTable, k: int,
-                      point_sums: tuple, s_f: Fraction) -> Fraction:
+                      point_sums: tuple, s_f: int, scale: int) -> Fraction:
     # sum'_{n<=x} phi(n) = x(S_f - J/2) + S_g/2 - x^2 P2 / 2 + x P1 / 2
     # with J = phi(x)/x at integer x (else 0); C and A1 have cancelled, so
     # every quantity is rational and lhs - rhs is exactly 0 when it holds.
+    # Both sides come multiplied by scale, the sweep's common denominator,
+    # so the sums enter as integers and every Fraction here has a small
+    # denominator.
     s_g, p1, p2 = point_sums
-    lhs = table.cumulative[k]
+    lhs = table.cumulative[k] * scale
     j = Fraction(0)
     if x.denominator == 1:
-        j = table.phi[k] / Fraction(k)
-        lhs = lhs - table.phi[k] / 2
+        j = Fraction(table.phi[k] * scale, k)
+        lhs = lhs - Fraction(table.phi[k] * scale, 2)
     rhs = x * (s_f - j / 2) + s_g / 2 - x * x * p2 / 2 + x * p1 / 2
     return lhs - rhs
 
@@ -535,17 +585,30 @@ def decompose(x: Scalar, table: TotientTable, constants: Constants,
     """Evaluate every piece of E2(x) = x f1(x) + g1(x)/2 at one point.
 
     _sums: a batch's sweep that covers x (decompose_batch's), instead of
-    a sweep of x's own.
+    a sweep of x's own.  At an exact point every piece is formed times the
+    sweep's scale and divided by it once, so a Fraction is normalised over
+    the sums' large denominator only for the values the report holds.
     """
     k = _check_range(x, table, 1)
     num = _point_numbers(x, table.exact)
     sums = _sums or _batch_sweep([x], table, 1, _DECOMPOSE_SUMS)
+    scale = sums["scale"] if num.exact else 1
     point_sums = _point_sums(x, table, k, num, sums)
-    s_f = sums["s_f"][k]
+    if num.exact:   # x f1 times S_f's own denominator, a smaller one
+        s_f = sums["s_f"]
+        f_scale, f_factor, s_f = s_f.den, s_f.factor, s_f.numerators[k]
+    else:
+        f_scale = f_factor = 1
+        s_f = _value(sums, "s_f", k, num)
     e2 = error_term(table, constants.c, x, convention="symmetric")
-    xf1 = x * _f1_value(x, k, s_f, table, num, constants)
-    hg1 = _g1_value(x, point_sums, num, constants) / 2
-    residual = e2 - xf1 - hg1
+    xf1 = x * _f1_value(x, k, s_f, table, num, constants, f_scale)
+    hg1 = _g1_value(x, point_sums, num, constants, scale) / 2
+    residual = e2 * scale - xf1 * f_factor - hg1
+    xf1 = xf1 / f_scale
+    # a zero exact residual makes g1/2 equal to E2 - x f1, whose reduced
+    # form costs a gcd over x f1's denominator, not over the larger scale
+    hg1 = e2 - xf1 if num.exact and residual == 0 else hg1 / scale
+    residual = residual / scale
     xf = float(x)
     b_c, b_a1, b_a2 = constants.c.bound, constants.a1.bound, constants.a2.bound
     e2_b = b_c * xf * xf
@@ -553,12 +616,14 @@ def decompose(x: Scalar, table: TotientTable, constants: Constants,
     g1_b = xf * xf * b_a2 + xf * b_a1
     verdict = "not-applicable"
     if num.exact:
-        passed = _reduced_residual(Fraction(x), table, k, point_sums, s_f) == 0
+        passed = _reduced_residual(Fraction(x), table, k, point_sums,
+                                   s_f * f_factor, scale) == 0
         verdict = "pass" if passed else "fail"
     return DecompositionReport(
         x=x,
         e2=ValueWithBound(e2, e2_b, constants.c.bound_kind),
-        arithmetic_part=ValueWithBound(xf1, xf * f1_b, constants.a1.bound_kind),
+        arithmetic_part=ValueWithBound(xf1, xf * f1_b,
+                                       constants.a1.bound_kind),
         analytic_part=ValueWithBound(hg1, g1_b / 2, constants.a1.bound_kind),
         residual=residual, exact_verdict=verdict)
 
@@ -580,12 +645,12 @@ def verify_identity_batch(xs, table: TotientTable) -> list:
         raise ModeUnavailable("the reduced identity needs an exact table")
     xs = [Fraction(x) for x in xs]
     sums = _batch_sweep(xs, table, 1, _DECOMPOSE_SUMS)
-    exact = _number_type(True)
+    exact, scale = _number_type(True), sums["scale"]
     out = []
     for x in xs:
         k = math.floor(x)
         res = _reduced_residual(x, table, k,
                                 _point_sums(x, table, k, exact, sums),
-                                sums["s_f"][k])
-        out.append((x, res == 0, res))
+                                sums["s_f"].scaled(k), scale)
+        out.append((x, res == 0, res / scale))
     return out

@@ -546,7 +546,8 @@ def l_value(chi: CharacterSpec, s: float) -> ValueWithBound:
 # ---------------------------------------------------------------------------
 
 def a1_constant(spec: EulerProductSpec, mode: str = "auto",
-                cutoff: int = 10 ** 6, coeffs=None) -> ValueWithBound:
+                cutoff: int = 10 ** 6, coeffs=None,
+                l1: Optional[ValueWithBound] = None) -> ValueWithBound:
     """A1 = sum_{n>=1} alpha(n)/n, assumed convergent (hypothesis on the user).
 
     closed_form, the choice of auto for every kind; formally
@@ -563,7 +564,8 @@ def a1_constant(spec: EulerProductSpec, mode: str = "auto",
     partial_sums, the independent cross-check, never chosen by auto: the
     partial sum at cutoff of a float alpha sieve (coeffs when it reaches
     cutoff), with a heuristic radius, the maximum deviation of the partial
-    sums over the last decade [cutoff/10, cutoff].
+    sums over the last decade [cutoff/10, cutoff].  l1 is L(1, chi) when
+    the caller has computed it already.
     """
     if mode == "auto":
         mode = "closed_form"
@@ -578,7 +580,7 @@ def a1_constant(spec: EulerProductSpec, mode: str = "auto",
             return ValueWithBound(value, slop, "rigorous")
         if spec.kind != "dirichlet" or spec.character.is_principal:
             return ValueWithBound(0.0, 0.0, "rigorous")
-        lv = l_value(spec.character, 1.0)
+        lv = l_value(spec.character, 1.0) if l1 is None else l1
         la = abs(lv.value)
         if la <= lv.bound:
             raise PrecisionUnreachable("L(1,chi) not separated from zero")
@@ -605,10 +607,13 @@ def a1_constant(spec: EulerProductSpec, mode: str = "auto",
 
 def compute_constants(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6,
                       a1_mode: str = "auto", a1_cutoff: int = 10 ** 6,
-                      coeffs=None) -> Constants:
-    """Bundle C(F), A1, and A2 = 2 C(F) for the decomposition routines."""
+                      coeffs=None,
+                      l1: Optional[ValueWithBound] = None) -> Constants:
+    """Bundle C(F), A1, and A2 = 2 C(F) for the decomposition routines;
+    coeffs and l1 are passed on to a1_constant."""
     c = c_constant(spec, prime_cutoff)
-    a1 = a1_constant(spec, mode=a1_mode, cutoff=a1_cutoff, coeffs=coeffs)
+    a1 = a1_constant(spec, mode=a1_mode, cutoff=a1_cutoff, coeffs=coeffs,
+                     l1=l1)
     a2 = ValueWithBound(2 * c.value, 2 * c.bound, c.bound_kind)
     return Constants(c=c, a1=a1, a2=a2)
 
@@ -640,7 +645,14 @@ def spec_to_dict(spec: EulerProductSpec) -> dict:
 
 
 def _is_json_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """True for a finite JSON number.  json reads NaN, Infinity and ints
+    of any size; none of them is a root or a character value."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:   # an int beyond float range
+        return False
 
 
 def _num_from_json(v) -> Number:

@@ -500,6 +500,18 @@ GOLDEN_REPORTS = [
      "afff6ec32e99cc7fe6b918dd8ea30f7c6cb177ac7e69a977714e16bce888db64"),
     (["decompose", "--x", "1:100:1/3", "--mode", "exact"] + CUSTOM_ROOTS,
      "85b6ffab98928bc0e46fb6816b26d5a50ed00d28afcbf6594d880124ef44d539"),
+    # JSON writes a Fraction as a string and an int as a number, so these
+    # also pin the type of every exact value, which the CSV bytes do not
+    (["table", "--n", "3000", "--mode", "exact", "--format", "json"],
+     "284867437ae9b5521479120e425d74f97413b88e0f4b24db9ac476f14c171471"),
+    (["table", "--n", "3000", "--mode", "exact", "--product", "dirichlet",
+      "--kronecker", "-4", "--format", "json"],
+     "e7973bbbae74d56591d5117dad4f7511f3903eed4db711324c673144b9c51ad0"),
+    (["verify-identity", "--x", "1:300:1/7", "--format", "json"],
+     "1ff72e442853a5f1699fac51f9fc976004f217c0e9a8e7436fa2c31754bfe197"),
+    (["decompose", "--x", "1:100:1/3", "--mode", "exact", "--format", "json"]
+     + CUSTOM_ROOTS,
+     "9e351e060ca0a1780940a549404a0028245a7d5c7779bf67ef8f8675e04aec59"),
 ]
 
 
@@ -559,6 +571,26 @@ def test_exact_decompose_beyond_int_digit_limit(capsys):
     row = dict(zip(*(line.split(",") for line in out.splitlines()[:2])))
     assert row["exact_verdict"] == "pass"
     assert row["residual"] == "0"
+
+
+@pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN", "[0.5,NaN]",
+                                 "[Infinity,0]", "1" + "0" * 400],
+                         ids=["inf", "-inf", "nan", "nan-imag", "inf-real",
+                              "int-beyond-float"])
+def test_non_finite_spec_numbers_are_bad_specs(tmp_path, capsys, bad):
+    # json reads NaN, Infinity and ints beyond float range; each is a bad
+    # spec (13), from --roots and from a spec file alike, not an internal
+    # error or, for a NaN imaginary part, a root let through
+    want = BadProductSpec.exit_code
+    roots = '{"2":[%s]}' % bad
+    assert main(["constants", "--product", "custom", "--degree", "1",
+                 "--roots", roots]) == want
+    spec = tmp_path / "spec.json"
+    for text in ('{"kind":"custom","degree":1,"roots":%s}' % roots,
+                 '{"kind":"dirichlet","modulus":4,"values":[0,1,0,%s]}' % bad):
+        spec.write_text(text)
+        assert main(["constants", "--spec-file", str(spec)]) == want
+    assert "internal" not in capsys.readouterr().err
 
 
 def test_non_numeric_roots_exit_code(tmp_path, capsys):
@@ -681,6 +713,25 @@ def test_two_sources_of_one_product_rejected(tmp_path, capsys, options):
             build_spec(parse_config(args))
         assert main(args) == UsageError.exit_code
     assert "internal" not in capsys.readouterr().err
+
+
+def test_constants_computes_each_l_value_once(tmp_path, monkeypatch):
+    # A1 = 1/L(1, chi) and the L1_chi row read one Euler-Maclaurin sum
+    calls = []
+    l_value = products.l_value
+
+    def counted(chi, s):
+        calls.append(s)
+        return l_value(chi, s)
+
+    monkeypatch.setattr(products, "l_value", counted)
+    out = tmp_path / "constants.csv"
+    assert main(["constants", "--product", "dirichlet", "--kronecker", "377",
+                 "--output", str(out)]) == 0
+    assert sorted(calls) == [1.0, 2.0]
+    rows = dict(line.split(",", 1) for line in out.read_text().splitlines())
+    assert float(rows["A1"].split(",")[0]) == 1 / float(
+        rows["L1_chi"].split(",")[0])
 
 
 def test_large_modulus_commands_that_read_only_c(tmp_path, capsys):

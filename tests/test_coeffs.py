@@ -134,15 +134,35 @@ def test_smallest_prime_factor():
                               primes_upto(N))
 
 
+# degree 1 with roots 1 and -1 at two primes and the default zero: every
+# gamma(p) is an integer, so its exact tables hold ints
+INTEGRAL_CUSTOM = custom_product(1, {2: [1], 3: [-1]}, "zero")
+
+
+def _exact_type(spec, N):
+    """int when every gamma(p), p <= N, is an integer, else Fraction."""
+    integral = all(gamma(spec, int(p), exact=True).denominator == 1
+                   for p in primes_upto(N))
+    return int if integral else Fraction
+
+
+def _assert_exact_type(table):
+    want = _exact_type(table.spec, table.N)
+    for seq in (table.coeffs.alpha, table.phi, table.cumulative):
+        assert {type(v) for v in seq} == {want}, (table.spec, table.N)
+
+
 def test_phi_table_matches_divisor_sum_exact(zeta_spec, mod4_spec,
                                              custom100_spec):
     N = 2000
-    for spec in (zeta_spec, mod4_spec, custom100_spec):
+    for spec in (zeta_spec, mod4_spec, custom100_spec, INTEGRAL_CUSTOM):
         table = phi_table(spec, N, mode="exact")
         alpha, phi = _oracle(spec, N, exact=True)
         assert table.coeffs.alpha == alpha
         assert table.phi == phi
-        assert all(isinstance(v, Fraction) for v in table.phi)
+        _assert_exact_type(table)
+        assert _exact_type(spec, N) is (Fraction if spec is custom100_spec
+                                        else int)
         assert table.cumulative[-1] == sum(phi)
         # the table holds alpha, phi and their one running sum, nothing more
         assert [f.name for f in fields(table) if f.init] == [
@@ -164,19 +184,38 @@ def test_small_tables_match_phi_direct(monkeypatch, zeta_spec, mod4_spec,
     # also puts chunk edges inside these sizes
     for chunk in (coeffs._CHUNK, 3):
         monkeypatch.setattr(coeffs, "_CHUNK", chunk)
-        for spec in (zeta_spec, mod4_spec, custom100_spec):
+        for spec in (zeta_spec, mod4_spec, custom100_spec, INTEGRAL_CUSTOM):
             alpha, _ = _oracle(spec, 40, exact=True)
             for N in range(1, 41):
                 table = phi_table(spec, N, mode="exact")
                 assert table.coeffs.alpha == alpha[: N + 1]
                 assert table.phi[0] == 0
-                assert all(isinstance(v, Fraction)
-                           for seq in (table.coeffs.alpha, table.phi,
-                                       table.cumulative)
-                           for v in seq)
+                _assert_exact_type(table)
                 assert table.phi[1:] == [phi_direct(spec, n, exact=True)
                                          for n in range(1, N + 1)]
-                assert sieve_alpha(spec, N, mode="exact").alpha == alpha[: N + 1]
+                ct = sieve_alpha(spec, N, mode="exact")
+                assert ct.alpha == alpha[: N + 1]
+                assert {type(v) for v in ct.alpha} == {_exact_type(spec, N)}
+
+
+def test_integer_tables_outside_int64_sieve_python_ints(monkeypatch,
+                                                        zeta_spec, mod4_spec):
+    # the int64 bound holds for degree-1 products up to the exact cap ...
+    ps = primes_upto(10 ** 6)
+    assert coeffs._fits_int64(np.ones(len(ps), dtype=object), ps, 10 ** 6)
+    assert coeffs._fits_int64(-np.ones(len(ps), dtype=object), ps, 10 ** 6)
+    # ... and fails where an entry could leave int64
+    big = np.full(len(ps), 2 ** 40, dtype=object)
+    assert not coeffs._fits_int64(big, ps, 10 ** 6)
+    # past the bound the same sieve runs on Python ints
+    int64_tables = [phi_table(spec, 3000, mode="exact")
+                    for spec in (zeta_spec, mod4_spec)]
+    monkeypatch.setattr(coeffs, "_fits_int64", lambda *args: False)
+    for table in int64_tables:
+        got = phi_table(table.spec, 3000, mode="exact")
+        for a, b in ((got.coeffs.alpha, table.coeffs.alpha),
+                     (got.phi, table.phi), (got.cumulative, table.cumulative)):
+            assert a == b and {type(v) for v in a} == {int}
 
 
 def test_float_alpha_has_no_negative_zero(zeta_spec, mod4_spec):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eulerphi.coeffs import phi_direct, phi_table
+from eulerphi.coeffs import error_term, phi_direct, phi_table
 from eulerphi.decomp import (
     _sweep,
     decompose,
@@ -33,7 +33,12 @@ from eulerphi.errors import (
     XBelowN,
     XBelowOne,
 )
-from eulerphi.products import Constants, ValueWithBound
+from eulerphi.products import (
+    Constants,
+    ValueWithBound,
+    compute_constants,
+    custom_product,
+)
 
 PI2 = math.pi ** 2
 ZERO = ValueWithBound(0.0, 0.0)
@@ -193,6 +198,34 @@ def test_decompose_exact(request):
                                     + rep.analytic_part.value)
 
 
+def test_exact_values_stay_fractions(request):
+    # exact tables hold ints where every gamma(p) is integral, and int / int
+    # is a float: every value read off an exact table, at integer and
+    # half-integer x, must come back a Fraction all the same
+    integral = custom_product(1, {2: [1], 3: [-1]}, "zero")
+    products = exact_products(request) + [
+        (phi_table(integral, 500, mode="exact"), compute_constants(integral))]
+    for table, cons in products:
+        for x in (Fraction(137), Fraction(275, 2), 40):
+            for _, _, res in verify_identity_batch([x], table):
+                assert type(res) is Fraction and res == 0
+            rep = decompose(x, table, cons)
+            for v in (rep.e2.value, rep.arithmetic_part.value,
+                      rep.analytic_part.value, rep.residual):
+                assert type(v) is Fraction, (table.spec, x)
+            # a float quotient inside would come back a Fraction of it
+            raw = sum(Fraction(table.coeffs.alpha[n], n) * sawtooth(
+                Fraction(x, n)) for n in range(1, 301))
+            got = f1_series_raw(x, table, 300)
+            assert type(got) is Fraction and got == raw
+            for convention in ("plain", "symmetric"):
+                e = error_term(table, cons.c, x, convention=convention)
+                assert type(e) is Fraction
+        assert type(f1_one_sided(40, table, cons).jump) is Fraction
+        assert f1_one_sided(40, table, cons).jump == Fraction(table.phi[40],
+                                                             40)
+
+
 def test_decompose_float(zeta_float_100k, zeta_constants):
     rep = decompose(1234.25, zeta_float_100k, zeta_constants)
     assert rep.exact_verdict == "not-applicable"
@@ -239,9 +272,12 @@ def test_s_f_kernel_matches_phi_direct(zeta_spec, mod4_spec, custom100_spec):
         exact_table = phi_table(spec, 2 * K, mode="exact")
         exact = _sweep(exact_table, ks, ("s_f", "t_f"))
         floats = _sweep(phi_table(spec, 2 * K, mode="float"), ks, ("s_f",))
+        s_f, t_f = exact["s_f"], exact["t_f"]
         for k in ks:
-            got = exact["s_f"][k]
-            assert isinstance(got, Fraction) and got == want[k], (spec.kind, k)
+            # an integer numerator over the denominator of the whole pass
+            got = s_f.numerators[k]
+            assert type(got) is int, (spec.kind, k)
+            assert Fraction(got, s_f.den) == want[k], (spec.kind, k)
             err = abs(Fraction(float(floats["s_f"][k])) - want[k])
             assert err <= Fraction(1e-12) * k, (spec.kind, k)
         # f1_values' float view of the exact sums rounds each value once
@@ -250,7 +286,7 @@ def test_s_f_kernel_matches_phi_direct(zeta_spec, mod4_spec, custom100_spec):
         xs = np.arange(K + 1) + 0.5
         view = f1_values(xs[ks], exact_table, ZERO_CONSTANTS)
         assert view.tolist() == [float(want[k]) for k in ks]
-        assert exact["t_f"][K] == sum(want[1:K])
+        assert Fraction(t_f.numerators[K], t_f.den) == sum(want[1:K])
 
 
 def test_verify_identity_needs_exact(zeta_float_100k):
