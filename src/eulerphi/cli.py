@@ -269,8 +269,9 @@ def _validate(cfg: RunConfig) -> None:
     for key in ("X", "tolerance"):
         if not math.isfinite(o[key]):
             raise UsageError(f"--{key} must be finite, got {o[key]}")
-    if o["samples"] < 0:
-        raise UsageError(f"--samples must be >= 0, got {o['samples']}")
+    for key in ("samples", "limit"):
+        if o[key] is not None and o[key] < 0:
+            raise UsageError(f"--{key} must be >= 0, got {o[key]}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +417,13 @@ def get_table(cfg: RunConfig, spec, n: int, mode: str) -> _coeffs.TotientTable:
     return table
 
 
-def get_constants(cfg: RunConfig, spec, table=None,
-                  l1=None) -> _products.Constants:
-    """C, A1 and A2 by the run's options; a float table that reaches the A1
-    cutoff and an L(1, chi) already computed are reused."""
+def get_constants(cfg: RunConfig, spec, l1=None) -> _products.Constants:
+    """C, A1 and A2 by the run's options; an L(1, chi) already computed is
+    reused."""
     o = cfg.options
-    coeffs = None
-    if (table is not None and not table.exact
-            and table.N >= o["a1_cutoff"]):
-        coeffs = table.coeffs
     return _products.compute_constants(
         spec, prime_cutoff=o["prime_cutoff"], a1_mode=o["a1_mode"],
-        a1_cutoff=o["a1_cutoff"], coeffs=coeffs, l1=l1)
+        a1_cutoff=o["a1_cutoff"], l1=l1)
 
 
 def _needed_n(cfg: RunConfig, xs) -> int:
@@ -475,10 +471,10 @@ def cmd_table(cfg: RunConfig):
     spec = build_spec(cfg)
     n = o["n"] or 1000
     table = get_table(cfg, spec, n, o["mode"])
-    limit = max(0, min(o["limit"] or n, n))
+    limit = n if o["limit"] is None else min(o["limit"], n)
     rows = slice(1, limit + 1)
     columns = {"n": np.arange(1, limit + 1)}
-    for name, values in (("alpha", table.coeffs.alpha), ("phi", table.phi),
+    for name, values in (("alpha", table.alpha), ("phi", table.phi),
                          ("cumulative", table.cumulative)):
         # integer tables print as exact values, "1" in JSON, like Fractions
         columns[name] = (list(map(Fraction, values[rows])) if table.exact
@@ -515,7 +511,7 @@ def cmd_decompose(cfg: RunConfig):
     table = get_table(cfg, spec, n, o["mode"])
     if not table.exact:
         xs = [float(v) for v in xs]
-    cons = get_constants(cfg, spec, table)
+    cons = get_constants(cfg, spec)
     reports = _decomp.decompose_batch(xs, table, cons)
     columns = {"x": xs,
                "E2": [rep.e2.value for rep in reports],
@@ -550,7 +546,7 @@ def cmd_volterra(cfg: RunConfig):
     X, h = float(o["X"]), float(o["h"])
     n = o["n"] or int(math.ceil(X))
     table = get_table(cfg, spec, n, "float")
-    cons = get_constants(cfg, spec, table)
+    cons = get_constants(cfg, spec)
     e2p = _coeffs.make_e2(table, cons.c)
     tol = o["tolerance"]
 

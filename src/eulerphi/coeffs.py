@@ -9,11 +9,11 @@ there is no second sieve: with p = spf(n) and m = n/p,
 
     f(n) = f(m) * (higher if p | m else f(p)),
 
-where higher = 0 for alpha and p for phi (1 for phi(n)/n, which float
-tables sieve and multiply by n).  m <= n/2, so every entry is filled from
-earlier ones in about log2(N) whole-array steps.  phi_direct evaluates the
-product formula by trial factorization, and the tests check tables against
-the divisor sum phi(n)/n = sum_{m|n} alpha(m)/m.
+where higher = 0 for alpha and p for phi, in every number type.  m <= n/2,
+so every entry is filled from earlier ones in about log2(N) whole-array
+steps.  phi_direct evaluates the product formula by trial factorization,
+and the tests check tables against the divisor sum
+phi(n)/n = sum_{m|n} alpha(m)/m.
 
 Tables come in two modes and three number types.  'exact' tables, available
 when every gamma(p) is rational, hold Python ints when every gamma(p) they
@@ -67,7 +67,7 @@ _EXACT_N_CAP = 10 ** 6
 _EXACT_AUTO_CAP = 2 * 10 ** 5
 
 # bumped whenever the file layout changes, so older files fail the header check
-_CACHE_VERSION = 4
+_CACHE_VERSION = 5
 # entries per step of the multiplicative sieve; bounds its temporaries
 _CHUNK = 1 << 16
 
@@ -95,37 +95,22 @@ class CoefficientTable:
 
 
 @dataclass
-class TotientTable:
-    """phi(0..N) and its running sum cumulative[k] = sum_{n<=k} phi(n).
+class TotientTable(CoefficientTable):
+    """alpha(0..N), phi(0..N) and the running sum cumulative[k] =
+    sum_{n<=k} phi(n).
 
     Entry 0 of each is 0.  Exact tables hold lists of Python ints when every
     gamma(p) up to N is an integer and of Fractions otherwise; float tables
-    hold numpy arrays.  A division of an exact entry goes through Fraction,
-    since int / int would round to a float.  The table holds no other
-    running sum: the decomposition kernel sums alpha and phi(n)/n afresh for
-    each batch of points, up to its largest floor(x), and keeps only the
-    values its formulas read.
+    hold numpy arrays, in which phi of an integral gamma(p) is an exact
+    integer.  A division of an exact entry goes through Fraction, since
+    int / int would round to a float.  The table holds no other running
+    sum: the decomposition kernel sums alpha and phi(n)/n afresh for each
+    batch of points, up to its largest floor(x), and keeps only the values
+    its formulas read.
     """
 
-    coeffs: CoefficientTable
     phi: Union[list, np.ndarray]
     cumulative: Union[list, np.ndarray]
-
-    @property
-    def spec(self) -> EulerProductSpec:
-        return self.coeffs.spec
-
-    @property
-    def N(self) -> int:
-        return self.coeffs.N
-
-    @property
-    def mode(self) -> str:
-        return self.coeffs.mode
-
-    @property
-    def exact(self) -> bool:
-        return self.coeffs.exact
 
     def phi_array(self, upto: Optional[int] = None) -> np.ndarray:
         return _float_prefix(self.phi, self.N, upto, self.exact)
@@ -239,16 +224,22 @@ def _gammas(spec: EulerProductSpec, ps: np.ndarray, N: int,
     return (gam.astype(np.int64) if _fits_int64(gam, ps, N) else gam), 1
 
 
+def _sieve(spec: EulerProductSpec, N: int, mode: str) -> tuple:
+    """(mode, spf, ps, gamma(ps), one, alpha) for a table up to N, alpha
+    still the sieve's array."""
+    mode = _resolve_mode(spec, N, mode)
+    spf = smallest_prime_factor(N)
+    ps = spf_primes(spf)
+    gam, one = _gammas(spec, ps, N, mode == "exact")
+    return mode, spf, ps, gam, one, _multiplicative(spf, ps, -gam, 0, one)
+
+
 def sieve_alpha(spec: EulerProductSpec, N: int,
                 mode: str = "auto") -> CoefficientTable:
     """Tabulate alpha(n) = mu(n) prod_{p|n} gamma(p) for n <= N."""
-    mode = _resolve_mode(spec, N, mode)
-    exact = mode == "exact"
-    spf = smallest_prime_factor(N)
-    ps = spf_primes(spf)
-    gam, one = _gammas(spec, ps, N, exact)
-    return CoefficientTable(spec=spec, N=N, mode=mode, alpha=_stored(
-        _multiplicative(spf, ps, -gam, 0, one), exact))
+    mode, _, _, _, _, alpha = _sieve(spec, N, mode)
+    return CoefficientTable(spec=spec, N=N, mode=mode,
+                            alpha=_stored(alpha, mode == "exact"))
 
 
 def phi_direct(spec: EulerProductSpec, n: int,
@@ -270,25 +261,16 @@ def phi_direct(spec: EulerProductSpec, n: int,
 def phi_table(spec: EulerProductSpec, N: int, mode: str = "auto") -> TotientTable:
     """Build alpha(0..N), phi(0..N) and its running sum on one SPF table.
 
-    Exact tables sieve phi itself, phi(n) = phi(m) (p if p | m else
-    p - gamma(p)), so integral gamma(p) give integers throughout.  Float
-    tables sieve phi(n)/n = prod_{p|n} (1 + alpha(p)/p), the same at p and
-    at p^k (higher = 1), and multiply by n.
+    phi is sieved itself, phi(n) = phi(m) (p if p | m else p - gamma(p)),
+    in the table's number type, so integral gamma(p) give integers
+    throughout: Python ints in exact tables, whole float64 values in float
+    ones.
     """
-    mode = _resolve_mode(spec, N, mode)
+    mode, spf, ps, gam, one, alpha = _sieve(spec, N, mode)
     exact = mode == "exact"
-    spf = smallest_prime_factor(N)
-    ps = spf_primes(spf)
-    gam, one = _gammas(spec, ps, N, exact)
-    alpha = _multiplicative(spf, ps, -gam, 0, one)
-    coeffs = CoefficientTable(spec=spec, N=N, mode=mode,
-                              alpha=_stored(alpha, exact))
-    if exact:
-        phi = _multiplicative(spf, ps, ps - gam, spf, one)
-    else:
-        phi = (_multiplicative(spf, ps, 1 + alpha[ps] / ps, 1, one)
-               * np.arange(N + 1))
-    return TotientTable(coeffs=coeffs, phi=_stored(phi, exact),
+    phi = _multiplicative(spf, ps, ps - gam, spf, one)
+    return TotientTable(spec=spec, N=N, mode=mode, alpha=_stored(alpha, exact),
+                        phi=_stored(phi, exact),
                         cumulative=_stored(np.cumsum(phi), exact))
 
 
@@ -401,7 +383,7 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
     elif table.N < N:
         raise XBeyondTable(f"table holds N = {table.N} < {N}")
     phi = table.phi_array(N)
-    alpha = table.coeffs.alpha_array(N)
+    alpha = table.alpha_array(N)
     n = np.arange(N + 1, dtype=np.float64)
     n[0] = 1.0
     w = n ** (-s)
@@ -490,7 +472,7 @@ def save_table(table: TotientTable, path: str) -> None:
                          "N": table.N, "mode": "float"}, sort_keys=True)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     np.savez(path, header=np.array(header), **dict(zip(_FIELDS, (
-        table.coeffs.alpha, table.phi, table.cumulative))))
+        table.alpha, table.phi, table.cumulative))))
 
 
 def load_table(path: str, spec: EulerProductSpec, N: int) -> TotientTable:
@@ -502,5 +484,5 @@ def load_table(path: str, spec: EulerProductSpec, N: int) -> TotientTable:
         if header != want:
             raise CacheMismatch(f"cache header {header} != requested {want}")
         alpha, phi, cumulative = (z[k] for k in _FIELDS)
-    ct = CoefficientTable(spec=spec, N=N, mode="float", alpha=alpha)
-    return TotientTable(coeffs=ct, phi=phi, cumulative=cumulative)
+    return TotientTable(spec=spec, N=N, mode="float", alpha=alpha, phi=phi,
+                        cumulative=cumulative)

@@ -159,7 +159,7 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
     A0(k) = sum_{n<=k} alpha(n), summed in integers over the floor blocks
     from P1 and A0 recorded only at the O(sqrt k) values k//j.
     """
-    alpha, phi = table.coeffs.alpha, table.phi
+    alpha, phi = table.alpha, table.phi
     columns = {"p1": (alpha, 1), "p2": (alpha, 2), "s_f": (phi, 1)}
     top = max(ks, default=0)
     out = {}
@@ -266,13 +266,13 @@ def _frac(x, n, num: _Numbers) -> np.ndarray:
 
 def _fractional_parts(x, table: TotientTable, k: int, num: _Numbers) -> tuple:
     """(alpha(n), n, {x/n}) over the n <= k with alpha(n) != 0."""
-    alpha = table.coeffs.alpha
+    alpha = table.alpha
     if num.exact:
         ns = [n for n in range(1, k + 1) if alpha[n]]
         a = np.array([num.collapse(alpha[n]) for n in ns], dtype=object)
         n = np.array(ns, dtype=object)
     else:
-        a = table.coeffs.alpha_array(k) if table.exact else np.asarray(alpha)[: k + 1]
+        a = table.alpha_array(k) if table.exact else np.asarray(alpha)[: k + 1]
         n = np.flatnonzero(a[1:]) + 1
         a = a[n]
         n = n.astype(np.float64)

@@ -546,7 +546,7 @@ def l_value(chi: CharacterSpec, s: float) -> ValueWithBound:
 # ---------------------------------------------------------------------------
 
 def a1_constant(spec: EulerProductSpec, mode: str = "auto",
-                cutoff: int = 10 ** 6, coeffs=None,
+                cutoff: int = 10 ** 6,
                 l1: Optional[ValueWithBound] = None) -> ValueWithBound:
     """A1 = sum_{n>=1} alpha(n)/n, assumed convergent (hypothesis on the user).
 
@@ -562,9 +562,9 @@ def a1_constant(spec: EulerProductSpec, mode: str = "auto",
         finite product, so under the assumed convergence Abel's theorem
         gives 0, as for zeta.
     partial_sums, the independent cross-check, never chosen by auto: the
-    partial sum at cutoff of a float alpha sieve (coeffs when it reaches
-    cutoff), with a heuristic radius, the maximum deviation of the partial
-    sums over the last decade [cutoff/10, cutoff].  l1 is L(1, chi) when
+    partial sum at cutoff of its own float alpha sieve, with a heuristic
+    radius, the maximum deviation of the partial sums over the last decade
+    [cutoff/10, cutoff].  l1 is L(1, chi) when
     the caller has computed it already.
     """
     if mode == "auto":
@@ -592,13 +592,10 @@ def a1_constant(spec: EulerProductSpec, mode: str = "auto",
     if mode != "partial_sums":
         raise ModeUnavailable(f"unknown mode {mode!r}")
     from . import coeffs as _coeffs
-    if coeffs is not None and coeffs.N >= cutoff:
-        table = coeffs
-    else:
-        table = _coeffs.sieve_alpha(spec, cutoff, mode="float")
+    alpha = _coeffs.sieve_alpha(spec, cutoff, mode="float").alpha
     n = np.arange(cutoff + 1, dtype=np.float64)
     n[0] = 1.0
-    sums = np.cumsum(table.alpha_array(cutoff) / n)
+    sums = np.cumsum(alpha / n)
     value = sums[cutoff]
     lo = max(1, cutoff // 10)
     dev = float(np.max(np.abs(sums[lo:] - value)))
@@ -607,13 +604,11 @@ def a1_constant(spec: EulerProductSpec, mode: str = "auto",
 
 def compute_constants(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6,
                       a1_mode: str = "auto", a1_cutoff: int = 10 ** 6,
-                      coeffs=None,
                       l1: Optional[ValueWithBound] = None) -> Constants:
     """Bundle C(F), A1, and A2 = 2 C(F) for the decomposition routines;
-    coeffs and l1 are passed on to a1_constant."""
+    l1 is passed on to a1_constant."""
     c = c_constant(spec, prime_cutoff)
-    a1 = a1_constant(spec, mode=a1_mode, cutoff=a1_cutoff, coeffs=coeffs,
-                     l1=l1)
+    a1 = a1_constant(spec, mode=a1_mode, cutoff=a1_cutoff, l1=l1)
     a2 = ValueWithBound(2 * c.value, 2 * c.bound, c.bound_kind)
     return Constants(c=c, a1=a1, a2=a2)
 

@@ -83,7 +83,7 @@ def test_criterion_03_twisted_specialization(mod4_exact_10k):
             mu[p::p] *= -1
             mu[p * p:: p * p] = 0
     chi = mod4_exact_10k.spec.character
-    alpha = mod4_exact_10k.coeffs.alpha
+    alpha = mod4_exact_10k.alpha
     for n in range(1, N + 1):
         assert alpha[n] == int(mu[n]) * chi(n)
     report(3, "alpha(n) == mu(n) chi(n) exactly for n <= 10^4 (mod-4 character)")
@@ -205,7 +205,7 @@ def test_criterion_10_constants(zeta_spec, zeta_float_1m, mod4_float_1m,
     gaps = []
     for table, cons in ((zeta_float_1m, zeta_constants),
                         (mod4_float_1m, mod4_constants)):
-        alpha = np.asarray(table.coeffs.alpha)
+        alpha = np.asarray(table.alpha)
         n = np.arange(N + 1, dtype=np.float64)
         n[0] = 1.0
         p2 = float(np.sum(alpha / (n * n)))

@@ -137,6 +137,7 @@ def test_config_values_converted_like_flags(tmp_path):
     ("growth", ["--X", "inf"], {"X": math.inf}),
     ("growth", ["--samples", "-3"], {"samples": -3}),
     ("growth", ["--X", "1" + "0" * 400], {"X": 10 ** 400}),
+    ("table", ["--limit", "-1"], {"limit": -1}),
 ])
 def test_non_finite_and_negative_values_are_usage_errors(
         tmp_path, capsys, command, flags, options):
@@ -410,6 +411,42 @@ def test_constants_json_shape(capsys):
                for r in obj["rows"])
 
 
+def test_table_limit_exports_that_many_rows(capsys):
+    # --limit 0 exports no rows; unset, every row up to --n
+    for flags, rows in (([], 5), (["--limit", "2"], 2), (["--limit", "0"], 0),
+                        (["--limit", "9"], 5)):
+        code, out = run_main(["table", "--n", "5", "--format", "json"]
+                             + flags, capsys)
+        assert code == 0
+        assert [row["n"] for row in json.loads(out)["rows"]] == list(
+            range(1, rows + 1))
+
+
+def test_dirichlet_from_modulus_and_values(capsys):
+    # the character from its value table is the one --kronecker -4 names
+    reports = []
+    for chi in (["--modulus", "4", "--values", "0,1,0,-1"],
+                ["--kronecker", "-4"]):
+        code, out = run_main(["constants", "--product", "dirichlet", *chi,
+                              "--format", "json"], capsys)
+        assert code == 0
+        reports.append(out)
+    assert json.loads(reports[0])["meta"]["spec_hash"] == "48acd809dcd624f4"
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["--product", "dirichlet"],
+    ["--product", "dirichlet", "--modulus", "4"],
+    ["--product", "custom", "--degree", "2"],
+])
+def test_product_without_its_data_is_usage_error(capsys, args):
+    with pytest.raises(UsageError, match="product needs"):
+        build_spec(parse_config(["constants", *args]))
+    assert main(["constants", *args]) == UsageError.exit_code
+    assert "internal" not in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["decompose", "--x", "1:10:0.5", "--mode", "float",
@@ -436,31 +473,39 @@ def test_cache_warm_equals_cold(tmp_path, monkeypatch):
 
 def test_old_cache_format_is_rejected_and_rebuilt(tmp_path):
     # format 3 held a fourth column, sum_{n<=k} phi(n)/n, that format 4 no
-    # longer stores
+    # longer stores; format 4 held float phi as n times phi(n)/n, whose last
+    # bits format 5's exact formula moves, here every entry by one ulp
     spec, n = zeta_product(), 60
     table = phi_table(spec, n, mode="float")
-    path = cache_path(str(tmp_path), spec, n)
-    header = json.dumps({"version": 3, "spec_hash": spec_hash(spec),
-                         "N": n, "mode": "float"}, sort_keys=True)
     ratio_cumsum = np.cumsum(table.phi / np.maximum(np.arange(n + 1), 1))
-    np.savez(path, header=np.array(header), alpha=table.coeffs.alpha,
-             phi=table.phi, cumulative=table.cumulative,
-             ratio_cumsum=ratio_cumsum)
-    with pytest.raises(CacheMismatch):
-        load_table(path, spec, n)
-    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    old_columns = {
+        3: dict(phi=table.phi, cumulative=table.cumulative,
+                ratio_cumsum=ratio_cumsum),
+        4: dict(phi=np.nextafter(table.phi, np.inf),
+                cumulative=np.nextafter(table.cumulative, np.inf))}
+    cold = tmp_path / "cold.csv"
     args = ["table", "--n", str(n), "--mode", "float"]
     assert main(args + ["--no-cache", "--output", str(cold)]) == 0
-    assert main(args + ["--cache-dir", str(tmp_path),
-                        "--output", str(warm)]) == 0
-    assert warm.read_bytes() == cold.read_bytes()
-    back = load_table(path, spec, n)
-    for got, want in ((back.coeffs.alpha, table.coeffs.alpha),
-                      (back.phi, table.phi),
-                      (back.cumulative, table.cumulative)):
-        assert np.array_equal(got, want)
-    with np.load(path) as z:
-        assert sorted(z.files) == ["alpha", "cumulative", "header", "phi"]
+    for version, columns in old_columns.items():
+        cache = tmp_path / f"format{version}"
+        path = cache_path(str(cache), spec, n)
+        cache.mkdir()
+        header = json.dumps({"version": version, "spec_hash": spec_hash(spec),
+                             "N": n, "mode": "float"}, sort_keys=True)
+        np.savez(path, header=np.array(header), alpha=table.alpha,
+                 **columns)
+        with pytest.raises(CacheMismatch):
+            load_table(path, spec, n)
+        warm = tmp_path / f"warm{version}.csv"
+        assert main(args + ["--cache-dir", str(cache),
+                            "--output", str(warm)]) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+        back = load_table(path, spec, n)
+        for got, want in ((back.alpha, table.alpha), (back.phi, table.phi),
+                          (back.cumulative, table.cumulative)):
+            assert np.array_equal(got, want)
+        with np.load(path) as z:
+            assert sorted(z.files) == ["alpha", "cumulative", "header", "phi"]
 
 
 def test_exact_tables_are_not_cached(tmp_path):

@@ -148,7 +148,7 @@ def _exact_type(spec, N):
 
 def _assert_exact_type(table):
     want = _exact_type(table.spec, table.N)
-    for seq in (table.coeffs.alpha, table.phi, table.cumulative):
+    for seq in (table.alpha, table.phi, table.cumulative):
         assert {type(v) for v in seq} == {want}, (table.spec, table.N)
 
 
@@ -158,7 +158,7 @@ def test_phi_table_matches_divisor_sum_exact(zeta_spec, mod4_spec,
     for spec in (zeta_spec, mod4_spec, custom100_spec, INTEGRAL_CUSTOM):
         table = phi_table(spec, N, mode="exact")
         alpha, phi = _oracle(spec, N, exact=True)
-        assert table.coeffs.alpha == alpha
+        assert table.alpha == alpha
         assert table.phi == phi
         _assert_exact_type(table)
         assert _exact_type(spec, N) is (Fraction if spec is custom100_spec
@@ -166,7 +166,7 @@ def test_phi_table_matches_divisor_sum_exact(zeta_spec, mod4_spec,
         assert table.cumulative[-1] == sum(phi)
         # the table holds alpha, phi and their one running sum, nothing more
         assert [f.name for f in fields(table) if f.init] == [
-            "coeffs", "phi", "cumulative"]
+            "spec", "N", "mode", "alpha", "phi", "cumulative"]
 
 
 def test_phi_table_matches_divisor_sum_complex_float():
@@ -174,8 +174,23 @@ def test_phi_table_matches_divisor_sum_complex_float():
     table = phi_table(COMPLEX_SPEC, N, mode="float")
     alpha, phi = _oracle(COMPLEX_SPEC, N, exact=False)
     n = np.arange(N + 1)
-    assert np.all(np.abs(np.asarray(table.coeffs.alpha) - alpha) <= 1e-15)
+    assert np.all(np.abs(np.asarray(table.alpha) - alpha) <= 1e-15)
     assert np.all(np.abs(np.asarray(table.phi) - phi) <= 1e-13 * n)
+
+
+def test_float_phi_of_integral_gamma_is_the_exact_table(zeta_spec,
+                                                        mod4_spec):
+    # float tables sieve phi(p^k) = p^(k-1) (p - gamma(p)) as exact ones do,
+    # so integral gamma(p) give the exact integers, not n times a rounded
+    # phi(n)/n
+    N = 2 * 10 ** 4
+    chi8 = dirichlet_product(build_character(kronecker=8))
+    for spec in (zeta_spec, mod4_spec, chi8):
+        exact = phi_table(spec, N, mode="exact")
+        table = phi_table(spec, N, mode="float")
+        for name in ("phi", "cumulative"):
+            assert np.array_equal(getattr(table, name),
+                                  np.array(getattr(exact, name), dtype=float))
 
 
 def test_small_tables_match_phi_direct(monkeypatch, zeta_spec, mod4_spec,
@@ -188,7 +203,7 @@ def test_small_tables_match_phi_direct(monkeypatch, zeta_spec, mod4_spec,
             alpha, _ = _oracle(spec, 40, exact=True)
             for N in range(1, 41):
                 table = phi_table(spec, N, mode="exact")
-                assert table.coeffs.alpha == alpha[: N + 1]
+                assert table.alpha == alpha[: N + 1]
                 assert table.phi[0] == 0
                 _assert_exact_type(table)
                 assert table.phi[1:] == [phi_direct(spec, n, exact=True)
@@ -213,7 +228,7 @@ def test_integer_tables_outside_int64_sieve_python_ints(monkeypatch,
     monkeypatch.setattr(coeffs, "_fits_int64", lambda *args: False)
     for table in int64_tables:
         got = phi_table(table.spec, 3000, mode="exact")
-        for a, b in ((got.coeffs.alpha, table.coeffs.alpha),
+        for a, b in ((got.alpha, table.alpha),
                      (got.phi, table.phi), (got.cumulative, table.cumulative)):
             assert a == b and {type(v) for v in a} == {int}
 
@@ -313,8 +328,8 @@ def test_cache_roundtrip_float(tmp_path, zeta_spec):
     save_table(table, path)
     back = load_table(path, zeta_spec, 2000)
     assert np.array_equal(np.asarray(back.phi), np.asarray(table.phi))
-    assert np.array_equal(np.asarray(back.coeffs.alpha),
-                          np.asarray(table.coeffs.alpha))
+    assert np.array_equal(np.asarray(back.alpha),
+                          np.asarray(table.alpha))
     assert np.array_equal(np.asarray(back.cumulative),
                           np.asarray(table.cumulative))
     # files written compressed (before format 3 went uncompressed) load

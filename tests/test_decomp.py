@@ -214,7 +214,7 @@ def test_exact_values_stay_fractions(request):
                       rep.analytic_part.value, rep.residual):
                 assert type(v) is Fraction, (table.spec, x)
             # a float quotient inside would come back a Fraction of it
-            raw = sum(Fraction(table.coeffs.alpha[n], n) * sawtooth(
+            raw = sum(Fraction(table.alpha[n], n) * sawtooth(
                 Fraction(x, n)) for n in range(1, 301))
             got = f1_series_raw(x, table, 300)
             assert type(got) is Fraction and got == raw
@@ -363,7 +363,7 @@ def test_g1_matches_definition_at_block_edges(request):
         for k in ks:
             for x in (Fraction(k), k + Fraction(1, 2), k + Fraction(3, 7)):
                 assert g1(x, table, cons) == _g1_oracle(
-                    x, table.coeffs.alpha, a1, a2), (table.spec.kind, x)
+                    x, table.alpha, a1, a2), (table.spec.kind, x)
 
 
 def test_verify_identity_detects_changed_entries(zeta_spec, custom100_spec,
@@ -386,7 +386,7 @@ def test_verify_identity_detects_changed_entries(zeta_spec, custom100_spec,
         assert failed == [Fraction(100), Fraction(201, 2)]
 
         table = phi_table(spec, 200, mode="exact")
-        table.coeffs.alpha[6] += 1
+        table.alpha[6] += 1
         failed = [x for x, good, _ in verify_identity_batch(xs, table)
                   if not good]
         assert failed == xs[1:]
