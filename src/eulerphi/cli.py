@@ -109,77 +109,76 @@ _DEFAULTS = {
     "config": None,
 }
 
-def _build_parser() -> argparse.ArgumentParser:
+
+def _add_common(p: argparse.ArgumentParser, *, tables=True):
+    g = p.add_argument_group("product")
+    g.add_argument("--product", choices=("zeta", "dirichlet", "custom"))
+    g.add_argument("--kronecker", type=int, metavar="D")
+    g.add_argument("--modulus", type=int, metavar="Q")
+    g.add_argument("--values", metavar="V0,V1,...")
+    g.add_argument("--spec-file", metavar="PATH")
+    g.add_argument("--degree", type=int)
+    g.add_argument("--roots", metavar="JSON")
+    g.add_argument("--default", choices=("zero", "one"))
+    if tables:
+        p.add_argument("--mode", choices=("auto", "exact", "float"))
+        p.add_argument("--n", type=int, metavar="N")
+        p.add_argument("--cache-dir", metavar="DIR")
+        p.add_argument("--no-cache", action="store_true", default=None)
+    p.add_argument("--prime-cutoff", type=int)
+    p.add_argument("--a1-mode",
+                   choices=("auto", "closed_form", "partial_sums"))
+    p.add_argument("--a1-cutoff", type=int)
+    p.add_argument("--output", metavar="PATH")
+    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--config", metavar="PATH")
+
+
+_X = ("--x", {"metavar": "LIST|A:B:STEP"})
+_GRID = ("--X", {"type": float})
+
+# command -> (its help line, whether it builds a table, the options it adds
+# to the common ones)
+_COMMANDS = {
+    "constants": ("C(F), A1, A2 and L-values", False, ()),
+    "table": ("build and export a totient table", True,
+              (("--limit", {"type": int, "help": "max rows to export"}),)),
+    "error-term": ("E(x) at given x values", True,
+                   (_X, ("--convention", {"choices": ("plain", "symmetric")}))),
+    "decompose": ("E2 = x f1 + g1/2 reports", True, (_X,)),
+    "verify-identity": ("exact constant-free reduced identity", True, (_X,)),
+    "volterra": ("equation residual / solve / probe", True, (
+        ("--op", {"choices": ("residual", "solve", "probe")}), _GRID,
+        ("--h", {"type": float}), ("--A", {"type": float}),
+        ("--anchor", {"metavar": "X0=V|X0=auto"}),
+        ("--tolerance", {"type": float}))),
+    "growth": ("|E(x)|/(x (log 2x)^d) scan", True, (
+        _GRID, ("--x-min", {"type": int}), ("--samples", {"type": int}))),
+    "series-check": ("Dirichlet series identity at real s > 2", True,
+                     (("--s", {"type": float}),)),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The eulerphi parser, with the options of `command` only, or of every
+    command when it is None.
+
+    Every command's subparser is added, with its help line, so the
+    top-level help and the invalid-choice message do not depend on
+    `command`; the options, about 20 per command, are what costs.
+    """
     top = argparse.ArgumentParser(
         prog="eulerphi",
         description="Euler totients of polynomial Euler products: error terms, "
                     "their decomposition, and Volterra-equation checks.")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *, tables=True):
-        g = p.add_argument_group("product")
-        g.add_argument("--product", choices=("zeta", "dirichlet", "custom"))
-        g.add_argument("--kronecker", type=int, metavar="D")
-        g.add_argument("--modulus", type=int, metavar="Q")
-        g.add_argument("--values", metavar="V0,V1,...")
-        g.add_argument("--spec-file", metavar="PATH")
-        g.add_argument("--degree", type=int)
-        g.add_argument("--roots", metavar="JSON")
-        g.add_argument("--default", choices=("zero", "one"))
-        if tables:
-            p.add_argument("--mode", choices=("auto", "exact", "float"))
-            p.add_argument("--n", type=int, metavar="N")
-            p.add_argument("--cache-dir", metavar="DIR")
-            p.add_argument("--no-cache", action="store_true", default=None)
-        p.add_argument("--prime-cutoff", type=int)
-        p.add_argument("--a1-mode",
-                       choices=("auto", "closed_form", "partial_sums"))
-        p.add_argument("--a1-cutoff", type=int)
-        p.add_argument("--output", metavar="PATH")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--config", metavar="PATH")
-
-    p = sub.add_parser("constants", help="C(F), A1, A2 and L-values")
-    add_common(p, tables=False)
-
-    p = sub.add_parser("table", help="build and export a totient table")
-    add_common(p)
-    p.add_argument("--limit", type=int, help="max rows to export")
-
-    p = sub.add_parser("error-term", help="E(x) at given x values")
-    add_common(p)
-    p.add_argument("--x", metavar="LIST|A:B:STEP")
-    p.add_argument("--convention", choices=("plain", "symmetric"))
-
-    p = sub.add_parser("decompose", help="E2 = x f1 + g1/2 reports")
-    add_common(p)
-    p.add_argument("--x", metavar="LIST|A:B:STEP")
-
-    p = sub.add_parser("verify-identity",
-                       help="exact constant-free reduced identity")
-    add_common(p)
-    p.add_argument("--x", metavar="LIST|A:B:STEP")
-
-    p = sub.add_parser("volterra", help="equation residual / solve / probe")
-    add_common(p)
-    p.add_argument("--op", choices=("residual", "solve", "probe"))
-    p.add_argument("--X", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--A", type=float)
-    p.add_argument("--anchor", metavar="X0=V|X0=auto")
-    p.add_argument("--tolerance", type=float)
-
-    p = sub.add_parser("growth", help="|E(x)|/(x (log 2x)^d) scan")
-    add_common(p)
-    p.add_argument("--X", type=float)
-    p.add_argument("--x-min", type=int)
-    p.add_argument("--samples", type=int)
-
-    p = sub.add_parser("series-check",
-                       help="Dirichlet series identity at real s > 2")
-    add_common(p)
-    p.add_argument("--s", type=float)
+    for name, (help_line, tables, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            _add_common(p, tables=tables)
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
     return top
 
 
@@ -227,9 +226,14 @@ def _file_value(key: str, v, action: argparse.Action):
 
 
 def parse_config(argv) -> RunConfig:
-    """argv -> RunConfig; a --config JSON file fills unset options."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    """argv -> RunConfig; a --config JSON file fills unset options.
+
+    The top level takes only -h and --version, so the first argument that
+    is not a flag names the command, and only its options are built.
+    """
+    command = next((a for a in argv if not a.startswith("-")), None)
+    ns = _build_parser(command if command in _COMMANDS else None
+                       ).parse_args(argv)
     command = ns.command
     cli = {k: v for k, v in vars(ns).items() if k != "command"}
     opts = dict(_DEFAULTS)
@@ -244,7 +248,7 @@ def parse_config(argv) -> RunConfig:
             raise UsageError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(file_opts, dict):
             raise UsageError("config file must hold a JSON object")
-        actions = _option_actions(parser)
+        actions = _option_actions(_build_parser())
         for k, v in file_opts.items():
             if k not in _DEFAULTS or k == "config":
                 raise UsageError(f"unknown config key {k!r}")
@@ -726,23 +730,55 @@ def _write_csv(data: dict, out) -> None:
                                   for k, v in summary.items()) + "\n")
 
 
+def _nested(value) -> str:
+    """json.dumps(value, indent=2) as a value of the top-level object."""
+    return json.dumps(_json_ready(value), indent=2).replace("\n", "\n  ")
+
+
+def _json_rows(columns: dict):
+    """block -> the text of its rows as json.dumps(indent=2) lays them out
+    inside "rows": [...], without the brackets.
+
+    When every column is a float64 or integer array, each row is one %
+    template of that layout: %r spells a float as json does, repr, and %d
+    an int; a float column holding NaN or an infinity has its cells
+    spelled by json first.  Any other column sends the block through
+    json's encoder.
+    """
+    if not all(map(_column_format, columns.values())):
+        def rows(block):
+            # "[\n    {...},\n    {...}\n  ]": keep what is between the brackets
+            return _nested([dict(zip(columns, row)) for row in zip(*block)])[2:-4]
+        return rows
+    spelled = [c.dtype == np.float64 and not np.isfinite(c).all()
+               for c in columns.values()]
+    template = "    {\n" + ",\n".join(
+        f"      {json.dumps(key).replace('%', '%%')}: "
+        + ("%s" if spell else "%r" if c.dtype == np.float64 else "%d")
+        for (key, c), spell in zip(columns.items(), spelled)) + "\n    }"
+
+    def rows(block):
+        # json.dumps writes NaN, Infinity and -Infinity, where repr would
+        # write nan and inf
+        block = [list(map(json.dumps, col)) if spell else col
+                 for col, spell in zip(block, spelled)]
+        return ",\n".join(map(template.__mod__, zip(*block)))
+    return rows
+
+
 def _write_json(data: dict, out) -> None:
     """The bytes of json.dump({meta, rows[, summary]}, indent=2), with the
     rows built from the columns and encoded one block at a time."""
-    def nested(value) -> str:   # a value of the top-level object
-        return json.dumps(_json_ready(value), indent=2).replace("\n", "\n  ")
-
     columns = data["columns"]
-    out.write('{\n  "meta": ' + nested(data["meta"]) + ',\n  "rows": ')
+    out.write('{\n  "meta": ' + _nested(data["meta"]) + ',\n  "rows": ')
+    rows = _json_rows(columns)
     opening = "[\n"
     for block in _blocks(columns):
-        rows = nested([dict(zip(columns, row)) for row in zip(*block)])
-        # "[\n    {...},\n    {...}\n  ]": keep the rows between the brackets
-        out.write(opening + rows[2:-4])
+        out.write(opening + rows(block))
         opening = ",\n"
     out.write("[]" if opening == "[\n" else "\n  ]")
     if "summary" in data:
-        out.write(',\n  "summary": ' + nested(data["summary"]))
+        out.write(',\n  "summary": ' + _nested(data["summary"]))
     out.write("\n}\n")
 
 

@@ -3,9 +3,10 @@
 alpha(n) is the multiplicative coefficient mu(n) prod_{p|n} gamma(p)
 (supported on squarefree n), and phi(n) = n prod_{p|n} F_p(1)^{-1} is the
 totient attached to the product, so phi(p^k) = p^(k-1) (p - gamma(p)).
-Both are built by one multiplicative sieve over the smallest-prime-factor
-(SPF) table, which also supplies the primes (the n >= 2 with spf(n) = n), so
-there is no second sieve: with p = spf(n) and m = n/p,
+Both are built by one pass of a multiplicative sieve over the
+smallest-prime-factor (SPF) table, which also supplies the primes (the
+n >= 2 with spf(n) = n), so there is no second sieve: with p = spf(n) and
+m = n/p,
 
     f(n) = f(m) * (higher if p | m else f(p)),
 
@@ -146,33 +147,54 @@ def _resolve_mode(spec: EulerProductSpec, N: int, mode: str) -> str:
     return mode
 
 
-def _multiplicative(spf: np.ndarray, ps: np.ndarray, at_primes: np.ndarray,
-                    higher, one) -> np.ndarray:
-    """f(0..N), f(0) = 0, f(1) = one, f(ps) = at_primes, and for composite n
-    f(n) = f(m) * (higher[n] if p | m else f(p)) with p = spf[n], m = n/p.
+def _multiplicative(spf: np.ndarray, ps: np.ndarray, columns: list) -> list:
+    """Several multiplicative functions f(0..N) in one pass over the SPF table.
 
-    higher is one value for every n, or an array indexed like spf.  The
-    array takes at_primes' dtype (float64, complex128, int64, or object for
-    Python ints and Fractions).  m <= n/2, so a run [lo, hi) with
-    hi <= 2 lo reads only entries below lo and is filled in one step.
+    Each column is (at_primes, higher, one) and gives f(0) = 0,
+    f(1) = one, f(ps) = at_primes and, for composite n,
+    f(n) = f(m) * (higher[n] if p | m else f(p)) with p = spf[n], m = n/p;
+    higher is one value for every n, or an array indexed like spf.  A
+    column's array takes at_primes' dtype (float64, complex128, int64, or
+    object for Python ints and Fractions).  m <= n/2, so a run [lo, hi)
+    with hi <= 2 lo reads only entries below lo and is filled in one step;
+    p, m and p | m are computed once per run and shared by every column
+    (the smallest-prime-factor recurrence of Gries and Misra's linear
+    sieve, CACM 1978, run over several functions at once).
+
+    A prime n = p goes through the product as one * f(p), which is f(p)
+    bit for bit in float64 and int64 and up to the sign of a zero in
+    complex128 (which _stored clears), so numeric columns write the whole
+    run at once; object columns keep the primes out of their slow
+    Python-object products.  p and m index as intp: numpy gathers through
+    int32 indices about three times slower.
     """
-    out = np.full(len(spf), one - one, dtype=at_primes.dtype)
-    out[1] = one
-    out[ps] = at_primes
+    outs = []
+    for at_primes, _, one in columns:
+        out = np.full(len(spf), one - one, dtype=at_primes.dtype)
+        out[1] = one
+        out[ps] = at_primes
+        outs.append(out)
     lo = 4
-    while lo < len(out):
-        hi = min(2 * lo, lo + _CHUNK, len(out))
-        n = np.arange(lo, hi, dtype=spf.dtype)
-        p = spf[lo:hi]
-        m = n // p
-        composite = m > 1
-        n, p, m = n[composite], p[composite], m[composite]
-        factor = out[p]
-        divides = m % p == 0
-        factor[divides] = higher[n[divides]] if np.ndim(higher) else higher
-        out[n] = out[m] * factor
+    while lo < len(spf):
+        hi = min(2 * lo, lo + _CHUNK, len(spf))
+        p = spf[lo:hi].astype(np.intp)
+        # n / p is exact in float64 (p divides n < 2^53), and p | m iff
+        # spf(m) = p, as every prime factor of m is at least p; both are
+        # cheaper than numpy's integer // and %
+        m = (np.arange(lo, hi, dtype=np.float64) / p).astype(np.intp)
+        divides = spf[m] == p
+        composite = None
+        for out, (_, higher, _) in zip(outs, columns):
+            factor = np.where(divides, higher[lo:hi] if np.ndim(higher)
+                              else higher, out[p])
+            if out.dtype != object:
+                out[lo:hi] = out[m] * factor
+                continue
+            if composite is None:
+                composite = np.flatnonzero(m > 1)
+            out[lo + composite] = out[m[composite]] * factor[composite]
         lo = hi
-    return out
+    return outs
 
 
 def _stored(values: np.ndarray, exact: bool):
@@ -213,31 +235,40 @@ def _gammas(spec: EulerProductSpec, ps: np.ndarray, N: int,
     Float tables take float64, or complex128 unless every gamma(p) is real.
     Exact tables take Python ints when every gamma(p) is an integer, as an
     int64 array when _fits_int64 allows it and an object array otherwise,
-    and Fractions when some gamma(p) is not.
+    and Fractions when some gamma(p) is not.  Zeta's ones and a real
+    character's values are read as ints directly; only custom products
+    go through gamma_values' Fractions.
     """
-    gam = gamma_values(spec, ps, exact)
     if not exact:
-        return gam, 1.0
-    if any(g.denominator != 1 for g in gam.tolist()):
-        return gam, Fraction(1)
-    gam = np.array([int(g) for g in gam.tolist()], dtype=object)
-    return (gam.astype(np.int64) if _fits_int64(gam, ps, N) else gam), 1
+        return gamma_values(spec, ps), 1.0
+    chi = spec.character
+    if spec.kind == "zeta":
+        gam = np.ones(len(ps), dtype=np.int64)
+    elif chi is not None and all(type(v) is int for v in chi.values):
+        gam = np.array(chi.values, dtype=np.int64)[ps % chi.modulus]
+    else:
+        gam = gamma_values(spec, ps, exact)
+        if any(g.denominator != 1 for g in gam.tolist()):
+            return gam, Fraction(1)
+        gam = np.array([int(g) for g in gam.tolist()], dtype=object)
+    return gam.astype(np.int64 if _fits_int64(gam, ps, N) else object), 1
 
 
 def _sieve(spec: EulerProductSpec, N: int, mode: str) -> tuple:
-    """(mode, spf, ps, gamma(ps), one, alpha) for a table up to N, alpha
-    still the sieve's array."""
+    """(mode, spf, ps, gamma(ps), one): what a table up to N is sieved
+    from."""
     mode = _resolve_mode(spec, N, mode)
     spf = smallest_prime_factor(N)
     ps = spf_primes(spf)
     gam, one = _gammas(spec, ps, N, mode == "exact")
-    return mode, spf, ps, gam, one, _multiplicative(spf, ps, -gam, 0, one)
+    return mode, spf, ps, gam, one
 
 
 def sieve_alpha(spec: EulerProductSpec, N: int,
                 mode: str = "auto") -> CoefficientTable:
     """Tabulate alpha(n) = mu(n) prod_{p|n} gamma(p) for n <= N."""
-    mode, _, _, _, _, alpha = _sieve(spec, N, mode)
+    mode, spf, ps, gam, one = _sieve(spec, N, mode)
+    alpha, = _multiplicative(spf, ps, [(-gam, 0, one)])
     return CoefficientTable(spec=spec, N=N, mode=mode,
                             alpha=_stored(alpha, mode == "exact"))
 
@@ -266,9 +297,10 @@ def phi_table(spec: EulerProductSpec, N: int, mode: str = "auto") -> TotientTabl
     throughout: Python ints in exact tables, whole float64 values in float
     ones.
     """
-    mode, spf, ps, gam, one, alpha = _sieve(spec, N, mode)
+    mode, spf, ps, gam, one = _sieve(spec, N, mode)
     exact = mode == "exact"
-    phi = _multiplicative(spf, ps, ps - gam, spf, one)
+    alpha, phi = _multiplicative(spf, ps, [(-gam, 0, one),
+                                           (ps - gam, spf, one)])
     return TotientTable(spec=spec, N=N, mode=mode, alpha=_stored(alpha, exact),
                         phi=_stored(phi, exact),
                         cumulative=_stored(np.cumsum(phi), exact))

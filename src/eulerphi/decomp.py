@@ -44,7 +44,9 @@ Every formula has one body, built from four private pieces:
     O(sqrt k) values k//j and sums over the blocks of constant k//j in
     integers.  In float mode it sums S_g term by term over {x/n} from
     _frac, the one fractional-part routine, which also feeds the bare
-    sawtooth sum of f1_series_raw.
+    sawtooth sum of f1_series_raw.  The n with alpha(n) != 0 come from
+    _nonzero_alpha, once per float batch (the sweep's "alpha_nz"), and
+    each point reads the prefix n <= floor(x) of them.
 
 Only the primitives branch on exact/float, since that is where Python
 integer loops and numpy arrays really differ.  The routes that check each
@@ -154,6 +156,12 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
     sum's denominator, and "scale" is the lcm of those denominators; no
     Fraction is built.  _value reads a sum as a number.
 
+    With "alpha_nz" a float sweep also returns _nonzero_alpha up to the
+    top: the n <= top where alpha(n) != 0, as int64 and float64 arrays,
+    and alpha at those n.  Each point of the batch reads its prefix of
+    these (_point_sums), so the alpha column is scanned once per batch,
+    not once per point.  Exact sweeps ignore the name.
+
     With "p1" on an exact table, "b1" and "b0" map each k of blocks to the
     numerators of sum_{j<=k} P1(k//j) and sum_{j<=k} 2j A0(k//j),
     A0(k) = sum_{n<=k} alpha(n), summed in integers over the floor blocks
@@ -172,6 +180,8 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
             out[name][1:] = np.cumsum(column[1 : top + 1] / n ** power)
         if "t_f" in names:
             out["t_f"] = {k: np.sum(out["s_f"][1:k]) for k in ks}
+        if "alpha_nz" in names:
+            out["alpha_nz"] = _nonzero_alpha(table, top, _number_type(False))
         return out
     at_k = set(ks)
     quotients = {v for k in blocks for v, _, _ in _blocks(k)}
@@ -239,7 +249,7 @@ def _batch_sweep(xs, table: TotientTable, lowest, names: tuple) -> dict:
 
 
 # what decompose and the reduced identity read at each point
-_DECOMPOSE_SUMS = ("p1", "p2", "s_f")
+_DECOMPOSE_SUMS = ("p1", "p2", "s_f", "alpha_nz")
 
 
 def _constants(num: _Numbers, constants: Constants, scale: int = 1) -> tuple:
@@ -261,22 +271,31 @@ def _frac(x, n, num: _Numbers) -> np.ndarray:
     x = float(x)
     n = np.asarray(n, dtype=np.float64)
     quot = x / n
-    return np.where(np.round(quot) * n == x, 0.0, quot - np.floor(quot))
+    r = np.floor(quot)
+    np.subtract(quot, r, out=r)
+    # in place: a fresh array of this size costs its page faults again
+    quot = np.round(quot, out=quot)
+    quot *= n
+    r[quot == x] = 0.0
+    return r
 
 
-def _fractional_parts(x, table: TotientTable, k: int, num: _Numbers) -> tuple:
-    """(alpha(n), n, {x/n}) over the n <= k with alpha(n) != 0."""
+def _nonzero_alpha(table: TotientTable, top: int, num: _Numbers) -> tuple:
+    """(n, n as a number, alpha(n)) over the n <= top with alpha(n) != 0,
+    ascending.
+
+    In floats: int64, float64 and float64/complex128 arrays (an exact
+    table read through alpha_array).  In exact rationals: the ints, then
+    object arrays of the ints and of alpha(n).
+    """
     alpha = table.alpha
     if num.exact:
-        ns = [n for n in range(1, k + 1) if alpha[n]]
-        a = np.array([num.collapse(alpha[n]) for n in ns], dtype=object)
-        n = np.array(ns, dtype=object)
-    else:
-        a = table.alpha_array(k) if table.exact else np.asarray(alpha)[: k + 1]
-        n = np.flatnonzero(a[1:]) + 1
-        a = a[n]
-        n = n.astype(np.float64)
-    return a, n, _frac(x, n, num)
+        ns = [n for n in range(1, top + 1) if alpha[n]]
+        return (ns, np.array(ns, dtype=object),
+                np.array([num.collapse(alpha[n]) for n in ns], dtype=object))
+    a = table.alpha_array(top) if table.exact else np.asarray(alpha)[: top + 1]
+    n = np.flatnonzero(a[1:]) + 1
+    return n, n.astype(np.float64), a[n]
 
 
 def _sawtooth(r: np.ndarray) -> np.ndarray:
@@ -298,7 +317,10 @@ def _point_sums(x, table: TotientTable, k: int, num: _Numbers,
     which exact mode sums by floor blocks, in integer numerators over the
     scale: with x = a/b it is one Fraction over b^2.  Float mode sums S_g
     term by term instead, since the expanded form cancels x^2-sized terms
-    in floats.
+    in floats, over the prefix n <= k of the sweep's "alpha_nz" (or of
+    x's own, for a float x on an exact sweep).  The prefix is a view of
+    the batch's arrays, the same elements in the same order as a scan up
+    to k alone, so the sum has the same bits.
     """
     if num.exact:
         a, b = x.numerator, x.denominator
@@ -306,9 +328,14 @@ def _point_sums(x, table: TotientTable, k: int, num: _Numbers,
         s_g = Fraction(a * a * p2 - a * b * (p1 + 2 * sums["b1"].scaled(k))
                        + b * b * sums["b0"].scaled(k), b * b)
         return s_g, p1, p2
-    a, _, r = _fractional_parts(x, table, k, num)
-    return (num.collapse(np.sum(a * r * (r - 1))), _value(sums, "p1", k, num),
-            _value(sums, "p2", k, num))
+    ns, n, a = sums.get("alpha_nz") or _nonzero_alpha(table, k, num)
+    j = np.searchsorted(ns, k, "right")
+    r = _frac(x, n[:j], num)
+    terms = a[:j] * r
+    r -= 1
+    terms *= r    # alpha(n) {x/n} ({x/n} - 1), in that order
+    return (num.collapse(np.sum(terms)),
+            _value(sums, "p1", k, num), _value(sums, "p2", k, num))
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +424,8 @@ def f1_series_raw(x: Scalar, table: TotientTable, M: int) -> Scalar:
     if x < 0:
         raise XBelowOne(f"need x >= 0, got {x}")
     num = _point_numbers(x, table.exact)
-    a, n, r = _fractional_parts(x, table, M, num)
-    return num.collapse(np.sum(a / n * _sawtooth(r)))
+    _, n, a = _nonzero_alpha(table, M, num)
+    return num.collapse(np.sum(a / n * _sawtooth(_frac(x, n, num))))
 
 
 def f1_series(x: Scalar, table: TotientTable, constants: Constants,
@@ -476,7 +503,7 @@ def g1(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     """
     k = _check_range(x, table, 0)
     num = _point_numbers(x, table.exact)
-    sums = _batch_sweep([x], table, 0, ("p1", "p2"))
+    sums = _batch_sweep([x], table, 0, ("p1", "p2", "alpha_nz"))
     scale = sums["scale"] if num.exact else 1
     return _g1_value(x, _point_sums(x, table, k, num, sums), num, constants,
                      scale) / scale

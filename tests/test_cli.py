@@ -1,5 +1,6 @@
 """Command-line surface: parsing, reports, determinism, caching, exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 
 from eulerphi.cli import (
+    _COMMANDS,
+    _build_parser,
     build_spec,
     emit_report,
     main,
@@ -565,6 +568,107 @@ def test_exact_reports_match_golden_digests(tmp_path, args, digest):
     out = tmp_path / "report.csv"
     assert main(args + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of float reports, CSV and JSON, one run of each kind of op the
+# float-scan benchmark makes; they pin float bits, so a faster sieve or
+# sweep must leave every one where it was.  Float bits can also move with
+# the platform (numpy's SIMD log and power, libm): these were taken on
+# x86-64 Linux with CPython 3.11 and numpy 2.4.
+FLOAT_GOLDEN_REPORTS = [
+    (["growth", "--X", "20000", "--samples", "12"],
+     "176ff2a45c61a8c44fac1918e66565d8857b8f73eb435561ec746e7547c7b115",
+     "3b0df52998e31454872f07dac626275d6e722bceb323ca270dfe2e8850f00cae"),
+    (["growth", "--product", "dirichlet", "--kronecker", "8", "--X", "20000"],
+     "00ed845a3ecc6e546ecf8b36551919135ac180b54dfcf323258065c9566ecc98",
+     "622c5966bf69c6b595b8267030c80b04ba904c545509fcf3d39f430ebc2362b0"),
+    (["growth", "--X", "20000"] + COMPLEX_ROOTS,
+     "27102b62024f7e8af4626d36f158096f495c65cf502822674e81fd4c57c51ba3",
+     "3d60984befb2e74a69581a49f2b4d1457cd4ba407a8fc4a43ed4600e1ae9cb8e"),
+    (["series-check", "--n", "20000"],
+     "2407de9e341c8b2a6d477a9dc25aeb50a41a550877f3a9544b4faf72d99ea356",
+     "5d4e7b995bf750701a0a934921b1c9cf5bbe0daedef221475fe951c176222032"),
+    (["error-term", "--x", "1:20000:97.3", "--mode", "float"],
+     "d2eb31a913bf653686189583b86a0a823b93273a2b310625493dfc17bc1cc0a2",
+     "bfe9ce49bf3b2d9ab10ad561ad877a457a6d88e612464e185c60deab7b44f258"),
+    (["decompose", "--x", "1:20000:133.7", "--mode", "float"],
+     "397405d7eedb16801ecce92ad736fe0b23f74980d10934dea840faaaa8fab6ac",
+     "50ab922406645c1b61e3393b25b104362832800d6d4685cbf6118ecafa3a09db"),
+    (["volterra", "--op", "residual", "--X", "10", "--h", "0.01"],
+     "d2a2c6cef5ac84fc717ed9f5446537af39b26b3c6aff63d6c8c6278f6037db2b",
+     "64705316e875a6574fd88a6043093d532cde67fca9098b7b93a7d0393feb1a18"),
+    (["volterra", "--op", "solve", "--X", "10", "--h", "0.001"],
+     "7f00ea7497aca2186b6047e1fcaa82695c0d15337f189b7f676ab561227cbf23",
+     "53f6ebbf08cb29de66096bb5c948698b2e1f1ab8ba3bdda97445f63ebad1dd64"),
+    (["volterra", "--op", "probe", "--X", "10", "--h", "0.01"],
+     "247068245a5ff6ee59e365dc80fec412d66daec5ee6fdb8a089af694467ea525",
+     "b476076f33ca6af51c237bc04ccff70832d39c809006f5752c9cc1a76f0d8d42"),
+]
+
+
+@pytest.mark.parametrize("args, csv_digest, json_digest", FLOAT_GOLDEN_REPORTS,
+                         ids=[" ".join(r[0][:3]) for r in FLOAT_GOLDEN_REPORTS])
+def test_float_reports_match_golden_digests(tmp_path, args, csv_digest,
+                                            json_digest):
+    for format, digest in (("csv", csv_digest), ("json", json_digest)):
+        out = tmp_path / f"report.{format}"
+        assert main(args + ["--format", format, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, format
+
+
+def test_json_rows_of_float_and_int_columns_match_json_dumps(tmp_path):
+    # the row template of all-float/int reports, past one block: json's
+    # spelling of NaN, the infinities, -0.0, subnormals and big ints, and
+    # column names that need escaping
+    n = 8200
+    xs = np.linspace(-1.0, 1.0, n) / 3
+    xs[:7] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300]
+    columns = {"x": xs, "k": np.arange(n, dtype=np.int64) - 2 ** 62,
+               "u": np.arange(n, dtype=np.uint16),
+               'odd "%s" name\n': -xs[::-1] / 7}
+    data = {"meta": {"command": "t"}, "columns": columns,
+            "summary": {"sup": float("nan")}}
+    _assert_emits_like_rows(data, tmp_path)
+    data["columns"] = {"k": columns["k"][:3]}
+    _assert_emits_like_rows(data, tmp_path)
+
+
+def _parser_output(parse, argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+PARSER_EXITS = ([["--help"], ["--version"], [], ["bogus"], ["-5", "table"],
+                 ["--foo", "decompose"], ["decompose", "--mode", "bad"],
+                 ["table", "--limit", "q"], ["growth", "--X"]]
+                + [[name, "--help"] for name in _COMMANDS]
+                + [[name, "--no-such-flag"] for name in _COMMANDS])
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=lambda a: " ".join(a) or "-")
+def test_help_and_usage_texts_match_the_full_parser(argv, capsys, monkeypatch):
+    # parse_config builds only the invoked command's options; what it
+    # prints must not tell
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parser_output(lambda a: _build_parser().parse_args(a), argv,
+                          capsys)
+    assert _parser_output(parse_config, argv, capsys) == full
+
+
+def test_parser_holds_only_the_invoked_commands_options():
+    def option_counts(parser):
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return {name: len(p._actions) for name, p in sub.choices.items()}
+
+    full = option_counts(_build_parser())
+    assert list(full) == list(_COMMANDS) and min(full.values()) > 10
+    for name in _COMMANDS:
+        assert option_counts(_build_parser(name)) == {
+            other: full[other] if other == name else 1 for other in full}
 
 
 def test_usage_exit_code(capsys):

@@ -42,6 +42,8 @@ from eulerphi.products import (
     custom_product,
     dirichlet_product,
     gamma,
+    gamma_values,
+    spec_from_dict,
     zeta_product,
 )
 
@@ -231,6 +233,103 @@ def test_integer_tables_outside_int64_sieve_python_ints(monkeypatch,
         for a, b in ((got.alpha, table.alpha),
                      (got.phi, table.phi), (got.cumulative, table.cumulative)):
             assert a == b and {type(v) for v in a} == {int}
+
+
+def _one_column_sieve(spf, ps, at_primes, higher, one):
+    """One column of the multiplicative sieve, with every prime kept out
+    of the products: the sieve's recurrence written out once more."""
+    out = np.full(len(spf), one - one, dtype=at_primes.dtype)
+    out[1] = one
+    out[ps] = at_primes
+    lo = 4
+    while lo < len(out):
+        hi = min(2 * lo, lo + coeffs._CHUNK, len(out))
+        n = np.arange(lo, hi, dtype=spf.dtype)
+        p = spf[lo:hi]
+        m = n // p
+        composite = m > 1
+        n, p, m = n[composite], p[composite], m[composite]
+        factor = out[p]
+        divides = m % p == 0
+        factor[divides] = higher[n[divides]] if np.ndim(higher) else higher
+        out[n] = out[m] * factor
+        lo = hi
+    return out
+
+
+def _bits(values):
+    """What two sieve columns must share: dtype and bytes, or for object
+    arrays and exact tables' lists the type and value of every entry."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return values.dtype, values.tobytes()
+    return [(type(v), v) for v in list(values)]
+
+
+COMPLEX_CUSTOM = spec_from_dict({"kind": "custom", "degree": 2,
+                                 "default": "zero",
+                                 "roots": {"2": [[0, 1], [0, -1]],
+                                           "3": [[0.5, 0.5], [0.5, -0.5]]}})
+RATIONAL_CUSTOM = custom_product(2, {2: [0.5, 0.25], 3: [0.5, 0.25]}, "one")
+# (spec, exact, dtype of the sieve's arrays); "object-int" is zeta's exact
+# table past the int64 bound, sieved on Python ints
+SIEVE_KINDS = {
+    "float64": (dirichlet_product(build_character(kronecker=8)), False,
+                np.float64),
+    "complex128": (COMPLEX_CUSTOM, False, np.complex128),
+    "int64": (zeta_product(), True, np.int64),
+    "object-int": (zeta_product(), True, object),
+    "object-Fraction": (RATIONAL_CUSTOM, True, object),
+}
+
+
+SIEVE_SIZES = [1, 2, 3, 4, 2 ** 16 - 1, 2 ** 16 + 1, 3 * 2 ** 16]
+
+
+# Fraction columns cost a Fraction product per entry, so they stop at the
+# first chunk edge
+@pytest.mark.parametrize("kind, N", [
+    (kind, N) for kind in SIEVE_KINDS for N in SIEVE_SIZES
+    if kind != "object-Fraction" or N <= 2 ** 16 + 1])
+def test_multi_column_sieve_equals_one_column_sieves(kind, N):
+    # alpha and phi from one pass, each from a pass of its own, and from
+    # the written-out recurrence (equal once stored: a prime that goes
+    # through a complex product as one * f(p) may flip the sign of a zero,
+    # which storing clears); N crosses the 2^16-entry chunk edges
+    spec, exact, dtype = SIEVE_KINDS[kind]
+    spf = smallest_prime_factor(N)
+    ps = spf_primes(spf)
+    gam, one = coeffs._gammas(spec, ps, N, exact)
+    gam = gam.astype(dtype)
+    columns = [(-gam, 0, one), (ps - gam, spf, one)]
+    both = coeffs._multiplicative(spf, ps, columns)
+    assert [c.dtype for c in both] == [np.dtype(dtype)] * 2
+    for got, column in zip(both, columns):
+        alone, = coeffs._multiplicative(spf, ps, [column])
+        assert _bits(got) == _bits(alone)
+        assert _bits(coeffs._stored(got, exact)) == _bits(
+            coeffs._stored(_one_column_sieve(spf, ps, *column), exact))
+
+
+@pytest.mark.parametrize("spec", [
+    zeta_product(),
+    dirichlet_product(build_character(kronecker=-4)),
+    dirichlet_product(build_character(kronecker=8)),
+    dirichlet_product(build_character(kronecker=5)),
+    dirichlet_product(build_character(q=6, values=[0, 1, 0, 0, 0, -1])),
+], ids=["zeta", "-4", "8", "5", "mod6"])
+def test_integral_gammas_are_read_without_fractions(monkeypatch, spec):
+    # zeta's and a real character's gamma(p) as ints, equal to the
+    # Fractions gamma_values gives
+    ps = primes_upto(5000)
+    want = [int(g) for g in gamma_values(spec, ps, exact=True)]
+
+    def no_fractions(*args, **kwargs):
+        raise AssertionError("gamma_values called for an integral product")
+
+    monkeypatch.setattr(coeffs, "gamma_values", no_fractions)
+    gam, one = coeffs._gammas(spec, ps, 5000, exact=True)
+    assert gam.dtype == np.int64 and gam.tolist() == want
+    assert type(one) is int and one == 1
 
 
 def test_float_alpha_has_no_negative_zero(zeta_spec, mod4_spec):

@@ -258,6 +258,27 @@ def test_decompose_batch_matches_pointwise(zeta_spec, custom100_spec,
             assert all(rep.exact_verdict == "pass" for rep in batch)
 
 
+def test_float_decompose_batch_has_each_points_bits(zeta_float_100k,
+                                                   zeta_constants,
+                                                   mod4_exact_10k,
+                                                   mod4_constants):
+    # a float batch reads one nonzero prefix of alpha up to its largest
+    # floor(x), each point a slice of it; a point alone scans up to its own
+    # floor(x).  Same elements in the same order, so the same bits (repr
+    # tells every bit of a float apart, -0.0 included).  Points of every
+    # magnitude, unsorted, integers and repeats among them; on an exact
+    # table the float points read alpha through alpha_array.
+    xs = [99999.75, 1.0, 2.5, 7.0, 1e5, 12.125, 314.159, 2718.28, 1.0,
+          65536.0, 31622.7766, 99999.75, 3.0 + 2 ** -40, 50000.5]
+    for table, cons in ((zeta_float_100k, zeta_constants),
+                        (mod4_exact_10k, mod4_constants)):
+        pts = [x for x in xs if x <= table.N]
+        batch = decompose_batch(pts, table, cons)
+        assert [repr(rep) for rep in batch] == [
+            repr(decompose(x, table, cons)) for x in pts]
+        assert all(rep.exact_verdict == "not-applicable" for rep in batch)
+
+
 def test_s_f_kernel_matches_phi_direct(zeta_spec, mod4_spec, custom100_spec):
     # S_f(k) = sum_{n<=k} phi(n)/n from the sweep, asked for in a scrambled
     # order, against phi_direct's trial factorization, which shares no code
