@@ -43,6 +43,7 @@ import numpy as np
 
 from . import __version__
 from . import coeffs as _coeffs
+from . import csvcells as _csvcells
 from . import decomp as _decomp
 from . import products as _products
 from . import volterra as _volterra
@@ -548,6 +549,8 @@ def cmd_volterra(cfg: RunConfig):
     o = cfg.options
     spec = build_spec(cfg)
     X, h = float(o["X"]), float(o["h"])
+    # a grid that would be refused is refused before its table is built
+    _volterra.grid_points(X, h)
     n = o["n"] or int(math.ceil(X))
     table = get_table(cfg, spec, n, "float")
     cons = get_constants(cfg, spec)
@@ -712,18 +715,27 @@ def _column_format(column) -> Optional[str]:
 
 
 def _write_csv(data: dict, out) -> None:
+    """A header line, one line per row and the summary line, a block of rows
+    at a time.
+
+    When every column is a float64 or integer array, each block's cells are
+    spelled in numpy (csvcells.csv_text): the bytes of '%.17g' and '%d'.
+    Any other column sends the block through one % or _fmt_csv per cell.
+    """
     columns = data["columns"]
     if _row_count(columns):
         out.write(",".join(columns) + "\n")
         formats = [_column_format(c) for c in columns.values()]
-        row_format = ",".join(formats) + "\n" if all(formats) else None
-        for block in _blocks(columns):
-            if row_format:
-                out.write("".join(map(row_format.__mod__, zip(*block))))
-                continue
-            cells = [map(fmt.__mod__ if fmt else _fmt_csv, col)
-                     for fmt, col in zip(formats, block)]
-            out.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+        if all(formats):
+            for text in _csvcells.csv_text(list(columns.values()),
+                                           _BLOCK_ROWS):
+                out.write(text)
+        else:
+            for block in _blocks(columns):
+                cells = [map(fmt.__mod__ if fmt else _fmt_csv, col)
+                         for fmt, col in zip(formats, block)]
+                out.write("".join(",".join(row) + "\n"
+                                  for row in zip(*cells)))
     summary = data.get("summary")
     if summary:
         out.write("# " + " ".join(f"{k}={_fmt_csv(v)}"

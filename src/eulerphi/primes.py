@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (Eratosthenes on a boolean mask)."""
+    """All primes <= n as an int64 array (Eratosthenes on a boolean mask of
+    the odd numbers, odd[i] standing for 2i + 1)."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(n ** 0.5) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    odd = np.ones((n + 1) // 2, dtype=bool)
+    odd[0] = False
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            # odd multiples of p from p^2 on, p apart in odd's index
+            odd[p * p // 2:: p] = False
+    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64)
 
 
 def smallest_prime_factor(n: int) -> np.ndarray:

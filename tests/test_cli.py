@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,7 @@ from eulerphi.errors import (
     EulerphiError,
     IoError,
     ModeUnavailable,
+    OutOfMemory,
     RootOutOfDisk,
     SOutOfRange,
     UsageError,
@@ -904,6 +906,24 @@ def test_modulus_above_cap_exits_bad_modulus(capsys):
     assert code == BadModulus.exit_code
     err = capsys.readouterr().err
     assert err.startswith("error: BadModulus") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("X, h", [("100000", "0.0001"),
+                                  ("1000000", "0.000001")])
+def test_oversized_volterra_grid_is_refused_before_any_allocation(X, h,
+                                                                  capsys):
+    # 1e9 and 1e12 grid points, far beyond memory: refused before the table
+    # or the grid is built
+    tracemalloc.start()
+    try:
+        code = main(["volterra", "--op", "residual", "--X", X, "--h", h])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == OutOfMemory.exit_code == 22
+    err = capsys.readouterr().err
+    assert err.startswith("error: OutOfMemory: grid capped")
+    assert peak < 2 ** 20
 
 
 def test_library_logger_prints_nothing_by_default():

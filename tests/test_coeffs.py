@@ -136,6 +136,26 @@ def test_smallest_prime_factor():
                               primes_upto(N))
 
 
+def _mask_sieve(n):
+    """primes <= n from a boolean mask over every integer up to n"""
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p:: p] = False
+    return np.flatnonzero(mask).astype(np.int64)
+
+
+def test_odd_only_sieve_equals_the_full_mask_sieve():
+    # every n <= 2000, the c_constant cutoff, and around a prime square
+    for n in list(range(2001)) + [10 ** 6, 7919 ** 2 - 1, 7919 ** 2]:
+        got = primes_upto(n)
+        assert got.dtype == np.int64, n
+        assert np.array_equal(got, _mask_sieve(n)), n
+
+
 # degree 1 with roots 1 and -1 at two primes and the default zero: every
 # gamma(p) is an integer, so its exact tables hold ints
 INTEGRAL_CUSTOM = custom_product(1, {2: [1], 3: [-1]}, "zero")

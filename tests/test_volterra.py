@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eulerphi import volterra
 from eulerphi.coeffs import make_e2, phi_table
 from eulerphi.decomp import f1_closed, f1_values
 from eulerphi.errors import (
@@ -10,12 +11,14 @@ from eulerphi.errors import (
     BadGrid,
     NotHomogeneous,
     NotIntegrableNearZero,
+    OutOfMemory,
     XBeyondGrid,
 )
 from eulerphi.products import compute_constants
 from eulerphi.volterra import (
     GridFunction,
     grid_function,
+    grid_points,
     homogeneous_probe,
     improper_integral,
     make_grid,
@@ -46,6 +49,17 @@ def test_make_grid_shape_and_offset():
     assert dist.min() >= 0.05 - 1e-12
     with pytest.raises(BadGrid):
         make_grid(0.05, 0.1)
+
+
+def test_grid_points_cap():
+    cap = volterra._GRID_POINTS_CAP
+    assert grid_points(cap * 0.5, 0.5) == cap
+    for X, h in ((cap * 0.5, 0.5 - 1e-9), (1.0, 1e-300), (float("inf"), 1.0)):
+        with pytest.raises(OutOfMemory):
+            grid_points(X, h)
+    for X, h in ((1.0, 0.0), (float("nan"), 0.1), (0.12, 0.1)):
+        with pytest.raises(BadGrid):
+            grid_points(X, h)
 
 
 def test_grid_function_validation():
