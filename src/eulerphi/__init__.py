@@ -83,7 +83,6 @@ from .coeffs import (
     growth_scan,
     load_table,
     make_e2,
-    partial_sum_phi,
     phi_direct,
     phi_table,
     save_table,

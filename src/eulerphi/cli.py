@@ -479,8 +479,12 @@ def cmd_table(cfg: RunConfig):
     limit = n if o["limit"] is None else min(o["limit"], n)
     rows = slice(1, limit + 1)
     columns = {"n": np.arange(1, limit + 1)}
+    # the running sum of phi only over the exported rows
+    cumulative = _coeffs.phi_sums(table, range(limit + 1))
+    if table.exact:
+        cumulative = [cumulative[k] for k in range(limit + 1)]
     for name, values in (("alpha", table.alpha), ("phi", table.phi),
-                         ("cumulative", table.cumulative)):
+                         ("cumulative", cumulative)):
         # integer tables print as exact values, "1" in JSON, like Fractions
         columns[name] = (list(map(Fraction, values[rows])) if table.exact
                          else values[rows])
@@ -498,9 +502,11 @@ def cmd_error_term(cfg: RunConfig):
     if not table.exact:
         xs = [float(v) for v in xs]
     c = _products.c_constant(spec, o["prime_cutoff"])
+    sums = _coeffs.phi_sums(table, [math.floor(x) for x in xs])
     columns = {
         "x": xs,
-        "value": [_coeffs.error_term(table, c, x, convention=o["convention"])
+        "value": [_coeffs.error_term(table, c, x, convention=o["convention"],
+                                     _sums=sums)
                   for x in xs],
         "bound": [c.bound * float(x) ** 2 for x in xs]}
     return {"meta": _meta(cfg, spec, table.mode), "columns": columns}, True

@@ -21,8 +21,10 @@ when every gamma(p) is rational, hold Python ints when every gamma(p) they
 read is an integer (zeta, real characters, integral custom roots; sieved in
 int64 while a bound keeps every entry inside it), and fractions.Fraction
 entries otherwise.  'float' tables hold numpy float64/complex128 arrays.
-Partial sums, the error term E(x) = sum_{n<=x} phi(n) - C x^2, and
-scan/report helpers live here too.
+A table holds alpha and phi only.  The sum of phi, which the error term
+E(x) = sum_{n<=x} phi(n) - C x^2 reads, is formed where it is read, at the
+floor values of a batch of points (phi_sums), by the exact column kernel
+that the decomposition's sweep also runs; scan/report helpers live here too.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ _EXACT_N_CAP = 10 ** 6
 _EXACT_AUTO_CAP = 2 * 10 ** 5
 
 # bumped whenever the file layout changes, so older files fail the header check
-_CACHE_VERSION = 5
+_CACHE_VERSION = 6
 # entries per step of the multiplicative sieve; bounds its temporaries
 _CHUNK = 1 << 16
 
@@ -97,21 +99,19 @@ class CoefficientTable:
 
 @dataclass
 class TotientTable(CoefficientTable):
-    """alpha(0..N), phi(0..N) and the running sum cumulative[k] =
-    sum_{n<=k} phi(n).
+    """alpha(0..N) and phi(0..N).
 
     Entry 0 of each is 0.  Exact tables hold lists of Python ints when every
     gamma(p) up to N is an integer and of Fractions otherwise; float tables
     hold numpy arrays, in which phi of an integral gamma(p) is an exact
     integer.  A division of an exact entry goes through Fraction, since
-    int / int would round to a float.  The table holds no other running
-    sum: the decomposition kernel sums alpha and phi(n)/n afresh for each
-    batch of points, up to its largest floor(x), and keeps only the values
-    its formulas read.
+    int / int would round to a float.  The table holds no running sum:
+    phi_sums and the decomposition kernel sum phi, phi(n)/n and alpha
+    afresh for each batch of points, up to its largest floor(x), and keep
+    only the values its formulas read.
     """
 
     phi: Union[list, np.ndarray]
-    cumulative: Union[list, np.ndarray]
 
     def phi_array(self, upto: Optional[int] = None) -> np.ndarray:
         return _float_prefix(self.phi, self.N, upto, self.exact)
@@ -207,14 +207,15 @@ def _stored(values: np.ndarray, exact: bool):
 
 
 def _fits_int64(gam: np.ndarray, ps: np.ndarray, N: int) -> bool:
-    """True when integral gamma(ps) keep alpha, phi and cumulative up to N
-    inside int64.
+    """True when integral gamma(ps) keep alpha and phi up to N inside
+    int64.
 
     n <= N has at most w distinct prime factors, w the number of leading
     primes whose product is <= N, so |alpha(n)| <= G^w with
     G = max(1, |gamma(p)|), and |phi(n)| <= n M^w with
-    M = max(1, |1 - gamma(p)/p|); hence |cumulative[k]| <= N(N+1)/2 M^w.
-    The bound is taken in floats, against 2^62 to leave room for rounding.
+    M = max(1, |1 - gamma(p)/p|).  The bound is taken in floats, against
+    2^62 to leave room for rounding.  The table stores Python ints, so sums
+    of its entries are not bounded here.
     """
     w, primorial = 0, 1
     for p in ps.tolist():
@@ -225,7 +226,7 @@ def _fits_int64(gam: np.ndarray, ps: np.ndarray, N: int) -> bool:
     g = gam.astype(np.float64)
     big = max(1.0, float(np.max(np.abs(g), initial=0)))
     ratio = max(1.0, float(np.max(np.abs(1 - g / ps), initial=0)))
-    return max(big ** w, N * (N + 1) / 2 * ratio ** w) < 2.0 ** 62
+    return max(big ** w, N * ratio ** w) < 2.0 ** 62
 
 
 def _gammas(spec: EulerProductSpec, ps: np.ndarray, N: int,
@@ -290,7 +291,7 @@ def phi_direct(spec: EulerProductSpec, n: int,
 
 
 def phi_table(spec: EulerProductSpec, N: int, mode: str = "auto") -> TotientTable:
-    """Build alpha(0..N), phi(0..N) and its running sum on one SPF table.
+    """Build alpha(0..N) and phi(0..N) on one SPF table.
 
     phi is sieved itself, phi(n) = phi(m) (p if p | m else p - gamma(p)),
     in the table's number type, so integral gamma(p) give integers
@@ -302,8 +303,7 @@ def phi_table(spec: EulerProductSpec, N: int, mode: str = "auto") -> TotientTabl
     alpha, phi = _multiplicative(spf, ps, [(-gam, 0, one),
                                            (ps - gam, spf, one)])
     return TotientTable(spec=spec, N=N, mode=mode, alpha=_stored(alpha, exact),
-                        phi=_stored(phi, exact),
-                        cumulative=_stored(np.cumsum(phi), exact))
+                        phi=_stored(phi, exact))
 
 
 # ---------------------------------------------------------------------------
@@ -320,25 +320,88 @@ def _floor_index(x, N: int) -> int:
     return max(k, 0)
 
 
-def partial_sum_phi(table: TotientTable, x) -> Scalar:
-    """sum_{n<=x} phi(n) for real x >= 0."""
-    k = _floor_index(x, table.N)
-    return table.cumulative[k]
+def _lcm(values: list) -> int:
+    """lcm of many ints, by pairwise lcms in a balanced tree: folding them
+    into one growing lcm would cost a big-integer step per value."""
+    while len(values) > 1:
+        values = [math.lcm(*values[i : i + 2])
+                  for i in range(0, len(values), 2)]
+    return values[0]
+
+
+def _exact_column(column, power: int, top: int, reads: set,
+                  total: bool = False) -> tuple:
+    """One pass over n <= top of the sums sum_{n<=k} column(n)/n^power,
+    recorded at each k of reads (and at 0).
+
+    Every term goes over one denominator D, the lcm of the term
+    denominators up to top, so the pass keeps one running integer
+    numerator.  Returns (D, {k: numerator}, {k: numerator of
+    sum_{1<=j<k} of the sums}); the last is all 0 unless total.
+
+    A column of Python ints at power 0 has D = 1, and its sums are the
+    builtin sums of its slices between consecutive read points.
+    """
+    if power == 0 and not total and type(column[0]) is int:
+        acc = last = 0
+        nums = {0: 0}
+        for k in sorted(k for k in reads if k > 0):
+            acc += sum(column[last + 1 : k + 1])
+            nums[k], last = acc, k
+        return 1, nums, dict.fromkeys(nums, 0)
+    terms = []   # column(n)/n^power in lowest terms, as (p, q)
+    for n in range(1, top + 1):
+        a, m = column[n], n ** power
+        g = math.gcd(a.numerator, m)
+        terms.append((a.numerator // g, a.denominator * (m // g)))
+    den = _lcm([1] + [q for p, q in terms if p])
+    acc = tot = 0
+    nums, tots = {0: 0}, {0: 0}
+    for n, (p, q) in enumerate(terms, 1):
+        if p:
+            acc += p * (den // q)
+        if n in reads:
+            nums[n], tots[n] = acc, tot
+        if total:
+            tot += acc
+    return den, nums, tots
+
+
+def phi_sums(table: TotientTable, ks):
+    """sum_{n<=k} phi(n) at every k >= 0 of ks, indexed by k.
+
+    Float tables give the numpy cumulative sum of phi up to the largest k;
+    phi(0) = 0 makes it the running sum in the one sequential order.
+    Exact tables give {k: sum} in the table's number type, from one pass
+    of _exact_column over the phi column up to the largest k: builtin
+    sums of Python ints, or numerators over the lcm of the Fractions'
+    denominators.
+    """
+    top = max(0, max(ks, default=0))
+    if top > table.N:
+        raise XBeyondTable(f"table holds N = {table.N}, asked for {top}")
+    if not table.exact:
+        return np.cumsum(table.phi[: top + 1])
+    den, nums, _ = _exact_column(table.phi, 0, top, set(ks))
+    if type(table.phi[0]) is int:
+        return nums
+    return {k: Fraction(v, den) for k, v in nums.items()}
 
 
 def error_term(table: TotientTable, cF: ValueWithBound, x,
-               convention: str = "plain") -> Scalar:
+               convention: str = "plain", _sums=None) -> Scalar:
     """E(x) = sum_{n<=x} phi(n) - C x^2.
 
     convention 'plain' uses the full last term; 'symmetric' subtracts half of
     phi(x) when x is an integer (the midpoint convention the sawtooth
-    decomposition reproduces).
+    decomposition reproduces).  _sums: phi_sums of a batch that covers
+    floor(x), instead of a sum of x's own.
     """
     if convention not in ("plain", "symmetric"):
         raise UsageError(f"convention must be plain or symmetric, got {convention!r}")
     k = _floor_index(x, table.N)
     num = _point_numbers(x, table.exact)
-    s = table.cumulative[k]
+    s = (phi_sums(table, [k]) if _sums is None else _sums)[k]
     if convention == "symmetric" and x == k and k >= 1:
         s = s - num.collapse(table.phi[k]) / 2
     return s - num.collapse(cF.value) * x * x
@@ -351,7 +414,7 @@ def make_e2(table: TotientTable, cF: ValueWithBound):
     """
     N = table.N
     phi = table.phi_array()
-    cumulative = _float_prefix(table.cumulative, N, None, table.exact)
+    cumulative = np.cumsum(phi)
     c = _plain(cF.value)
 
     def e2(xs):
@@ -464,7 +527,7 @@ def growth_scan(table: TotientTable, cF: ValueWithBound, X: int,
         raise XBeyondTable(f"X = {X} beyond table N = {table.N}")
     if x_min < 1 or x_min > X:
         raise UsageError(f"need 1 <= x_min <= X, got x_min={x_min}, X={X}")
-    cumulative = _float_prefix(table.cumulative, table.N, X, table.exact)
+    cumulative = np.cumsum(table.phi_array(X))
     xs = np.arange(x_min, X + 1, dtype=np.float64)
     c = _plain(cF.value)
     e = cumulative[x_min:] - c * xs * xs
@@ -488,9 +551,6 @@ def cache_path(directory: str, spec: EulerProductSpec, N: int) -> str:
     return os.path.join(directory, f"table-{spec_hash(spec)}-{N}-float.npz")
 
 
-_FIELDS = ("alpha", "phi", "cumulative")
-
-
 def save_table(table: TotientTable, path: str) -> None:
     """Persist a float totient table, one numpy array per column.
 
@@ -503,8 +563,7 @@ def save_table(table: TotientTable, path: str) -> None:
                          "spec_hash": spec_hash(table.spec),
                          "N": table.N, "mode": "float"}, sort_keys=True)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    np.savez(path, header=np.array(header), **dict(zip(_FIELDS, (
-        table.alpha, table.phi, table.cumulative))))
+    np.savez(path, header=np.array(header), alpha=table.alpha, phi=table.phi)
 
 
 def load_table(path: str, spec: EulerProductSpec, N: int) -> TotientTable:
@@ -515,6 +574,5 @@ def load_table(path: str, spec: EulerProductSpec, N: int) -> TotientTable:
                 "N": N, "mode": "float"}
         if header != want:
             raise CacheMismatch(f"cache header {header} != requested {want}")
-        alpha, phi, cumulative = (z[k] for k in _FIELDS)
-    return TotientTable(spec=spec, N=N, mode="float", alpha=alpha, phi=phi,
-                        cumulative=cumulative)
+        alpha, phi = z["alpha"], z["phi"]
+    return TotientTable(spec=spec, N=N, mode="float", alpha=alpha, phi=phi)

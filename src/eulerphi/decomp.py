@@ -22,7 +22,8 @@ Every formula has one body, built from four private pieces:
     Its collapse brings C, A1, A2, operands and results into that type.
   * _sweep, the one source of running sums: P1(k) = sum_{n<=k} alpha(n)/n
     and P2(k) = sum_{n<=k} alpha(n)/n^2 from the alpha column, and
-    S_f(k) = sum_{n<=k} phi(n)/n from the phi column.  Each public entry
+    S_f(k) = sum_{n<=k} phi(n)/n and sum_{n<=k} phi(n) (coeffs.phi_sums,
+    which E2 reads) from the phi column.  Each public entry
     hands it the floor values of its points (a whole batch at once), and
     it sweeps the columns once up to the largest, returning the sums only
     where the formulas read them; nothing is kept on the table or grown
@@ -53,7 +54,7 @@ integer loops and numpy arrays really differ.  The routes that check each
 other stay separate code: f1_closed reads S_f, the sweep's running sum of
 the phi column, while f1_series sums the sawtooth and the P1/P2 tail;
 r_function's definition, integral and closed routes share no formula; and
-the exact verdict compares the phi sieve's cumulative sum against a
+the exact verdict compares the sum of the phi column itself against a
 right-hand side built from S_g, P1, P2 and S_f, never from the residual and
 with no terms cancelled.  (The block sum of P1 at k//j equals S_f(k)
 algebraically; the verdict keeps both.)
@@ -68,7 +69,7 @@ from typing import Union
 
 import numpy as np
 
-from .coeffs import TotientTable, error_term
+from .coeffs import TotientTable, _exact_column, error_term, phi_sums
 from .errors import (
     MBeyondTable,
     ModeUnavailable,
@@ -94,15 +95,6 @@ Scalar = Union[int, float, Fraction]
 # Kernel primitives: prefix sums of alpha and phi, fractional parts
 # ---------------------------------------------------------------------------
 
-def _lcm(values: list) -> int:
-    """lcm of many ints, by pairwise lcms in a balanced tree: folding them
-    into one growing lcm would cost a big-integer step per value."""
-    while len(values) > 1:
-        values = [math.lcm(*values[i : i + 2])
-                  for i in range(0, len(values), 2)]
-    return values[0]
-
-
 def _blocks(k: int):
     """(v, first, last) over the blocks of consecutive j <= k on which
     k//j = v; there are O(sqrt k) of them."""
@@ -112,34 +104,6 @@ def _blocks(k: int):
         last = k // v
         yield v, j, last
         j = last + 1
-
-
-def _exact_column(column, power: int, top: int, reads: set,
-                  total: bool = False) -> tuple:
-    """One pass over n <= top of the sums sum_{n<=k} column(n)/n^power,
-    recorded at each k of reads (and at 0).
-
-    Every term goes over one denominator D, the lcm of the term
-    denominators up to top, so the pass keeps one running integer
-    numerator.  Returns (D, {k: numerator}, {k: numerator of
-    sum_{1<=j<k} of the sums}); the last is all 0 unless total.
-    """
-    terms = []   # column(n)/n^power in lowest terms, as (p, q)
-    for n in range(1, top + 1):
-        a, m = column[n], n ** power
-        g = math.gcd(a.numerator, m)
-        terms.append((a.numerator // g, a.denominator * (m // g)))
-    den = _lcm([1] + [q for p, q in terms if p])
-    acc = tot = 0
-    nums, tots = {0: 0}, {0: 0}
-    for n, (p, q) in enumerate(terms, 1):
-        if p:
-            acc += p * (den // q)
-        if n in reads:
-            nums[n], tots[n] = acc, tot
-        if total:
-            tot += acc
-    return den, nums, tots
 
 
 def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
@@ -156,6 +120,10 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
     sum's denominator, and "scale" is the lcm of those denominators; no
     Fraction is built.  _value reads a sum as a number.
 
+    "s_phi" maps to phi_sums(table, ks): sum_{n<=k} phi(n) in the table's
+    number type, which E2 and the exact verdict's left side read.  It
+    takes no part in the scale.
+
     With "alpha_nz" a float sweep also returns _nonzero_alpha up to the
     top: the n <= top where alpha(n) != 0, as int64 and float64 arrays,
     and alpha at those n.  Each point of the batch reads its prefix of
@@ -170,7 +138,7 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
     alpha, phi = table.alpha, table.phi
     columns = {"p1": (alpha, 1), "p2": (alpha, 2), "s_f": (phi, 1)}
     top = max(ks, default=0)
-    out = {}
+    out = {"s_phi": phi_sums(table, ks)} if "s_phi" in names else {}
     if not table.exact:
         n = np.arange(1, top + 1, dtype=np.float64)
         dtype = np.result_type(alpha, phi, np.float64)
@@ -249,7 +217,7 @@ def _batch_sweep(xs, table: TotientTable, lowest, names: tuple) -> dict:
 
 
 # what decompose and the reduced identity read at each point
-_DECOMPOSE_SUMS = ("p1", "p2", "s_f", "alpha_nz")
+_DECOMPOSE_SUMS = ("p1", "p2", "s_f", "s_phi", "alpha_nz")
 
 
 def _constants(num: _Numbers, constants: Constants, scale: int = 1) -> tuple:
@@ -590,15 +558,17 @@ class DecompositionReport:
 
 
 def _reduced_residual(x: Fraction, table: TotientTable, k: int,
-                      point_sums: tuple, s_f: int, scale: int) -> Fraction:
+                      point_sums: tuple, s_f: int, s_phi,
+                      scale: int) -> Fraction:
     # sum'_{n<=x} phi(n) = x(S_f - J/2) + S_g/2 - x^2 P2 / 2 + x P1 / 2
     # with J = phi(x)/x at integer x (else 0); C and A1 have cancelled, so
     # every quantity is rational and lhs - rhs is exactly 0 when it holds.
     # Both sides come multiplied by scale, the sweep's common denominator,
     # so the sums enter as integers and every Fraction here has a small
-    # denominator.
+    # denominator.  s_phi, the left side's sum of phi, is the phi column's
+    # own, not one rebuilt from S_f.
     s_g, p1, p2 = point_sums
-    lhs = table.cumulative[k] * scale
+    lhs = s_phi * scale
     j = Fraction(0)
     if x.denominator == 1:
         j = Fraction(table.phi[k] * scale, k)
@@ -627,7 +597,8 @@ def decompose(x: Scalar, table: TotientTable, constants: Constants,
     else:
         f_scale = f_factor = 1
         s_f = _value(sums, "s_f", k, num)
-    e2 = error_term(table, constants.c, x, convention="symmetric")
+    e2 = error_term(table, constants.c, x, convention="symmetric",
+                    _sums=sums["s_phi"])
     xf1 = x * _f1_value(x, k, s_f, table, num, constants, f_scale)
     hg1 = _g1_value(x, point_sums, num, constants, scale) / 2
     residual = e2 * scale - xf1 * f_factor - hg1
@@ -644,7 +615,8 @@ def decompose(x: Scalar, table: TotientTable, constants: Constants,
     verdict = "not-applicable"
     if num.exact:
         passed = _reduced_residual(Fraction(x), table, k, point_sums,
-                                   s_f * f_factor, scale) == 0
+                                   s_f * f_factor, sums["s_phi"][k],
+                                   scale) == 0
         verdict = "pass" if passed else "fail"
     return DecompositionReport(
         x=x,
@@ -678,6 +650,6 @@ def verify_identity_batch(xs, table: TotientTable) -> list:
         k = math.floor(x)
         res = _reduced_residual(x, table, k,
                                 _point_sums(x, table, k, exact, sums),
-                                sums["s_f"].scaled(k), scale)
+                                sums["s_f"].scaled(k), sums["s_phi"][k], scale)
         out.append((x, res == 0, res / scale))
     return out

@@ -68,9 +68,13 @@ class GridFunction:
         if xs[0] <= 0 or xs[-1] > self.X * (1 + 1e-12):
             raise BadGrid(f"grid must lie in (0, {self.X}]")
         d = np.diff(xs)
-        if d.min() <= 0 or abs(d.max() - d.min()) > 1e-9 * self.h:
+        # each (i + 1/2) h is rounded to the float spacing at it, so a
+        # difference of two points is off by up to one spacing, which passes
+        # 1e-9 h on grids of about 1e7 points
+        tol = 1e-9 * self.h + 4 * np.spacing(xs[-1])
+        if d.min() <= 0 or abs(d.max() - d.min()) > tol:
             raise BadGrid("grid must be uniform and strictly increasing")
-        if abs(d[0] - self.h) > 1e-9 * self.h:
+        if abs(d[0] - self.h) > tol:
             raise BadGrid(f"grid spacing {d[0]} != declared h = {self.h}")
         dist = np.abs(xs - np.round(xs))
         if dist.min() < 0.499 * self.h:

@@ -42,6 +42,7 @@ from eulerphi.errors import (
     RootOutOfDisk,
     SOutOfRange,
     UsageError,
+    XBeyondTable,
 )
 from eulerphi.products import spec_hash, zeta_product
 
@@ -479,15 +480,18 @@ def test_cache_warm_equals_cold(tmp_path, monkeypatch):
 def test_old_cache_format_is_rejected_and_rebuilt(tmp_path):
     # format 3 held a fourth column, sum_{n<=k} phi(n)/n, that format 4 no
     # longer stores; format 4 held float phi as n times phi(n)/n, whose last
-    # bits format 5's exact formula moves, here every entry by one ulp
+    # bits format 5's exact formula moves, here every entry by one ulp;
+    # format 5 held the running sum of phi, which format 6 no longer stores
     spec, n = zeta_product(), 60
     table = phi_table(spec, n, mode="float")
+    cumulative = np.cumsum(table.phi)
     ratio_cumsum = np.cumsum(table.phi / np.maximum(np.arange(n + 1), 1))
     old_columns = {
-        3: dict(phi=table.phi, cumulative=table.cumulative,
+        3: dict(phi=table.phi, cumulative=cumulative,
                 ratio_cumsum=ratio_cumsum),
         4: dict(phi=np.nextafter(table.phi, np.inf),
-                cumulative=np.nextafter(table.cumulative, np.inf))}
+                cumulative=np.nextafter(cumulative, np.inf)),
+        5: dict(phi=table.phi, cumulative=cumulative)}
     cold = tmp_path / "cold.csv"
     args = ["table", "--n", str(n), "--mode", "float"]
     assert main(args + ["--no-cache", "--output", str(cold)]) == 0
@@ -506,11 +510,10 @@ def test_old_cache_format_is_rejected_and_rebuilt(tmp_path):
                             "--output", str(warm)]) == 0
         assert warm.read_bytes() == cold.read_bytes()
         back = load_table(path, spec, n)
-        for got, want in ((back.alpha, table.alpha), (back.phi, table.phi),
-                          (back.cumulative, table.cumulative)):
+        for got, want in ((back.alpha, table.alpha), (back.phi, table.phi)):
             assert np.array_equal(got, want)
         with np.load(path) as z:
-            assert sorted(z.files) == ["alpha", "cumulative", "header", "phi"]
+            assert sorted(z.files) == ["alpha", "header", "phi"]
 
 
 def test_exact_tables_are_not_cached(tmp_path):
@@ -685,6 +688,12 @@ def test_error_class_exit_codes(capsys):
     assert main(["series-check", "--s", "1.5"]) == SOutOfRange.exit_code
     assert main(["volterra", "--op", "solve", "--X", "5", "--anchor",
                  "9=auto"]) == AnchorOutOfRange.exit_code
+    # the table is sized by the exact x, past the auto cap, so it is a float
+    # table, and float(x) rounds up to one past it: the batch's sum of phi
+    # refuses that x, it does not index past the table
+    for command in ("error-term", "decompose"):
+        assert main([command, "--x", "1,300000.99999999999999999"]
+                    ) == XBeyondTable.exit_code
     capsys.readouterr()
 
 

@@ -16,8 +16,8 @@ from eulerphi.coeffs import (
     growth_scan,
     load_table,
     make_e2,
-    partial_sum_phi,
     phi_direct,
+    phi_sums,
     phi_table,
     save_table,
     series_identity_check,
@@ -87,7 +87,7 @@ def test_mode_resolution(zeta_spec):
 def test_phi_table_zeta_is_classical_totient(zeta_exact_500):
     for n in range(1, 31):
         assert zeta_exact_500.phi[n] == TOTIENT[n - 1]
-    assert zeta_exact_500.cumulative[10] == sum(TOTIENT[:10])
+    assert phi_sums(zeta_exact_500, [10])[10] == sum(TOTIENT[:10])
 
 
 def test_phi_direct_matches_tables(mod4_spec, mod4_exact_10k, custom100_exact_10k):
@@ -170,7 +170,8 @@ def _exact_type(spec, N):
 
 def _assert_exact_type(table):
     want = _exact_type(table.spec, table.N)
-    for seq in (table.alpha, table.phi, table.cumulative):
+    sums = phi_sums(table, range(table.N + 1)).values()
+    for seq in (table.alpha, table.phi, sums):
         assert {type(v) for v in seq} == {want}, (table.spec, table.N)
 
 
@@ -185,10 +186,11 @@ def test_phi_table_matches_divisor_sum_exact(zeta_spec, mod4_spec,
         _assert_exact_type(table)
         assert _exact_type(spec, N) is (Fraction if spec is custom100_spec
                                         else int)
-        assert table.cumulative[-1] == sum(phi)
-        # the table holds alpha, phi and their one running sum, nothing more
+        sums = phi_sums(table, [0, 1, N // 3, N])
+        assert all(sums[k] == sum(phi[: k + 1]) for k in (0, 1, N // 3, N))
+        # the table holds alpha and phi, and no running sum
         assert [f.name for f in fields(table) if f.init] == [
-            "spec", "N", "mode", "alpha", "phi", "cumulative"]
+            "spec", "N", "mode", "alpha", "phi"]
 
 
 def test_phi_table_matches_divisor_sum_complex_float():
@@ -210,9 +212,11 @@ def test_float_phi_of_integral_gamma_is_the_exact_table(zeta_spec,
     for spec in (zeta_spec, mod4_spec, chi8):
         exact = phi_table(spec, N, mode="exact")
         table = phi_table(spec, N, mode="float")
-        for name in ("phi", "cumulative"):
-            assert np.array_equal(getattr(table, name),
-                                  np.array(getattr(exact, name), dtype=float))
+        assert np.array_equal(table.phi, np.array(exact.phi, dtype=float))
+        sums = phi_sums(exact, range(N + 1))
+        assert np.array_equal(phi_sums(table, [N]),
+                              np.array([sums[k] for k in range(N + 1)],
+                                       dtype=float))
 
 
 def test_small_tables_match_phi_direct(monkeypatch, zeta_spec, mod4_spec,
@@ -248,11 +252,42 @@ def test_integer_tables_outside_int64_sieve_python_ints(monkeypatch,
     int64_tables = [phi_table(spec, 3000, mode="exact")
                     for spec in (zeta_spec, mod4_spec)]
     monkeypatch.setattr(coeffs, "_fits_int64", lambda *args: False)
+    ks = [0, 1, 1500, 2999, 3000]
     for table in int64_tables:
         got = phi_table(table.spec, 3000, mode="exact")
-        for a, b in ((got.alpha, table.alpha),
-                     (got.phi, table.phi), (got.cumulative, table.cumulative)):
+        sums = phi_sums(got, ks)
+        for a, b in ((got.alpha, table.alpha), (got.phi, table.phi),
+                     ([sums[k] for k in ks],
+                      [sum(table.phi[: k + 1]) for k in ks])):
             assert a == b and {type(v) for v in a} == {int}
+
+
+def test_phi_sums_equal_the_sum_of_phi(monkeypatch, zeta_spec, mod4_spec):
+    # the exact sums, read at a few k, in the table's own number type: int64
+    # sieved and Python-int tables take builtin sums, Fraction tables the
+    # lcm route; float tables read the cumulative sum of their phi
+    N = 3000
+    rng = random.Random(11)
+    ks = [0, 1, N // 2, N] + [rng.randrange(N + 1) for _ in range(20)]
+    tables = [(phi_table(spec, N, mode="exact"), int)
+              for spec in (zeta_spec, mod4_spec)]
+    tables.append((phi_table(RATIONAL_CUSTOM, N, mode="exact"), Fraction))
+    with monkeypatch.context() as m:
+        m.setattr(coeffs, "_fits_int64", lambda *args: False)
+        tables.append((phi_table(mod4_spec, N, mode="exact"), int))
+    for table, kind in tables:
+        sums = phi_sums(table, ks)
+        for k in ks:
+            assert sums[k] == sum(table.phi[: k + 1]), (table.spec, k)
+            assert type(sums[k]) is kind
+    for spec in (zeta_spec, mod4_spec, RATIONAL_CUSTOM, COMPLEX_SPEC):
+        table = phi_table(spec, N, mode="float")
+        want = np.cumsum(table.phi)
+        assert phi_sums(table, ks).tobytes() == want.tobytes()
+        half = phi_sums(table, [N // 2])
+        assert half.tobytes() == want[: N // 2 + 1].tobytes()
+    with pytest.raises(XBeyondTable):
+        phi_sums(table, [N + 1])
 
 
 def _one_column_sieve(spf, ps, at_primes, higher, one):
@@ -364,8 +399,10 @@ def test_phi_direct_float_route(zeta_spec):
 
 def test_partial_sum_and_error_term(zeta_exact_500, true_zeta_constants):
     t = zeta_exact_500
-    assert partial_sum_phi(t, 10) == 32
-    assert partial_sum_phi(t, Fraction(21, 2)) == 32
+    assert phi_sums(t, [10])[10] == 32
+    c = Fraction(true_zeta_constants.c.value)
+    for x in (10, Fraction(21, 2)):
+        assert error_term(t, true_zeta_constants.c, x) == 32 - c * x * x
     e_plain = error_term(t, true_zeta_constants.c, 10.0, convention="plain")
     assert e_plain == pytest.approx(32 - 300 / math.pi ** 2, abs=1e-12)
     e_sym = error_term(t, true_zeta_constants.c, 10.0, convention="symmetric")
@@ -390,8 +427,8 @@ def test_make_e2_matches_scalar(zeta_exact_500, zeta_constants):
     got = e2(xs)
     want = [float(error_term(zeta_exact_500, zeta_constants.c, float(x),
                              convention="symmetric")) for x in xs]
-    # scalar route subtracts C x^2 from the exact cumulative, vector route
-    # from its float view; they may differ by rounding at the top end
+    # scalar route subtracts C x^2 from the exact sum of phi, vector route
+    # from a float one; they may differ by rounding at the top end
     assert np.allclose(got, want, rtol=0, atol=1e-7)
     with pytest.raises(XBeyondTable):
         e2(np.array([501.5]))
@@ -401,7 +438,8 @@ def test_float_scans_read_stored_cumulative(zeta_float_100k, mod4_float_100k,
                                             zeta_constants, mod4_constants):
     for table, cF in ((zeta_float_100k, zeta_constants.c),
                       (mod4_float_100k, mod4_constants.c)):
-        cum, phi, c = np.asarray(table.cumulative), np.asarray(table.phi), cF.value
+        phi, c = np.asarray(table.phi), cF.value
+        cum = np.cumsum(phi)
         xs = np.array([0.5, 1.0, 2.25, 99.0, 5000.5, 99999.75, 100000.0])
         k = np.floor(xs).astype(np.int64)
         want = cum[k] - c * xs * xs - np.where(k == xs, phi[k] / 2, 0)
@@ -449,13 +487,14 @@ def test_cache_roundtrip_float(tmp_path, zeta_spec):
     assert np.array_equal(np.asarray(back.phi), np.asarray(table.phi))
     assert np.array_equal(np.asarray(back.alpha),
                           np.asarray(table.alpha))
-    assert np.array_equal(np.asarray(back.cumulative),
-                          np.asarray(table.cumulative))
+    with np.load(path) as z:
+        assert sorted(z.files) == ["alpha", "header", "phi"]
     # files written compressed (before format 3 went uncompressed) load
     with np.load(path) as z:
         np.savez_compressed(path, **{k: z[k] for k in z.files})
     back = load_table(path, zeta_spec, 2000)
-    assert np.array_equal(back.cumulative, table.cumulative)
+    assert np.array_equal(back.phi, table.phi)
+    assert np.array_equal(back.alpha, table.alpha)
 
 
 def test_cache_mismatch(tmp_path, zeta_spec, mod4_spec):

@@ -75,6 +75,20 @@ def test_grid_function_validation():
     assert len(g) == len(g.xs)
 
 
+def test_grid_function_takes_the_rounding_of_far_points():
+    # 2000 points of make_grid's grid near 9e6 h: (i + 1/2) h rounds to a
+    # float spacing of 1.8e-12, above 1e-9 h, but the grid is uniform
+    h = 1e-3
+    xs = (np.arange(9_000_000, 9_002_000) + 0.5) * h
+    g = GridFunction(xs=xs, values=np.zeros(len(xs)), X=xs[-1] + h / 2, h=h)
+    assert len(g) == 2000
+    moved = xs.copy()
+    moved[1000] += 1e-6 * h
+    with pytest.raises(BadGrid, match="uniform"):
+        GridFunction(xs=moved, values=np.zeros(len(xs)), X=xs[-1] + h / 2,
+                     h=h)
+
+
 def test_improper_integral_linear_integrand():
     # g(t) = t: int_0^x g/t dt = x, exact for the trapezoid rule
     g = grid_function(2.0, lambda xs: xs, 1e-3)
