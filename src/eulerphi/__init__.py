@@ -108,7 +108,6 @@ from .decomp import (
 from .volterra import (
     GridFunction,
     ResidualReport,
-    SolutionFamily,
     grid_function,
     homogeneous_probe,
     improper_integral,

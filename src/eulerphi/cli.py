@@ -262,12 +262,21 @@ def parse_config(argv) -> RunConfig:
     return cfg
 
 
+# commands whose tables have one number type: --mode may name it or auto,
+# never the other
+_ONE_MODE = {"verify-identity": "exact", "volterra": "float",
+             "growth": "float", "series-check": "float"}
+
+
 def _validate(cfg: RunConfig) -> None:
     o = cfg.options
     if o["format"] not in ("csv", "json"):
         raise UsageError(f"--format must be csv or json, got {o['format']!r}")
     if o["n"] is not None and o["n"] < 1:
         raise UsageError(f"--n must be >= 1, got {o['n']}")
+    only = _ONE_MODE.get(cfg.command)
+    if only and o["mode"] not in ("auto", only):
+        raise ModeUnavailable(f"{cfg.command} runs in {only} mode only")
     if cfg.command == "volterra" and not o["h"] > 0:
         raise UsageError(f"--h must be > 0, got {o['h']}")
     # json reads NaN and Infinity, so a config file can hold them too
@@ -441,6 +450,20 @@ def _needed_n(cfg: RunConfig, xs) -> int:
     return max(1, int(math.floor(max(xs))))
 
 
+def _points_and_table(cfg: RunConfig, spec) -> tuple:
+    """The --x points in the number type of the run's mode, and the table
+    sized for them.
+
+    The mode is resolved on the exact points; a float run then sizes its
+    table on the float points, since float(x) can round up past floor(x).
+    """
+    xs = parse_x_values(cfg.options["x"], exact=True)
+    mode = _coeffs._resolve_mode(spec, _needed_n(cfg, xs), cfg.options["mode"])
+    if mode == "float":
+        xs = [float(v) for v in xs]
+    return xs, get_table(cfg, spec, _needed_n(cfg, xs), mode)
+
+
 def _meta(cfg: RunConfig, spec, mode: str) -> dict:
     return {"spec_hash": _products.spec_hash(spec), "version": __version__,
             "mode": mode, "command": cfg.command}
@@ -494,13 +517,7 @@ def cmd_table(cfg: RunConfig):
 def cmd_error_term(cfg: RunConfig):
     o = cfg.options
     spec = build_spec(cfg)
-    exact_wanted = o["mode"] == "exact" or (
-        o["mode"] == "auto" and spec.exact_capable)
-    xs = parse_x_values(o["x"], exact_wanted)
-    n = _needed_n(cfg, xs)
-    table = get_table(cfg, spec, n, o["mode"])
-    if not table.exact:
-        xs = [float(v) for v in xs]
+    xs, table = _points_and_table(cfg, spec)
     c = _products.c_constant(spec, o["prime_cutoff"])
     sums = _coeffs.phi_sums(table, [math.floor(x) for x in xs])
     columns = {
@@ -515,13 +532,7 @@ def cmd_error_term(cfg: RunConfig):
 def cmd_decompose(cfg: RunConfig):
     o = cfg.options
     spec = build_spec(cfg)
-    exact_wanted = o["mode"] == "exact" or (
-        o["mode"] == "auto" and spec.exact_capable)
-    xs = parse_x_values(o["x"], exact_wanted)
-    n = _needed_n(cfg, xs)
-    table = get_table(cfg, spec, n, o["mode"])
-    if not table.exact:
-        xs = [float(v) for v in xs]
+    xs, table = _points_and_table(cfg, spec)
     cons = get_constants(cfg, spec)
     reports = _decomp.decompose_batch(xs, table, cons)
     columns = {"x": xs,
@@ -537,8 +548,6 @@ def cmd_decompose(cfg: RunConfig):
 def cmd_verify_identity(cfg: RunConfig):
     o = cfg.options
     spec = build_spec(cfg)
-    if o["mode"] == "float":
-        raise ModeUnavailable("verify-identity needs exact mode")
     xs = parse_x_values(o["x"], exact=True)
     n = _needed_n(cfg, xs)
     table = get_table(cfg, spec, n, "exact")
@@ -556,7 +565,7 @@ def cmd_volterra(cfg: RunConfig):
     spec = build_spec(cfg)
     X, h = float(o["X"]), float(o["h"])
     # a grid that would be refused is refused before its table is built
-    _volterra.grid_points(X, h)
+    _volterra.make_grid(X, h)
     n = o["n"] or int(math.ceil(X))
     table = get_table(cfg, spec, n, "float")
     cons = get_constants(cfg, spec)
@@ -566,40 +575,33 @@ def cmd_volterra(cfg: RunConfig):
     if o["op"] == "residual":
         fam = _volterra.solution_family(table, cons, o["A"])
         rep = _volterra.residual(fam, e2p, X, h)
-        columns = {"x": rep.xs, "F1": fam(rep.xs), "E2": e2p(rep.xs),
-                   "residual": rep.residuals}
-        summary = {"sup": rep.sup, "argmax": rep.argmax}
-        data = {"meta": _meta(cfg, spec, "float"), "columns": columns,
-                "summary": summary}
-        return data, rep.sup <= tol
+        anchor = {}
+    else:
+        x0, v0 = parse_anchor(o["anchor"])
+        if not 0 < x0 <= X:
+            raise AnchorOutOfRange(f"anchor x0 = {x0} outside (0, {X}]")
+        if v0 == "auto":
+            v0 = x0 * _decomp.f1_closed(x0, table, cons)
+        sol = _volterra.solve_from_e2(e2p, X, h, (x0, v0))
+        rep = _volterra.residual(sol, e2p, X, h)
+        anchor = {"anchor_x0": x0, "anchor_value": v0}
+    summary = {"sup": rep.sup, "argmax": rep.argmax}
+    meta = _meta(cfg, spec, "float")
 
-    x0, v0 = parse_anchor(o["anchor"])
-    if not 0 < x0 <= X:
-        raise AnchorOutOfRange(f"anchor x0 = {x0} outside (0, {X}]")
-    if v0 == "auto":
-        v0 = x0 * _decomp.f1_closed(x0, table, cons)
-    sol = _volterra.solve_from_e2(e2p, X, h, (x0, v0))
-    rep = _volterra.residual(sol, e2p, X, h)
+    if o["op"] == "probe":
+        # the solved function minus the base x f1(x) must be A x
+        diff = _volterra.GridFunction(
+            values=sol.values - sol.xs * _decomp.f1_values(sol.xs, table, cons),
+            X=X, h=h)
+        a_fit, deviation = _volterra.homogeneous_probe(diff)
+        columns = _one_row(A_fit=a_fit, deviation=deviation, **anchor)
+        return ({"meta": meta, "columns": columns, "summary": summary},
+                deviation <= max(tol, 10 * rep.sup * X))
 
-    if o["op"] == "solve":
-        columns = {"x": sol.xs, "F1": sol.values, "E2": e2p(sol.xs),
-                   "residual": rep.residuals}
-        summary = {"sup": rep.sup, "argmax": rep.argmax,
-                   "anchor_x0": x0, "anchor_value": v0}
-        data = {"meta": _meta(cfg, spec, "float"), "columns": columns,
-                "summary": summary}
-        return data, rep.sup <= tol
-
-    # probe: the solved function minus the base x f1(x) must be A x
-    base = sol.xs * _decomp.f1_values(sol.xs, table, cons)
-    diff = _volterra.GridFunction(xs=sol.xs, values=sol.values - base,
-                                  X=X, h=h)
-    a_fit, deviation = _volterra.homogeneous_probe(diff)
-    columns = _one_row(A_fit=a_fit, deviation=deviation, anchor_x0=x0,
-                       anchor_value=v0)
-    data = {"meta": _meta(cfg, spec, "float"), "columns": columns,
-            "summary": {"sup": rep.sup, "argmax": rep.argmax}}
-    return data, deviation <= max(tol, 10 * rep.sup * X)
+    columns = {"x": rep.xs, "F1": rep.values, "E2": rep.e2,
+               "residual": rep.residuals}
+    return ({"meta": meta, "columns": columns,
+             "summary": {**summary, **anchor}}, rep.sup <= tol)
 
 
 def cmd_growth(cfg: RunConfig):

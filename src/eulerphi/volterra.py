@@ -25,7 +25,7 @@ sanity-checked by requiring |g|/t to stay bounded over the first ten points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -46,46 +46,6 @@ Provider = Callable[[np.ndarray], np.ndarray]
 # ---------------------------------------------------------------------------
 # Grids
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Samples on the half-offset grid x_i = (i + 1/2) h over (0, X]."""
-
-    xs: np.ndarray
-    values: np.ndarray
-    X: float
-    h: float
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=np.float64)
-        values = np.asarray(self.values)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "values", values)
-        if xs.ndim != 1 or xs.shape != values.shape:
-            raise BadGrid("grid and values must be 1-D arrays of equal length")
-        if len(xs) < 2:
-            raise BadGrid("need at least two grid points")
-        if xs[0] <= 0 or xs[-1] > self.X * (1 + 1e-12):
-            raise BadGrid(f"grid must lie in (0, {self.X}]")
-        d = np.diff(xs)
-        # each (i + 1/2) h is rounded to the float spacing at it, so a
-        # difference of two points is off by up to one spacing, which passes
-        # 1e-9 h on grids of about 1e7 points
-        tol = 1e-9 * self.h + 4 * np.spacing(xs[-1])
-        if d.min() <= 0 or abs(d.max() - d.min()) > tol:
-            raise BadGrid("grid must be uniform and strictly increasing")
-        if abs(d[0] - self.h) > tol:
-            raise BadGrid(f"grid spacing {d[0]} != declared h = {self.h}")
-        dist = np.abs(xs - np.round(xs))
-        if dist.min() < 0.499 * self.h:
-            raise BadGrid("grid points must avoid integers by at least h/2")
-        if not np.all(np.isfinite(values.view(np.float64) if
-                                  np.iscomplexobj(values) else values)):
-            raise BadGrid("values must be finite")
-
-    def __len__(self):
-        return len(self.xs)
-
 
 # a cap on the points of one grid, so an oversized X/h fails fast instead of
 # thrashing: the costliest op, the probe, peaks at about 80 bytes a point
@@ -109,47 +69,70 @@ def grid_points(X: float, h: float) -> int:
 
 
 def make_grid(X: float, h: float) -> np.ndarray:
-    """Half-offset points (i + 1/2) h up to X."""
-    return (np.arange(grid_points(X, h)) + 0.5) * h
+    """Half-offset points (i + 1/2) h up to X.
+
+    E2 and f1 jump at the integers, so every point must lie at least h/2
+    (within 0.2%) from one; an h that breaks this is a BadGrid.
+    """
+    xs = np.arange(grid_points(X, h), dtype=np.float64)
+    xs += 0.5
+    xs *= h
+    # in place: a grid of 2e7 points is 160 MB
+    gap = np.round(xs)
+    gap -= xs
+    if np.abs(gap, out=gap).min() < 0.499 * h:
+        raise BadGrid(f"grid points of h = {h} must avoid integers by at "
+                      f"least h/2")
+    return xs
 
 
-def grid_function(xs_or_X, values_or_provider, h: float = None) -> GridFunction:
-    """Build a GridFunction from (X, provider, h) or (xs, values)."""
-    if np.isscalar(xs_or_X):
-        X = float(xs_or_X)
-        xs = make_grid(X, h)
-        values = np.asarray(values_or_provider(xs))
-        return GridFunction(xs=xs, values=values, X=X, h=h)
-    xs = np.asarray(xs_or_X, dtype=np.float64)
-    h = float(xs[1] - xs[0]) if h is None else h
-    return GridFunction(xs=xs, values=np.asarray(values_or_provider),
-                        X=float(xs[-1] + h / 2), h=h)
+@dataclass(frozen=True)
+class GridFunction:
+    """Values on the half-offset grid x_i = (i + 1/2) h over (0, X].
+
+    The points xs are make_grid(X, h), built here, so they are the grid by
+    construction; only the values are checked: one finite value a point.
+    """
+
+    values: np.ndarray
+    X: float
+    h: float
+    xs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        xs = make_grid(self.X, self.h)
+        values = np.asarray(self.values)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "values", values)
+        if values.shape != xs.shape:
+            raise BadGrid(f"{values.shape} values on a grid of {len(xs)} "
+                          f"points")
+        if not np.isfinite(values).all():
+            raise BadGrid("values must be finite")
+
+    def __len__(self):
+        return len(self.xs)
+
+
+def grid_function(X: float, provider: Provider, h: float) -> GridFunction:
+    """A provider's values on the (X, h) grid."""
+    return GridFunction(values=provider(make_grid(X, h)), X=X, h=h)
 
 
 # ---------------------------------------------------------------------------
 # Solution family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolutionFamily:
-    """Members x -> (f1(x) + A) x of the candidate family; member(0) = 0."""
-
-    base: Provider          # xs -> x * f1(x)
-    A: complex = 0.0
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        return self.base(xs) + self.A * xs
-
-
-def solution_family(table, constants, A=0.0) -> SolutionFamily:
-    """Family built on the closed-form f1 of a totient table."""
+def solution_family(table, constants, A=0.0) -> Provider:
+    """The member xs -> (f1(xs) + A) xs of the candidate family, on the
+    closed-form f1 of a totient table; the member is 0 at 0."""
     from .decomp import f1_values
 
-    def base(xs: np.ndarray) -> np.ndarray:
-        return np.asarray(xs) * f1_values(xs, table, constants)
+    def member(xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.float64)
+        return xs * f1_values(xs, table, constants) + A * xs
 
-    return SolutionFamily(base=base, A=A)
+    return member
 
 
 # ---------------------------------------------------------------------------
@@ -212,33 +195,36 @@ def improper_integral(g: GridFunction, x: float) -> complex:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """sup and per-point values of F - int_0^x F/t - E2 on the grid."""
+    """F - int_0^x F/t - E2 on the grid xs, its sup and where it is taken,
+    and what it was built from: the candidate F (values) and E2 (e2)."""
 
     xs: np.ndarray
+    values: np.ndarray
+    e2: np.ndarray
     residuals: np.ndarray
     sup: float
     argmax: float
-    X: float
-    h: float
 
 
-def residual(candidate: Union[SolutionFamily, GridFunction, Provider],
+def residual(candidate: Union[GridFunction, Provider],
              e2_provider: Provider, X: float, h: float) -> ResidualReport:
-    """Check a candidate against the equation on the (X, h) half-offset grid."""
-    xs = make_grid(X, h)
+    """Check a candidate against the equation on the (X, h) half-offset grid.
+
+    A provider is sampled on that grid; a GridFunction must have been built
+    on it.  E2 is sampled once, and the report keeps both samples.
+    """
     if isinstance(candidate, GridFunction):
-        if len(candidate.xs) != len(xs) or not np.allclose(
-                candidate.xs, xs, rtol=0, atol=1e-9 * h):
+        if candidate.h != h or len(candidate) != grid_points(X, h):
             raise BadGrid("candidate grid does not match the requested (X, h)")
         g = candidate
     else:
-        g = GridFunction(xs=xs, values=np.asarray(candidate(xs)), X=X, h=h)
-    cum = _cumulative(g)
-    res = g.values - cum - np.asarray(e2_provider(xs))
+        g = grid_function(X, candidate, h)
+    e2 = np.asarray(e2_provider(g.xs))
+    res = g.values - _cumulative(g) - e2
     a = np.abs(res)
     i = int(np.argmax(a))
-    return ResidualReport(xs=xs, residuals=res, sup=float(a[i]),
-                          argmax=float(xs[i]), X=X, h=h)
+    return ResidualReport(xs=g.xs, values=g.values, e2=e2, residuals=res,
+                          sup=float(a[i]), argmax=float(g.xs[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +252,7 @@ def solve_from_e2(e2_provider: Provider, X: float, h: float,
     e2_at_x0 = np.asarray(e2_provider(np.array([x0])))[0]
     k = (v0 - e2_at_x0) / x0
     values = e2 + xs * i_from_x0 + k * xs
-    return GridFunction(xs=xs, values=values, X=X, h=h)
+    return GridFunction(values=values, X=X, h=h)
 
 
 # ---------------------------------------------------------------------------

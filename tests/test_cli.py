@@ -42,7 +42,6 @@ from eulerphi.errors import (
     RootOutOfDisk,
     SOutOfRange,
     UsageError,
-    XBeyondTable,
 )
 from eulerphi.products import spec_hash, zeta_product
 
@@ -688,12 +687,34 @@ def test_error_class_exit_codes(capsys):
     assert main(["series-check", "--s", "1.5"]) == SOutOfRange.exit_code
     assert main(["volterra", "--op", "solve", "--X", "5", "--anchor",
                  "9=auto"]) == AnchorOutOfRange.exit_code
-    # the table is sized by the exact x, past the auto cap, so it is a float
-    # table, and float(x) rounds up to one past it: the batch's sum of phi
-    # refuses that x, it does not index past the table
-    for command in ("error-term", "decompose"):
-        assert main([command, "--x", "1,300000.99999999999999999"]
-                    ) == XBeyondTable.exit_code
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["error-term", "decompose"])
+def test_float_points_size_their_own_table(command, capsys):
+    # x < 300001 in Q, past the auto cap, so the run is in floats, where x
+    # rounds up to 300001: the table is sized on that float, not on the
+    # exact x it came from
+    code, out = run_main([command, "--x", "1,300000.99999999999999999"],
+                         capsys)
+    assert code == 0
+    assert out.splitlines()[2].startswith("300001,")
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["volterra", "--X", "5"], "exact"),
+    (["growth", "--X", "100"], "exact"),
+    (["series-check", "--n", "100"], "exact"),
+    (["verify-identity", "--x", "5"], "float"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_one_mode_commands_refuse_the_other_mode(argv, refused, capsys):
+    # a command whose tables have one number type reads --mode auto and
+    # that type's name, and refuses the other
+    kept = "float" if refused == "exact" else "exact"
+    assert main(argv + ["--mode", refused]) == ModeUnavailable.exit_code
+    assert "ModeUnavailable" in capsys.readouterr().err
+    for mode in ("auto", kept):
+        assert main(argv + ["--mode", mode]) == 0
     capsys.readouterr()
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from eulerphi import volterra
+from eulerphi import decomp, volterra
+from eulerphi.cli import main
 from eulerphi.coeffs import make_e2, phi_table
 from eulerphi.decomp import f1_closed, f1_values
 from eulerphi.errors import (
@@ -63,30 +64,22 @@ def test_grid_points_cap():
 
 
 def test_grid_function_validation():
+    # h = 0.3 puts 1.05 within 0.05 of 1: refused where (X, h) enter
+    with pytest.raises(BadGrid, match="avoid integers"):
+        make_grid(2.0, 0.3)
+    with pytest.raises(BadGrid, match="avoid integers"):
+        grid_function(2.0, lambda xs: xs, 0.3)
     with pytest.raises(BadGrid):
-        GridFunction(xs=np.array([0.5, 1.0, 1.5]),
-                     values=np.zeros(3), X=1.75, h=0.5)   # hits an integer
-    with pytest.raises(BadGrid):
-        GridFunction(xs=np.array([0.25, 0.75, 1.6]),
-                     values=np.zeros(3), X=2.0, h=0.5)    # non-uniform
-    with pytest.raises(BadGrid):
-        GridFunction(xs=np.array([0.25]), values=np.zeros(1), X=0.5, h=0.5)
+        GridFunction(values=np.zeros(1), X=0.5, h=0.5)     # one point
+    with pytest.raises(BadGrid, match="values on a grid of 4 points"):
+        GridFunction(values=np.zeros(3), X=2.0, h=0.5)
+    with pytest.raises(BadGrid, match="finite"):
+        GridFunction(values=np.array([0, 1, np.nan, 0]), X=2.0, h=0.5)
+    g = GridFunction(values=np.zeros(4, dtype=complex), X=2.0, h=0.5)
+    assert g.xs.tolist() == [0.25, 0.75, 1.25, 1.75]
     g = grid_function(2.0, lambda xs: xs, 1e-3)
-    assert len(g) == len(g.xs)
-
-
-def test_grid_function_takes_the_rounding_of_far_points():
-    # 2000 points of make_grid's grid near 9e6 h: (i + 1/2) h rounds to a
-    # float spacing of 1.8e-12, above 1e-9 h, but the grid is uniform
-    h = 1e-3
-    xs = (np.arange(9_000_000, 9_002_000) + 0.5) * h
-    g = GridFunction(xs=xs, values=np.zeros(len(xs)), X=xs[-1] + h / 2, h=h)
-    assert len(g) == 2000
-    moved = xs.copy()
-    moved[1000] += 1e-6 * h
-    with pytest.raises(BadGrid, match="uniform"):
-        GridFunction(xs=moved, values=np.zeros(len(xs)), X=xs[-1] + h / 2,
-                     h=h)
+    assert len(g) == len(g.xs) == 2000
+    assert g.xs.tobytes() == make_grid(2.0, 1e-3).tobytes()
 
 
 def test_improper_integral_linear_integrand():
@@ -132,6 +125,10 @@ def test_residual_grid_candidate_must_match():
     sol = solve_from_e2(zero_e2, 5.0, 1e-3, (1.0, 2.0))
     with pytest.raises(BadGrid):
         residual(sol, zero_e2, 5.0, 2e-3)
+    with pytest.raises(BadGrid):
+        residual(sol, zero_e2, 6.0, 1e-3)
+    # an X that ends the same grid is the same grid
+    assert residual(sol, zero_e2, 5.0004, 1e-3).sup < 1e-12
 
 
 def test_solve_zero_e2_gives_homogeneous_member():
@@ -208,3 +205,31 @@ def test_solver_recovers_family(small_setup):
     base = sol.xs * f1_values(sol.xs, table, cons)
     mask = sol.xs >= 0.5
     assert np.max(np.abs(sol.values - base)[mask]) < 1e-4
+
+
+def test_residual_keeps_its_samples(small_setup):
+    # the report's candidate and E2 columns are the providers' own values
+    table, cons, e2p = small_setup
+    fam = solution_family(table, cons, 0.5)
+    rep = residual(fam, e2p, 20.0, 1e-3)
+    assert rep.values.tobytes() == fam(rep.xs).tobytes()
+    assert rep.e2.tobytes() == e2p(rep.xs).tobytes()
+    sol = solve_from_e2(e2p, 20.0, 1e-3, (1.5, 2.0))
+    rep = residual(sol, e2p, 20.0, 1e-3)
+    assert rep.xs is sol.xs and rep.values is sol.values
+    assert rep.e2.tobytes() == e2p(sol.xs).tobytes()
+
+
+def test_volterra_residual_samples_f1_once(monkeypatch, capsys):
+    # the report's F1 column is the residual's own sample of the family
+    calls = []
+
+    def counted(xs, table, constants):
+        calls.append(len(xs))
+        return f1_values(xs, table, constants)
+
+    monkeypatch.setattr(decomp, "f1_values", counted)
+    assert main(["volterra", "--op", "residual", "--X", "5",
+                 "--h", "0.01"]) == 0
+    capsys.readouterr()
+    assert calls == [500]
