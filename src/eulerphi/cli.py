@@ -750,45 +750,52 @@ def _write_csv(data: dict, out) -> None:
                                   for k, v in summary.items()) + "\n")
 
 
-def _nested(value) -> str:
-    """json.dumps(value, indent=2) as a value of the top-level object."""
-    return json.dumps(_json_ready(value), indent=2).replace("\n", "\n  ")
+def _nested(value, depth: int = 1) -> str:
+    """json.dumps(value, indent=2) as a value at depth levels of indent:
+    1 for a value of the top-level object, 3 for a value of a row."""
+    return json.dumps(_json_ready(value), indent=2).replace(
+        "\n", "\n" + "  " * depth)
+
+
+def _json_cell(v) -> str:
+    """A row value as json.dump(indent=2) spells it: a complex cell's
+    [re, im] pair laid out over lines at a row value's depth, any other
+    cell on one line, where json's C encoder spells it."""
+    v = _json_ready(v)
+    return _nested(v, 3) if isinstance(v, list) else json.dumps(v)
 
 
 def _json_rows(columns: dict):
-    """block -> the text of its rows as json.dumps(indent=2) lays them out
+    """block -> the text of its rows as json.dump(indent=2) lays them out
     inside "rows": [...], without the brackets.
 
-    When every column is a float64 or integer array, each row is one %
-    template of that layout: %r spells a float as json does, repr, and %d
-    an int; a float column holding NaN or an infinity has its cells
-    spelled by json first.  Any other column sends the block through
-    json's encoder.
+    Each row is one % template of that layout: %r spells a cell of a
+    finite float64 array as json does, repr, and %d a cell of an integer
+    array.  Every other cell (of a list, a complex array, or a float array
+    holding NaN or an infinity, which json spells NaN, Infinity and
+    -Infinity) is spelled by _json_cell.
     """
-    if not all(map(_column_format, columns.values())):
-        def rows(block):
-            # "[\n    {...},\n    {...}\n  ]": keep what is between the brackets
-            return _nested([dict(zip(columns, row)) for row in zip(*block)])[2:-4]
-        return rows
-    spelled = [c.dtype == np.float64 and not np.isfinite(c).all()
-               for c in columns.values()]
+    formats = []
+    for c in columns.values():
+        fmt = _column_format(c)
+        if fmt == "%.17g":
+            fmt = "%r" if np.isfinite(c).all() else None
+        formats.append(fmt)
     template = "    {\n" + ",\n".join(
-        f"      {json.dumps(key).replace('%', '%%')}: "
-        + ("%s" if spell else "%r" if c.dtype == np.float64 else "%d")
-        for (key, c), spell in zip(columns.items(), spelled)) + "\n    }"
+        f"      {json.dumps(key).replace('%', '%%')}: {fmt or '%s'}"
+        for key, fmt in zip(columns, formats)) + "\n    }"
 
     def rows(block):
-        # json.dumps writes NaN, Infinity and -Infinity, where repr would
-        # write nan and inf
-        block = [list(map(json.dumps, col)) if spell else col
-                 for col, spell in zip(block, spelled)]
+        block = [col if fmt else map(_json_cell, col)
+                 for col, fmt in zip(block, formats)]
         return ",\n".join(map(template.__mod__, zip(*block)))
     return rows
 
 
 def _write_json(data: dict, out) -> None:
     """The bytes of json.dump({meta, rows[, summary]}, indent=2), with the
-    rows built from the columns and encoded one block at a time."""
+    rows spelled from the columns by one % template (_json_rows), a block
+    at a time."""
     columns = data["columns"]
     out.write('{\n  "meta": ' + _nested(data["meta"]) + ',\n  "rows": ')
     rows = _json_rows(columns)

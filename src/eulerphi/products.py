@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -491,6 +492,12 @@ _EM_COEFFS = np.array([float(b / math.factorial(2 * j)) for j, b in enumerate(
 _U = 2.0 ** -53     # unit roundoff
 
 
+def _fsum(arrays) -> float:
+    """math.fsum over the elements of float arrays, one array's Python
+    floats alive at a time."""
+    return math.fsum(chain.from_iterable(t.tolist() for t in arrays))
+
+
 def l_value(chi: CharacterSpec, s: float) -> ValueWithBound:
     """L(s, chi) = sum chi(n) n^{-s} for non-principal chi and finite s > 0.
 
@@ -519,7 +526,10 @@ def l_value(chi: CharacterSpec, s: float) -> ValueWithBound:
     q, k, a = chi.modulus, 16, 1 - s
     cr = np.array(chi.values) + 0.0     # chi(r), r < q: float, or complex
     y = q * k + np.arange(q)
-    direct = np.tile(cr, k)[1:] * [n ** -s for n in range(1, q * k)]
+    # chi(n) n^-s for 0 < n < qK, one array per period
+    direct = [cr[1:] * np.array([n ** -s for n in range(1, q)])]
+    direct += [cr * np.array([n ** -s for n in range(lo, lo + q)])
+               for lo in range(q, q * k, q)]
     ell = np.array([math.log1p(r / (q * k)) for r in range(q)])
     if a != 0:
         ell = np.array([math.expm1(a * t) for t in ell.tolist()]) / a
@@ -529,15 +539,14 @@ def l_value(chi: CharacterSpec, s: float) -> ValueWithBound:
                               (s + np.arange(11))[:, None] * (q / y)]), axis=0)
     em = _EM_COEFFS[:, None] * d[1::2]
     corr, mag = d[0] / 2 + em.sum(axis=0), d[0] / 2 + np.abs(em).sum(axis=0)
-    terms = np.concatenate([direct, integral, cr * corr])
-    value = math.fsum(terms.real.tolist())
+    terms = direct + [integral, cr * corr]
+    value = _fsum(t.real for t in terms)
     if not chi.is_real:
-        value = complex(value, math.fsum(terms.imag.tolist()))
-    errors = np.concatenate([  # in units of u
-        6 * np.abs(direct),
+        value = complex(value, _fsum(t.imag for t in terms))
+    errors = chain((6 * np.abs(t) for t in direct), [  # in units of u
         24 * np.abs(integral) + math.log(q * k) * np.abs(a * integral),
         np.abs(cr) * (60 * mag + abs(_EM_COEFFS[-1]) / _U * d[11])])
-    bound = _U * (math.fsum(errors.tolist()) + abs(value)) * (1 + 64 * _U)
+    bound = _U * (_fsum(errors) + abs(value)) * (1 + 64 * _U)
     return ValueWithBound(value, bound, "rigorous")
 
 

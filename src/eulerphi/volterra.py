@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -68,11 +69,14 @@ def grid_points(X: float, h: float) -> int:
     return n
 
 
+@lru_cache(maxsize=1)
 def make_grid(X: float, h: float) -> np.ndarray:
-    """Half-offset points (i + 1/2) h up to X.
+    """Half-offset points (i + 1/2) h up to X, as a read-only array.
 
     E2 and f1 jump at the integers, so every point must lie at least h/2
-    (within 0.2%) from one; an h that breaks this is a BadGrid.
+    (within 0.2%) from one; an h that breaks this is a BadGrid.  The last
+    grid is kept, so a run's checks, samples and GridFunctions on one
+    (X, h) share one array, which no caller can write.
     """
     xs = np.arange(grid_points(X, h), dtype=np.float64)
     xs += 0.5
@@ -83,6 +87,7 @@ def make_grid(X: float, h: float) -> np.ndarray:
     if np.abs(gap, out=gap).min() < 0.499 * h:
         raise BadGrid(f"grid points of h = {h} must avoid integers by at "
                       f"least h/2")
+    xs.flags.writeable = False
     return xs
 
 
@@ -90,7 +95,7 @@ def make_grid(X: float, h: float) -> np.ndarray:
 class GridFunction:
     """Values on the half-offset grid x_i = (i + 1/2) h over (0, X].
 
-    The points xs are make_grid(X, h), built here, so they are the grid by
+    The points xs are make_grid(X, h), taken here, so they are the grid by
     construction; only the values are checked: one finite value a point.
     """
 

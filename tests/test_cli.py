@@ -359,9 +359,12 @@ def test_block_boundary_emits_like_rows(tmp_path):
     data = {"meta": {"command": "t"}, "columns": fixed,
             "summary": {"sup": 1.0}}
     _assert_emits_like_rows(data, tmp_path)
+    # a float column holding NaN, infinities and -0.0 among the others
+    odd = xs.copy()
+    odd[::5], odd[1::7], odd[2::11], odd[3::13] = np.nan, np.inf, -np.inf, -0.0
     data["columns"] = dict(fixed, q=[Fraction(k, 7) for k in range(n)],
                            z=xs * (1 - 2j), ok=[k % 2 == 0 for k in range(n)],
-                           none=[None] * n)
+                           none=[None] * n, odd=odd)
     _assert_emits_like_rows(data, tmp_path)
 
 

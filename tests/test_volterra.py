@@ -52,6 +52,18 @@ def test_make_grid_shape_and_offset():
         make_grid(0.05, 0.1)
 
 
+def test_make_grid_is_one_read_only_array():
+    # a run's pre-check, samples and GridFunctions on one (X, h) share the
+    # grid, so none of them may move another's points
+    xs = make_grid(3.0, 0.01)
+    assert make_grid(3.0, 0.01) is xs
+    with pytest.raises(ValueError, match="read-only"):
+        xs[0] = 1.0
+    g = GridFunction(values=np.zeros(len(xs)), X=3.0, h=0.01)
+    assert g.xs is xs
+    assert grid_function(3.0, lambda t: t, 0.01).xs is xs
+
+
 def test_grid_points_cap():
     cap = volterra._GRID_POINTS_CAP
     assert grid_points(cap * 0.5, 0.5) == cap
