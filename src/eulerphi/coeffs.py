@@ -25,6 +25,13 @@ A table holds alpha and phi only.  The sum of phi, which the error term
 E(x) = sum_{n<=x} phi(n) - C x^2 reads, is formed where it is read, at the
 floor values of a batch of points (phi_sums), by the exact column kernel
 that the decomposition's sweep also runs; scan/report helpers live here too.
+
+The exact column kernel (_exact_column) sums column(n)/n^power up to a top
+and reports the sums at a set of read points.  The read points cut 1..top
+into segments; _split sums every segment's terms by binary splitting with
+lcm denominators, one level of the tree at a time over numpy object arrays,
+and one pass over the segments brings each segment's sum over the common
+denominator and adds it on.
 """
 
 from __future__ import annotations
@@ -320,50 +327,132 @@ def _floor_index(x, N: int) -> int:
     return max(k, 0)
 
 
-def _lcm(values: list) -> int:
-    """lcm of many ints, by pairwise lcms in a balanced tree: folding them
-    into one growing lcm would cost a big-integer step per value."""
-    while len(values) > 1:
-        values = [math.lcm(*values[i : i + 2])
-                  for i in range(0, len(values), 2)]
-    return values[0]
+def _column_terms(column, power: int, top: int) -> tuple:
+    """(n, p, q) over the n <= top with column(n) != 0, where
+    column(n)/n^power = p/q in lowest terms, q > 0.
+
+    n is an int64 array, p and q object arrays of Python ints.  A column
+    of Python ints is reduced in int64 when every entry up to top fits
+    (n^power does, as n <= 10^6), in Python ints otherwise; a column of
+    Fractions reduces its numerators against n^power and multiplies the
+    rest into its denominators.
+    """
+    values = column[1 : top + 1]
+    fractions = type(column[0]) is Fraction
+    if fractions:
+        a = np.array([v.numerator for v in values], dtype=object)
+    else:
+        try:
+            a = np.array(values, dtype=np.int64)
+        except OverflowError:
+            a = np.array(values, dtype=object)
+    n = np.flatnonzero(a) + 1
+    a = a[n - 1]
+    m = n ** power
+    g = np.gcd(a, m)
+    q = m // g
+    if fractions:
+        q = q * np.array([values[i].denominator for i in (n - 1).tolist()],
+                         dtype=object)
+    return n, (a // g).astype(object), q.astype(object)
+
+
+def _split(nodes: list, seg: np.ndarray) -> tuple:
+    """Each run of equal seg summed by binary splitting: (seg, nodes),
+    one node per run.
+
+    A node is [N, D] or [N, D, T, span]: N/D is the sum of its terms over
+    D, the lcm of their denominators, and T/D = sum_n t_n (hi - n) is the
+    sum of its running sums before its last position hi, which lies
+    span positions past the node to its left.  Every level pairs
+    neighbours of one run at once, left to right, over numpy object
+    arrays: with g = gcd(Dl, Dr),
+
+        N = Nl (Dr/g) + Nr (Dl/g),   D = Dl (Dr/g),
+        T = (Tl + span_r Nl) (Dr/g) + Tr (Dl/g),   span = span_l + span_r,
+
+    so a node's numbers are about as long as the lcm of its own terms'
+    denominators, and a sum of k terms takes log2(k) levels of products,
+    gcds and exact divisions, not k additions into one numerator as long
+    as the lcm of all of them (binary splitting: Haible and Papanikolaou,
+    Fast multiprecision evaluation of series of rational numbers, 1998).
+    """
+    while True:
+        at = np.arange(len(seg))
+        first = np.ones(len(seg), dtype=bool)
+        first[1:] = seg[1:] != seg[:-1]
+        rank = at - np.maximum.accumulate(np.where(first, at, 0))
+        left = np.flatnonzero((rank[:-1] % 2 == 0) & ~first[1:])
+        if not len(left):
+            return seg, nodes
+        right = left + 1
+        nl, dl, nr, dr = (nodes[0][left], nodes[1][left],
+                          nodes[0][right], nodes[1][right])
+        g = np.gcd(dl, dr)
+        fl, fr = dr // g, dl // g
+        nodes[0][left] = nl * fl + nr * fr
+        nodes[1][left] = dl * fl
+        if len(nodes) > 2:
+            t, span = nodes[2], nodes[3]
+            t[left] = (t[left] + span[right] * nl) * fl + t[right] * fr
+            span[left] += span[right]
+        keep = rank % 2 == 0
+        seg, nodes = seg[keep], [v[keep] for v in nodes]
 
 
 def _exact_column(column, power: int, top: int, reads: set,
                   total: bool = False) -> tuple:
-    """One pass over n <= top of the sums sum_{n<=k} column(n)/n^power,
+    """The sums S(k) = sum_{n<=k} column(n)/n^power over n <= top,
     recorded at each k of reads (and at 0).
 
-    Every term goes over one denominator D, the lcm of the term
-    denominators up to top, so the pass keeps one running integer
-    numerator.  Returns (D, {k: numerator}, {k: numerator of
-    sum_{1<=j<k} of the sums}); the last is all 0 unless total.
+    Returns (D, {k: numerator}, {k: numerator of T(k)}), all over D, the
+    lcm of the denominators of the nonzero terms up to top, with
+    T(k) = sum_{1<=j<k} S(j) when total and 0 otherwise.  The read points
+    cut 1..top into segments; _split sums the nonzero terms of every
+    segment by binary splitting, and one pass over the segments brings
+    each sum over D and adds it on: S(b) = S(a) + N_s (D / D_s) and
+    T(b) = T(a) + (b - a) S(a) + T_s (D / D_s) for the segment (a, b].
 
     A column of Python ints at power 0 has D = 1, and its sums are the
     builtin sums of its slices between consecutive read points.
     """
+    ks = sorted(k for k in reads if 0 < k <= top)
     if power == 0 and not total and type(column[0]) is int:
         acc = last = 0
         nums = {0: 0}
-        for k in sorted(k for k in reads if k > 0):
+        for k in ks:
             acc += sum(column[last + 1 : k + 1])
             nums[k], last = acc, k
         return 1, nums, dict.fromkeys(nums, 0)
-    terms = []   # column(n)/n^power in lowest terms, as (p, q)
-    for n in range(1, top + 1):
-        a, m = column[n], n ** power
-        g = math.gcd(a.numerator, m)
-        terms.append((a.numerator // g, a.denominator * (m // g)))
-    den = _lcm([1] + [q for p, q in terms if p])
-    acc = tot = 0
+    read = set(ks)
+    ends = ks if top in read else ks + [top]
+    n, p, q = _column_terms(column, power, top)
+    seg = np.searchsorted(ends, n)
+    nodes = [p, q]
+    if total:   # a term's running sums fill the positions up to the next term
+        nxt = np.append(n[1:], 0)
+        tail = np.ones(len(n), dtype=bool)
+        tail[:-1] = seg[1:] != seg[:-1]
+        nxt[tail] = np.array(ends, dtype=np.int64)[seg[tail]] + 1
+        span = (nxt - n).astype(object)
+        nodes += [p * (span - 1), span]
+    seg, nodes = _split(nodes, seg)
+    # N, D and T of every segment, 0/1 and 0 where it has no terms
+    segments = [np.full(len(ends), v, dtype=object) for v in (0, 1, 0)]
+    for values, node in zip(segments, nodes):
+        values[seg] = node
+    N, D, T = (v.tolist() for v in segments)
+    den = math.lcm(*D)
+    acc = tot = last = 0
     nums, tots = {0: 0}, {0: 0}
-    for n, (p, q) in enumerate(terms, 1):
-        if p:
-            acc += p * (den // q)
-        if n in reads:
-            nums[n], tots[n] = acc, tot
+    for k, num, d, t in zip(ends, N, D, T):
+        factor = den // d
         if total:
-            tot += acc
+            tot += (k - last) * acc + t * factor
+        acc += num * factor
+        if k in read:
+            nums[k], tots[k] = acc, tot
+        last = k
     return den, nums, tots
 
 

@@ -27,9 +27,10 @@ Every formula has one body, built from four private pieces:
     hands it the floor values of its points (a whole batch at once), and
     it sweeps the columns once up to the largest, returning the sums only
     where the formulas read them; nothing is kept on the table or grown
-    later.  On exact tables each column's terms go over one common
-    denominator and one running integer numerator is recorded at the read
-    points; on float tables each sum is one numpy cumulative sum.  Terms
+    later.  On exact tables each column is summed by coeffs._exact_column:
+    binary splitting between consecutive read points, then one integer
+    numerator over the column's common denominator at each read point; on
+    float tables each sum is one numpy cumulative sum.  Terms
     n > x of both series collapse onto A1 - P1 and A2 - P2, which is how
     f1_series and g1 sum their infinite tails.
   * the scale of an exact batch, the lcm of its sums' denominators.  The
@@ -56,7 +57,8 @@ the phi column, while f1_series sums the sawtooth and the P1/P2 tail;
 r_function's definition, integral and closed routes share no formula; and
 the exact verdict compares the sum of the phi column itself against a
 right-hand side built from S_g, P1, P2 and S_f, never from the residual and
-with no terms cancelled.  (The block sum of P1 at k//j equals S_f(k)
+with no terms cancelled; with x = a/b both sides are cleared of 2 b^2 and
+compared as integers.  (The block sum of P1 at k//j equals S_f(k)
 algebraically; the verdict keeps both.)
 """
 
@@ -274,7 +276,8 @@ def _sawtooth(r: np.ndarray) -> np.ndarray:
 def _point_sums(x, table: TotientTable, k: int, num: _Numbers,
                 sums: dict) -> tuple:
     """(S_g(x), P1(k), P2(k)) in num's type, k = floor(x), from a sweep's
-    sums; exact values come multiplied by the sweep's scale.
+    sums; exact values come as integers, multiplied by the sweep's scale,
+    and S_g also by b^2 for x = a/b.
 
     With q = floor(x/n) = floor(k/n), {x/n}({x/n} - 1) expands to
     x^2/n^2 - x (2q + 1)/n + q (q + 1), and summing q/n and q (q + 1) over
@@ -283,7 +286,7 @@ def _point_sums(x, table: TotientTable, k: int, num: _Numbers,
         S_g = x^2 P2(k) - x P1(k) - 2x sum_j P1[k//j] + sum_j 2j A0[k//j],
 
     which exact mode sums by floor blocks, in integer numerators over the
-    scale: with x = a/b it is one Fraction over b^2.  Float mode sums S_g
+    scale: b^2 S_g is an integer combination of them.  Float mode sums S_g
     term by term instead, since the expanded form cancels x^2-sized terms
     in floats, over the prefix n <= k of the sweep's "alpha_nz" (or of
     x's own, for a float x on an exact sweep).  The prefix is a view of
@@ -293,8 +296,8 @@ def _point_sums(x, table: TotientTable, k: int, num: _Numbers,
     if num.exact:
         a, b = x.numerator, x.denominator
         p1, p2 = sums["p1"].scaled(k), sums["p2"].scaled(k)
-        s_g = Fraction(a * a * p2 - a * b * (p1 + 2 * sums["b1"].scaled(k))
-                       + b * b * sums["b0"].scaled(k), b * b)
+        s_g = (a * a * p2 - a * b * (p1 + 2 * sums["b1"].scaled(k))
+               + b * b * sums["b0"].scaled(k))
         return s_g, p1, p2
     ns, n, a = sums.get("alpha_nz") or _nonzero_alpha(table, k, num)
     j = np.searchsorted(ns, k, "right")
@@ -458,6 +461,8 @@ def _g1_value(x, sums: tuple, num: _Numbers, constants: Constants,
               scale: int = 1) -> Scalar:
     # g1(x) times scale, from _point_sums' values times scale
     s_g, p1, p2 = sums
+    if num.exact:
+        s_g = Fraction(s_g, x.denominator ** 2)
     _, a1, a2 = _constants(num, constants, scale)
     x = num.collapse(x)
     return num.collapse(s_g + x * x * (a2 - p2) - x * (a1 - p1))
@@ -559,22 +564,27 @@ class DecompositionReport:
 
 def _reduced_residual(x: Fraction, table: TotientTable, k: int,
                       point_sums: tuple, s_f: int, s_phi,
-                      scale: int) -> Fraction:
-    # sum'_{n<=x} phi(n) = x(S_f - J/2) + S_g/2 - x^2 P2 / 2 + x P1 / 2
-    # with J = phi(x)/x at integer x (else 0); C and A1 have cancelled, so
-    # every quantity is rational and lhs - rhs is exactly 0 when it holds.
-    # Both sides come multiplied by scale, the sweep's common denominator,
-    # so the sums enter as integers and every Fraction here has a small
-    # denominator.  s_phi, the left side's sum of phi, is the phi column's
-    # own, not one rebuilt from S_f.
+                      scale: int) -> tuple:
+    """(passed, residual) of the constant-free reduced identity at x = a/b,
+
+        sum'_{n<=x} phi(n) = x (S_f - J/2) + S_g/2 - x^2 P2/2 + x P1/2,
+
+    with J = phi(x)/x at integer x (else 0); C and A1 have cancelled, so
+    every quantity is rational and the two sides are equal when it holds.
+    The sums come times scale, the sweep's common denominator, and S_g
+    also times b^2, so both sides times 2 b^2 are integers, formed apart
+    and compared; the half-jump phi(x)/2 stays on both.  s_phi, the left
+    side's sum of phi, is the phi column's own, not one rebuilt from S_f.
+    The residual, lhs - rhs in Q, is a Fraction only here.
+    """
     s_g, p1, p2 = point_sums
-    lhs = s_phi * scale
-    j = Fraction(0)
-    if x.denominator == 1:
-        j = Fraction(table.phi[k] * scale, k)
-        lhs = lhs - Fraction(table.phi[k] * scale, 2)
-    rhs = x * (s_f - j / 2) + s_g / 2 - x * x * p2 / 2 + x * p1 / 2
-    return lhs - rhs
+    a, b = x.numerator, x.denominator
+    lhs = 2 * b * b * s_phi * scale
+    rhs = 2 * a * b * s_f + s_g - a * a * p2 + a * b * p1
+    if b == 1:   # J times scale is whole: J = phi(k)/k is a term of S_f
+        lhs -= table.phi[k] * scale
+        rhs -= a * (table.phi[k] * scale // k)
+    return lhs == rhs, Fraction(lhs - rhs, 2 * b * b * scale)
 
 
 def decompose(x: Scalar, table: TotientTable, constants: Constants,
@@ -614,9 +624,8 @@ def decompose(x: Scalar, table: TotientTable, constants: Constants,
     g1_b = xf * xf * b_a2 + xf * b_a1
     verdict = "not-applicable"
     if num.exact:
-        passed = _reduced_residual(Fraction(x), table, k, point_sums,
-                                   s_f * f_factor, sums["s_phi"][k],
-                                   scale) == 0
+        passed, _ = _reduced_residual(Fraction(x), table, k, point_sums,
+                                      s_f * f_factor, sums["s_phi"][k], scale)
         verdict = "pass" if passed else "fail"
     return DecompositionReport(
         x=x,
@@ -648,8 +657,7 @@ def verify_identity_batch(xs, table: TotientTable) -> list:
     out = []
     for x in xs:
         k = math.floor(x)
-        res = _reduced_residual(x, table, k,
-                                _point_sums(x, table, k, exact, sums),
-                                sums["s_f"].scaled(k), sums["s_phi"][k], scale)
-        out.append((x, res == 0, res / scale))
+        out.append((x, *_reduced_residual(
+            x, table, k, _point_sums(x, table, k, exact, sums),
+            sums["s_f"].scaled(k), sums["s_phi"][k], scale)))
     return out

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import TRUE_C_ZETA
 from eulerphi import coeffs
@@ -265,7 +267,7 @@ def test_integer_tables_outside_int64_sieve_python_ints(monkeypatch,
 def test_phi_sums_equal_the_sum_of_phi(monkeypatch, zeta_spec, mod4_spec):
     # the exact sums, read at a few k, in the table's own number type: int64
     # sieved and Python-int tables take builtin sums, Fraction tables the
-    # lcm route; float tables read the cumulative sum of their phi
+    # binary-splitting route; float tables read the cumulative sum of phi
     N = 3000
     rng = random.Random(11)
     ks = [0, 1, N // 2, N] + [rng.randrange(N + 1) for _ in range(20)]
@@ -288,6 +290,62 @@ def test_phi_sums_equal_the_sum_of_phi(monkeypatch, zeta_spec, mod4_spec):
         assert half.tobytes() == want[: N // 2 + 1].tobytes()
     with pytest.raises(XBeyondTable):
         phi_sums(table, [N + 1])
+
+
+def _column_oracle(column, power, top, reads):
+    """sum_{n<=k} column(n)/n^power and sum_{1<=j<k} of those sums at the
+    k of reads (and 0), and the lcm of the nonzero terms' denominators:
+    one Fraction added per n, as the definitions read."""
+    s = t = Fraction(0)
+    den = 1
+    sums, tots = {0: s}, {0: t}
+    for n in range(1, top + 1):
+        term = Fraction(column[n]) / n ** power
+        if term:
+            den = den * term.denominator // math.gcd(den, term.denominator)
+        s += term
+        if n in reads:
+            sums[n], tots[n] = s, t
+        t += s
+    return sums, tots, den
+
+
+_ENTRIES = {
+    "int64": st.integers(-10 ** 6, 10 ** 6),
+    "beyond int64": st.integers(2 ** 69, 2 ** 71) | st.integers(-2 ** 71,
+                                                                -2 ** 69),
+    "fraction": st.fractions(-10, 10, max_denominator=60),
+}
+
+
+@given(st.data())
+def test_exact_column_equals_a_fraction_oracle(data):
+    # int64-sized ints, ints around 2^70 and Fractions, with zero terms,
+    # at powers 0, 1 and 2; reads empty, one k, random or every n, each
+    # with and without top
+    kind = data.draw(st.sampled_from(sorted(_ENTRIES)), "kind")
+    power = data.draw(st.sampled_from([0, 1, 2]), "power")
+    top = data.draw(st.integers(0, 150), "top")
+    entry = st.just(0) | _ENTRIES[kind]
+    column = [0] + data.draw(st.lists(entry, min_size=top, max_size=top),
+                             "column")
+    if kind == "fraction":
+        column = [Fraction(v) for v in column]
+    below = st.integers(1, max(top, 1))
+    reads = data.draw(st.one_of(
+        st.just(set()), st.builds(lambda k: {k}, below), st.sets(below),
+        st.just(set(range(1, top + 1)))), "reads")
+    with_top = data.draw(st.booleans(), "with top")
+    reads = reads | {top} if with_top else reads - {top}
+    total = data.draw(st.booleans(), "total")
+
+    den, nums, tots = coeffs._exact_column(column, power, top, reads, total)
+    sums, running, lcm = _column_oracle(column, power, top, reads)
+    assert den == lcm
+    assert nums.keys() == tots.keys() == sums.keys()
+    for k in sums:
+        assert Fraction(nums[k], den) == sums[k]
+        assert Fraction(tots[k], den) == (running[k] if total else 0)
 
 
 def _one_column_sieve(spf, ps, at_primes, higher, one):

@@ -409,9 +409,10 @@ def test_verify_identity_detects_changed_entries(zeta_spec, custom100_spec,
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(decomp, "phi_sums", bumped_at_100)
-            failed = [x for x, good, _ in verify_identity_batch(xs, table)
-                      if not good]
-        assert failed == [Fraction(100), Fraction(201, 2)]
+            rows = verify_identity_batch(xs, table)
+        # the residual is lhs - rhs in Q: one more on the left is exactly 1
+        assert [(x, res) for x, good, res in rows if not good] == [
+            (Fraction(100), Fraction(1)), (Fraction(201, 2), Fraction(1))]
 
         table = phi_table(spec, 200, mode="exact")
         table.alpha[6] += 1
