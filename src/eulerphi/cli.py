@@ -53,6 +53,7 @@ from .errors import (
     EulerphiError,
     IoError,
     ModeUnavailable,
+    OutOfMemory,
     UsageError,
 )
 
@@ -300,8 +301,16 @@ def _parse_number(tok: str):
         raise UsageError(f"cannot parse number {tok!r}")
 
 
+# a range point costs about 150 bytes as a Fraction and its float, so this
+# many is about the 1.6 GB that the table and grid caps allow
+_X_POINTS_CAP = 10 ** 7
+
+
 def parse_x_values(text: str, exact: bool) -> list:
-    """LIST 'a,b,c' or RANGE 'a:b:step' (inclusive ends when step divides)."""
+    """LIST 'a,b,c' or RANGE 'a:b:step' (inclusive ends when step divides).
+
+    A range is counted before it is built, and one of more than
+    _X_POINTS_CAP points raises OutOfMemory."""
     if text is None:
         raise UsageError("--x is required for this command")
     if isinstance(text, (int, float)):
@@ -313,14 +322,11 @@ def parse_x_values(text: str, exact: bool) -> list:
         a, b, step = (_parse_number(t) for t in parts)
         if step <= 0 or b < a:
             raise UsageError(f"range needs B >= A and STEP > 0, got {text!r}")
-        out = []
-        k = 0
-        while True:
-            v = a + k * step
-            if v > b:
-                break
-            out.append(v)
-            k += 1
+        count = (b - a) // step + 1
+        if count > _X_POINTS_CAP:
+            raise OutOfMemory(f"--x range capped at {_X_POINTS_CAP} points, "
+                              f"got {count}")
+        out = [a + k * step for k in range(count)]
     else:
         out = [_parse_number(t) for t in text.split(",") if t.strip()]
     if not out:

@@ -33,17 +33,17 @@ Every formula has one body, built from four private pieces:
     float tables each sum is one numpy cumulative sum.  Terms
     n > x of both series collapse onto A1 - P1 and A2 - P2, which is how
     f1_series and g1 sum their infinite tails.
-  * the scale of an exact batch, the lcm of its sums' denominators.  The
-    batch's points form each piece of the identity times the scale, so the
-    sums enter as integer numerators and every Fraction has a small
-    denominator (from x, 2, k and the constants); a value is divided
-    by the scale, and gcd-normalised over the large denominator, only
-    where a report holds it.  x f1 uses S_f's own, smaller denominator.
+  * the scale of an exact batch, the lcm of its sums' denominators.  It
+    lives only in the integer verdict (_reduced_residual): the sums enter
+    there as integer numerators over the scale, and both sides of the
+    identity, times 2 b^2 scale for x = a/b, are compared as integers.
+    Every value formula (E2, x f1, g1) takes plain numbers, each sum read
+    as a Fraction over its own denominator (_value).
   * _point_sums, which gives S_g(x) = sum_{n<=x} alpha(n) {x/n}({x/n} - 1)
-    (for g1, the decompose verdict and verify_identity_batch).  In exact
-    mode it expands S_g into P2(k), P1(k) and sums of P1 and
-    A0 = sum_{n<=k} alpha(n) at k//j, which the sweep records only at the
-    O(sqrt k) values k//j and sums over the blocks of constant k//j in
+    (for g1 and the float decompose).  In exact mode _scaled_s_g, which
+    the verdict reads too, expands S_g into P2(k), P1(k) and sums of P1
+    and A0 = sum_{n<=k} alpha(n) at k//j, which the sweep records only at
+    the O(sqrt k) values k//j and sums over the blocks of constant k//j in
     integers.  In float mode it sums S_g term by term over {x/n} from
     _frac, the one fractional-part routine, which also feeds the bare
     sawtooth sum of f1_series_raw.  The n with alpha(n) != 0 come from
@@ -222,9 +222,9 @@ def _batch_sweep(xs, table: TotientTable, lowest, names: tuple) -> dict:
 _DECOMPOSE_SUMS = ("p1", "p2", "s_f", "s_phi", "alpha_nz")
 
 
-def _constants(num: _Numbers, constants: Constants, scale: int = 1) -> tuple:
-    """(C, A1, A2) in num's type, times scale."""
-    return tuple(num.collapse(v.value) * scale
+def _constants(num: _Numbers, constants: Constants) -> tuple:
+    """(C, A1, A2) in num's type."""
+    return tuple(num.collapse(v.value)
                  for v in (constants.c, constants.a1, constants.a2))
 
 
@@ -273,11 +273,9 @@ def _sawtooth(r: np.ndarray) -> np.ndarray:
     return np.where(r == 0, r, (1 - 2 * r) / 2)
 
 
-def _point_sums(x, table: TotientTable, k: int, num: _Numbers,
-                sums: dict) -> tuple:
-    """(S_g(x), P1(k), P2(k)) in num's type, k = floor(x), from a sweep's
-    sums; exact values come as integers, multiplied by the sweep's scale,
-    and S_g also by b^2 for x = a/b.
+def _scaled_s_g(x, k: int, sums: dict) -> tuple:
+    """(b^2 scale S_g(x), b^2 scale) for x = a/b and k = floor(x): S_g
+    times that denominator, an integer, from an exact sweep's sums.
 
     With q = floor(x/n) = floor(k/n), {x/n}({x/n} - 1) expands to
     x^2/n^2 - x (2q + 1)/n + q (q + 1), and summing q/n and q (q + 1) over
@@ -285,28 +283,38 @@ def _point_sums(x, table: TotientTable, k: int, num: _Numbers,
 
         S_g = x^2 P2(k) - x P1(k) - 2x sum_j P1[k//j] + sum_j 2j A0[k//j],
 
-    which exact mode sums by floor blocks, in integer numerators over the
-    scale: b^2 S_g is an integer combination of them.  Float mode sums S_g
-    term by term instead, since the expanded form cancels x^2-sized terms
-    in floats, over the prefix n <= k of the sweep's "alpha_nz" (or of
-    x's own, for a float x on an exact sweep).  The prefix is a view of
-    the batch's arrays, the same elements in the same order as a scan up
-    to k alone, so the sum has the same bits.
+    whose block sums the sweep forms in integer numerators over the scale,
+    so b^2 scale S_g is an integer combination of numerators.
     """
+    a, b = x.numerator, x.denominator
+    p1, p2 = sums["p1"].scaled(k), sums["p2"].scaled(k)
+    s_g = (a * a * p2 - a * b * (p1 + 2 * sums["b1"].scaled(k))
+           + b * b * sums["b0"].scaled(k))
+    return s_g, b * b * sums["scale"]
+
+
+def _point_sums(x, table: TotientTable, k: int, num: _Numbers,
+                sums: dict) -> tuple:
+    """(S_g(x), P1(k), P2(k)) in num's type, k = floor(x), from a sweep's
+    sums.
+
+    Exact mode reads S_g off _scaled_s_g.  Float mode sums S_g term by
+    term instead, since the expanded form cancels x^2-sized terms in
+    floats, over the prefix n <= k of the sweep's "alpha_nz" (or of x's
+    own, for a float x on an exact sweep).  The prefix is a view of the
+    batch's arrays, the same elements in the same order as a scan up to k
+    alone, so the sum has the same bits.
+    """
+    p1, p2 = _value(sums, "p1", k, num), _value(sums, "p2", k, num)
     if num.exact:
-        a, b = x.numerator, x.denominator
-        p1, p2 = sums["p1"].scaled(k), sums["p2"].scaled(k)
-        s_g = (a * a * p2 - a * b * (p1 + 2 * sums["b1"].scaled(k))
-               + b * b * sums["b0"].scaled(k))
-        return s_g, p1, p2
+        return Fraction(*_scaled_s_g(x, k, sums)), p1, p2
     ns, n, a = sums.get("alpha_nz") or _nonzero_alpha(table, k, num)
     j = np.searchsorted(ns, k, "right")
     r = _frac(x, n[:j], num)
     terms = a[:j] * r
     r -= 1
     terms *= r    # alpha(n) {x/n} ({x/n} - 1), in that order
-    return (num.collapse(np.sum(terms)),
-            _value(sums, "p1", k, num), _value(sums, "p2", k, num))
+    return num.collapse(np.sum(terms)), p1, p2
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +341,11 @@ def _check_range(x, table: TotientTable, lowest) -> int:
 
 
 def _f1_value(x, k: int, s_f, table: TotientTable, num: _Numbers,
-              constants: Constants, scale: int = 1) -> Scalar:
-    # f1(x) times scale, from S_f(k) times scale
-    c, a1, _ = _constants(num, constants, scale)
+              constants: Constants) -> Scalar:
+    # f1(x) from S_f(k)
+    c, a1, _ = _constants(num, constants)
     if x == k:
-        s_f = s_f - num.collapse(table.phi[k]) * scale / 2 / k
+        s_f = s_f - num.collapse(table.phi[k]) / 2 / k
     return a1 / 2 - 2 * c * x + s_f
 
 
@@ -437,14 +445,18 @@ def f1_values(xs: np.ndarray, table: TotientTable,
     num = _number_type(False)
     c, a1, _ = _constants(num, constants)
     k = np.floor(xs).astype(np.int64)
-    ks, at = np.unique(k, return_inverse=True)
-    sums = _sweep(table, ks.tolist(), ("s_f",))
-    if table.exact:   # each exact value rounded once
-        s_f = np.array([_value(sums, "s_f", j, num) for j in ks.tolist()])
-    else:
-        s_f = sums["s_f"][ks]
-    phi = table.phi_array(int(ks[-1]))
-    out = a1 / 2 - 2 * c * xs + s_f[at]
+    top = int(k.max())
+    if table.exact:   # each exact value rounded once, at each distinct floor
+        seen = np.zeros(top + 1, dtype=bool)
+        seen[k] = True
+        ks = np.flatnonzero(seen).tolist()
+        sums = _sweep(table, ks, ("s_f",))
+        s_f = np.zeros(top + 1)
+        s_f[ks] = [_value(sums, "s_f", j, num) for j in ks]
+    else:   # the cumulative sum itself, indexed by floor
+        s_f = _sweep(table, [top], ("s_f",))["s_f"]
+    phi = table.phi_array(top)
+    out = a1 / 2 - 2 * c * xs + s_f[k]
     at_int = (xs == k) & (k >= 1)
     if np.any(at_int):
         kk = np.maximum(k, 1)
@@ -457,13 +469,10 @@ def f1_values(xs: np.ndarray, table: TotientTable,
 # g1
 # ---------------------------------------------------------------------------
 
-def _g1_value(x, sums: tuple, num: _Numbers, constants: Constants,
-              scale: int = 1) -> Scalar:
-    # g1(x) times scale, from _point_sums' values times scale
+def _g1_value(x, sums: tuple, num: _Numbers, constants: Constants) -> Scalar:
+    # g1(x) from _point_sums' values
     s_g, p1, p2 = sums
-    if num.exact:
-        s_g = Fraction(s_g, x.denominator ** 2)
-    _, a1, a2 = _constants(num, constants, scale)
+    _, a1, a2 = _constants(num, constants)
     x = num.collapse(x)
     return num.collapse(s_g + x * x * (a2 - p2) - x * (a1 - p1))
 
@@ -477,9 +486,7 @@ def g1(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     k = _check_range(x, table, 0)
     num = _point_numbers(x, table.exact)
     sums = _batch_sweep([x], table, 0, ("p1", "p2", "alpha_nz"))
-    scale = sums["scale"] if num.exact else 1
-    return _g1_value(x, _point_sums(x, table, k, num, sums), num, constants,
-                     scale) / scale
+    return _g1_value(x, _point_sums(x, table, k, num, sums), num, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +555,11 @@ def r_function(x: Scalar, table: TotientTable, constants: Constants,
 class DecompositionReport:
     """E2(x) against the arithmetic part x f1(x) and analytic part g1(x)/2.
 
-    residual = e2 - arithmetic_part - analytic_part (exactly 0 in exact mode,
-    pure rounding in float mode).  exact_verdict reports the constant-free
-    reduced rational identity: 'pass'/'fail' for exact tables at rational x,
-    'not-applicable' otherwise.
+    residual = e2 - arithmetic_part - analytic_part: pure rounding in float
+    mode; in exact mode the reduced identity's lhs - rhs in Q, so that
+    analytic_part equals g1(x)/2 in Q since Constants keeps A2 = 2C.
+    exact_verdict reports that constant-free reduced rational identity:
+    'pass'/'fail' for exact tables at rational x, 'not-applicable' otherwise.
     """
 
     x: Scalar
@@ -563,24 +571,26 @@ class DecompositionReport:
 
 
 def _reduced_residual(x: Fraction, table: TotientTable, k: int,
-                      point_sums: tuple, s_f: int, s_phi,
-                      scale: int) -> tuple:
+                      sums: dict) -> tuple:
     """(passed, residual) of the constant-free reduced identity at x = a/b,
 
         sum'_{n<=x} phi(n) = x (S_f - J/2) + S_g/2 - x^2 P2/2 + x P1/2,
 
     with J = phi(x)/x at integer x (else 0); C and A1 have cancelled, so
     every quantity is rational and the two sides are equal when it holds.
-    The sums come times scale, the sweep's common denominator, and S_g
-    also times b^2, so both sides times 2 b^2 are integers, formed apart
-    and compared; the half-jump phi(x)/2 stays on both.  s_phi, the left
-    side's sum of phi, is the phi column's own, not one rebuilt from S_f.
-    The residual, lhs - rhs in Q, is a Fraction only here.
+    The sums of an exact sweep are read as integer numerators over its
+    scale, and S_g also times b^2, so both sides times 2 b^2 scale are
+    integers, formed apart and compared; the half-jump phi(x)/2 stays on
+    both.  s_phi, the left side's sum of phi, is the phi column's own, not
+    one rebuilt from S_f.  The residual is lhs - rhs in Q, which equals
+    E2 - x f1 - g1/2 in Q since Constants keeps A2 = 2C.
     """
-    s_g, p1, p2 = point_sums
     a, b = x.numerator, x.denominator
-    lhs = 2 * b * b * s_phi * scale
-    rhs = 2 * a * b * s_f + s_g - a * a * p2 + a * b * p1
+    scale = sums["scale"]
+    s_g, _ = _scaled_s_g(x, k, sums)
+    lhs = 2 * b * b * sums["s_phi"][k] * scale
+    rhs = (2 * a * b * sums["s_f"].scaled(k) + s_g
+           - a * a * sums["p2"].scaled(k) + a * b * sums["p1"].scaled(k))
     if b == 1:   # J times scale is whole: J = phi(k)/k is a term of S_f
         lhs -= table.phi[k] * scale
         rhs -= a * (table.phi[k] * scale // k)
@@ -592,41 +602,32 @@ def decompose(x: Scalar, table: TotientTable, constants: Constants,
     """Evaluate every piece of E2(x) = x f1(x) + g1(x)/2 at one point.
 
     _sums: a batch's sweep that covers x (decompose_batch's), instead of
-    a sweep of x's own.  At an exact point every piece is formed times the
-    sweep's scale and divided by it once, so a Fraction is normalised over
-    the sums' large denominator only for the values the report holds.
+    a sweep of x's own.  At an exact point the reduced identity, evaluated
+    once, gives the residual and the verdict, and g1/2 is E2 - x f1 -
+    residual, which equals g1(x)/2 in Q since Constants keeps A2 = 2C; a
+    float point sums g1 itself.
     """
     k = _check_range(x, table, 1)
     num = _point_numbers(x, table.exact)
     sums = _sums or _batch_sweep([x], table, 1, _DECOMPOSE_SUMS)
-    scale = sums["scale"] if num.exact else 1
-    point_sums = _point_sums(x, table, k, num, sums)
-    if num.exact:   # x f1 times S_f's own denominator, a smaller one
-        s_f = sums["s_f"]
-        f_scale, f_factor, s_f = s_f.den, s_f.factor, s_f.numerators[k]
-    else:
-        f_scale = f_factor = 1
-        s_f = _value(sums, "s_f", k, num)
     e2 = error_term(table, constants.c, x, convention="symmetric",
                     _sums=sums["s_phi"])
-    xf1 = x * _f1_value(x, k, s_f, table, num, constants, f_scale)
-    hg1 = _g1_value(x, point_sums, num, constants, scale) / 2
-    residual = e2 * scale - xf1 * f_factor - hg1
-    xf1 = xf1 / f_scale
-    # a zero exact residual makes g1/2 equal to E2 - x f1, whose reduced
-    # form costs a gcd over x f1's denominator, not over the larger scale
-    hg1 = e2 - xf1 if num.exact and residual == 0 else hg1 / scale
-    residual = residual / scale
+    xf1 = x * _f1_value(x, k, _value(sums, "s_f", k, num), table, num,
+                        constants)
+    if num.exact:
+        passed, residual = _reduced_residual(Fraction(x), table, k, sums)
+        hg1 = e2 - xf1 - residual
+        verdict = "pass" if passed else "fail"
+    else:
+        hg1 = _g1_value(x, _point_sums(x, table, k, num, sums), num,
+                        constants) / 2
+        residual = e2 - xf1 - hg1
+        verdict = "not-applicable"
     xf = float(x)
     b_c, b_a1, b_a2 = constants.c.bound, constants.a1.bound, constants.a2.bound
     e2_b = b_c * xf * xf
     f1_b = b_a1 / 2 + 2 * xf * b_c
     g1_b = xf * xf * b_a2 + xf * b_a1
-    verdict = "not-applicable"
-    if num.exact:
-        passed, _ = _reduced_residual(Fraction(x), table, k, point_sums,
-                                      s_f * f_factor, sums["s_phi"][k], scale)
-        verdict = "pass" if passed else "fail"
     return DecompositionReport(
         x=x,
         e2=ValueWithBound(e2, e2_b, constants.c.bound_kind),
@@ -653,11 +654,5 @@ def verify_identity_batch(xs, table: TotientTable) -> list:
         raise ModeUnavailable("the reduced identity needs an exact table")
     xs = [Fraction(x) for x in xs]
     sums = _batch_sweep(xs, table, 1, _DECOMPOSE_SUMS)
-    exact, scale = _number_type(True), sums["scale"]
-    out = []
-    for x in xs:
-        k = math.floor(x)
-        out.append((x, *_reduced_residual(
-            x, table, k, _point_sums(x, table, k, exact, sums),
-            sums["s_f"].scaled(k), sums["s_phi"][k], scale)))
-    return out
+    return [(x, *_reduced_residual(x, table, math.floor(x), sums))
+            for x in xs]

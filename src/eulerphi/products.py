@@ -37,6 +37,7 @@ from .errors import (
     ModeUnavailable,
     NonMultiplicative,
     NotPrime,
+    OutOfMemory,
     PrecisionUnreachable,
     PrincipalCharacter,
     RootOutOfDisk,
@@ -459,9 +460,15 @@ def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWith
     |C - C_P| <= |C_P| (exp(2B/P) - 1) once B/P^2 <= 1/2.  Products with
     finite support (custom kind, zero default) have an empty tail and are
     exact; they come back as rationals with bound 0 when possible.
+    The cutoff shares the float table's cap, since the sieve costs about
+    as much per n; a larger one is refused before anything is allocated.
     """
+    from .coeffs import _FLOAT_N_CAP   # coeffs imports this module
     if prime_cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {prime_cutoff}")
+    if prime_cutoff > _FLOAT_N_CAP:
+        raise OutOfMemory(f"prime cutoff capped at {_FLOAT_N_CAP}, "
+                          f"got {prime_cutoff}")
     if spec.finite_support:
         # 1 - gamma(p)/p^2 with gamma(p) = p (1 - local)
         value, exact = _listed_product(

@@ -27,7 +27,7 @@ from eulerphi.cli import (
     run_command,
 )
 import eulerphi
-from eulerphi import coeffs, products
+from eulerphi import cli, coeffs, products
 from eulerphi.coeffs import cache_path, load_table, phi_table, save_table
 from eulerphi.errors import (
     AnchorOutOfRange,
@@ -56,18 +56,26 @@ def test_parse_constants_flags():
     assert cfg.options["prime_cutoff"] == 10 ** 6
 
 
-def test_parse_x_range():
+def test_parse_x_range(monkeypatch):
     xs = parse_x_values("1:500:0.5", exact=True)
     assert len(xs) == 999
     assert xs[0] == 1 and xs[1] == Fraction(3, 2) and xs[-1] == 500
     assert parse_x_values("2.5,7.5", exact=False) == [2.5, 7.5]
     assert parse_x_values("1:6:1/2", exact=True)[1] == Fraction(3, 2)
+    # the end is out when the step does not divide the span
+    assert parse_x_values("1:2:0.3", exact=True) == [
+        1, Fraction(13, 10), Fraction(8, 5), Fraction(19, 10)]
     with pytest.raises(UsageError):
         parse_x_values("5:1:1", exact=False)
     with pytest.raises(UsageError):
         parse_x_values("1:2", exact=False)
     with pytest.raises(UsageError):
         parse_x_values("abc", exact=False)
+    # a range is counted against the cap before it is built
+    monkeypatch.setattr(cli, "_X_POINTS_CAP", 10)
+    assert len(parse_x_values("1:10:1", exact=False)) == 10
+    with pytest.raises(OutOfMemory):
+        parse_x_values("1:11:1", exact=False)
 
 
 def test_parse_anchor():
@@ -956,6 +964,25 @@ def test_oversized_volterra_grid_is_refused_before_any_allocation(X, h,
     assert code == OutOfMemory.exit_code == 22
     err = capsys.readouterr().err
     assert err.startswith("error: OutOfMemory: grid capped")
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("args, message", [
+    (["constants", "--prime-cutoff", "10000000000"], "prime cutoff capped"),
+    (["error-term", "--x", "1:2:1/100000000"], "--x range capped")])
+def test_oversized_inputs_are_refused_before_any_allocation(args, message,
+                                                            capsys):
+    # a 1e10 prime sieve (about 18 GB) and a list of 1e8 points: refused
+    # before either is built
+    tracemalloc.start()
+    try:
+        code = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == OutOfMemory.exit_code == 22
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: OutOfMemory: {message}")
     assert peak < 2 ** 20
 
 

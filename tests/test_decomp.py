@@ -197,6 +197,8 @@ def test_decompose_exact(request):
             assert isinstance(rep.residual, Fraction)
             assert rep.e2.value == (rep.arithmetic_part.value
                                     + rep.analytic_part.value)
+            # the closed route, from S_g and the constants
+            assert rep.analytic_part.value == g1(x, table, cons) / 2
 
 
 def test_exact_values_stay_fractions(request):
@@ -402,33 +404,40 @@ def test_verify_identity_detects_changed_entries(zeta_spec, custom100_spec,
         sums[100] += 1
         return sums
 
+    def rows_of(table, cons):
+        # decompose's residual and verdict are the reduced identity's,
+        # nonzero residuals included
+        rows = verify_identity_batch(xs, table)
+        assert [(rep.x, rep.exact_verdict == "pass", rep.residual)
+                for rep in decompose_batch(xs, table, cons)] == rows
+        return rows
+
     for spec, cons in ((zeta_spec, zeta_constants),
                        (custom100_spec, custom100_constants)):
         table = phi_table(spec, 200, mode="exact")
-        assert all(good for _, good, _ in verify_identity_batch(xs, table))
+        assert all(good for _, good, _ in rows_of(table, cons))
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(decomp, "phi_sums", bumped_at_100)
-            rows = verify_identity_batch(xs, table)
+            rows = rows_of(table, cons)
         # the residual is lhs - rhs in Q: one more on the left is exactly 1
         assert [(x, res) for x, good, res in rows if not good] == [
             (Fraction(100), Fraction(1)), (Fraction(201, 2), Fraction(1))]
 
         table = phi_table(spec, 200, mode="exact")
         table.alpha[6] += 1
-        failed = [x for x, good, _ in verify_identity_batch(xs, table)
-                  if not good]
+        failed = [x for x, good, _ in rows_of(table, cons) if not good]
         assert failed == xs[1:]
 
         # S_f comes from phi, not from the block sum of P1 (equal in Q), so
         # a changed phi(40) fails every x past it, in both verdicts
         table = phi_table(spec, 200, mode="exact")
         table.phi[40] += 1
-        failed = [x for x, good, _ in verify_identity_batch(xs, table)
-                  if not good]
-        assert failed == xs[1:]
+        rows = rows_of(table, cons)
+        assert [x for x, good, _ in rows if not good] == xs[1:]
         assert [x for x in xs if decompose(x, table, cons).exact_verdict
                 == "fail"] == xs[1:]
+        assert dict((x, res) for x, _, res in rows)[100] == Fraction(-3, 2)
 
 
 def test_exact_kernel_keeps_only_read_points(zeta_spec):
