@@ -326,7 +326,10 @@ def parse_x_values(text: str, exact: bool) -> list:
         if count > _X_POINTS_CAP:
             raise OutOfMemory(f"--x range capped at {_X_POINTS_CAP} points, "
                               f"got {count}")
-        out = [a + k * step for k in range(count)]
+        # a + k step over one common denominator d: one gcd a point
+        d = math.lcm(a.denominator, step.denominator)
+        first, stride = int(a * d), int(step * d)
+        out = [Fraction(first + k * stride, d) for k in range(count)]
     else:
         out = [_parse_number(t) for t in text.split(",") if t.strip()]
     if not out:

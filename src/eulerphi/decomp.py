@@ -274,8 +274,9 @@ def _sawtooth(r: np.ndarray) -> np.ndarray:
 
 
 def _scaled_s_g(x, k: int, sums: dict) -> tuple:
-    """(b^2 scale S_g(x), b^2 scale) for x = a/b and k = floor(x): S_g
-    times that denominator, an integer, from an exact sweep's sums.
+    """(b^2 scale S_g(x), scale P1(k), scale P2(k)) for x = a/b and
+    k = floor(x), integers from an exact sweep's sums; the verdict reuses
+    the scaled P1 and P2.
 
     With q = floor(x/n) = floor(k/n), {x/n}({x/n} - 1) expands to
     x^2/n^2 - x (2q + 1)/n + q (q + 1), and summing q/n and q (q + 1) over
@@ -290,7 +291,7 @@ def _scaled_s_g(x, k: int, sums: dict) -> tuple:
     p1, p2 = sums["p1"].scaled(k), sums["p2"].scaled(k)
     s_g = (a * a * p2 - a * b * (p1 + 2 * sums["b1"].scaled(k))
            + b * b * sums["b0"].scaled(k))
-    return s_g, b * b * sums["scale"]
+    return s_g, p1, p2
 
 
 def _point_sums(x, table: TotientTable, k: int, num: _Numbers,
@@ -307,7 +308,8 @@ def _point_sums(x, table: TotientTable, k: int, num: _Numbers,
     """
     p1, p2 = _value(sums, "p1", k, num), _value(sums, "p2", k, num)
     if num.exact:
-        return Fraction(*_scaled_s_g(x, k, sums)), p1, p2
+        s_g = _scaled_s_g(x, k, sums)[0]
+        return Fraction(s_g, x.denominator ** 2 * sums["scale"]), p1, p2
     ns, n, a = sums.get("alpha_nz") or _nonzero_alpha(table, k, num)
     j = np.searchsorted(ns, k, "right")
     r = _frac(x, n[:j], num)
@@ -587,10 +589,9 @@ def _reduced_residual(x: Fraction, table: TotientTable, k: int,
     """
     a, b = x.numerator, x.denominator
     scale = sums["scale"]
-    s_g, _ = _scaled_s_g(x, k, sums)
+    s_g, p1, p2 = _scaled_s_g(x, k, sums)
     lhs = 2 * b * b * sums["s_phi"][k] * scale
-    rhs = (2 * a * b * sums["s_f"].scaled(k) + s_g
-           - a * a * sums["p2"].scaled(k) + a * b * sums["p1"].scaled(k))
+    rhs = 2 * a * b * sums["s_f"].scaled(k) + s_g - a * a * p2 + a * b * p1
     if b == 1:   # J times scale is whole: J = phi(k)/k is a term of S_f
         lhs -= table.phi[k] * scale
         rhs -= a * (table.phi[k] * scale // k)

@@ -16,10 +16,10 @@ family.  The solver instead reduces the equation to the exact ODE form
 with K pinned by an anchor value F(x0) = v0.  E2(t)/t^2 is bounded near 0
 because E2(t) = -C(F) t^2 below 1, so the improper endpoint is tame.
 
-The improper integral int_0^x g(t)/t dt realizes its epsilon -> 0 limit
-analytically: below the first grid point g is modeled as c t (so g/t is the
-constant c and the [0, t0] piece contributes c t0 = g(t0)); the model is
-sanity-checked by requiring |g|/t to stay bounded over the first ten points.
+The improper integral int_0^x g(t)/t dt models w = g/t one way: as the line
+through the two points of a cell, the first or last cell beyond either end
+of the grid, which is exact on [0, x_0] for the family (f1 + A is linear on
+(0, 1)); that w stays bounded is checked over the first ten points.
 """
 
 from __future__ import annotations
@@ -164,34 +164,33 @@ def _interpolate(xs: np.ndarray, w: np.ndarray, cum: np.ndarray, h: float,
                  x: float):
     """cum (a running integral of w over xs) carried on to x.
 
-    Inside a cell w is linear; past the last point and before the first
-    one it is held constant.
+    w is the line through the two points of x's cell, integrated exactly;
+    below the first point and past the last one, that cell is the first or
+    the last.
     """
-    if x < xs[0]:
-        return cum[0] - w[0] * (xs[0] - x)
-    j = int(np.searchsorted(xs, x, side="right") - 1)
-    if j >= len(xs) - 1:
-        return cum[-1] + w[-1] * (x - xs[-1])
+    j = int(np.clip(np.searchsorted(xs, x, "right") - 1, 0, len(xs) - 2))
     wx = w[j] + (w[j + 1] - w[j]) * (x - xs[j]) / h
     return cum[j] + (w[j] + wx) / 2 * (x - xs[j])
 
 
 def _cumulative(g: GridFunction) -> np.ndarray:
-    """W_i = int_0^{x_i} g/t dt: small-t model piece plus trapezoid."""
-    return g.values[0] + _trapezoid(_integrand_check(g), g.h)
+    """W_i = int_0^{x_i} g/t dt: the first cell's line, then the trapezoid."""
+    w = _integrand_check(g)
+    cum = _trapezoid(w, g.h)
+    # in place: a second array of the grid's size raises the probe's peak
+    cum -= _interpolate(g.xs, w, cum, g.h, 0.0)
+    return cum
 
 
 def improper_integral(g: GridFunction, x: float) -> complex:
-    """int_0^x g(t)/t dt for 0 < x <= X, trapezoid with an O(t) small-t model."""
+    """int_0^x g(t)/t dt for 0 < x <= X, with w = g/t linear on each cell;
+    past the last grid point w extends the last cell's line."""
     if x > g.X * (1 + 1e-12):
         raise XBeyondGrid(f"x = {x} beyond grid endpoint X = {g.X}")
     if x <= 0:
         raise XBeyondGrid(f"need x > 0, got {x}")
-    w = _integrand_check(g)
-    if x <= g.xs[0]:
-        # inside the modeled region: integrand is the constant g(t0)/t0
-        return _plain(w[0] * x)
-    return _plain(_interpolate(g.xs, w, _cumulative(g), g.h, x))
+    return _plain(_interpolate(g.xs, _integrand_check(g), _cumulative(g),
+                               g.h, x))
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +263,16 @@ def solve_from_e2(e2_provider: Provider, X: float, h: float,
 # Homogeneous structure probe
 # ---------------------------------------------------------------------------
 
-def homogeneous_probe(g: GridFunction, tol: float = None) -> tuple:
+def homogeneous_probe(g: GridFunction) -> tuple:
     """Fit g ~ A x and report (A, sup deviation |g - A x|).
 
-    Pre-check: g must satisfy the homogeneous equation (e2 = 0) within tol on
-    its own grid; default tol scales with the sample size.  A failure raises
-    NotHomogeneous - the numerical witness that only A x passes.
+    Pre-check: g must satisfy the homogeneous equation (e2 = 0) on its own
+    grid within 1e-4 max(1, max |g|), a heuristic that scales with the size
+    of g.  A failure raises NotHomogeneous - the numerical witness that only
+    A x passes.
     """
-    cum = _cumulative(g)
-    res = np.abs(g.values - cum)
-    scale = float(np.max(np.abs(g.values))) if len(g) else 0.0
-    if tol is None:
-        tol = max(1e-8, 1e-4 * max(1.0, scale))
+    res = np.abs(g.values - _cumulative(g))
+    tol = 1e-4 * max(1.0, float(np.max(np.abs(g.values))))
     sup_res = float(res.max())
     if sup_res > tol:
         raise NotHomogeneous(

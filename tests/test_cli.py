@@ -1,6 +1,7 @@
 """Command-line surface: parsing, reports, determinism, caching, exit codes."""
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from eulerphi.cli import (
     _COMMANDS,
@@ -27,7 +29,7 @@ from eulerphi.cli import (
     run_command,
 )
 import eulerphi
-from eulerphi import cli, coeffs, products
+from eulerphi import cli, coeffs, decomp, products
 from eulerphi.coeffs import cache_path, load_table, phi_table, save_table
 from eulerphi.errors import (
     AnchorOutOfRange,
@@ -76,6 +78,19 @@ def test_parse_x_range(monkeypatch):
     assert len(parse_x_values("1:10:1", exact=False)) == 10
     with pytest.raises(OutOfMemory):
         parse_x_values("1:11:1", exact=False)
+
+
+@given(a=st.fractions(-1000, 1000, max_denominator=10 ** 6),
+       span=st.fractions(0, 20, max_denominator=1000),
+       step=st.fractions(Fraction(1, 100), 30, max_denominator=10 ** 4))
+def test_parse_x_range_is_a_plus_k_step(a, span, step):
+    # the points are formed over one common denominator, with the values
+    # of a + k step in Fraction arithmetic
+    b = a + span
+    want = [a + k * step for k in range((b - a) // step + 1)]
+    assert parse_x_values(f"{a}:{b}:{step}", exact=True) == want
+    assert parse_x_values(f"{a}:{b}:{step}", exact=False) == [
+        float(x) for x in want]
 
 
 def test_parse_anchor():
@@ -610,14 +625,14 @@ FLOAT_GOLDEN_REPORTS = [
      "397405d7eedb16801ecce92ad736fe0b23f74980d10934dea840faaaa8fab6ac",
      "50ab922406645c1b61e3393b25b104362832800d6d4685cbf6118ecafa3a09db"),
     (["volterra", "--op", "residual", "--X", "10", "--h", "0.01"],
-     "d2a2c6cef5ac84fc717ed9f5446537af39b26b3c6aff63d6c8c6278f6037db2b",
-     "64705316e875a6574fd88a6043093d532cde67fca9098b7b93a7d0393feb1a18"),
+     "b01b2dd46e7d8653912d005ce7a471ed1549c1b9bea6b104588b43dc59d314dc",
+     "ef8e82d15be12137e1f7fbe0ec225254a8e7db2c58ae75bbbf1891df678383cd"),
     (["volterra", "--op", "solve", "--X", "10", "--h", "0.001"],
-     "7f00ea7497aca2186b6047e1fcaa82695c0d15337f189b7f676ab561227cbf23",
-     "53f6ebbf08cb29de66096bb5c948698b2e1f1ab8ba3bdda97445f63ebad1dd64"),
+     "7604f8b14fdd8e83dfd137f3b5aad96390c9a45a760603de836884f3566ebb17",
+     "f98caa1d5a59b6dd6fde226c8c00dceab44a04478ceee22914612ac14cd2b640"),
     (["volterra", "--op", "probe", "--X", "10", "--h", "0.01"],
-     "247068245a5ff6ee59e365dc80fec412d66daec5ee6fdb8a089af694467ea525",
-     "b476076f33ca6af51c237bc04ccff70832d39c809006f5752c9cc1a76f0d8d42"),
+     "2e99adb811a0cacfd413113f836cdc2152a7b2853269777ae5edc1c65c964c03",
+     "e2205cd7e4acdb75dcdf36bff000b128454d8efb4f75a530bd4314f7f25f822e"),
 ]
 
 
@@ -729,10 +744,20 @@ def test_one_mode_commands_refuse_the_other_mode(argv, refused, capsys):
     capsys.readouterr()
 
 
-def test_failed_verification_exit_code(capsys):
-    code, _ = run_main(["volterra", "--op", "residual", "--X", "5",
-                        "--h", "0.01", "--tolerance", "1e-12"], capsys)
-    assert code == 1
+def test_failed_verification_exit_code(monkeypatch, capsys):
+    # a wrong candidate, the family built from a table with phi(7) + 1
+    # against the true table's E2, fails at the default tolerance
+    f1_values = decomp.f1_values
+
+    def changed(xs, table, constants):
+        phi = table.phi.copy()
+        phi[7] += 1
+        return f1_values(xs, dataclasses.replace(table, phi=phi), constants)
+
+    args = ["volterra", "--op", "residual", "--X", "20", "--h", "0.01"]
+    assert run_main(args, capsys)[0] == 0
+    monkeypatch.setattr(decomp, "f1_values", changed)
+    assert run_main(args, capsys)[0] == 1
 
 
 def test_volterra_probe_reports_a(capsys):

@@ -1,5 +1,8 @@
 """Grid functions, the improper integral, residuals, solver, and the probe."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -102,11 +105,12 @@ def test_improper_integral_linear_integrand():
 
 
 def test_improper_integral_quadratic_integrand():
-    # g(t) = t^2: int = x^2/2, small-t model error is O(h^2)
+    # g(t) = t^2: g/t = t is linear, so every cell's line is exact, the
+    # first one on [0, x_0] and the last one past x_{n-1} included
     h = 1e-3
     g = grid_function(2.0, lambda xs: xs ** 2, h)
-    for x in (0.5, 1.37, 2.0):
-        assert improper_integral(g, x) == pytest.approx(x * x / 2, abs=1e-6)
+    for x in (2e-4, 0.5, 1.37, 1.9998, 2.0):
+        assert improper_integral(g, x) == pytest.approx(x * x / 2, abs=1e-12)
 
 
 def test_improper_integral_domain():
@@ -151,11 +155,12 @@ def test_solve_zero_e2_gives_homogeneous_member():
 
 def test_solve_polynomial_e2_from_any_anchor():
     # E2 = -c t^2 + a t^3 is solved by F = -2c x^2 + (3a/2) x^3 + b x; E2/t^2
-    # is linear, so the trapezoid and the in-cell interpolation are exact.
-    # Before the first grid point and past the last one E2/t^2 is held
-    # constant, which is exact for a = 0
+    # is linear, so the trapezoid and the in-cell interpolation are exact,
+    # and so is the first or last cell's line before the first grid point
+    # or past the last one
     c, b = 0.3, 0.7
-    for a, x0 in ((0.0, 2.5e-4), (0.1, 1.2342), (0.0, 5.0)):
+    for a, x0 in ((0.0, 2.5e-4), (0.1, 2.5e-4), (0.1, 1.2342), (0.0, 5.0),
+                  (0.1, 5.0)):
         def exact(x):
             return -2 * c * x ** 2 + 1.5 * a * x ** 3 + b * x
 
@@ -206,7 +211,50 @@ def test_family_residual_small(small_setup):
     table, cons, e2p = small_setup
     fam = solution_family(table, cons, 0.0)
     rep = residual(fam, e2p, 20.0, 1e-3)
-    assert rep.sup < 1e-5
+    assert rep.sup < 1e-11   # rounding: the quadrature is exact for it
+
+
+RATIONAL_ROOTS = ["--product", "custom", "--degree", "2", "--roots",
+                  '{"2":[0.5,0.25],"3":[0.5,0.25]}', "--default", "one"]
+COMPLEX_ROOTS = ["--product", "custom", "--degree", "2", "--roots",
+                 '{"2":[[0,1],[0,-1]],"3":[[0.5,0.5],[0.5,-0.5]]}']
+
+
+@pytest.mark.parametrize("args", [
+    ["--X", "100", "--h", "0.001"],
+    ["--X", "100", "--h", "0.02"],
+    ["--X", "100", "--h", "0.05"],
+    ["--X", "100", "--h", "0.1"],
+    ["--product", "dirichlet", "--kronecker", "-4", "--X", "300",
+     "--h", "0.01"],
+    RATIONAL_ROOTS + ["--X", "100", "--h", "0.02"],
+    COMPLEX_ROOTS + ["--X", "100", "--h", "0.02"],
+], ids=["zeta-h0.001", "zeta-h0.02", "zeta-h0.05", "zeta-h0.1", "kronecker-4",
+        "custom-rational", "custom-complex"])
+def test_family_passes_at_every_h(args, capsys):
+    # f1 + A is linear on (0, 1), which the first cell's line integrates
+    # exactly over [0, x_0], and has slope -2C on every cell past it, each
+    # integer at a cell midpoint: the quadrature is exact for the family,
+    # and its residual is rounding at any h
+    assert main(["volterra", "--op", "residual", *args, "--format",
+                 "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["sup"] <= 1e-9
+
+
+def test_family_of_a_changed_table_fails(small_setup):
+    # F and E2 from one table satisfy the equation whatever its phi, so the
+    # check must bite when F alone comes from a table with phi(7) + 1:
+    # F = x f1 moves by x/7 past 7 and its integral of F/t by (x - 7)/7
+    table, cons, e2p = small_setup
+    phi = table.phi.copy()
+    phi[7] += 1
+    changed = dataclasses.replace(table, phi=phi)
+    both = residual(solution_family(changed, cons), make_e2(changed, cons.c),
+                    20.0, 1e-2)
+    assert both.sup < 1e-9
+    rep = residual(solution_family(changed, cons), e2p, 20.0, 1e-2)
+    assert rep.sup == pytest.approx(1.0, abs=1e-9)
+    assert np.abs(rep.residuals[rep.xs < 7]).max() < 1e-9
 
 
 def test_solver_recovers_family(small_setup):
