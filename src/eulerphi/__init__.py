@@ -72,6 +72,7 @@ from .products import (
     spec_hash,
     spec_to_dict,
     zeta_product,
+    zeta_value,
 )
 from .coeffs import (
     CoefficientTable,

@@ -65,6 +65,7 @@ from .products import (
     gamma_values,
     local_factor_at_one,
     spec_hash,
+    zeta_value,
 )
 
 Scalar = Union[int, float, complex, Fraction]
@@ -557,8 +558,9 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
     Truncation radii: the phi tail integrates the (1+ln t)^d t^{1-s} envelope;
     the alpha tail uses |alpha(n)| <= 1 for the degree-1 kinds (rigorous) and
     the largest tabulated |alpha| as a scale for custom kinds (heuristic).
+    zeta(s-1) comes from zeta_value with its rigorous bound (s - 1 is exact
+    in floats for s >= 2).
     """
-    import mpmath
     if not (isinstance(s, (int, float)) and s > 2):
         raise SOutOfRange(f"need real s > 2, got {s}")
     s = float(s)
@@ -572,7 +574,8 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
     n[0] = 1.0
     w = n ** (-s)
     lhs = np.sum(phi * w)
-    zs = float(mpmath.zeta(s - 1.0))
+    zeta = zeta_value(s - 1.0)
+    zs = zeta.value
     alpha_sum = np.sum(alpha * w)
     rhs = zs * alpha_sum
 
@@ -585,9 +588,9 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
         scale = float(np.max(np.abs(alpha))) if N >= 1 else 1.0
         alpha_tail = scale * N ** (1.0 - s) / (s - 1.0)
         kind = "heuristic"
-    zeta_slop = 1e-14 * abs(zs)
     slop = 1e-13 * (abs(complex(lhs)) + abs(complex(rhs)) + 1)
-    bound = phi_tail + abs(zs) * alpha_tail + zeta_slop * abs(complex(alpha_sum)) + slop
+    bound = (phi_tail + abs(zs) * alpha_tail
+             + zeta.bound * abs(complex(alpha_sum)) + slop)
     diff = abs(complex(lhs) - complex(rhs))
     return SeriesCheckReport(s=s, N=N, lhs=_plain(lhs), rhs=_plain(rhs),
                              diff=diff, bound=bound, bound_kind=kind,
@@ -611,16 +614,29 @@ class GrowthScanReport:
 
 def growth_scan(table: TotientTable, cF: ValueWithBound, X: int,
                 samples: int = 20, x_min: int = 2) -> GrowthScanReport:
-    """Scan the plain error term against the x (log 2x)^degree envelope."""
+    """Scan the plain error term against the x (log 2x)^degree envelope.
+
+    E(x) = sum_{n<=x} phi(n) - (C x) x and |E(x)| / (x (log 2x)^d) are
+    formed in place, in that order of operations.
+    """
     if X > table.N:
         raise XBeyondTable(f"X = {X} beyond table N = {table.N}")
     if x_min < 1 or x_min > X:
         raise UsageError(f"need 1 <= x_min <= X, got x_min={x_min}, X={X}")
-    cumulative = np.cumsum(table.phi_array(X))
+    e = table.phi_array(X)
+    np.cumsum(e, out=e)
+    e = e[x_min:]
     xs = np.arange(x_min, X + 1, dtype=np.float64)
     c = _plain(cF.value)
-    e = cumulative[x_min:] - c * xs * xs
-    ratio = np.abs(e) / (xs * np.log(2 * xs) ** table.spec.degree)
+    main = c * xs
+    main *= xs
+    e -= main
+    envelope = 2 * xs
+    np.log(envelope, out=envelope)
+    envelope **= table.spec.degree
+    envelope *= xs
+    ratio = np.abs(e)
+    ratio /= envelope
     i = int(np.argmax(ratio))
     sup = float(ratio[i])
     argmax = int(xs[i])

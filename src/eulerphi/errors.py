@@ -69,7 +69,8 @@ class CutoffTooSmall(EulerphiError):
 
 
 class PrincipalCharacter(EulerphiError):
-    """L-value requested for a principal character (period sums do not vanish)."""
+    """L(s, chi) requested for a principal character at s <= 1, where the
+    series diverges (its pole is at s = 1)."""
 
     exit_code = 18
 

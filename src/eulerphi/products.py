@@ -12,9 +12,13 @@ From the local data the module computes F_p(1), the local coefficient
 gamma(p) = p(1 - 1/F_p(1)), the main-term constant C(F), the series constant
 A1 = sum alpha(n)/n, and the Dirichlet L-values L(s, chi) that A1 and the
 constants report read, by one fixed-order Euler-Maclaurin formula at every
-modulus up to MAX_MODULUS.  Values that involve truncated infinite
-products/series are returned as ValueWithBound, an estimate plus an
-absolute error radius.
+modulus up to MAX_MODULUS.  The same formula gives L(s, chi) of a principal
+character at s > 1, and zeta(s) as that of the trivial character mod 1;
+C(F) reads zeta(2) from it wherever gamma(p) = 1 at all but finitely many
+primes (zeta, principal characters, custom degree 1 with default one), and
+multiplies out the primes up to a cutoff only for the other products.
+Values that involve infinite products/series are returned as
+ValueWithBound, an estimate plus an absolute error radius.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .errors import (
     SOutOfRange,
     WrongSupport,
 )
-from .primes import is_prime, primes_upto
+from .primes import factorize, is_prime, primes_upto
 
 Number = Union[int, float, complex, Fraction]
 
@@ -431,50 +435,110 @@ class Constants:
 
 
 _EPS = 2.0 ** -52
+_U = 2.0 ** -53     # unit roundoff
 
 
 # ---------------------------------------------------------------------------
 # C(F)
 # ---------------------------------------------------------------------------
 
-def _listed_product(spec: EulerProductSpec, first, factor) -> tuple:
-    """(first * prod over the listed primes p of factor(p, local_p), exact).
+def _listed_product(spec: EulerProductSpec, primes, first, factor) -> tuple:
+    """(first * prod over p of primes of factor(p, local_p), exact).
 
     local_p = prod_j (1 - alpha_j(p)/p) is the local product at p.  For a
-    spec with finite support this is the whole Euler product: exact=True
-    gives a Fraction (every root rational), exact=False a float or complex.
+    spec with finite support and its listed primes this is the whole Euler
+    product.  exact=True gives a Fraction (every root rational),
+    exact=False a float or complex.
     """
     num = _number_type(spec.exact_capable)
     prod = num.lift(first)
-    for p in sorted(spec.roots):
+    for p in primes:
         local, _ = _local_product(spec, p, num.exact)
         prod *= factor(p, local)
     return num.collapse(prod), num.exact
 
 
-def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWithBound:
-    """C(F) = (1/2) prod_p (1 - gamma(p)/p^2), truncated at prime_cutoff.
-
-    The tail over p > cutoff is controlled rigorously through the uniform
-    bound |gamma(p)| <= d 2^(d-1) =: B and sum_{n>P} 1/n^2 < 1/P, giving
-    |C - C_P| <= |C_P| (exp(2B/P) - 1) once B/P^2 <= 1/2.  Products with
-    finite support (custom kind, zero default) have an empty tail and are
-    exact; they come back as rationals with bound 0 when possible.
-    The cutoff shares the float table's cap, since the sieve costs about
-    as much per n; a larger one is refused before anything is allocated.
-    """
+def _check_cutoff(prime_cutoff: int) -> None:
+    """The cutoff shares the float table's cap, since the sieve costs about
+    as much per n; a larger one is refused before anything is allocated."""
     from .coeffs import _FLOAT_N_CAP   # coeffs imports this module
     if prime_cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {prime_cutoff}")
     if prime_cutoff > _FLOAT_N_CAP:
         raise OutOfMemory(f"prime cutoff capped at {_FLOAT_N_CAP}, "
                           f"got {prime_cutoff}")
+
+
+def _exceptional_primes(spec: EulerProductSpec) -> Optional[list]:
+    """S, the primes where gamma(p) may differ from 1, when it is 1 at every
+    other prime: none for zeta, the p | q for a principal character mod q
+    (gamma(p) = 0 there), the listed primes for a degree-1 custom product
+    with default one.  None for every other product."""
+    if spec.kind == "zeta":
+        return []
+    if spec.kind == "dirichlet":
+        chi = spec.character
+        return ([p for p, _ in factorize(chi.modulus)] if chi.is_principal
+                else None)
+    if spec.default_rule == "one" and spec.degree == 1:
+        return sorted(spec.roots)
+    return None
+
+
+def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWithBound:
+    """C(F) = (1/2) prod_p (1 - gamma(p)/p^2), with a rigorous bound.
+
+    prime_cutoff is range-checked first, whichever branch follows.
+      * finite support (custom, default zero): the finite product over the
+        listed primes, a Fraction with bound 0 when every root is rational;
+      * gamma(p) = 1 off a finite set S (_exceptional_primes: zeta, a
+        principal character, custom degree 1 with default one): the closed
+        form prod_{p in S} (1 - gamma(p)/p^2)/(1 - 1/p^2) / (2 zeta(2)),
+        with zeta(2) from zeta_value, so the cutoff is not read;
+      * any other product: c_truncated at prime_cutoff.
+    In the closed form, each factor is p (p - 1 + local_p)/(p^2 - 1).  The
+    product is a Fraction when every gamma(p) is rational, and the quotient
+    by zeta(2)'s float value z is then rounded once; otherwise it is taken
+    in complex floats, within 8 unit roundoffs per factor (local_p, the
+    factor's three operations and the product's complex multiplication)
+    and one more for the division.  With b the bound of z, 1/z is within
+    b/(z (z - b)) of 1/zeta(2).
+    """
+    _check_cutoff(prime_cutoff)
     if spec.finite_support:
         # 1 - gamma(p)/p^2 with gamma(p) = p (1 - local)
         value, exact = _listed_product(
-            spec, Fraction(1, 2), lambda p, local: 1 - p * (1 - local) / (p * p))
+            spec, sorted(spec.roots), Fraction(1, 2),
+            lambda p, local: 1 - p * (1 - local) / (p * p))
         slop = 0.0 if exact else (len(spec.roots) + 2) * _EPS * abs(value)
         return ValueWithBound(value, slop, "rigorous")
+    primes = _exceptional_primes(spec)
+    if primes is None:
+        return c_truncated(spec, prime_cutoff)
+    half, exact = _listed_product(
+        spec, primes, Fraction(1, 2),
+        lambda p, local: p * (p - 1 + local) / (p * p - 1))
+    z = zeta_value(2.0)
+    if exact:
+        value = float(half / Fraction(z.value))
+        slop = _U * abs(value)
+    else:
+        value = _plain(half / z.value)
+        slop = (8 * len(primes) + 1) * _U * abs(value)
+    via_zeta = float(abs(half)) * z.bound / (z.value * (z.value - z.bound))
+    return ValueWithBound(value, (via_zeta + slop) * (1 + 64 * _U), "rigorous")
+
+
+def c_truncated(spec: EulerProductSpec, prime_cutoff: int) -> ValueWithBound:
+    """C(F) as (1/2) prod_{p <= prime_cutoff} (1 - gamma(p)/p^2).
+
+    The tail over p > cutoff is controlled rigorously through the uniform
+    bound |gamma(p)| <= d 2^(d-1) =: B and sum_{n>P} 1/n^2 < 1/P, giving
+    |C - C_P| <= |C_P| (exp(2B/P) - 1) once B/P^2 <= 1/2.  c_constant takes
+    this route where it has no closed form; for the others it is the
+    independent cross-check of the tests.
+    """
+    _check_cutoff(prime_cutoff)
     b = gamma_abs_bound(spec)
     if prime_cutoff * prime_cutoff < 2 * b:
         raise CutoffTooSmall(
@@ -496,7 +560,6 @@ def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWith
 # B_2j/(2j)! for j = 1..6, the Euler-Maclaurin coefficients through B_12
 _EM_COEFFS = np.array([float(b / math.factorial(2 * j)) for j, b in enumerate(
     map(Fraction, ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730")), 1)])
-_U = 2.0 ** -53     # unit roundoff
 
 
 def _fsum(arrays) -> float:
@@ -506,47 +569,58 @@ def _fsum(arrays) -> float:
 
 
 def l_value(chi: CharacterSpec, s: float) -> ValueWithBound:
-    """L(s, chi) = sum chi(n) n^{-s} for non-principal chi and finite s > 0.
+    """L(s, chi) = sum chi(n) n^{-s}: for non-principal chi at finite s > 0,
+    for a principal chi at finite s > 1.
 
     The first K = 16 periods are summed term by term; the rest, for each
     r < q with y = qK + r and z = q/y, by Euler-Maclaurin to order 12
     (Rubinstein, Computational methods and experiments in analytic number
     theory, 2005): sum_{k>=K} (qk + r)^{-s} = -y^{1-s}/((1-s)q)
     + y^{-s} (1/2 + sum_{j<=6} B_2j/(2j)! s(s+1)..(s+2j-2) z^{2j-1}) + R_r.
-    As sum_r chi(r) = 0, the integral term drops the constant (qK)^{1-s}
-    and is -(qK)^{1-s} expm1((1-s) log1p(r/(qK)))/((1-s)q), stable near
-    s = 1 and -log1p(r/(qK))/q at it.  One math.fsum adds all terms.
+    The integral term is split as -(qK)^{1-s}/((1-s)q), its constant, plus
+    -(qK)^{1-s} expm1((1-s) log1p(r/(qK)))/((1-s)q), stable near s = 1 and
+    -log1p(r/(qK))/q at it.  The constants add up to
+    sum_r chi(r) (qK)^{1-s}/((s-1)q): 0 for a non-principal chi, and
+    phi(q) (qK)^{1-s}/((s-1)q) for a principal one, whose pole at s = 1 it
+    carries.  One math.fsum adds all terms.  zeta_value is L(s, chi) of the
+    trivial character mod 1.
 
     The bound is rigorous.  The remainder kernel B_12 - B_12({t}) has one
     sign and is at most 2|B_12|, and f = (qt + r)^{-s} has f^(12) > 0, so
     |R_r| <= |B_12|/12! |f^(11)(K)|.  With libm's pow, log1p and expm1
     within 2 ulp (4u, u the unit roundoff), rounding adds at most 6u per
-    direct term, (24 + |1-s| log(qK))u per integral term (its expm1
-    argument is below 1/16), 60u of each correction's magnitude and u|L|
+    direct term past n = 1, (24 + |1-s| log(qK))u per integral term and for the
+    principal constant (an expm1 argument is below 1/16; 1 - s and s - 1
+    round by at most u each), 60u of each correction's magnitude and u|L|
     for the sum; the factor 1 + 64u covers the bound's own rounding.
     """
-    if chi.is_principal:
-        raise PrincipalCharacter("period sums do not vanish for the principal character")
     s = float(s)
     if not 0 < s < math.inf:
         raise SOutOfRange(f"need finite s > 0, got {s}")
+    if chi.is_principal and s <= 1:
+        raise PrincipalCharacter(f"L(s, chi) of a principal character needs "
+                                 f"s > 1, got {s}")
     q, k, a = chi.modulus, 16, 1 - s
     cr = np.array(chi.values) + 0.0     # chi(r), r < q: float, or complex
     y = q * k + np.arange(q)
-    # chi(n) n^-s for 0 < n < qK, one array per period
-    direct = [cr[1:] * np.array([n ** -s for n in range(1, q)])]
-    direct += [cr * np.array([n ** -s for n in range(lo, lo + q)])
-               for lo in range(q, q * k, q)]
+    # chi(n) n^-s for 1 < n < qK, one array per period; the term n = 1 is
+    # chi(1) 1^-s = 1 exactly
+    direct = [cr[max(2, lo) - lo:]
+              * np.array([n ** -s for n in range(max(2, lo), lo + q)])
+              for lo in range(0, q * k, q)]
     ell = np.array([math.log1p(r / (q * k)) for r in range(q)])
     if a != 0:
         ell = np.array([math.expm1(a * t) for t in ell.tolist()]) / a
     integral = -cr * (ell * ((q * k) ** a / q))
+    if chi.is_principal:    # the constants of the integral terms
+        constant = np.count_nonzero(cr) * (q * k) ** a / ((s - 1) * q)
+        integral = np.append(integral, constant)
     # row m: y^-s s(s+1)..(s+m-1) z^m, so |f^(m)(K)|
     d = np.cumprod(np.vstack([[t ** -s for t in y.tolist()],
                               (s + np.arange(11))[:, None] * (q / y)]), axis=0)
     em = _EM_COEFFS[:, None] * d[1::2]
     corr, mag = d[0] / 2 + em.sum(axis=0), d[0] / 2 + np.abs(em).sum(axis=0)
-    terms = direct + [integral, cr * corr]
+    terms = direct + [integral, cr * corr, np.ones(1)]
     value = _fsum(t.real for t in terms)
     if not chi.is_real:
         value = complex(value, _fsum(t.imag for t in terms))
@@ -555,6 +629,16 @@ def l_value(chi: CharacterSpec, s: float) -> ValueWithBound:
         np.abs(cr) * (60 * mag + abs(_EM_COEFFS[-1]) / _U * d[11])])
     bound = _U * (_fsum(errors) + abs(value)) * (1 + 64 * _U)
     return ValueWithBound(value, bound, "rigorous")
+
+
+# the trivial character mod 1: L(s, chi_1) = zeta(s)
+_TRIVIAL = CharacterSpec(modulus=1, values=(1,), is_real=True,
+                         is_principal=True)
+
+
+def zeta_value(s: float) -> ValueWithBound:
+    """zeta(s) for finite s > 1, by l_value, with its rigorous bound."""
+    return l_value(_TRIVIAL, s)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +671,8 @@ def a1_constant(spec: EulerProductSpec, mode: str = "auto",
         mode = "closed_form"
     if mode == "closed_form":
         if spec.finite_support:
-            value, exact = _listed_product(spec, 1, lambda p, local: local)
+            value, exact = _listed_product(spec, sorted(spec.roots), 1,
+                                           lambda p, local: local)
             # per root, 1 - alpha/p costs at most 2 unit roundoffs and the
             # complex product it enters sqrt(5): under 2.5 _EPS, so 3 _EPS
             # per root bounds the relative error of the whole product

@@ -22,7 +22,7 @@ from eulerphi.decomp import (
     r_function,
     verify_identity_batch,
 )
-from eulerphi.products import c_constant
+from eulerphi.products import c_truncated
 from eulerphi.volterra import residual, solution_family, solve_from_e2
 
 PI2 = math.pi ** 2
@@ -215,7 +215,8 @@ def test_criterion_10_constants(zeta_spec, zeta_float_1m, mod4_float_1m,
         gap = abs(2 * cons.c.value - p2)
         assert gap <= 2 * cons.c.bound + tail
         gaps.append(gap)
-    c10 = c_constant(zeta_spec, prime_cutoff=10 ** 7)
+    # the truncated product, the independent route to C(zeta) = 3/pi^2
+    c10 = c_truncated(zeta_spec, prime_cutoff=10 ** 7)
     zeta_gap = abs(c10.value - TRUE_C_ZETA)
     assert zeta_gap <= 1e-8
     report(10, f"|2C - P2(1e6)| <= rigorous bound both products "

@@ -19,6 +19,7 @@ from eulerphi.errors import (
     DegreeNotMinimal,
     NonMultiplicative,
     NotPrime,
+    OutOfMemory,
     PrincipalCharacter,
     RootOutOfDisk,
     SOutOfRange,
@@ -29,6 +30,7 @@ from eulerphi.products import (
     a1_constant,
     build_character,
     c_constant,
+    c_truncated,
     custom_product,
     dirichlet_product,
     gamma,
@@ -42,6 +44,7 @@ from eulerphi.products import (
     spec_hash,
     spec_to_dict,
     zeta_product,
+    zeta_value,
 )
 
 
@@ -230,6 +233,76 @@ def test_c_constant_cutoff_too_small():
         c_constant(spec, prime_cutoff=4)
 
 
+def _principal(q):
+    return build_character(q=q, values=[int(math.gcd(n, q) == 1)
+                                        for n in range(q)])
+
+
+# the products whose C(F) has a closed form, and C at 40 digits:
+# (1/2) prod_p (1 - gamma(p)/p^2)
+#     = 3/pi^2 prod_{p in S} (p^2 - gamma(p))/(p^2 - 1)
+def _closed_form_cases():
+    with mpmath.workdps(40):
+        base = 3 / mpmath.pi ** 2
+        return [
+            (zeta_product(), base),
+            (dirichlet_product(_principal(4)), base * mpmath.mpf(4) / 3),
+            (dirichlet_product(_principal(12)),
+             base * mpmath.mpf(4) / 3 * mpmath.mpf(9) / 8),
+            (custom_product(1, {2: [0.5], 3: [-1]}, "one"),
+             base * (4 - mpmath.mpf(0.5)) / 3 * (9 + mpmath.mpf(1)) / 8),
+            (custom_product(1, {2: [0.5j], 5: [-1]}, "one"),
+             base * (4 - mpmath.mpc(0, 0.5)) / 3 * (25 + mpmath.mpf(1)) / 24),
+        ]
+
+
+@pytest.mark.parametrize("s", [1 + 1e-6, 1.5, 2.0, 3.0, 7.3, 60.0])
+def test_zeta_value_within_bound_of_mpmath(s):
+    z = zeta_value(s)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(z.value) - mpmath.zeta(mpmath.mpf(s))) <= z.bound
+    assert z.bound_kind == "rigorous"
+    assert z.bound <= 3e-15 * z.value
+
+
+@pytest.mark.parametrize("q", [4, 12, 30])
+def test_principal_l_value_is_zeta_times_euler_factors(q):
+    chi = _principal(q)
+    for s in (1 + 1e-6, 1.5, 2.0, 3.7, 25.0):
+        lv = l_value(chi, s)
+        with mpmath.workdps(40):
+            s40 = mpmath.mpf(s)
+            exact = mpmath.zeta(s40)
+            for p in primes_upto(q).tolist():
+                if q % p == 0:
+                    exact *= 1 - mpmath.mpf(p) ** -s40
+            assert abs(mpmath.mpf(lv.value) - exact) <= lv.bound, (q, s)
+        assert lv.bound_kind == "rigorous" and lv.bound <= 3e-15 * lv.value
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_closed_form_c_within_bounds(case):
+    spec, exact = _closed_form_cases()[case]
+    c = c_constant(spec)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpmathify(c.value) - exact) <= c.bound
+    # the truncated product at 1e7, the independent route
+    truncated = c_truncated(spec, prime_cutoff=10 ** 7)
+    assert abs(c.value - truncated.value) <= truncated.bound
+    assert c.bound_kind == "rigorous"
+    if spec.kind != "custom":
+        assert c.bound <= 1e-15 * abs(c.value)
+
+
+def test_closed_form_c_range_checks_the_cutoff_but_does_not_read_it():
+    spec = zeta_product()
+    assert c_constant(spec, prime_cutoff=2) == c_constant(spec)
+    with pytest.raises(CutoffTooSmall):
+        c_constant(spec, prime_cutoff=1)
+    with pytest.raises(OutOfMemory):
+        c_constant(spec, prime_cutoff=10 ** 10)
+
+
 def test_l_value_oracles():
     chi4 = build_character(kronecker=-4)
     l1 = l_value(chi4, 1.0)
@@ -321,8 +394,9 @@ def test_l_value_within_bound_of_hurwitz_oracle(q):
 
 def test_l_value_errors():
     principal = build_character(q=3, values=[0, 1, 1])
-    with pytest.raises(PrincipalCharacter):
-        l_value(principal, 1.0)
+    for s in (1.0, 0.5, 1e-300):
+        with pytest.raises(PrincipalCharacter):
+            l_value(principal, s)
     chi4 = build_character(kronecker=-4)
     for s in (0.0, math.inf, math.nan):
         with pytest.raises(SOutOfRange):
