@@ -51,6 +51,7 @@ from .errors import (
     OutOfMemory,
     SOutOfRange,
     UsageError,
+    XBelowOne,
     XBeyondTable,
 )
 # primes_upto is not called here; perfbench/selftest.py checks that the
@@ -59,9 +60,9 @@ from .primes import primes_upto, smallest_prime_factor, spf_primes  # noqa: F401
 from .products import (
     EulerProductSpec,
     ValueWithBound,
+    _U,
     _number_type,
     _plain,
-    _point_numbers,
     gamma_values,
     local_factor_at_one,
     spec_hash,
@@ -100,10 +101,6 @@ class CoefficientTable:
     def exact(self) -> bool:
         return self.mode == "exact"
 
-    def alpha_array(self, upto: Optional[int] = None) -> np.ndarray:
-        """alpha(0..upto) as a float64/complex128 array (a copy)."""
-        return _float_prefix(self.alpha, self.N, upto, self.exact)
-
 
 @dataclass
 class TotientTable(CoefficientTable):
@@ -117,20 +114,19 @@ class TotientTable(CoefficientTable):
     phi_sums and the decomposition kernel sum phi, phi(n)/n and alpha
     afresh for each batch of points, up to its largest floor(x), and keep
     only the values its formulas read.
+
+    The mode is the number type of every call on the table (_table_point):
+    an exact table takes a float x as Fraction(x).  The float-grid kernels
+    read a float table's arrays and refuse an exact one (_require_mode).
     """
 
     phi: Union[list, np.ndarray]
 
-    def phi_array(self, upto: Optional[int] = None) -> np.ndarray:
-        return _float_prefix(self.phi, self.N, upto, self.exact)
 
-
-def _float_prefix(values, N: int, upto: Optional[int], exact: bool) -> np.ndarray:
-    """values[0..upto] as a float64/complex128 array (a copy)."""
-    upto = N if upto is None else upto
-    if upto > N:
-        raise XBeyondTable(f"table holds N = {N}, asked for {upto}")
-    return np.array(values[: upto + 1], dtype=np.float64 if exact else None)
+def _require_mode(table: CoefficientTable, mode: str, what: str) -> None:
+    """Refuse a table of the other mode: ModeUnavailable."""
+    if table.mode != mode:
+        raise ModeUnavailable(f"{what} needs a {mode} table")
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +314,21 @@ def phi_table(spec: EulerProductSpec, N: int, mode: str = "auto") -> TotientTabl
 # Partial sums and the error term
 # ---------------------------------------------------------------------------
 
-def _floor_index(x, N: int) -> int:
-    if isinstance(x, Fraction):
-        k = x.numerator // x.denominator
-    else:
-        k = math.floor(x)
-    if k > N:
-        raise XBeyondTable(f"x = {x} beyond table N = {N}")
-    return max(k, 0)
+def _table_point(x, table: CoefficientTable, lowest: int = 0) -> tuple:
+    """(num, x, floor(x)) for a call on table at x.
+
+    num is the table's number type, and x is taken into it: Fraction(x),
+    which loses nothing, on an exact table, a float on a float one.  x
+    below lowest (XBelowOne) or past the table (XBeyondTable) is refused.
+    """
+    num = _number_type(table.exact)
+    x = num.collapse(x)
+    k = math.floor(x)
+    if k < lowest:   # x < lowest, as lowest is an integer
+        raise XBelowOne(f"need x >= {lowest}, got {x}")
+    if k > table.N:
+        raise XBeyondTable(f"x = {x} beyond table N = {table.N}")
+    return num, x, k
 
 
 def _column_terms(column, power: int, top: int) -> tuple:
@@ -480,7 +483,7 @@ def phi_sums(table: TotientTable, ks):
 
 def error_term(table: TotientTable, cF: ValueWithBound, x,
                convention: str = "plain", _sums=None) -> Scalar:
-    """E(x) = sum_{n<=x} phi(n) - C x^2.
+    """E(x) = sum_{n<=x} phi(n) - C x^2, for x >= 0.
 
     convention 'plain' uses the full last term; 'symmetric' subtracts half of
     phi(x) when x is an integer (the midpoint convention the sawtooth
@@ -489,8 +492,7 @@ def error_term(table: TotientTable, cF: ValueWithBound, x,
     """
     if convention not in ("plain", "symmetric"):
         raise UsageError(f"convention must be plain or symmetric, got {convention!r}")
-    k = _floor_index(x, table.N)
-    num = _point_numbers(x, table.exact)
+    num, x, k = _table_point(x, table)
     s = (phi_sums(table, [k]) if _sums is None else _sums)[k]
     if convention == "symmetric" and x == k and k >= 1:
         s = s - num.collapse(table.phi[k]) / 2
@@ -502,8 +504,8 @@ def make_e2(table: TotientTable, cF: ValueWithBound):
 
     Valid for 0 <= x < N+1; raises XBeyondTable past the table.
     """
-    N = table.N
-    phi = table.phi_array()
+    _require_mode(table, "float", "make_e2")
+    N, phi = table.N, table.phi
     cumulative = np.cumsum(phi)
     c = _plain(cF.value)
 
@@ -550,6 +552,23 @@ def _log_power_tail(N: int, s: float, d: int) -> float:
     return out
 
 
+def _sum_and_rounding(terms: np.ndarray) -> tuple:
+    """(np.sum(terms), a bound on its distance from the sum of the exact
+    products c(n) n^-s that terms rounds, c(n) the stored entries).
+
+    Summation of m terms in any order errs by at most gamma_{m-1} sum |t|,
+    gamma_k = k u / (1 - k u), in each of the real and imaginary parts, so
+    by sqrt(2) times that for complex terms (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, section 4.2).  numpy's pow gives n^-s
+    within 2 ulp (4u) and the product adds u, so each term is within
+    gamma_6 |t| of the exact one; gamma_{m-1} + gamma_6 <= gamma_{m+5}.
+    """
+    spread = math.sqrt(2) if np.iscomplexobj(terms) else 1.0
+    k = len(terms) + 5
+    rounding = spread * k * _U / (1 - k * _U) * float(np.sum(np.abs(terms)))
+    return np.sum(terms), rounding
+
+
 def series_identity_check(spec: EulerProductSpec, s: float, N: int,
                           table: Optional[TotientTable] = None) -> SeriesCheckReport:
     """Compare sum_{n<=N} phi(n)/n^s with zeta(s-1) sum_{n<=N} alpha(n)/n^s.
@@ -559,24 +578,26 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
     the alpha tail uses |alpha(n)| <= 1 for the degree-1 kinds (rigorous) and
     the largest tabulated |alpha| as a scale for custom kinds (heuristic).
     zeta(s-1) comes from zeta_value with its rigorous bound (s - 1 is exact
-    in floats for s >= 2).
+    in floats for s >= 2).  The rounding of each sum is _sum_and_rounding's,
+    the product zeta(s-1) sum alpha(n)/n^s adds u of itself, and the factor
+    1 + 64u covers the bound's own rounding.
     """
     if not (isinstance(s, (int, float)) and s > 2):
         raise SOutOfRange(f"need real s > 2, got {s}")
     s = float(s)
     if table is None:
         table = phi_table(spec, N, mode="float")
-    elif table.N < N:
+    _require_mode(table, "float", "series_identity_check")
+    if table.N < N:
         raise XBeyondTable(f"table holds N = {table.N} < {N}")
-    phi = table.phi_array(N)
-    alpha = table.alpha_array(N)
+    alpha = table.alpha[: N + 1]
     n = np.arange(N + 1, dtype=np.float64)
     n[0] = 1.0
     w = n ** (-s)
-    lhs = np.sum(phi * w)
+    lhs, lhs_rounding = _sum_and_rounding(table.phi[: N + 1] * w)
     zeta = zeta_value(s - 1.0)
     zs = zeta.value
-    alpha_sum = np.sum(alpha * w)
+    alpha_sum, alpha_rounding = _sum_and_rounding(alpha * w)
     rhs = zs * alpha_sum
 
     d = spec.degree
@@ -588,9 +609,9 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
         scale = float(np.max(np.abs(alpha))) if N >= 1 else 1.0
         alpha_tail = scale * N ** (1.0 - s) / (s - 1.0)
         kind = "heuristic"
-    slop = 1e-13 * (abs(complex(lhs)) + abs(complex(rhs)) + 1)
-    bound = (phi_tail + abs(zs) * alpha_tail
-             + zeta.bound * abs(complex(alpha_sum)) + slop)
+    bound = (phi_tail + lhs_rounding + abs(zs) * (alpha_tail + alpha_rounding)
+             + zeta.bound * abs(complex(alpha_sum))
+             + _U * abs(complex(rhs))) * (1 + 64 * _U)
     diff = abs(complex(lhs) - complex(rhs))
     return SeriesCheckReport(s=s, N=N, lhs=_plain(lhs), rhs=_plain(rhs),
                              diff=diff, bound=bound, bound_kind=kind,
@@ -619,12 +640,12 @@ def growth_scan(table: TotientTable, cF: ValueWithBound, X: int,
     E(x) = sum_{n<=x} phi(n) - (C x) x and |E(x)| / (x (log 2x)^d) are
     formed in place, in that order of operations.
     """
+    _require_mode(table, "float", "growth_scan")
     if X > table.N:
         raise XBeyondTable(f"X = {X} beyond table N = {table.N}")
     if x_min < 1 or x_min > X:
         raise UsageError(f"need 1 <= x_min <= X, got x_min={x_min}, X={X}")
-    e = table.phi_array(X)
-    np.cumsum(e, out=e)
+    e = np.cumsum(table.phi[: X + 1])
     e = e[x_min:]
     xs = np.arange(x_min, X + 1, dtype=np.float64)
     c = _plain(cF.value)

@@ -17,9 +17,9 @@ and R(x) = g1(x)/2 for x >= 1, giving three independent routes to R.
 
 Every formula has one body, built from four private pieces:
 
-  * the number type of a call (products._point_numbers): exact rationals
-    when the table is exact and x is an int or Fraction, floats otherwise.
-    Its collapse brings C, A1, A2, operands and results into that type.
+  * the number type of a call, the table's (coeffs._table_point): an
+    exact table takes a float x as Fraction(x).  Its collapse brings x, C,
+    A1, A2, operands and results into that type.
   * _sweep, the one source of running sums: P1(k) = sum_{n<=k} alpha(n)/n
     and P2(k) = sum_{n<=k} alpha(n)/n^2 from the alpha column, and
     S_f(k) = sum_{n<=k} phi(n)/n and sum_{n<=k} phi(n) (coeffs.phi_sums,
@@ -71,10 +71,16 @@ from typing import Union
 
 import numpy as np
 
-from .coeffs import TotientTable, _exact_column, error_term, phi_sums
+from .coeffs import (
+    TotientTable,
+    _exact_column,
+    _require_mode,
+    _table_point,
+    error_term,
+    phi_sums,
+)
 from .errors import (
     MBeyondTable,
-    ModeUnavailable,
     MSmallerThanX,
     NonPositiveX,
     UsageError,
@@ -87,6 +93,7 @@ from .products import (
     ValueWithBound,
     _Numbers,
     _number_type,
+    _plain,
     _point_numbers,
 )
 
@@ -120,7 +127,7 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
     in the one sequential order of summation (and a dict of numpy sums for
     T).  On exact tables it is an _ExactSum, integer numerators over the
     sum's denominator, and "scale" is the lcm of those denominators; no
-    Fraction is built.  _value reads a sum as a number.
+    Fraction is built.  _value reads a sum as a number of the table's type.
 
     "s_phi" maps to phi_sums(table, ks): sum_{n<=k} phi(n) in the table's
     number type, which E2 and the exact verdict's left side read.  It
@@ -151,7 +158,7 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
         if "t_f" in names:
             out["t_f"] = {k: np.sum(out["s_f"][1:k]) for k in ks}
         if "alpha_nz" in names:
-            out["alpha_nz"] = _nonzero_alpha(table, top, _number_type(False))
+            out["alpha_nz"] = _nonzero_alpha(table, top)
         return out
     at_k = set(ks)
     quotients = {v for k in blocks for v, _, _ in _blocks(k)}
@@ -199,23 +206,20 @@ class _ExactSum:
         return self.numerators[k] * self.factor
 
 
-def _value(sums: dict, name: str, k: int, num: _Numbers) -> Scalar:
-    """The sum `name` at k of a sweep, as a number in num's type."""
+def _value(sums: dict, name: str, k: int) -> Scalar:
+    """The sum `name` at k of a sweep: a Fraction, or a float (complex)."""
     s = sums[name]
-    if not isinstance(s, _ExactSum):
-        return num.collapse(s[k])
-    v = s.numerators[k]
-    return num.collapse(Fraction(v, s.den) if num.exact else v / s.den)
+    if isinstance(s, _ExactSum):
+        return Fraction(s.numerators[k], s.den)
+    return _plain(s[k])
 
 
 def _batch_sweep(xs, table: TotientTable, lowest, names: tuple) -> dict:
-    """_sweep at floor(x) for every x of a batch, each checked to be >=
-    lowest and in the table; the x that are exact points also get their
-    floor blocks, which exact S_g reads."""
-    ks = [_check_range(x, table, lowest) for x in xs]
-    blocks = [k for x, k in zip(xs, ks)
-              if _point_numbers(x, table.exact).exact]
-    return _sweep(table, ks, names, blocks)
+    """_sweep at floor(x) for every x of a batch, each checked by
+    _table_point; on an exact table every point also gets its floor
+    blocks, which exact S_g reads."""
+    ks = [_table_point(x, table, lowest)[2] for x in xs]
+    return _sweep(table, ks, names, ks if table.exact else ())
 
 
 # what decompose and the reduced identity read at each point
@@ -250,22 +254,21 @@ def _frac(x, n, num: _Numbers) -> np.ndarray:
     return r
 
 
-def _nonzero_alpha(table: TotientTable, top: int, num: _Numbers) -> tuple:
+def _nonzero_alpha(table: TotientTable, top: int) -> tuple:
     """(n, n as a number, alpha(n)) over the n <= top with alpha(n) != 0,
     ascending.
 
-    In floats: int64, float64 and float64/complex128 arrays (an exact
-    table read through alpha_array).  In exact rationals: the ints, then
-    object arrays of the ints and of alpha(n).
+    On a float table: int64, float64 and float64/complex128 arrays.  On an
+    exact table: the ints, then object arrays of the ints and of alpha(n)
+    as Fractions.
     """
     alpha = table.alpha
-    if num.exact:
+    if table.exact:
         ns = [n for n in range(1, top + 1) if alpha[n]]
         return (ns, np.array(ns, dtype=object),
-                np.array([num.collapse(alpha[n]) for n in ns], dtype=object))
-    a = table.alpha_array(top) if table.exact else np.asarray(alpha)[: top + 1]
-    n = np.flatnonzero(a[1:]) + 1
-    return n, n.astype(np.float64), a[n]
+                np.array([Fraction(alpha[n]) for n in ns], dtype=object))
+    n = np.flatnonzero(alpha[1 : top + 1]) + 1
+    return n, n.astype(np.float64), alpha[n]
 
 
 def _sawtooth(r: np.ndarray) -> np.ndarray:
@@ -294,23 +297,21 @@ def _scaled_s_g(x, k: int, sums: dict) -> tuple:
     return s_g, p1, p2
 
 
-def _point_sums(x, table: TotientTable, k: int, num: _Numbers,
-                sums: dict) -> tuple:
+def _point_sums(x, k: int, num: _Numbers, sums: dict) -> tuple:
     """(S_g(x), P1(k), P2(k)) in num's type, k = floor(x), from a sweep's
     sums.
 
     Exact mode reads S_g off _scaled_s_g.  Float mode sums S_g term by
     term instead, since the expanded form cancels x^2-sized terms in
-    floats, over the prefix n <= k of the sweep's "alpha_nz" (or of x's
-    own, for a float x on an exact sweep).  The prefix is a view of the
-    batch's arrays, the same elements in the same order as a scan up to k
-    alone, so the sum has the same bits.
+    floats, over the prefix n <= k of the sweep's "alpha_nz".  The prefix
+    is a view of the batch's arrays, the same elements in the same order
+    as a scan up to k alone, so the sum has the same bits.
     """
-    p1, p2 = _value(sums, "p1", k, num), _value(sums, "p2", k, num)
+    p1, p2 = _value(sums, "p1", k), _value(sums, "p2", k)
     if num.exact:
         s_g = _scaled_s_g(x, k, sums)[0]
         return Fraction(s_g, x.denominator ** 2 * sums["scale"]), p1, p2
-    ns, n, a = sums.get("alpha_nz") or _nonzero_alpha(table, k, num)
+    ns, n, a = sums["alpha_nz"]
     j = np.searchsorted(ns, k, "right")
     r = _frac(x, n[:j], num)
     terms = a[:j] * r
@@ -333,15 +334,6 @@ def sawtooth(x: Scalar) -> Scalar:
 # f1
 # ---------------------------------------------------------------------------
 
-def _check_range(x, table: TotientTable, lowest) -> int:
-    if x < lowest:
-        raise XBelowOne(f"need x >= {lowest}, got {x}")
-    k = math.floor(x)
-    if k > table.N:
-        raise XBeyondTable(f"x = {x} beyond table N = {table.N}")
-    return k
-
-
 def _f1_value(x, k: int, s_f, table: TotientTable, num: _Numbers,
               constants: Constants) -> Scalar:
     # f1(x) from S_f(k)
@@ -357,11 +349,10 @@ def f1_closed(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     x = 0 is the one point where the closed form and the series differ as
     limits; the series value, exactly 0, is returned there.
     """
-    k = _check_range(x, table, 0)
-    num = _point_numbers(x, table.exact)
+    num, x, k = _table_point(x, table)
     if x == 0:
         return num.collapse(0)
-    s_f = _value(_sweep(table, [k], ("s_f",)), "s_f", k, num)
+    s_f = _value(_sweep(table, [k], ("s_f",)), "s_f", k)
     return _f1_value(x, k, s_f, table, num, constants)
 
 
@@ -372,7 +363,6 @@ class F1OneSided:
     left: Scalar
     right: Scalar
     half: Scalar
-    f1_value: Scalar
     jump: Scalar
 
 
@@ -383,16 +373,13 @@ def f1_one_sided(N: int, table: TotientTable, constants: Constants) -> F1OneSide
     """
     if not isinstance(N, int) or N < 1:
         raise UsageError(f"need an integer N >= 1, got {N}")
-    if N > table.N:
-        raise XBeyondTable(f"N = {N} beyond table N = {table.N}")
-    num = _point_numbers(N, table.exact)
+    num = _table_point(N, table)[0]
     c, a1, _ = _constants(num, constants)
     base = a1 / 2 - 2 * c * N
     sums = _sweep(table, [N - 1, N], ("s_f",))
-    left = base + _value(sums, "s_f", N - 1, num)
-    right = base + _value(sums, "s_f", N, num)
-    half = (left + right) / 2
-    return F1OneSided(left=left, right=right, half=half, f1_value=half,
+    left = base + _value(sums, "s_f", N - 1)
+    right = base + _value(sums, "s_f", N)
+    return F1OneSided(left=left, right=right, half=(left + right) / 2,
                       jump=num.collapse(table.phi[N]) / N)
 
 
@@ -404,8 +391,8 @@ def f1_series_raw(x: Scalar, table: TotientTable, M: int) -> Scalar:
         raise UsageError(f"need M >= 1, got {M}")
     if x < 0:
         raise XBelowOne(f"need x >= 0, got {x}")
-    num = _point_numbers(x, table.exact)
-    _, n, a = _nonzero_alpha(table, M, num)
+    num = _number_type(table.exact)
+    _, n, a = _nonzero_alpha(table, M)
     return num.collapse(np.sum(a / n * _sawtooth(_frac(x, n, num))))
 
 
@@ -422,21 +409,20 @@ def f1_series(x: Scalar, table: TotientTable, constants: Constants,
         raise MBeyondTable(f"M = {M} beyond table N = {table.N}")
     if x > M:
         raise MSmallerThanX(f"tail formula needs M >= x, got M = {M} < x = {x}")
-    if x < 0:
-        raise XBelowOne(f"need x >= 0, got {x}")
-    num = _point_numbers(x, table.exact)
+    num, x, _ = _table_point(x, table)
     if x == 0:
         return num.collapse(0)
     head = f1_series_raw(x, table, M)
     _, a1, a2 = _constants(num, constants)
     sums = _sweep(table, [M], ("p1", "p2"))
-    p1, p2 = _value(sums, "p1", M, num), _value(sums, "p2", M, num)
-    return num.collapse(head + (a1 - p1) / 2 - num.collapse(x) * (a2 - p2))
+    p1, p2 = _value(sums, "p1", M), _value(sums, "p2", M)
+    return num.collapse(head + (a1 - p1) / 2 - x * (a2 - p2))
 
 
 def f1_values(xs: np.ndarray, table: TotientTable,
               constants: Constants) -> np.ndarray:
-    """Vectorized f1_closed over a float grid (0 maps to 0 exactly)."""
+    """Vectorized f1_closed on a float table (0 maps to 0 exactly)."""
+    _require_mode(table, "float", "f1_values")
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         return np.zeros(0)
@@ -444,25 +430,15 @@ def f1_values(xs: np.ndarray, table: TotientTable,
         raise XBelowOne(f"need x >= 0, got {xs.min()}")
     if xs.max() > table.N:
         raise XBeyondTable(f"{xs.max()} beyond table N = {table.N}")
-    num = _number_type(False)
-    c, a1, _ = _constants(num, constants)
+    c, a1, _ = _constants(_number_type(False), constants)
     k = np.floor(xs).astype(np.int64)
-    top = int(k.max())
-    if table.exact:   # each exact value rounded once, at each distinct floor
-        seen = np.zeros(top + 1, dtype=bool)
-        seen[k] = True
-        ks = np.flatnonzero(seen).tolist()
-        sums = _sweep(table, ks, ("s_f",))
-        s_f = np.zeros(top + 1)
-        s_f[ks] = [_value(sums, "s_f", j, num) for j in ks]
-    else:   # the cumulative sum itself, indexed by floor
-        s_f = _sweep(table, [top], ("s_f",))["s_f"]
-    phi = table.phi_array(top)
+    # the cumulative sum itself, indexed by floor
+    s_f = _sweep(table, [int(k.max())], ("s_f",))["s_f"]
     out = a1 / 2 - 2 * c * xs + s_f[k]
     at_int = (xs == k) & (k >= 1)
     if np.any(at_int):
         kk = np.maximum(k, 1)
-        out = out - np.where(at_int, phi[kk] / (2.0 * kk), 0.0)
+        out = out - np.where(at_int, table.phi[kk] / (2.0 * kk), 0.0)
     out = np.where(xs == 0, 0.0, out)
     return out
 
@@ -485,10 +461,9 @@ def g1(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     Terms with n > x have {x/n} = x/n, so the tail is
     x^2 (A2 - P2(x)) - x (A1 - P1(x)).
     """
-    k = _check_range(x, table, 0)
-    num = _point_numbers(x, table.exact)
+    num, x, k = _table_point(x, table)
     sums = _batch_sweep([x], table, 0, ("p1", "p2", "alpha_nz"))
-    return _g1_value(x, _point_sums(x, table, k, num, sums), num, constants)
+    return _g1_value(x, _point_sums(x, k, num, sums), num, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +487,14 @@ def frac_integral(n: int, x: Scalar) -> Scalar:
 # R = E2 - x f1, three routes
 # ---------------------------------------------------------------------------
 
-def _integral_of_f1(x, k: int, table: TotientTable, constants: Constants):
+def _integral_of_f1(x, table: TotientTable, constants: Constants):
     # int_0^x f1 = A1 x / 2 - C x^2 + sum_k S_f(k+0) len(piece k), pieces
     # (k, k+1) where S_f is constant; exact for the piecewise-linear f1.
-    num = _point_numbers(x, table.exact)
+    num, x, k = _table_point(x, table)
     c, a1, _ = _constants(num, constants)
-    x = num.collapse(x)
     sums = _sweep(table, [k], ("s_f", "t_f"))
-    full = _value(sums, "t_f", k, num)
-    partial = _value(sums, "s_f", k, num) * (x - k) if k >= 1 else 0
+    full = _value(sums, "t_f", k)
+    partial = _value(sums, "s_f", k) * (x - k) if k >= 1 else 0
     return a1 * x / 2 - c * x * x + full + partial
 
 
@@ -534,14 +508,13 @@ def r_function(x: Scalar, table: TotientTable, constants: Constants,
     closed:     R(x) = g1(x)/2, valid for x >= 1.
     """
     if route == "definition":
-        _check_range(x, table, 0)
+        _, x, _ = _table_point(x, table)
         e2 = error_term(table, constants.c, x, convention="symmetric")
         return e2 - x * f1_closed(x, table, constants)
     if route == "integral":
         if x <= 0:
             raise NonPositiveX(f"integral route needs x > 0, got {x}")
-        k = _check_range(x, table, 0)
-        return -_integral_of_f1(x, k, table, constants)
+        return -_integral_of_f1(x, table, constants)
     if route == "closed":
         if x < 1:
             raise XBelowOne(f"closed route needs x >= 1, got {x}")
@@ -561,7 +534,8 @@ class DecompositionReport:
     mode; in exact mode the reduced identity's lhs - rhs in Q, so that
     analytic_part equals g1(x)/2 in Q since Constants keeps A2 = 2C.
     exact_verdict reports that constant-free reduced rational identity:
-    'pass'/'fail' for exact tables at rational x, 'not-applicable' otherwise.
+    'pass'/'fail' at every point of an exact table, 'not-applicable' on
+    float tables.
     """
 
     x: Scalar
@@ -603,25 +577,22 @@ def decompose(x: Scalar, table: TotientTable, constants: Constants,
     """Evaluate every piece of E2(x) = x f1(x) + g1(x)/2 at one point.
 
     _sums: a batch's sweep that covers x (decompose_batch's), instead of
-    a sweep of x's own.  At an exact point the reduced identity, evaluated
+    a sweep of x's own.  On an exact table the reduced identity, evaluated
     once, gives the residual and the verdict, and g1/2 is E2 - x f1 -
     residual, which equals g1(x)/2 in Q since Constants keeps A2 = 2C; a
-    float point sums g1 itself.
+    float table sums g1 itself.
     """
-    k = _check_range(x, table, 1)
-    num = _point_numbers(x, table.exact)
+    num, x, k = _table_point(x, table, 1)
     sums = _sums or _batch_sweep([x], table, 1, _DECOMPOSE_SUMS)
     e2 = error_term(table, constants.c, x, convention="symmetric",
                     _sums=sums["s_phi"])
-    xf1 = x * _f1_value(x, k, _value(sums, "s_f", k, num), table, num,
-                        constants)
+    xf1 = x * _f1_value(x, k, _value(sums, "s_f", k), table, num, constants)
     if num.exact:
-        passed, residual = _reduced_residual(Fraction(x), table, k, sums)
+        passed, residual = _reduced_residual(x, table, k, sums)
         hg1 = e2 - xf1 - residual
         verdict = "pass" if passed else "fail"
     else:
-        hg1 = _g1_value(x, _point_sums(x, table, k, num, sums), num,
-                        constants) / 2
+        hg1 = _g1_value(x, _point_sums(x, k, num, sums), num, constants) / 2
         residual = e2 - xf1 - hg1
         verdict = "not-applicable"
     xf = float(x)
@@ -651,8 +622,7 @@ def verify_identity_batch(xs, table: TotientTable) -> list:
     big-integer operations per point for S_g.
     Returns [(x, passed, rational_residual), ...].
     """
-    if not table.exact:
-        raise ModeUnavailable("the reduced identity needs an exact table")
+    _require_mode(table, "exact", "the reduced identity")
     xs = [Fraction(x) for x in xs]
     sums = _batch_sweep(xs, table, 1, _DECOMPOSE_SUMS)
     return [(x, *_reduced_residual(x, table, math.floor(x), sums))

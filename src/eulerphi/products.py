@@ -338,10 +338,10 @@ def _number_type(exact: bool) -> _Numbers:
     return _EXACT if exact else _FLOAT
 
 
-def _point_numbers(x, exact_table: bool = True) -> _Numbers:
-    """The number type of a call at x: exact when the table (if any) is
-    exact and x is an int or Fraction, floats otherwise."""
-    return _number_type(exact_table and isinstance(x, (int, Fraction)))
+def _point_numbers(x) -> _Numbers:
+    """The number type of a table-free call at x: exact when x is an int
+    or Fraction, floats otherwise.  A call on a table takes the table's."""
+    return _number_type(isinstance(x, (int, Fraction)))
 
 
 def _local_product(spec: EulerProductSpec, p: int, exact: Optional[bool]):

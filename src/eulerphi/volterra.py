@@ -130,8 +130,11 @@ def grid_function(X: float, provider: Provider, h: float) -> GridFunction:
 
 def solution_family(table, constants, A=0.0) -> Provider:
     """The member xs -> (f1(xs) + A) xs of the candidate family, on the
-    closed-form f1 of a totient table; the member is 0 at 0."""
+    closed-form f1 of a float totient table; the member is 0 at 0."""
+    from .coeffs import _require_mode
     from .decomp import f1_values
+
+    _require_mode(table, "float", "solution_family")
 
     def member(xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)

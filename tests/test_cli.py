@@ -44,6 +44,7 @@ from eulerphi.errors import (
     RootOutOfDisk,
     SOutOfRange,
     UsageError,
+    XBelowOne,
 )
 from eulerphi.products import spec_hash, zeta_product
 
@@ -616,8 +617,8 @@ FLOAT_GOLDEN_REPORTS = [
      "27102b62024f7e8af4626d36f158096f495c65cf502822674e81fd4c57c51ba3",
      "3d60984befb2e74a69581a49f2b4d1457cd4ba407a8fc4a43ed4600e1ae9cb8e"),
     (["series-check", "--n", "20000"],
-     "5dd282f6a9a5d0faa01f5cd82a231ca9affd7313a3f112a800d89ad09b77573a",
-     "a8061c8bf45b4eb100a909e2a55d5bb85c08129b837e8bf20553bbbd1f1af448"),
+     "cc8a2d66b08dd7a1e77f7a700d165f40b85cf4c437b2956f6c71e5ee5d0298ea",
+     "b69d9820705161371b68fc4651bdddf7bfae53008ff79948a7ae4af82010079d"),
     (["error-term", "--x", "1:20000:97.3", "--mode", "float"],
      "108a14a55fa40fe2c03e6803a54571d970151f92d79e5643f818ec0bf0746fce",
      "b8b173e605517add7fbc3cdcbdc348b97ed6741183a499339934a44c5fd55a54"),
@@ -713,6 +714,7 @@ def test_error_class_exit_codes(capsys):
     assert main(["series-check", "--s", "1.5"]) == SOutOfRange.exit_code
     assert main(["volterra", "--op", "solve", "--X", "5", "--anchor",
                  "9=auto"]) == AnchorOutOfRange.exit_code
+    assert main(["error-term", "--x=-5"]) == XBelowOne.exit_code
     capsys.readouterr()
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import TRUE_C_ZETA
 from eulerphi import coeffs
 from eulerphi.coeffs import (
+    _sum_and_rounding,
     cache_path,
     error_term,
     growth_scan,
@@ -479,17 +480,17 @@ def test_error_term_exact_mode(zeta_exact_500, zeta_constants):
     assert v == 30 - Fraction(zeta_constants.c.value) * 100
 
 
-def test_make_e2_matches_scalar(zeta_exact_500, zeta_constants):
-    e2 = make_e2(zeta_exact_500, zeta_constants.c)
-    xs = np.array([0.25, 1.0, 2.5, 7.0, 10.0, 499.5])
+def test_make_e2_matches_scalar(zeta_float_100k, zeta_constants):
+    e2 = make_e2(zeta_float_100k, zeta_constants.c)
+    xs = np.array([0.25, 1.0, 2.5, 7.0, 10.0, 499.5, 99999.75, 100000.0])
     got = e2(xs)
-    want = [float(error_term(zeta_exact_500, zeta_constants.c, float(x),
-                             convention="symmetric")) for x in xs]
-    # scalar route subtracts C x^2 from the exact sum of phi, vector route
-    # from a float one; they may differ by rounding at the top end
+    want = [error_term(zeta_float_100k, zeta_constants.c, x,
+                       convention="symmetric") for x in xs]
+    # the scalar route takes half of phi(x) off before C x^2, the vector
+    # route after; they may differ by rounding at the top end
     assert np.allclose(got, want, rtol=0, atol=1e-7)
     with pytest.raises(XBeyondTable):
-        e2(np.array([501.5]))
+        e2(np.array([100001.5]))
 
 
 def test_float_scans_read_stored_cumulative(zeta_float_100k, mod4_float_100k,
@@ -521,6 +522,23 @@ def test_series_identity_check_custom_heuristic():
     rep = series_identity_check(spec, 4.0, 2 * 10 ** 4)
     assert rep.ok
     assert rep.bound_kind == "heuristic"
+
+
+def test_sum_rounding_bound_covers_cancelling_sums():
+    # sum |t| far above |sum t|: np.sum errs by about 1e-5 here, which a
+    # rounding term scaled by |sum t| (1e-13 (|sum| + 1) is 2.5e-10) misses;
+    # the summation bound covers it, in both parts of a complex sum
+    rng = np.random.default_rng(3)
+    big = rng.uniform(1e8, 1e9, 5000)
+    terms = rng.permutation(np.concatenate([big, -big,
+                                            rng.uniform(0, 1, 5000)]))
+    for t in (terms, terms + 1j * rng.permutation(terms)):
+        total, rounding = _sum_and_rounding(t)
+        parts = [(total.real, t.real), (complex(total).imag, t.imag)]
+        err = [Fraction(got) - sum(map(Fraction, ts.tolist()))
+               for got, ts in parts]
+        assert abs(complex(*map(float, err))) <= rounding
+        assert float(abs(err[0])) > 1e-13 * (abs(total) + 1)
 
 
 def test_growth_scan_shape(zeta_float_100k, zeta_constants):

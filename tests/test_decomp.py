@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from eulerphi import coeffs, decomp
-from eulerphi.coeffs import error_term, phi_direct, phi_table
+from eulerphi.coeffs import (
+    error_term,
+    growth_scan,
+    make_e2,
+    phi_direct,
+    phi_table,
+    series_identity_check,
+)
 from eulerphi.decomp import (
     _sweep,
     decompose,
@@ -34,16 +41,10 @@ from eulerphi.errors import (
     XBelowN,
     XBelowOne,
 )
-from eulerphi.products import (
-    Constants,
-    ValueWithBound,
-    compute_constants,
-    custom_product,
-)
+from eulerphi.products import compute_constants, custom_product
+from eulerphi.volterra import solution_family
 
 PI2 = math.pi ** 2
-ZERO = ValueWithBound(0.0, 0.0)
-ZERO_CONSTANTS = Constants(c=ZERO, a1=ZERO, a2=ZERO)
 
 
 def test_sawtooth_values():
@@ -117,7 +118,6 @@ def test_one_sided_limits(zeta_exact_500, mod4_exact_500,
         for n in (1, 2, 6, 137, 200):
             os_ = f1_one_sided(n, table, cons)
             assert os_.half == f1_closed(n, table, cons)
-            assert os_.f1_value == os_.half
             assert os_.right - os_.left == os_.jump
             assert os_.jump == Fraction(table.phi[n], 1) / n
     with pytest.raises(UsageError):
@@ -229,6 +229,41 @@ def test_exact_values_stay_fractions(request):
                                                              40)
 
 
+def test_exact_tables_take_float_points_as_rationals(request):
+    # an exact table's mode is the number type of every call on it: a float
+    # x is the rational Fraction(x), so each entry gives, bit for bit, its
+    # value at Fraction(x); the float-grid kernels refuse the table
+    xs = [3.0, 7.0, 2.5, 137.25, 3 + 2 ** -40]
+    for table, cons in exact_products(request):
+        for x in xs:
+            q = Fraction(x)
+            pairs = [(f(x), f(q)) for f in (
+                lambda v: f1_closed(v, table, cons),
+                lambda v: f1_series(v, table, cons, table.N),
+                lambda v: g1(v, table, cons),
+                lambda v: error_term(table, cons.c, v),
+                lambda v: error_term(table, cons.c, v, "symmetric"),
+                lambda v: r_function(v, table, cons, "definition"),
+                lambda v: r_function(v, table, cons, "integral"),
+                lambda v: r_function(v, table, cons, "closed"))]
+            for got, want in pairs:
+                assert type(got) is Fraction and got == want, (table.spec, x)
+            rep = decompose(x, table, cons)
+            assert rep == decompose(q, table, cons)
+            assert type(rep.x) is Fraction and rep.x == q
+            assert rep.exact_verdict == "pass"
+        assert decompose_batch(xs, table, cons) == decompose_batch(
+            [Fraction(x) for x in xs], table, cons)
+        for kernel in (lambda: make_e2(table, cons.c),
+                       lambda: f1_values(np.array([1.5]), table, cons),
+                       lambda: growth_scan(table, cons.c, 100),
+                       lambda: series_identity_check(table.spec, 3.0, 100,
+                                                     table=table),
+                       lambda: solution_family(table, cons)):
+            with pytest.raises(ModeUnavailable):
+                kernel()
+
+
 def test_decompose_float(zeta_float_100k, zeta_constants):
     rep = decompose(1234.25, zeta_float_100k, zeta_constants)
     assert rep.exact_verdict == "not-applicable"
@@ -263,22 +298,20 @@ def test_decompose_batch_matches_pointwise(zeta_spec, custom100_spec,
 
 def test_float_decompose_batch_has_each_points_bits(zeta_float_100k,
                                                    zeta_constants,
-                                                   mod4_exact_10k,
+                                                   mod4_float_100k,
                                                    mod4_constants):
     # a float batch reads one nonzero prefix of alpha up to its largest
     # floor(x), each point a slice of it; a point alone scans up to its own
     # floor(x).  Same elements in the same order, so the same bits (repr
     # tells every bit of a float apart, -0.0 included).  Points of every
-    # magnitude, unsorted, integers and repeats among them; on an exact
-    # table the float points read alpha through alpha_array.
+    # magnitude, unsorted, integers and repeats among them.
     xs = [99999.75, 1.0, 2.5, 7.0, 1e5, 12.125, 314.159, 2718.28, 1.0,
           65536.0, 31622.7766, 99999.75, 3.0 + 2 ** -40, 50000.5]
     for table, cons in ((zeta_float_100k, zeta_constants),
-                        (mod4_exact_10k, mod4_constants)):
-        pts = [x for x in xs if x <= table.N]
-        batch = decompose_batch(pts, table, cons)
+                        (mod4_float_100k, mod4_constants)):
+        batch = decompose_batch(xs, table, cons)
         assert [repr(rep) for rep in batch] == [
-            repr(decompose(x, table, cons)) for x in pts]
+            repr(decompose(x, table, cons)) for x in xs]
         assert all(rep.exact_verdict == "not-applicable" for rep in batch)
 
 
@@ -304,12 +337,7 @@ def test_s_f_kernel_matches_phi_direct(zeta_spec, mod4_spec, custom100_spec):
             assert Fraction(got, s_f.den) == want[k], (spec.kind, k)
             err = abs(Fraction(float(floats["s_f"][k])) - want[k])
             assert err <= Fraction(1e-12) * k, (spec.kind, k)
-        # f1_values' float view of the exact sums rounds each value once
-        # (with C = A1 = 0, f1 off the integers is S_f itself), and their
-        # total is exact
-        xs = np.arange(K + 1) + 0.5
-        view = f1_values(xs[ks], exact_table, ZERO_CONSTANTS)
-        assert view.tolist() == [float(want[k]) for k in ks]
+        # T(K), the sum of S_f(k) over 1 <= k < K, is exact too
         assert Fraction(t_f.numerators[K], t_f.den) == sum(want[1:K])
 
 
@@ -318,17 +346,16 @@ def test_verify_identity_needs_exact(zeta_float_100k):
         verify_identity_batch([Fraction(3, 2)], zeta_float_100k)
 
 
-def test_f1_values_matches_scalar(zeta_exact_500, zeta_constants):
+def test_f1_values_matches_scalar(zeta_float_100k, zeta_constants):
     xs = np.array([0.0, 0.5, 1.0, 2.5, 7.0, 137.25, 500.0])
-    got = f1_values(xs, zeta_exact_500, zeta_constants)
-    want = [float(f1_closed(float(x), zeta_exact_500, zeta_constants))
-            for x in xs]
+    got = f1_values(xs, zeta_float_100k, zeta_constants)
+    want = [f1_closed(x, zeta_float_100k, zeta_constants) for x in xs]
     assert np.allclose(got, want, rtol=0, atol=1e-10)
 
 
-def test_f1_values_domain(zeta_exact_500, zeta_constants):
+def test_f1_values_domain(zeta_float_100k, zeta_constants):
     with pytest.raises(XBelowOne):
-        f1_values(np.array([-1.0]), zeta_exact_500, zeta_constants)
+        f1_values(np.array([-1.0]), zeta_float_100k, zeta_constants)
 
 
 def test_exact_and_float_kernels_agree(request):
