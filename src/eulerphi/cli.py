@@ -573,8 +573,9 @@ def cmd_volterra(cfg: RunConfig):
     o = cfg.options
     spec = build_spec(cfg)
     X, h = float(o["X"]), float(o["h"])
-    # a grid that would be refused is refused before its table is built
-    _volterra.make_grid(X, h)
+    # a grid that would be refused is refused before its table is built;
+    # held for the run, so its checks and GridFunctions share this one
+    grid = _volterra.make_grid(X, h)  # noqa: F841
     n = o["n"] or int(math.ceil(X))
     table = get_table(cfg, spec, n, "float")
     cons = get_constants(cfg, spec)

@@ -80,8 +80,10 @@ _EXACT_AUTO_CAP = 2 * 10 ** 5
 
 # bumped whenever the file layout changes, so older files fail the header check
 _CACHE_VERSION = 6
-# entries per step of the multiplicative sieve; bounds its temporaries
-_CHUNK = 1 << 16
+# entries per run of the multiplicative sieve and per block of the growth
+# scan; bounds their temporaries to about 1 MB (a sieve run of two complex
+# columns, a complex scan block), whatever the table's size
+_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +494,14 @@ def error_term(table: TotientTable, cF: ValueWithBound, x,
     """
     if convention not in ("plain", "symmetric"):
         raise UsageError(f"convention must be plain or symmetric, got {convention!r}")
-    num, x, k = _table_point(x, table)
-    s = (phi_sums(table, [k]) if _sums is None else _sums)[k]
+    return _error_term(table, cF, _table_point(x, table), convention, _sums)
+
+
+def _error_term(table: TotientTable, cF: ValueWithBound, point: tuple,
+                convention: str, sums=None) -> Scalar:
+    # error_term at a point (num, x, floor(x)) that _table_point has taken
+    num, x, k = point
+    s = (phi_sums(table, [k]) if sums is None else sums)[k]
     if convention == "symmetric" and x == k and k >= 1:
         s = s - num.collapse(table.phi[k]) / 2
     return s - num.collapse(cF.value) * x * x
@@ -591,13 +599,18 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
     if table.N < N:
         raise XBeyondTable(f"table holds N = {table.N} < {N}")
     alpha = table.alpha[: N + 1]
-    n = np.arange(N + 1, dtype=np.float64)
-    n[0] = 1.0
-    w = n ** (-s)
-    lhs, lhs_rounding = _sum_and_rounding(table.phi[: N + 1] * w)
+    # n^-s (1 at n = 0) formed in place, and one buffer for the terms of
+    # both sums: two arrays of N + 1 entries beside the table, and a third,
+    # |terms|, while _sum_and_rounding takes each bound
+    w = np.arange(N + 1, dtype=np.float64)
+    w[0] = 1.0
+    np.power(w, -s, out=w)
+    terms = np.multiply(table.phi[: N + 1], w)
+    lhs, lhs_rounding = _sum_and_rounding(terms)
     zeta = zeta_value(s - 1.0)
     zs = zeta.value
-    alpha_sum, alpha_rounding = _sum_and_rounding(alpha * w)
+    alpha_sum, alpha_rounding = _sum_and_rounding(
+        np.multiply(alpha, w, out=terms))
     rhs = zs * alpha_sum
 
     d = spec.degree
@@ -638,35 +651,50 @@ def growth_scan(table: TotientTable, cF: ValueWithBound, X: int,
     """Scan the plain error term against the x (log 2x)^degree envelope.
 
     E(x) = sum_{n<=x} phi(n) - (C x) x and |E(x)| / (x (log 2x)^d) are
-    formed in place, in that order of operations.
+    formed in place, in that order of operations, one block of _CHUNK
+    entries at a time.  A block's running sum starts from the last one of
+    the block before it, so every E(x) has the bits of one cumulative sum
+    of the whole table, and the scan holds one block's temporaries beside
+    the table, whatever X.  argmax is the first x of the largest ratio.
     """
     _require_mode(table, "float", "growth_scan")
     if X > table.N:
         raise XBeyondTable(f"X = {X} beyond table N = {table.N}")
     if x_min < 1 or x_min > X:
         raise UsageError(f"need 1 <= x_min <= X, got x_min={x_min}, X={X}")
-    e = np.cumsum(table.phi[: X + 1])
-    e = e[x_min:]
-    xs = np.arange(x_min, X + 1, dtype=np.float64)
     c = _plain(cF.value)
-    main = c * xs
-    main *= xs
-    e -= main
-    envelope = 2 * xs
-    np.log(envelope, out=envelope)
-    envelope **= table.spec.degree
-    envelope *= xs
-    ratio = np.abs(e)
-    ratio /= envelope
-    i = int(np.argmax(ratio))
-    sup = float(ratio[i])
-    argmax = int(xs[i])
     idx = np.unique(np.geomspace(x_min, X, num=min(samples, X - x_min + 1)
                                  ).round().astype(np.int64))
-    rows = tuple((int(x), _plain(e[x - x_min]), float(ratio[x - x_min]))
-                 for x in idx)
-    return GrowthScanReport(x_min=x_min, x_max=X, sup=sup, argmax=argmax,
-                            rows=rows)
+    rows, peaks, carry = [], [], 0
+    for lo in range(0, X + 1, _CHUNK):
+        hi = min(lo + _CHUNK, X + 1)
+        e = table.phi[lo:hi].copy()
+        e[0] += carry
+        np.cumsum(e, out=e)
+        carry = e[-1]
+        start = max(lo, x_min)
+        if start >= hi:
+            continue
+        e = e[start - lo :]
+        xs = np.arange(start, hi, dtype=np.float64)
+        main = c * xs
+        main *= xs
+        e -= main
+        envelope = 2 * xs
+        np.log(envelope, out=envelope)
+        envelope **= table.spec.degree
+        envelope *= xs
+        ratio = np.abs(e)
+        ratio /= envelope
+        i = int(np.argmax(ratio))
+        peaks.append((ratio[i], start + i))
+        for x in idx[np.searchsorted(idx, start) : np.searchsorted(idx, hi)]:
+            j = x - start
+            rows.append((int(x), _plain(e[j]), float(ratio[j])))
+    # the first block holding the largest ratio, as np.argmax picks it
+    sup, argmax = peaks[int(np.argmax([r for r, _ in peaks]))]
+    return GrowthScanReport(x_min=x_min, x_max=X, sup=float(sup),
+                            argmax=argmax, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

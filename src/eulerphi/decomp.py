@@ -73,6 +73,7 @@ import numpy as np
 
 from .coeffs import (
     TotientTable,
+    _error_term,
     _exact_column,
     _require_mode,
     _table_point,
@@ -214,11 +215,11 @@ def _value(sums: dict, name: str, k: int) -> Scalar:
     return _plain(s[k])
 
 
-def _batch_sweep(xs, table: TotientTable, lowest, names: tuple) -> dict:
-    """_sweep at floor(x) for every x of a batch, each checked by
-    _table_point; on an exact table every point also gets its floor
-    blocks, which exact S_g reads."""
-    ks = [_table_point(x, table, lowest)[2] for x in xs]
+def _batch_sweep(points: list, table: TotientTable, names: tuple) -> dict:
+    """_sweep at floor(x) for every (num, x, floor(x)) of a batch, as
+    _table_point gives them; on an exact table every point also gets its
+    floor blocks, which exact S_g reads."""
+    ks = [k for _, _, k in points]
     return _sweep(table, ks, names, ks if table.exact else ())
 
 
@@ -461,8 +462,8 @@ def g1(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     Terms with n > x have {x/n} = x/n, so the tail is
     x^2 (A2 - P2(x)) - x (A1 - P1(x)).
     """
-    num, x, k = _table_point(x, table)
-    sums = _batch_sweep([x], table, 0, ("p1", "p2", "alpha_nz"))
+    point = num, x, k = _table_point(x, table)
+    sums = _batch_sweep([point], table, ("p1", "p2", "alpha_nz"))
     return _g1_value(x, _point_sums(x, k, num, sums), num, constants)
 
 
@@ -582,10 +583,16 @@ def decompose(x: Scalar, table: TotientTable, constants: Constants,
     residual, which equals g1(x)/2 in Q since Constants keeps A2 = 2C; a
     float table sums g1 itself.
     """
-    num, x, k = _table_point(x, table, 1)
-    sums = _sums or _batch_sweep([x], table, 1, _DECOMPOSE_SUMS)
-    e2 = error_term(table, constants.c, x, convention="symmetric",
-                    _sums=sums["s_phi"])
+    point = _table_point(x, table, 1)
+    return _decompose(point, table, constants,
+                      _sums or _batch_sweep([point], table, _DECOMPOSE_SUMS))
+
+
+def _decompose(point: tuple, table: TotientTable, constants: Constants,
+               sums: dict) -> DecompositionReport:
+    # decompose at a point _table_point has taken, on a sweep covering it
+    num, x, k = point
+    e2 = _error_term(table, constants.c, point, "symmetric", sums["s_phi"])
     xf1 = x * _f1_value(x, k, _value(sums, "s_f", k), table, num, constants)
     if num.exact:
         passed, residual = _reduced_residual(x, table, k, sums)
@@ -611,8 +618,9 @@ def decompose(x: Scalar, table: TotientTable, constants: Constants,
 
 def decompose_batch(xs, table: TotientTable, constants: Constants) -> list:
     """decompose at every x of a batch, on one sweep of the batch's sums."""
-    sums = _batch_sweep(xs, table, 1, _DECOMPOSE_SUMS)
-    return [decompose(x, table, constants, _sums=sums) for x in xs]
+    points = [_table_point(x, table, 1) for x in xs]
+    sums = _batch_sweep(points, table, _DECOMPOSE_SUMS)
+    return [_decompose(point, table, constants, sums) for point in points]
 
 
 def verify_identity_batch(xs, table: TotientTable) -> list:
@@ -623,7 +631,7 @@ def verify_identity_batch(xs, table: TotientTable) -> list:
     Returns [(x, passed, rational_residual), ...].
     """
     _require_mode(table, "exact", "the reduced identity")
-    xs = [Fraction(x) for x in xs]
-    sums = _batch_sweep(xs, table, 1, _DECOMPOSE_SUMS)
-    return [(x, *_reduced_residual(x, table, math.floor(x), sums))
-            for x in xs]
+    points = [_table_point(x, table, 1) for x in xs]
+    sums = _batch_sweep(points, table, _DECOMPOSE_SUMS)
+    return [(x, *_reduced_residual(x, table, k, sums))
+            for _, x, k in points]

@@ -25,8 +25,8 @@ of the grid, which is exact on [0, x_0] for the family (f1 + A is linear on
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -69,15 +69,24 @@ def grid_points(X: float, h: float) -> int:
     return n
 
 
-@lru_cache(maxsize=1)
+# ((X, h), a weak reference to the grid) of the last grid make_grid built
+_last_grid = (None, None)
+
+
 def make_grid(X: float, h: float) -> np.ndarray:
     """Half-offset points (i + 1/2) h up to X, as a read-only array.
 
     E2 and f1 jump at the integers, so every point must lie at least h/2
     (within 0.2%) from one; an h that breaks this is a BadGrid.  The last
-    grid is kept, so a run's checks, samples and GridFunctions on one
-    (X, h) share one array, which no caller can write.
+    grid is kept through a weak reference: while any caller holds it, a
+    run's checks, samples and GridFunctions on one (X, h) share that one
+    array, which no caller can write, and it is freed with its last holder.
     """
+    global _last_grid
+    key, grid = _last_grid
+    xs = grid() if key == (X, h) else None
+    if xs is not None:
+        return xs
     xs = np.arange(grid_points(X, h), dtype=np.float64)
     xs += 0.5
     xs *= h
@@ -88,6 +97,7 @@ def make_grid(X: float, h: float) -> np.ndarray:
         raise BadGrid(f"grid points of h = {h} must avoid integers by at "
                       f"least h/2")
     xs.flags.writeable = False
+    _last_grid = ((X, h), weakref.ref(xs))
     return xs
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from conftest import TRUE_C_ZETA
 from eulerphi import coeffs
 from eulerphi.coeffs import (
+    GrowthScanReport,
+    TotientTable,
     _sum_and_rounding,
     cache_path,
     error_term,
@@ -41,10 +44,12 @@ from eulerphi.primes import (
 )
 from eulerphi.products import (
     ValueWithBound,
+    _plain,
     build_character,
     custom_product,
     dirichlet_product,
     gamma,
+    c_constant,
     gamma_values,
     spec_from_dict,
     zeta_product,
@@ -553,6 +558,112 @@ def test_growth_scan_shape(zeta_float_100k, zeta_constants):
         growth_scan(zeta_float_100k, zeta_constants.c, 10 ** 6)
     with pytest.raises(UsageError):
         growth_scan(zeta_float_100k, zeta_constants.c, 100, x_min=0)
+
+
+def _growth_scan_whole(table, cF, X, samples, x_min):
+    """growth_scan over whole arrays, one X + 1 long temporary a step: the
+    same expressions in the same order as the block scan."""
+    e = np.cumsum(table.phi[: X + 1])
+    e = e[x_min:]
+    xs = np.arange(x_min, X + 1, dtype=np.float64)
+    main = _plain(cF.value) * xs
+    main *= xs
+    e -= main
+    envelope = 2 * xs
+    np.log(envelope, out=envelope)
+    envelope **= table.spec.degree
+    envelope *= xs
+    ratio = np.abs(e)
+    ratio /= envelope
+    i = int(np.argmax(ratio))
+    idx = np.unique(np.geomspace(x_min, X, num=min(samples, X - x_min + 1)
+                                 ).round().astype(np.int64))
+    rows = tuple((int(x), _plain(e[x - x_min]), float(ratio[x - x_min]))
+                 for x in idx)
+    return GrowthScanReport(x_min=x_min, x_max=X, sup=float(ratio[i]),
+                            argmax=int(xs[i]), rows=rows)
+
+
+GROWTH_SPECS = {
+    "kronecker-8": dirichlet_product(build_character(kronecker=-8)),
+    # complex alpha and phi
+    "complex-degree-2": custom_product(2, {2: [0.5j, 0.25], 3: [0.5, -0.5j],
+                                           7: [1, 1j]}, "zero"),
+    "degree-3": custom_product(3, {2: [1, 1, 0.5], 3: [1, -1, 0.25],
+                                   5: [0.5, 0.5, 0.5]}, "one"),
+}
+
+
+@pytest.mark.parametrize("name", ["zeta", *GROWTH_SPECS])
+def test_growth_scan_blocks_keep_whole_array_bits(name, zeta_spec):
+    # the block scan gives the whole-array scan's report bit for bit: every
+    # E(x), ratio and sampled row, sup and the first argmax, for X and
+    # x_min on either side of a block edge, and a first block skipped
+    spec = zeta_spec if name == "zeta" else GROWTH_SPECS[name]
+    table = phi_table(spec, 4 * 10 ** 5, mode="float")
+    cF = c_constant(spec, 10 ** 4)
+    chunk = coeffs._CHUNK
+    for X in (chunk - 1, chunk, chunk + 1, 4 * 10 ** 5):
+        for x_min in [m for m in (1, 2, chunk - 3, chunk + 1, X) if m <= X]:
+            for samples in (0, 1, 30):
+                got = growth_scan(table, cF, X, samples=samples, x_min=x_min)
+                want = _growth_scan_whole(table, cF, X, samples, x_min)
+                assert repr(got) == repr(want), (X, x_min, samples)
+    assert np.iscomplexobj(table.phi) == (name == "complex-degree-2")
+
+
+def test_growth_scan_keeps_bits_on_unaligned_blocks(monkeypatch):
+    # blocks whose length is no multiple of a SIMD width still give the
+    # whole-array bits
+    table = phi_table(GROWTH_SPECS["complex-degree-2"], 20000, mode="float")
+    cF = c_constant(table.spec, 10 ** 4)
+    for chunk in (1000, 7):
+        monkeypatch.setattr(coeffs, "_CHUNK", chunk)
+        for x_min in (2, 999, 1001):
+            got = growth_scan(table, cF, 20000, samples=30, x_min=x_min)
+            assert repr(got) == repr(_growth_scan_whole(table, cF, 20000, 30,
+                                                        x_min))
+
+
+def test_growth_scan_argmax_is_the_first_of_a_tie(zeta_spec):
+    # with C = 0, E(x) = sum phi is the envelope x log 2x itself at three
+    # x, two in one block and one in a later block, and 0 elsewhere: the
+    # ratio is exactly 1 at all three, and argmax is the first
+    chunk = coeffs._CHUNK
+    X = 3 * chunk
+    ties = [chunk // 2, chunk - 1, 2 * chunk + 5]
+    envelope = np.arange(X + 2, dtype=np.float64)
+    envelope[1:] *= np.log(2 * envelope[1:])
+    phi = np.zeros(X + 2)
+    phi[ties] = envelope[ties]
+    phi[np.add(ties, 1)] = -envelope[ties]
+    table = TotientTable(spec=zeta_spec, N=X + 1, mode="float",
+                         alpha=np.zeros(X + 2), phi=phi)
+    zero = ValueWithBound(0.0, 0.0, "rigorous")
+    for x_min in (2, ties[0], ties[0] + 1, ties[1] + 1):
+        rep = growth_scan(table, zero, X, samples=30, x_min=x_min)
+        assert rep.sup == 1.0
+        assert rep.argmax == min(t for t in ties if t >= x_min)
+        assert repr(rep) == repr(_growth_scan_whole(table, zero, X, 30, x_min))
+    # all ratios 0: the first x of the scan
+    rep = growth_scan(table, zero, ties[0] - 1, samples=5)
+    assert (rep.sup, rep.argmax) == (0.0, 2)
+
+
+@pytest.mark.parametrize("N", [10 ** 6, 4 * 10 ** 6])
+def test_growth_scan_memory_does_not_grow_with_x(N, zeta_spec):
+    # one block's temporaries beside the table, not five arrays of X
+    # entries (39 MB at X = 1e6 and 153 MB at 4e6 over whole arrays)
+    table = phi_table(zeta_spec, N, mode="float")
+    cF = c_constant(zeta_spec)
+    tracemalloc.start()
+    try:
+        rep = growth_scan(table, cF, N, samples=30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.x_max == N and len(rep.rows) == 30
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_cache_roundtrip_float(tmp_path, zeta_spec):

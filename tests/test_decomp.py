@@ -296,6 +296,32 @@ def test_decompose_batch_matches_pointwise(zeta_spec, custom100_spec,
             assert all(rep.exact_verdict == "pass" for rep in batch)
 
 
+def test_each_point_is_taken_into_the_table_once(monkeypatch,
+                                                 zeta_exact_500,
+                                                 zeta_float_100k,
+                                                 zeta_constants):
+    # a batch converts, floors and range-checks each point once, and hands
+    # (num, x, floor(x)) on to its sweep, E2 and f1
+    taken = []
+
+    def table_point(x, table, lowest=0):
+        taken.append(x)
+        return coeffs._table_point(x, table, lowest)
+
+    monkeypatch.setattr(decomp, "_table_point", table_point)
+    xs = [Fraction(k, 7) for k in range(3500, 6, -97)]
+    for table in (zeta_exact_500, zeta_float_100k):
+        pts = xs if table.exact else [float(x) for x in xs]
+        runs = [lambda: decompose_batch(pts, table, zeta_constants),
+                lambda: [decompose(x, table, zeta_constants) for x in pts]]
+        if table.exact:
+            runs.append(lambda: verify_identity_batch(pts, table))
+        for run in runs:
+            taken.clear()
+            run()
+            assert taken == pts
+
+
 def test_float_decompose_batch_has_each_points_bits(zeta_float_100k,
                                                    zeta_constants,
                                                    mod4_float_100k,

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -65,6 +67,37 @@ def test_make_grid_is_one_read_only_array():
     g = GridFunction(values=np.zeros(len(xs)), X=3.0, h=0.01)
     assert g.xs is xs
     assert grid_function(3.0, lambda t: t, 0.01).xs is xs
+
+
+def test_make_grid_frees_its_grid_with_its_last_holder():
+    # the last grid is shared while a caller holds it, and freed with its
+    # last holder, not kept for the process (160 MB at the grid cap)
+    xs = make_grid(4.0, 0.001)
+    g = GridFunction(values=np.zeros(len(xs)), X=4.0, h=0.001)
+    gone = weakref.ref(xs)
+    del xs
+    shared = make_grid(4.0, 0.001) is g.xs
+    assert shared
+    del g
+    assert gone() is None
+    xs = make_grid(4.0, 0.001)
+    assert not xs.flags.writeable
+    assert xs.tobytes() == ((np.arange(4000) + 0.5) * 0.001).tobytes()
+
+
+@pytest.mark.parametrize("op", ["residual", "solve", "probe"])
+def test_volterra_command_builds_its_grid_once(op, monkeypatch, capsys):
+    built = []
+
+    def ref(xs):
+        built.append(len(xs))
+        return weakref.ref(xs)
+
+    monkeypatch.setattr(volterra, "weakref", types.SimpleNamespace(ref=ref))
+    args = ["volterra", "--op", op, "--X", "20", "--h", "0.01"]
+    assert main(args + ([] if op == "residual" else
+                        ["--anchor", "1.5=auto"])) in (0, 1)
+    assert built == [2000]
 
 
 def test_grid_points_cap():
