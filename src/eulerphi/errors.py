@@ -76,7 +76,9 @@ class PrincipalCharacter(EulerphiError):
 
 
 class PrecisionUnreachable(EulerphiError):
-    """L(1, chi) is not separated from 0 by its bound, so A1 = 1/L(1, chi) has none."""
+    """A constant has no usable bound: L(1, chi) is not separated from 0 by
+    its bound, so A1 = 1/L(1, chi) has none, or C(F) of a default-one
+    product is asked for above the degree its accelerated product handles."""
 
     exit_code = 19
 

@@ -13,10 +13,12 @@ gamma(p) = p(1 - 1/F_p(1)), the main-term constant C(F), the series constant
 A1 = sum alpha(n)/n, and the Dirichlet L-values L(s, chi) that A1 and the
 constants report read, by one fixed-order Euler-Maclaurin formula at every
 modulus up to MAX_MODULUS.  The same formula gives L(s, chi) of a principal
-character at s > 1, and zeta(s) as that of the trivial character mod 1;
-C(F) reads zeta(2) from it wherever gamma(p) = 1 at all but finitely many
-primes (zeta, principal characters, custom degree 1 with default one), and
-multiplies out the primes up to a cutoff only for the other products.
+character at s > 1, and zeta(s) as that of the trivial character mod 1.
+C(F) reads zeta(2) from it wherever gamma(p) follows the default-one rule
+at all but finitely many primes (zeta, principal characters, custom with
+default one); at degree d >= 2 it also reads zeta(3) and multiplies out an
+accelerated product over the primes up to 1e5 with a rigorous tail bound.
+Only a non-principal character multiplies out the primes up to a cutoff.
 Values that involve infinite products/series are returned as
 ValueWithBound, an estimate plus an absolute error radius.
 """
@@ -470,19 +472,132 @@ def _check_cutoff(prime_cutoff: int) -> None:
 
 
 def _exceptional_primes(spec: EulerProductSpec) -> Optional[list]:
-    """S, the primes where gamma(p) may differ from 1, when it is 1 at every
+    """S, the primes where gamma(p) may differ from the default-one rule
+    gamma_1(p) = p (1 - (1 - 1/p)^d), when it follows that rule at every
     other prime: none for zeta, the p | q for a principal character mod q
-    (gamma(p) = 0 there), the listed primes for a degree-1 custom product
-    with default one.  None for every other product."""
+    (gamma(p) = 0 there, and gamma_1 = 1 at d = 1), the listed primes for a
+    custom product with default one.  None for every other product."""
     if spec.kind == "zeta":
         return []
     if spec.kind == "dirichlet":
         chi = spec.character
         return ([p for p, _ in factorize(chi.modulus)] if chi.is_principal
                 else None)
-    if spec.default_rule == "one" and spec.degree == 1:
+    if spec.default_rule == "one":
         return sorted(spec.roots)
     return None
+
+
+# The default-one rule's Euler product reads the primes up to _ONE_RULE_P
+# one by one and bounds the rest.  Its numerator polynomial has about
+# 1.5 d^2 integer coefficients of up to d^2 bits, so the degree is capped.
+_ONE_RULE_P = 10 ** 5
+_ONE_RULE_MAX_DEGREE = 45
+
+
+def _one_rule_numerator(d: int) -> list:
+    """[c_4, c_5, ...], the integer coefficients of N(t) = sum_k c_k t^k,
+    N(t) = f_1(t) (1 - t^3)^b - (1 - t^2)^d with b = d(d - 1)/2.
+
+    f_1(t) = 1 - t + t (1 - t)^d is 1 - gamma_1(p)/p^2 at t = 1/p, so
+    g(p) = f_1 (1 - t^3)^b / (1 - t^2)^d = 1 + N(t)/(1 - t^2)^d.  The terms
+    in t^2 and t^3 cancel: -t^4 + 2t^5 - t^6 for d = 2.
+    """
+    b = d * (d - 1) // 2
+    f1 = [1, -1] + [0] * d
+    for k in range(d + 1):
+        f1[k + 1] += (-1) ** k * math.comb(d, k)
+    n = [0] * (len(f1) + 3 * b)
+    for j in range(b + 1):
+        cj = (-1) ** j * math.comb(b, j)
+        for i, a in enumerate(f1):
+            n[i + 3 * j] += a * cj
+    for k in range(d + 1):
+        n[2 * k] -= (-1) ** k * math.comb(d, k)
+    assert not any(n[:4]), n[:4]
+    return n[4:]
+
+
+def _one_rule_rest(d: int) -> ValueWithBound:
+    """R = zeta(3)^b prod_p g(p) for degree d >= 2, b = d(d - 1)/2, with
+    g(p) = f_1(p) (1 - p^-3)^b / (1 - p^-2)^d as in _one_rule_numerator,
+    so that prod_p f_1(p) = zeta(2)^-d R.  Returns R > 0 with a rigorous
+    bound.
+
+    With c = _one_rule_numerator(d) and K_q = sum_k |c_k| q^-k, every
+    p > q has |g(p) - 1| <= K_q p^-4/(1 - p^-2)^d.  q is the first power
+    of 2 that makes this at most 2^-20.  log R is one math.fsum of:
+      * b log zeta(3), from zeta_value(3), whose bound e moves it by at most
+        b e/(zeta(3) - e);
+      * at each p <= q, log f_1(p) + b log1p(-p^-3) - d log1p(-p^-2) by
+        libm.  f_1(p) and p^-k are rounded once, and with libm's log and
+        log1p within 2 ulp (4u) each term is within u plus 7u times its
+        size;
+      * over q < p <= _ONE_RULE_P, h - h^2/2 with h = g(p) - 1 taken as
+        t^4 N(t)/(1 - t^2)^d in float64.  N is summed by Horner in s = q/p
+        from the coefficients c_k q^-k, without the trailing ones whose sum
+        is under 2^-60 K_q; they are added to the bound.  The error in h is
+        within (3n + 3d + 20)u K_q t^4/(1 - t^2)^d (n Horner terms; t^4,
+        the d quotients by 1 - t^2 and h - h^2/2), the sums of h and h^2
+        within their length times u times that, and
+        |log1p(h) - h + h^2/2| <= |h|^3/2;
+      * past _ONE_RULE_P, |sum log g(p)| <= (1 + 2^-19) K_q/(3 P^3
+        (1 - P^-2)^d), since sum_{p > P} p^-4 < 1/(3 P^3).
+    fsum rounds once; exp is within 4u.  So R's bound is
+    R (expm1(E) + 5u) for E the sum of the bounds above.
+    """
+    if d > _ONE_RULE_MAX_DEGREE:
+        raise PrecisionUnreachable(
+            f"C(F) of a default-one product is computed up to degree "
+            f"{_ONE_RULE_MAX_DEGREE}, got {d}")
+    b, u, big = d * (d - 1) // 2, _U, _ONE_RULE_P
+    c = _one_rule_numerator(d)
+    # q starts where |c_4| alone allows it
+    q = 2 ** max(1, math.ceil((math.log2(abs(c[0])) + 20) / 4))
+    while True:
+        coeffs, scale = [], 1           # c_k q^-k, each rounded once
+        for x in c:
+            coeffs.append(x / scale)
+            scale *= q
+        kq = math.fsum(map(abs, coeffs))
+        if kq <= 2.0 ** -20 * q ** 4 * (1 - q ** -2.0) ** d:
+            break
+        q *= 2
+    keep, dropped = len(coeffs), 0.0
+    while keep > 1 and dropped + abs(coeffs[keep - 1]) <= 2.0 ** -60 * kq:
+        keep -= 1
+        dropped += abs(coeffs[keep])
+
+    ps = primes_upto(big)
+    z3 = zeta_value(3.0)
+    terms = [b * math.log(z3.value)]
+    for p in ps[ps <= q].tolist():
+        terms += [math.log((p ** d * (p - 1) + (p - 1) ** d) / p ** (d + 1)),
+                  b * math.log1p(-1 / p ** 3), -d * math.log1p(-1 / p ** 2)]
+    errors = u * (len(terms) + 7 * math.fsum(map(abs, terms)))
+    errors += b * z3.bound / (z3.value - z3.bound)
+
+    s = q / ps[ps > q]                  # t = s/q is 1/p rounded once
+    t2 = np.square(s) / q ** 2
+    one_minus = 1 - t2
+    w = np.square(t2)
+    for _ in range(d):
+        w /= one_minus                  # t^4/(1 - t^2)^d
+    h = np.full_like(s, coeffs[keep - 1])
+    for x in reversed(coeffs[:keep - 1]):
+        h *= s
+        h += x
+    h *= w                              # g(p) - 1
+    terms.append(float(np.sum(h)) - float(np.dot(h, h)) / 2)
+    eta = (3 * keep + 3 * d + 20 + len(s)) * u
+    errors += (eta * kq + dropped + kq ** 3 * w[0] ** 2 / 2) * float(np.sum(w))
+    errors += (1 + 2.0 ** -19) * kq / (3 * big ** 3 * (1 - big ** -2.0) ** d)
+
+    log_rest = math.fsum(terms)
+    errors += u * abs(log_rest)
+    rest = math.exp(log_rest)
+    return ValueWithBound(rest, rest * (math.expm1(errors) + 5 * u),
+                          "rigorous")
 
 
 def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWithBound:
@@ -491,18 +606,25 @@ def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWith
     prime_cutoff is range-checked first, whichever branch follows.
       * finite support (custom, default zero): the finite product over the
         listed primes, a Fraction with bound 0 when every root is rational;
-      * gamma(p) = 1 off a finite set S (_exceptional_primes: zeta, a
-        principal character, custom degree 1 with default one): the closed
-        form prod_{p in S} (1 - gamma(p)/p^2)/(1 - 1/p^2) / (2 zeta(2)),
-        with zeta(2) from zeta_value, so the cutoff is not read;
-      * any other product: c_truncated at prime_cutoff.
-    In the closed form, each factor is p (p - 1 + local_p)/(p^2 - 1).  The
-    product is a Fraction when every gamma(p) is rational, and the quotient
-    by zeta(2)'s float value z is then rounded once; otherwise it is taken
-    in complex floats, within 8 unit roundoffs per factor (local_p, the
-    factor's three operations and the product's complex multiplication)
-    and one more for the division.  With b the bound of z, 1/z is within
-    b/(z (z - b)) of 1/zeta(2).
+      * gamma(p) = gamma_1(p) off a finite set S (_exceptional_primes: zeta,
+        a principal character, custom with default one), where
+        f_1(p) = 1 - gamma_1(p)/p^2 is the default-one rule of degree d:
+        C = (1/2) prod_{p in S} (1 - gamma(p)/p^2)/f_1(p) * zeta(2)^-d R,
+        with zeta(2) from zeta_value and R = 1 for d = 1 (zeta, principal
+        characters and degree-1 custom products: gamma_1 = 1), else
+        _one_rule_rest(d), a zeta(3)-accelerated Euler product whose tail
+        past 1e5 is bounded.  The cutoff is not read;
+      * any other product (a non-principal character): c_truncated at
+        prime_cutoff.
+    In the closed form, each factor is p (p - 1 + local_p)/D_p with
+    D_p = (p^d (p - 1) + (p - 1)^d)/p^(d - 1), the integer p^2 - 1 at
+    d = 1.  The product is a Fraction when every gamma(p) is rational, and
+    its quotient by z^d, z zeta(2)'s float value, is then rounded once;
+    otherwise it is taken in complex floats, within 8d unit roundoffs per
+    factor (local_p's d roots, the factor's operations, D_p's rounding and
+    the product's complex multiplication) and d more for z^d and the
+    division.  With e the bound of z, z^-d is within d e/(z (z - e)^d) of
+    zeta(2)^-d.  The product by R rounds once more.
     """
     _check_cutoff(prime_cutoff)
     if spec.finite_support:
@@ -515,18 +637,27 @@ def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWith
     primes = _exceptional_primes(spec)
     if primes is None:
         return c_truncated(spec, prime_cutoff)
+    d = spec.degree
     half, exact = _listed_product(
         spec, primes, Fraction(1, 2),
-        lambda p, local: p * (p - 1 + local) / (p * p - 1))
+        lambda p, local: p * (p - 1 + local) / Fraction(
+            p ** d * (p - 1) + (p - 1) ** d, p ** (d - 1)))
     z = zeta_value(2.0)
     if exact:
-        value = float(half / Fraction(z.value))
+        value = float(half / Fraction(z.value) ** d)
         slop = _U * abs(value)
     else:
-        value = _plain(half / z.value)
-        slop = (8 * len(primes) + 1) * _U * abs(value)
-    via_zeta = float(abs(half)) * z.bound / (z.value * (z.value - z.bound))
-    return ValueWithBound(value, (via_zeta + slop) * (1 + 64 * _U), "rigorous")
+        value = _plain(half / float(Fraction(z.value) ** d))
+        slop = (8 * d * len(primes) + d) * _U * abs(value)
+    via_zeta = (float(abs(half)) * d * z.bound
+                / (z.value * (z.value - z.bound) ** d))
+    bound = via_zeta + slop
+    if d > 1:
+        rest = _one_rule_rest(d)
+        bound = bound * (rest.value + rest.bound) + abs(value) * rest.bound
+        value = _plain(value * rest.value)
+        bound += 2 * _U * abs(value)
+    return ValueWithBound(value, bound * (1 + 64 * _U), "rigorous")
 
 
 def c_truncated(spec: EulerProductSpec, prime_cutoff: int) -> ValueWithBound:
@@ -535,8 +666,8 @@ def c_truncated(spec: EulerProductSpec, prime_cutoff: int) -> ValueWithBound:
     The tail over p > cutoff is controlled rigorously through the uniform
     bound |gamma(p)| <= d 2^(d-1) =: B and sum_{n>P} 1/n^2 < 1/P, giving
     |C - C_P| <= |C_P| (exp(2B/P) - 1) once B/P^2 <= 1/2.  c_constant takes
-    this route where it has no closed form; for the others it is the
-    independent cross-check of the tests.
+    this route for a non-principal character only; for the other products
+    it is the independent cross-check of the tests.
     """
     _check_cutoff(prime_cutoff)
     b = gamma_abs_bound(spec)

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CATALAN, PI, TRUE_A1_MOD4, TRUE_C_MOD4, TRUE_C_ZETA
+from test_coeffs import GROWTH_SPECS
 from eulerphi.coeffs import sieve_alpha
 from eulerphi.errors import (
     BadModulus,
@@ -20,6 +22,7 @@ from eulerphi.errors import (
     NonMultiplicative,
     NotPrime,
     OutOfMemory,
+    PrecisionUnreachable,
     PrincipalCharacter,
     RootOutOfDisk,
     SOutOfRange,
@@ -27,6 +30,8 @@ from eulerphi.errors import (
 )
 from eulerphi.primes import primes_upto
 from eulerphi.products import (
+    _ONE_RULE_MAX_DEGREE,
+    _one_rule_numerator,
     a1_constant,
     build_character,
     c_constant,
@@ -228,9 +233,17 @@ def test_c_constant_finite_support_exact():
 
 
 def test_c_constant_cutoff_too_small():
+    # the truncated product needs cutoff^2 >= 2 d 2^(d-1); c_constant no
+    # longer reads the cutoff of a default-one product, so c_truncated,
+    # which does, keeps the check
     spec = custom_product(3, {2: [1, 1, 1]}, "one")
     with pytest.raises(CutoffTooSmall):
-        c_constant(spec, prime_cutoff=4)
+        c_truncated(spec, prime_cutoff=4)
+
+
+# the benchmark's degree-2 product: gamma(p) = 2 - 1/p off 2, 3 and 5
+DEGREE_2_ONE = custom_product(2, {2: [0.5, 0.25], 3: [0.5, 0.25],
+                                  5: [0.5, 0.25]}, "one")
 
 
 def _principal(q):
@@ -295,12 +308,98 @@ def test_closed_form_c_within_bounds(case):
 
 
 def test_closed_form_c_range_checks_the_cutoff_but_does_not_read_it():
-    spec = zeta_product()
-    assert c_constant(spec, prime_cutoff=2) == c_constant(spec)
-    with pytest.raises(CutoffTooSmall):
-        c_constant(spec, prime_cutoff=1)
-    with pytest.raises(OutOfMemory):
-        c_constant(spec, prime_cutoff=10 ** 10)
+    for spec in (zeta_product(), DEGREE_2_ONE):
+        assert c_constant(spec, prime_cutoff=2) == c_constant(spec)
+        with pytest.raises(CutoffTooSmall):
+            c_constant(spec, prime_cutoff=1)
+        with pytest.raises(OutOfMemory):
+            c_constant(spec, prime_cutoff=10 ** 10)
+
+
+def _default_one_c(spec, below=100, terms=60):
+    """C of a default-one product to 40 digits (60 are carried), by a route
+    of its own: the primes below `below` multiplied out, and for the rest
+    sum_p log f_1(p) = sum_k a_k (primezeta(k) - sum_{p < below} p^-k),
+    a_k the Taylor coefficients of log f_1(t), f_1 = 1 - t + t (1 - t)^d,
+    from log(1 + v) = sum_j (-1)^(j+1) v^j/j in exact rationals."""
+    d = spec.degree
+    small = [p for p in range(2, below) if all(p % r for r in range(2, p))]
+    v = [Fraction(0)] * (terms + 1)               # f_1 - 1, from t^2 on
+    v[1] -= 1
+    for k in range(d + 1):
+        v[k + 1] += (-1) ** k * math.comb(d, k)
+    log, power = [Fraction(0)] * (terms + 1), [Fraction(1)] + [0] * terms
+    for j in range(1, terms // 2 + 1):
+        power = [sum(power[i] * v[k - i] for i in range(k + 1))
+                 for k in range(terms + 1)]
+        log = [a + Fraction((-1) ** (j + 1), j) * b
+               for a, b in zip(log, power)]
+    with mpmath.workdps(60):
+        c = mpmath.mpf(1) / 2
+        for p in small:
+            local = mpmath.mpf(1)
+            for r in spec.roots.get(p, (1,) * d):
+                local *= 1 - mpmath.mpmathify(r) / p
+            c *= 1 - (1 - local) / p                # 1 - gamma(p)/p^2
+        rest = mpmath.fsum(
+            mpmath.mpf(a.numerator) / a.denominator
+            * (mpmath.primezeta(k) - mpmath.fsum(mpmath.mpf(p) ** -k
+                                                 for p in small))
+            for k, a in enumerate(log) if a)
+        return +(c * mpmath.exp(rest))
+
+
+DEFAULT_ONE_CASES = {
+    "degree-2": DEGREE_2_ONE,
+    "degree-3": GROWTH_SPECS["degree-3"],
+    "complex-root": custom_product(2, {2: [0.5j, 0.25], 7: [1, -1]}, "one"),
+}
+
+
+@pytest.mark.parametrize("name", DEFAULT_ONE_CASES)
+def test_default_one_c_within_bound_of_a_primezeta_oracle(name):
+    spec = DEFAULT_ONE_CASES[name]
+    c = c_constant(spec)
+    exact = _default_one_c(spec)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpmathify(c.value) - exact) <= c.bound
+    assert c.bound_kind == "rigorous"
+    assert c.bound <= 1e-12 * abs(c.value)
+    # the truncated product at 1e7, the independent route of the tests
+    truncated = c_truncated(spec, prime_cutoff=10 ** 7)
+    assert abs(c.value - truncated.value) <= truncated.bound
+
+
+def test_one_rule_numerator_starts_at_t4():
+    # g(p) - 1 = N(1/p)/(1 - p^-2)^d: -t^4 + 2t^5 - t^6 at d = 2, and the
+    # leading coefficient -binom(d + 1, 3); each N equals its definition
+    assert _one_rule_numerator(2) == [-1, 2, -1]
+    for d in (3, 4, 7):
+        c = _one_rule_numerator(d)
+        assert c[0] == -math.comb(d + 1, 3)
+        t = Fraction(1, 11)
+        f1 = 1 - t + t * (1 - t) ** d
+        n = f1 * (1 - t ** 3) ** (d * (d - 1) // 2) - (1 - t ** 2) ** d
+        assert n == sum(x * t ** (k + 4) for k, x in enumerate(c))
+
+
+def test_default_one_c_sieves_no_million_primes():
+    # the accelerated product reads primes up to 1e5 and no truncated
+    # product: the 1e6 sieve alone traced 3.0 MB
+    c_constant(DEGREE_2_ONE)
+    tracemalloc.start()
+    try:
+        c_constant(DEGREE_2_ONE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_default_one_c_above_its_degree_cap_is_refused():
+    spec = custom_product(_ONE_RULE_MAX_DEGREE + 1, {}, "one")
+    with pytest.raises(PrecisionUnreachable):
+        c_constant(spec)
 
 
 def test_l_value_oracles():
