@@ -161,6 +161,14 @@ _COMMANDS = {
 }
 
 
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    """The options of `command`: the common ones and its own."""
+    _, tables, options = _COMMANDS[command]
+    _add_common(p, tables=tables)
+    for flag, kwargs in options:
+        p.add_argument(flag, **kwargs)
+
+
 def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The eulerphi parser, with the options of `command` only, or of every
     command when it is None.
@@ -175,13 +183,21 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                     "their decomposition, and Volterra-equation checks.")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_line, tables, options) in _COMMANDS.items():
+    for name, (help_line, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         if command in (None, name):
-            _add_common(p, tables=tables)
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
+            _add_options(p, name)
     return top
+
+
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command alone, built as _build_parser builds its
+    subparser (add_parser gives it the prog "eulerphi <command>" and no
+    other setting), so its help, usage and error messages are the
+    subparser's."""
+    p = argparse.ArgumentParser(prog=f"eulerphi {command}")
+    _add_options(p, command)
+    return p
 
 
 # JSON types a config-file value may take where its flag has no type (a
@@ -231,11 +247,22 @@ def parse_config(argv) -> RunConfig:
     """argv -> RunConfig; a --config JSON file fills unset options.
 
     The top level takes only -h and --version, so the first argument that
-    is not a flag names the command, and only its options are built.
+    is not a flag names the command, and only its options are built.  When
+    that is the first argument, its parser alone reads the rest, as the
+    subparser would.  Arguments it leaves over, and any other argv, go to
+    the parser with every subparser, whose messages (an unknown argument,
+    the top-level help, an unknown command) they need.
     """
     command = next((a for a in argv if not a.startswith("-")), None)
-    ns = _build_parser(command if command in _COMMANDS else None
-                       ).parse_args(argv)
+    ns = None
+    if argv and argv[0] in _COMMANDS:
+        ns, extra = _command_parser(command).parse_known_args(argv[1:])
+        ns.command = command
+        if extra:
+            ns = None
+    if ns is None:
+        ns = _build_parser(command if command in _COMMANDS else None
+                           ).parse_args(argv)
     command = ns.command
     cli = {k: v for k, v in vars(ns).items() if k != "command"}
     opts = dict(_DEFAULTS)
@@ -528,13 +555,12 @@ def cmd_error_term(cfg: RunConfig):
     spec = build_spec(cfg)
     xs, table = _points_and_table(cfg, spec)
     c = _products.c_constant(spec, o["prime_cutoff"])
-    sums = _coeffs.phi_sums(table, [math.floor(x) for x in xs])
+    # float(x) ** 2 is libm's pow, which numpy's square need not match
+    bound = c.bound * np.array([float(x) ** 2 for x in xs])
     columns = {
-        "x": xs,
-        "value": [_coeffs.error_term(table, c, x, convention=o["convention"],
-                                     _sums=sums)
-                  for x in xs],
-        "bound": [c.bound * float(x) ** 2 for x in xs]}
+        "x": xs if table.exact else np.array(xs, dtype=np.float64),
+        "value": _coeffs.error_term_batch(table, c, xs, o["convention"]),
+        "bound": bound}
     return {"meta": _meta(cfg, spec, table.mode), "columns": columns}, True
 
 
@@ -543,14 +569,8 @@ def cmd_decompose(cfg: RunConfig):
     spec = build_spec(cfg)
     xs, table = _points_and_table(cfg, spec)
     cons = get_constants(cfg, spec)
-    reports = _decomp.decompose_batch(xs, table, cons)
-    columns = {"x": xs,
-               "E2": [rep.e2.value for rep in reports],
-               "x_f1": [rep.arithmetic_part.value for rep in reports],
-               "half_g1": [rep.analytic_part.value for rep in reports],
-               "residual": [rep.residual for rep in reports],
-               "exact_verdict": [rep.exact_verdict for rep in reports]}
-    ok = all(rep.exact_verdict != "fail" for rep in reports)
+    columns = _decomp.decompose_columns(xs, table, cons)
+    ok = "fail" not in columns["exact_verdict"]
     return {"meta": _meta(cfg, spec, table.mode), "columns": columns}, ok
 
 

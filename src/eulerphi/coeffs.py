@@ -23,15 +23,24 @@ int64 while a bound keeps every entry inside it), and fractions.Fraction
 entries otherwise.  'float' tables hold numpy float64/complex128 arrays.
 A table holds alpha and phi only.  The sum of phi, which the error term
 E(x) = sum_{n<=x} phi(n) - C x^2 reads, is formed where it is read, at the
-floor values of a batch of points (phi_sums), by the exact column kernel
-that the decomposition's sweep also runs; scan/report helpers live here too.
+floor values of a batch of points (phi_sums, error_term_batch), by the
+column kernels that the decomposition's sweep also runs; scan/report
+helpers live here too.
 
-The exact column kernel (_exact_column) sums column(n)/n^power up to a top
-and reports the sums at a set of read points.  The read points cut 1..top
-into segments; _split sums every segment's terms by binary splitting with
-lcm denominators, one level of the tree at a time over numpy object arrays,
-and one pass over the segments brings each segment's sum over the common
-denominator and adds it on.
+The column kernels sum column(n)/n^power up to a top and report the sums
+at a set of read points.  In the exact one (_exact_column) the read points
+cut 1..top into segments; _split sums every segment's terms by binary
+splitting with lcm denominators, one level of the tree at a time over
+numpy object arrays, and one pass over the segments brings each segment's
+sum over the common denominator and adds it on.  The float one
+(_float_column) runs numpy's cumulative sum over blocks of _CHUNK terms,
+each block starting from the last sum of the one before, and keeps the
+sums at the read points only, or at every k for a reader of them all.
+
+A batch of points is a column of values (_cells): a float64 array on a
+real float table, an object array of Python numbers on any other, so that
+a formula over the batch makes each point's operations, and bits, those
+of the point alone (_error_term).
 """
 
 from __future__ import annotations
@@ -81,8 +90,9 @@ _EXACT_AUTO_CAP = 2 * 10 ** 5
 # bumped whenever the file layout changes, so older files fail the header check
 _CACHE_VERSION = 6
 # entries per run of the multiplicative sieve and per block of the growth
-# scan; bounds their temporaries to about 1 MB (a sieve run of two complex
-# columns, a complex scan block), whatever the table's size
+# scan and the float column sums; bounds their temporaries to about 1 MB (a
+# sieve run of two complex columns, a complex scan block), whatever the
+# table's size
 _CHUNK = 1 << 14
 
 
@@ -462,11 +472,82 @@ def _exact_column(column, power: int, top: int, reads: set,
     return den, nums, tots
 
 
+def _float_column(column: np.ndarray, power: int, top: int,
+                  reads: Optional[np.ndarray] = None) -> np.ndarray:
+    """The sums S(k) = sum_{n<=k} column(n)/n^power of a float column, at
+    each k of reads (distinct and ascending) or, when reads is None, at
+    every k <= top; S(0) = 0.
+
+    The terms are formed and summed a block of _CHUNK entries at a time, by
+    np.cumsum in place, and a block's running sum starts from the last one
+    of the block before it, so every sum has the bits of one np.cumsum of
+    the terms from n = 1.  Only the sums at the read points are kept: the
+    pass holds one block beside its result, whatever top.
+    """
+    dtype = np.result_type(column, np.float64)
+    dense = reads is None
+    out = np.zeros(top + 1 if dense else len(reads), dtype=dtype)
+    buf = None if dense else np.empty(min(_CHUNK, top), dtype=dtype)
+    i = 0 if dense else int(np.searchsorted(reads, 1))
+    carry = None
+    for lo in range(1, top + 1, _CHUNK):
+        hi = min(lo + _CHUNK, top + 1)
+        block = out[lo:hi] if dense else buf[: hi - lo]
+        if power:
+            n = np.arange(lo, hi, dtype=np.float64)
+            np.divide(column[lo:hi], n ** power, out=block)
+        else:
+            block[...] = column[lo:hi]
+        if carry is not None:
+            block[0] += carry
+        np.cumsum(block, out=block)
+        carry = block[-1]
+        if not dense:
+            j = int(np.searchsorted(reads, hi))
+            out[i:j] = block[reads[i:j] - lo]
+            i = j
+    return out
+
+
+def _distinct(ks) -> np.ndarray:
+    """The distinct values of an integer sequence, ascending, as int64: what
+    np.unique gives, without the import of numpy.ma that np.unique makes
+    (about 9 ms and 1.2 MB in a fresh process)."""
+    ks = np.sort(np.asarray(ks, dtype=np.int64))
+    keep = np.ones(len(ks), dtype=bool)
+    keep[1:] = np.diff(ks) > 0
+    return ks[keep]
+
+
+@dataclass(frozen=True)
+class _ReadSums:
+    """A float running sum at the k a batch reads: values[i] = S(reads[i]),
+    reads distinct and ascending.  Indexed by a k, or by an array of them,
+    as the full sum it stands for is; a k it does not hold is a KeyError."""
+
+    reads: np.ndarray
+    values: np.ndarray
+
+    def __getitem__(self, k):
+        i = np.searchsorted(self.reads, k)
+        if not np.array_equal(np.take(self.reads, i, mode="clip"), k):
+            raise KeyError(k)
+        return self.values[i]
+
+
+def _float_sums(column: np.ndarray, power: int, ks) -> _ReadSums:
+    """_float_column at the distinct k of ks (a sequence of ints), up to
+    the largest."""
+    reads = _distinct(ks)
+    top = int(reads[-1]) if len(reads) else 0
+    return _ReadSums(reads, _float_column(column, power, top, reads))
+
+
 def phi_sums(table: TotientTable, ks):
     """sum_{n<=k} phi(n) at every k >= 0 of ks, indexed by k.
 
-    Float tables give the numpy cumulative sum of phi up to the largest k;
-    phi(0) = 0 makes it the running sum in the one sequential order.
+    Float tables give the running sum of phi at every k up to the largest
+    of ks, from _float_column: the bits of the numpy cumulative sum of phi.
     Exact tables give {k: sum} in the table's number type, from one pass
     of _exact_column over the phi column up to the largest k: builtin
     sums of Python ints, or numerators over the lcm of the Fractions'
@@ -476,35 +557,96 @@ def phi_sums(table: TotientTable, ks):
     if top > table.N:
         raise XBeyondTable(f"table holds N = {table.N}, asked for {top}")
     if not table.exact:
-        return np.cumsum(table.phi[: top + 1])
+        return _float_column(table.phi, 0, top)
     den, nums, _ = _exact_column(table.phi, 0, top, set(ks))
     if type(table.phi[0]) is int:
         return nums
     return {k: Fraction(v, den) for k, v in nums.items()}
 
 
+# ---------------------------------------------------------------------------
+# Batches of points
+# ---------------------------------------------------------------------------
+
+def _cells(values, table: CoefficientTable, collapse: bool = True
+           ) -> np.ndarray:
+    """values as a column of a batch on table.
+
+    On a real float table that is a float64 array.  On any other it is an
+    object array of Python numbers, so that each operation on a column is
+    the one a single point takes, in Python's arithmetic: with collapse,
+    each value is taken into the table's number type (a Fraction, or
+    _plain's float or complex); without, it is kept as it comes (an int, a
+    Fraction, or a complex whose imaginary part may be zero).
+    """
+    if not table.exact and not np.iscomplexobj(table.alpha):
+        return np.asarray(values, dtype=np.float64)
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if collapse:
+        values = map(_number_type(table.exact).collapse, values)
+    return np.array(list(values), dtype=object)
+
+
+def _batch_points(points, table: CoefficientTable) -> tuple:
+    """(xs, ks) of an iterable of _table_point results, read once: the
+    points as a column of the batch (_cells) and their floor values as
+    int64."""
+    xs, ks = [], []
+    for _, x, k in points:
+        xs.append(x)
+        ks.append(k)
+    return _cells(xs, table, collapse=False), np.array(ks, dtype=np.int64)
+
+
+def _phi_at(table: TotientTable, ks: np.ndarray) -> np.ndarray:
+    """phi(k) at each k of ks, as a column of the batch."""
+    return _cells([table.phi[k] for k in ks.tolist()] if table.exact
+                  else table.phi[ks], table)
+
+
 def error_term(table: TotientTable, cF: ValueWithBound, x,
-               convention: str = "plain", _sums=None) -> Scalar:
+               convention: str = "plain") -> Scalar:
     """E(x) = sum_{n<=x} phi(n) - C x^2, for x >= 0.
 
     convention 'plain' uses the full last term; 'symmetric' subtracts half of
     phi(x) when x is an integer (the midpoint convention the sawtooth
-    decomposition reproduces).  _sums: phi_sums of a batch that covers
-    floor(x), instead of a sum of x's own.
+    decomposition reproduces).  A batch of one (error_term_batch).
     """
+    return error_term_batch(table, cF, [x], convention).item(0)
+
+
+def error_term_batch(table: TotientTable, cF: ValueWithBound, xs,
+                     convention: str = "plain") -> np.ndarray:
+    """error_term at every x of a batch, from one pass over the phi column
+    up to the largest floor(x), as a column of the batch (_cells)."""
     if convention not in ("plain", "symmetric"):
         raise UsageError(f"convention must be plain or symmetric, got {convention!r}")
-    return _error_term(table, cF, _table_point(x, table), convention, _sums)
+    xs, ks = _batch_points((_table_point(x, table) for x in xs), table)
+    if table.exact:
+        sums = phi_sums(table, ks.tolist())
+        s = [sums[k] for k in ks.tolist()]
+    else:
+        s = _float_sums(table.phi, 0, ks)[ks]
+    return _error_term(table, cF, xs, ks, _cells(s, table, collapse=False),
+                       convention)
 
 
-def _error_term(table: TotientTable, cF: ValueWithBound, point: tuple,
-                convention: str, sums=None) -> Scalar:
-    # error_term at a point (num, x, floor(x)) that _table_point has taken
-    num, x, k = point
-    s = (phi_sums(table, [k]) if sums is None else sums)[k]
-    if convention == "symmetric" and x == k and k >= 1:
-        s = s - num.collapse(table.phi[k]) / 2
-    return s - num.collapse(cF.value) * x * x
+def _error_term(table: TotientTable, cF: ValueWithBound, xs: np.ndarray,
+                ks: np.ndarray, s: np.ndarray, convention: str) -> np.ndarray:
+    """E(x) at each point (xs, ks) of a batch from s, the sum of phi up to
+    its floor value, by the operations of one point: s - phi(x)/2 at an
+    integer x >= 1 under the symmetric convention, then s - (C x) x."""
+    if convention == "symmetric":
+        at = np.flatnonzero((xs == ks) & (ks >= 1))
+        if len(at):
+            s = s.copy()
+            s[at] = s[at] - _phi_at(table, ks[at]) / 2
+    # in place, so that a batch of Fractions holds one array of them at a
+    # time beside its points
+    e = _number_type(table.exact).collapse(cF.value) * xs
+    e *= xs
+    return np.subtract(s, e, out=e)
 
 
 def make_e2(table: TotientTable, cF: ValueWithBound):
@@ -663,8 +805,8 @@ def growth_scan(table: TotientTable, cF: ValueWithBound, X: int,
     if x_min < 1 or x_min > X:
         raise UsageError(f"need 1 <= x_min <= X, got x_min={x_min}, X={X}")
     c = _plain(cF.value)
-    idx = np.unique(np.geomspace(x_min, X, num=min(samples, X - x_min + 1)
-                                 ).round().astype(np.int64))
+    idx = _distinct(np.geomspace(x_min, X, num=min(samples, X - x_min + 1)
+                                 ).round())
     rows, peaks, carry = [], [], 0
     for lo in range(0, X + 1, _CHUNK):
         hi = min(lo + _CHUNK, X + 1)

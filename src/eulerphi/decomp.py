@@ -19,36 +19,48 @@ Every formula has one body, built from four private pieces:
 
   * the number type of a call, the table's (coeffs._table_point): an
     exact table takes a float x as Fraction(x).  Its collapse brings x, C,
-    A1, A2, operands and results into that type.
+    A1, A2, operands and results into that type.  A call is a batch of
+    points (a single point is a batch of one), and E2, x f1, g1 and the
+    residual are formed over the whole batch, by the operations of one
+    point, on columns of the batch (coeffs._cells): float64 arrays on a
+    real float table; object arrays of Python numbers on a complex or
+    exact one, so each operation there is Python's, on the values a point
+    alone would hold.
   * _sweep, the one source of running sums: P1(k) = sum_{n<=k} alpha(n)/n
     and P2(k) = sum_{n<=k} alpha(n)/n^2 from the alpha column, and
-    S_f(k) = sum_{n<=k} phi(n)/n and sum_{n<=k} phi(n) (coeffs.phi_sums,
-    which E2 reads) from the phi column.  Each public entry
-    hands it the floor values of its points (a whole batch at once), and
-    it sweeps the columns once up to the largest, returning the sums only
-    where the formulas read them; nothing is kept on the table or grown
-    later.  On exact tables each column is summed by coeffs._exact_column:
-    binary splitting between consecutive read points, then one integer
-    numerator over the column's common denominator at each read point; on
-    float tables each sum is one numpy cumulative sum.  Terms
-    n > x of both series collapse onto A1 - P1 and A2 - P2, which is how
-    f1_series and g1 sum their infinite tails.
+    S_f(k) = sum_{n<=k} phi(n)/n and sum_{n<=k} phi(n) (which E2 reads)
+    from the phi column.  Each public entry hands it the floor values of
+    its points, and it sweeps the columns once up to the largest,
+    returning the sums only where the formulas read them; nothing is kept
+    on the table or grown later.  On exact tables each column is summed by
+    coeffs._exact_column: binary splitting between consecutive read
+    points, then one integer numerator over the column's common
+    denominator at each read point.  On float tables it is summed by
+    coeffs._float_column: a numpy cumulative sum a block at a time, each
+    block carrying its last sum into the next, so every sum has the bits
+    of one cumulative sum and only the read points are kept, never arrays
+    of floor(x) entries (a reader of every k, f1_values or the integral
+    route's T, asks for them).  Terms n > x of both series collapse onto
+    A1 - P1 and A2 - P2, which is how f1_series and g1 sum their infinite
+    tails.
   * the scale of an exact batch, the lcm of its sums' denominators.  It
     lives only in the integer verdict (_reduced_residual): the sums enter
     there as integer numerators over the scale, and both sides of the
     identity, times 2 b^2 scale for x = a/b, are compared as integers.
     Every value formula (E2, x f1, g1) takes plain numbers, each sum read
-    as a Fraction over its own denominator (_value).
-  * _point_sums, which gives S_g(x) = sum_{n<=x} alpha(n) {x/n}({x/n} - 1)
-    (for g1 and the float decompose).  In exact mode _scaled_s_g, which
-    the verdict reads too, expands S_g into P2(k), P1(k) and sums of P1
-    and A0 = sum_{n<=k} alpha(n) at k//j, which the sweep records only at
-    the O(sqrt k) values k//j and sums over the blocks of constant k//j in
-    integers.  In float mode it sums S_g term by term over {x/n} from
-    _frac, the one fractional-part routine, which also feeds the bare
-    sawtooth sum of f1_series_raw.  The n with alpha(n) != 0 come from
-    _nonzero_alpha, once per float batch (the sweep's "alpha_nz"), and
-    each point reads the prefix n <= floor(x) of them.
+    as a Fraction over its own denominator (_value, _column).
+  * _s_g, which gives S_g(x) = sum_{n<=x} alpha(n) {x/n}({x/n} - 1) (for
+    g1 and the float decompose).  In exact mode _scaled_s_g, which the
+    verdict reads too, expands S_g into P2(k), P1(k) and sums of P1 and
+    A0 = sum_{n<=k} alpha(n) at k//j, which the sweep records only at the
+    O(sqrt k) values k//j and sums over the blocks of constant k//j in
+    integers.  In float mode one fused kernel sums S_g term by term over
+    the prefix n <= floor(x) of the n with alpha(n) != 0 (_nonzero_alpha,
+    once per batch: the sweep's "alpha_nz"), in two buffers the batch
+    owns: divide, floor and subtract give {x/n} (_frac, the one
+    fractional-part routine, which also feeds the bare sawtooth sum of
+    f1_series_raw), then alpha(n) {x/n}, {x/n} - 1 and their product in
+    place, and np.sum of the prefix.
 
 Only the primitives branch on exact/float, since that is where Python
 integer loops and numpy arrays really differ.  The routes that check each
@@ -73,8 +85,13 @@ import numpy as np
 
 from .coeffs import (
     TotientTable,
+    _batch_points,
+    _cells,
     _error_term,
     _exact_column,
+    _float_column,
+    _float_sums,
+    _phi_at,
     _require_mode,
     _table_point,
     error_term,
@@ -121,46 +138,52 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
     columns up to its largest floor value; nothing is kept on the table.
 
     names picks among P1(k) = sum_{n<=k} alpha(n)/n ("p1"), P2(k) =
-    sum_{n<=k} alpha(n)/n^2 ("p2"), S_f(k) = sum_{n<=k} phi(n)/n ("s_f")
-    and, with "s_f", T(k) = sum_{1<=j<k} S_f(j) ("t_f"), the integral
-    route's second accumulator.  Each maps to something indexed by every k
-    of ks.  On float tables that is the numpy cumulative sum up to the top,
-    in the one sequential order of summation (and a dict of numpy sums for
-    T).  On exact tables it is an _ExactSum, integer numerators over the
+    sum_{n<=k} alpha(n)/n^2 ("p2"), S_f(k) = sum_{n<=k} phi(n)/n ("s_f"),
+    sum_{n<=k} phi(n) ("s_phi", which E2 and the exact verdict's left side
+    read) and, with "s_f", T(k) = sum_{1<=j<k} S_f(j) ("t_f"), the
+    integral route's second accumulator.  Each maps to something indexed
+    by every k of ks, and by an array of them.
+
+    On float tables each column is summed by coeffs._float_column: in
+    blocks, each carrying its running sum into the next, so that every sum
+    has the bits of one numpy cumulative sum, and kept only at the
+    distinct k of ks (coeffs._float_sums).  A sweep for T (a dict of numpy
+    sums of S_f) keeps the sums at every k up to the top instead, as
+    arrays.  With "alpha_nz" a float sweep also returns
+    _nonzero_alpha up to the top, which the batch's S_g reads (_s_g), so
+    the alpha column is scanned for its nonzero entries once per batch.
+
+    On exact tables a sum is an _ExactSum, integer numerators over the
     sum's denominator, and "scale" is the lcm of those denominators; no
-    Fraction is built.  _value reads a sum as a number of the table's type.
+    Fraction is built.  "s_phi" is phi_sums(table, ks), in the table's
+    number type; it takes no part in the scale.  With "p1", "b1" and "b0"
+    map each k of blocks to the numerators of sum_{j<=k} P1(k//j) and
+    sum_{j<=k} 2j A0(k//j), A0(k) = sum_{n<=k} alpha(n), summed in
+    integers over the floor blocks from P1 and A0 recorded only at the
+    O(sqrt k) values k//j.  Exact sweeps ignore "alpha_nz".
 
-    "s_phi" maps to phi_sums(table, ks): sum_{n<=k} phi(n) in the table's
-    number type, which E2 and the exact verdict's left side read.  It
-    takes no part in the scale.
-
-    With "alpha_nz" a float sweep also returns _nonzero_alpha up to the
-    top: the n <= top where alpha(n) != 0, as int64 and float64 arrays,
-    and alpha at those n.  Each point of the batch reads its prefix of
-    these (_point_sums), so the alpha column is scanned once per batch,
-    not once per point.  Exact sweeps ignore the name.
-
-    With "p1" on an exact table, "b1" and "b0" map each k of blocks to the
-    numerators of sum_{j<=k} P1(k//j) and sum_{j<=k} 2j A0(k//j),
-    A0(k) = sum_{n<=k} alpha(n), summed in integers over the floor blocks
-    from P1 and A0 recorded only at the O(sqrt k) values k//j.
+    _value reads a sum at a k as a number of the table's type, _column at
+    every point of a batch.
     """
     alpha, phi = table.alpha, table.phi
     columns = {"p1": (alpha, 1), "p2": (alpha, 2), "s_f": (phi, 1)}
-    top = max(ks, default=0)
-    out = {"s_phi": phi_sums(table, ks)} if "s_phi" in names else {}
+    ks = np.asarray(ks, dtype=np.int64)
+    top = int(ks.max(initial=0))
     if not table.exact:
-        n = np.arange(1, top + 1, dtype=np.float64)
-        dtype = np.result_type(alpha, phi, np.float64)
+        dense = "t_f" in names
+        columns["s_phi"] = (phi, 0)
+        out = {}
         for name in columns.keys() & set(names):
             column, power = columns[name]
-            out[name] = np.zeros(top + 1, dtype=dtype)
-            out[name][1:] = np.cumsum(column[1 : top + 1] / n ** power)
+            out[name] = (_float_column(column, power, top) if dense
+                         else _float_sums(column, power, ks))
         if "t_f" in names:
-            out["t_f"] = {k: np.sum(out["s_f"][1:k]) for k in ks}
+            out["t_f"] = {k: np.sum(out["s_f"][1:k]) for k in ks.tolist()}
         if "alpha_nz" in names:
             out["alpha_nz"] = _nonzero_alpha(table, top)
         return out
+    ks = ks.tolist()
+    out = {"s_phi": phi_sums(table, ks)} if "s_phi" in names else {}
     at_k = set(ks)
     quotients = {v for k in blocks for v, _, _ in _blocks(k)}
     dens, nums = {}, {}
@@ -215,12 +238,23 @@ def _value(sums: dict, name: str, k: int) -> Scalar:
     return _plain(s[k])
 
 
-def _batch_sweep(points: list, table: TotientTable, names: tuple) -> dict:
-    """_sweep at floor(x) for every (num, x, floor(x)) of a batch, as
-    _table_point gives them; on an exact table every point also gets its
-    floor blocks, which exact S_g reads."""
-    ks = [k for _, _, k in points]
-    return _sweep(table, ks, names, ks if table.exact else ())
+def _column(sums: dict, name: str, ks: np.ndarray, table: TotientTable,
+            collapse: bool = True) -> np.ndarray:
+    """The sum `name` of a sweep at each k of ks, as a column of the batch
+    (coeffs._cells): what _value gives at each k, or with collapse False,
+    the sum as the sweep holds it."""
+    s = sums[name]
+    if isinstance(s, _ExactSum):   # Fractions already
+        return _cells([Fraction(s.numerators[k], s.den) for k in ks.tolist()],
+                      table, collapse=False)
+    return _cells([s[k] for k in ks.tolist()] if table.exact else s[ks],
+                  table, collapse)
+
+
+def _batch_sweep(ks: np.ndarray, table: TotientTable, names: tuple) -> dict:
+    """_sweep at the floor values ks of a batch's points; on an exact table
+    every point also gets its floor blocks, which exact S_g reads."""
+    return _sweep(table, ks, names, ks.tolist() if table.exact else ())
 
 
 # what decompose and the reduced identity read at each point
@@ -233,11 +267,17 @@ def _constants(num: _Numbers, constants: Constants) -> tuple:
                  for v in (constants.c, constants.a1, constants.a2))
 
 
-def _frac(x, n, num: _Numbers) -> np.ndarray:
+def _frac(x, n, num: _Numbers, out: tuple = None) -> np.ndarray:
     """{x/n} for a sequence of positive integers n, in num's type.
 
-    Float x/n can round to just below an integer when n divides x; the
-    quotient counts as integral iff round(x/n) * n reproduces x.
+    A float quotient x/n is correctly rounded.  For |x| < 2^53 it is an
+    integer exactly when n divides x: then x/n is exact, and otherwise
+    x - m n, for the integer m nearest x/n, is a nonzero multiple of
+    ulp(x), which keeps x/n more than half an ulp of the quotient away
+    from m.  From 2^53 up, where x need not be the multiple of n that it
+    rounds, the quotient counts as integral iff round(x/n) * n reproduces
+    x.  out: for a float x, two float64 buffers of len(n), one for the
+    result and one for the floor values.
     """
     if num.exact:
         x = Fraction(x)
@@ -245,31 +285,32 @@ def _frac(x, n, num: _Numbers) -> np.ndarray:
         return np.array([Fraction(p % (q * m), q * m) for m in n], dtype=object)
     x = float(x)
     n = np.asarray(n, dtype=np.float64)
-    quot = x / n
-    r = np.floor(quot)
-    np.subtract(quot, r, out=r)
-    # in place: a fresh array of this size costs its page faults again
-    quot = np.round(quot, out=quot)
-    quot *= n
-    r[quot == x] = 0.0
+    quot, whole = (None, None) if out is None else out
+    quot = np.divide(x, n, out=quot)
+    whole = np.floor(quot, out=whole)
+    big = abs(x) >= 2.0 ** 53
+    if big:
+        integral = np.round(quot) * n == x
+    r = np.subtract(quot, whole, out=quot)
+    if big:
+        r[integral] = 0.0
     return r
 
 
 def _nonzero_alpha(table: TotientTable, top: int) -> tuple:
-    """(n, n as a number, alpha(n)) over the n <= top with alpha(n) != 0,
-    ascending.
+    """(n, alpha(n)) over the n <= top with alpha(n) != 0, ascending.
 
-    On a float table: int64, float64 and float64/complex128 arrays.  On an
-    exact table: the ints, then object arrays of the ints and of alpha(n)
-    as Fractions.
+    On a float table: a float64 array of the n and a float64 or complex128
+    one of alpha(n).  On an exact table: object arrays of the ints and of
+    alpha(n) as Fractions.
     """
     alpha = table.alpha
     if table.exact:
         ns = [n for n in range(1, top + 1) if alpha[n]]
-        return (ns, np.array(ns, dtype=object),
+        return (np.array(ns, dtype=object),
                 np.array([Fraction(alpha[n]) for n in ns], dtype=object))
     n = np.flatnonzero(alpha[1 : top + 1]) + 1
-    return n, n.astype(np.float64), alpha[n]
+    return n.astype(np.float64), alpha[n]
 
 
 def _sawtooth(r: np.ndarray) -> np.ndarray:
@@ -298,27 +339,40 @@ def _scaled_s_g(x, k: int, sums: dict) -> tuple:
     return s_g, p1, p2
 
 
-def _point_sums(x, k: int, num: _Numbers, sums: dict) -> tuple:
-    """(S_g(x), P1(k), P2(k)) in num's type, k = floor(x), from a sweep's
-    sums.
+def _s_g(xs: np.ndarray, ks: np.ndarray, sums: dict,
+         table: TotientTable) -> np.ndarray:
+    """S_g(x) = sum_{n<=x} alpha(n) {x/n}({x/n} - 1) at each point (xs, ks)
+    of a batch, from its sweep's sums, as a column of the batch.
 
     Exact mode reads S_g off _scaled_s_g.  Float mode sums S_g term by
     term instead, since the expanded form cancels x^2-sized terms in
-    floats, over the prefix n <= k of the sweep's "alpha_nz".  The prefix
-    is a view of the batch's arrays, the same elements in the same order
-    as a scan up to k alone, so the sum has the same bits.
+    floats, over the prefix n <= k of the sweep's "alpha_nz", in two
+    buffers that the batch owns: {x/n} from _frac, then alpha(n) {x/n},
+    then that times {x/n} - 1, all in place, and np.sum of the prefix.  A
+    point's terms are the elements, in the order, of a scan up to its own
+    k, so its sum has the same bits whatever the batch.
     """
-    p1, p2 = _value(sums, "p1", k), _value(sums, "p2", k)
-    if num.exact:
-        s_g = _scaled_s_g(x, k, sums)[0]
-        return Fraction(s_g, x.denominator ** 2 * sums["scale"]), p1, p2
-    ns, n, a = sums["alpha_nz"]
-    j = np.searchsorted(ns, k, "right")
-    r = _frac(x, n[:j], num)
-    terms = a[:j] * r
-    r -= 1
-    terms *= r    # alpha(n) {x/n} ({x/n} - 1), in that order
-    return num.collapse(np.sum(terms)), p1, p2
+    if table.exact:
+        scale = sums["scale"]
+        return _cells([Fraction(_scaled_s_g(x, k, sums)[0],
+                                x.denominator ** 2 * scale)
+                       for x, k in zip(xs.tolist(), ks.tolist())],
+                      table, collapse=False)
+    n, a = sums["alpha_nz"]
+    num = _number_type(False)
+    js = np.searchsorted(n, ks, "right")
+    size = int(js.max(initial=0))
+    r_buf, terms_buf = np.empty(size), np.empty(size, dtype=a.dtype)
+    # the floor values of {x/n} are spent before the terms are formed
+    floor_buf = terms_buf.view(np.float64)
+    out = np.empty(len(ks), dtype=a.dtype)
+    for i, (x, j) in enumerate(zip(xs.tolist(), js.tolist())):
+        r = _frac(x, n[:j], num, out=(r_buf[:j], floor_buf[:j]))
+        terms = np.multiply(a[:j], r, out=terms_buf[:j])
+        r -= 1
+        terms *= r    # alpha(n) {x/n} ({x/n} - 1), in that order
+        out[i] = np.sum(terms)
+    return _cells(out, table)
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +389,17 @@ def sawtooth(x: Scalar) -> Scalar:
 # f1
 # ---------------------------------------------------------------------------
 
-def _f1_value(x, k: int, s_f, table: TotientTable, num: _Numbers,
-              constants: Constants) -> Scalar:
-    # f1(x) from S_f(k)
-    c, a1, _ = _constants(num, constants)
-    if x == k:
-        s_f = s_f - num.collapse(table.phi[k]) / 2 / k
-    return a1 / 2 - 2 * c * x + s_f
+def _f1(xs: np.ndarray, ks: np.ndarray, s_f: np.ndarray,
+        table: TotientTable, constants: Constants) -> np.ndarray:
+    """f1(x) at each point (xs, ks) of a batch from S_f at its floor value,
+    by the operations of one point: S_f - phi(x)/2/x at an integer x, then
+    A1/2 - 2 C x + S_f."""
+    c, a1, _ = _constants(_number_type(table.exact), constants)
+    at = np.flatnonzero(xs == ks)
+    if len(at):
+        s_f = s_f.copy()
+        s_f[at] = s_f[at] - _phi_at(table, ks[at]) / 2 / ks[at]
+    return a1 / 2 - 2 * c * xs + s_f
 
 
 def f1_closed(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
@@ -350,11 +408,12 @@ def f1_closed(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     x = 0 is the one point where the closed form and the series differ as
     limits; the series value, exactly 0, is returned there.
     """
-    num, x, k = _table_point(x, table)
+    point = num, x, _ = _table_point(x, table)
     if x == 0:
         return num.collapse(0)
-    s_f = _value(_sweep(table, [k], ("s_f",)), "s_f", k)
-    return _f1_value(x, k, s_f, table, num, constants)
+    xs, ks = _batch_points([point], table)
+    s_f = _column(_sweep(table, ks, ("s_f",)), "s_f", ks, table)
+    return _f1(xs, ks, s_f, table, constants).item(0)
 
 
 @dataclass(frozen=True)
@@ -393,7 +452,7 @@ def f1_series_raw(x: Scalar, table: TotientTable, M: int) -> Scalar:
     if x < 0:
         raise XBelowOne(f"need x >= 0, got {x}")
     num = _number_type(table.exact)
-    _, n, a = _nonzero_alpha(table, M)
+    n, a = _nonzero_alpha(table, M)
     return num.collapse(np.sum(a / n * _sawtooth(_frac(x, n, num))))
 
 
@@ -433,8 +492,8 @@ def f1_values(xs: np.ndarray, table: TotientTable,
         raise XBeyondTable(f"{xs.max()} beyond table N = {table.N}")
     c, a1, _ = _constants(_number_type(False), constants)
     k = np.floor(xs).astype(np.int64)
-    # the cumulative sum itself, indexed by floor
-    s_f = _sweep(table, [int(k.max())], ("s_f",))["s_f"]
+    # S_f at every k, indexed by floor
+    s_f = _float_column(table.phi, 1, int(k.max()))
     out = a1 / 2 - 2 * c * xs + s_f[k]
     at_int = (xs == k) & (k >= 1)
     if np.any(at_int):
@@ -448,12 +507,15 @@ def f1_values(xs: np.ndarray, table: TotientTable,
 # g1
 # ---------------------------------------------------------------------------
 
-def _g1_value(x, sums: tuple, num: _Numbers, constants: Constants) -> Scalar:
-    # g1(x) from _point_sums' values
-    s_g, p1, p2 = sums
-    _, a1, a2 = _constants(num, constants)
-    x = num.collapse(x)
-    return num.collapse(s_g + x * x * (a2 - p2) - x * (a1 - p1))
+def _g1(xs: np.ndarray, ks: np.ndarray, sums: dict, table: TotientTable,
+        constants: Constants) -> np.ndarray:
+    """g1(x) = S_g + x^2 (A2 - P2) - x (A1 - P1) at each point (xs, ks) of
+    a batch from its sweep's sums, each value taken into the table's number
+    type."""
+    _, a1, a2 = _constants(_number_type(table.exact), constants)
+    p1, p2 = (_column(sums, name, ks, table) for name in ("p1", "p2"))
+    g = _s_g(xs, ks, sums, table) + xs * xs * (a2 - p2) - xs * (a1 - p1)
+    return _cells(g, table)
 
 
 def g1(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
@@ -462,9 +524,9 @@ def g1(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     Terms with n > x have {x/n} = x/n, so the tail is
     x^2 (A2 - P2(x)) - x (A1 - P1(x)).
     """
-    point = num, x, k = _table_point(x, table)
-    sums = _batch_sweep([point], table, ("p1", "p2", "alpha_nz"))
-    return _g1_value(x, _point_sums(x, k, num, sums), num, constants)
+    xs, ks = _batch_points([_table_point(x, table)], table)
+    sums = _batch_sweep(ks, table, ("p1", "p2", "alpha_nz"))
+    return _g1(xs, ks, sums, table, constants).item(0)
 
 
 # ---------------------------------------------------------------------------
@@ -573,54 +635,65 @@ def _reduced_residual(x: Fraction, table: TotientTable, k: int,
     return lhs == rhs, Fraction(lhs - rhs, 2 * b * b * scale)
 
 
-def decompose(x: Scalar, table: TotientTable, constants: Constants,
-              _sums: dict = None) -> DecompositionReport:
-    """Evaluate every piece of E2(x) = x f1(x) + g1(x)/2 at one point.
+def decompose(x: Scalar, table: TotientTable,
+              constants: Constants) -> DecompositionReport:
+    """Evaluate every piece of E2(x) = x f1(x) + g1(x)/2 at one point: a
+    batch of one (decompose_batch)."""
+    return decompose_batch([x], table, constants)[0]
 
-    _sums: a batch's sweep that covers x (decompose_batch's), instead of
-    a sweep of x's own.  On an exact table the reduced identity, evaluated
-    once, gives the residual and the verdict, and g1/2 is E2 - x f1 -
-    residual, which equals g1(x)/2 in Q since Constants keeps A2 = 2C; a
-    float table sums g1 itself.
+
+def decompose_columns(xs, table: TotientTable, constants: Constants) -> dict:
+    """decompose at every x of a batch, on one sweep of the batch's sums,
+    as the columns of its report: x, E2, x_f1, half_g1, residual and
+    exact_verdict.
+
+    The values are columns of the batch (coeffs._cells), formed over the
+    whole batch by the operations of one point: float64 arrays on a real
+    float table, object arrays of Python numbers on any other.  On an
+    exact table the reduced identity, evaluated once a point, gives the
+    residual and the verdict, and g1/2 is E2 - x f1 - residual, which
+    equals g1(x)/2 in Q since Constants keeps A2 = 2C; a float table sums
+    g1 itself.
     """
-    point = _table_point(x, table, 1)
-    return _decompose(point, table, constants,
-                      _sums or _batch_sweep([point], table, _DECOMPOSE_SUMS))
-
-
-def _decompose(point: tuple, table: TotientTable, constants: Constants,
-               sums: dict) -> DecompositionReport:
-    # decompose at a point _table_point has taken, on a sweep covering it
-    num, x, k = point
-    e2 = _error_term(table, constants.c, point, "symmetric", sums["s_phi"])
-    xf1 = x * _f1_value(x, k, _value(sums, "s_f", k), table, num, constants)
-    if num.exact:
-        passed, residual = _reduced_residual(x, table, k, sums)
+    xs, ks = _batch_points((_table_point(x, table, 1) for x in xs), table)
+    sums = _batch_sweep(ks, table, _DECOMPOSE_SUMS)
+    e2 = _error_term(table, constants.c, xs, ks,
+                     _column(sums, "s_phi", ks, table, collapse=False),
+                     "symmetric")
+    xf1 = xs * _f1(xs, ks, _column(sums, "s_f", ks, table), table, constants)
+    if table.exact:
+        rows = [_reduced_residual(x, table, k, sums)
+                for x, k in zip(xs.tolist(), ks.tolist())]
+        residual = _cells([res for _, res in rows], table, collapse=False)
         hg1 = e2 - xf1 - residual
-        verdict = "pass" if passed else "fail"
+        verdicts = ["pass" if passed else "fail" for passed, _ in rows]
     else:
-        hg1 = _g1_value(x, _point_sums(x, k, num, sums), num, constants) / 2
+        hg1 = _g1(xs, ks, sums, table, constants) / 2
         residual = e2 - xf1 - hg1
-        verdict = "not-applicable"
-    xf = float(x)
-    b_c, b_a1, b_a2 = constants.c.bound, constants.a1.bound, constants.a2.bound
-    e2_b = b_c * xf * xf
-    f1_b = b_a1 / 2 + 2 * xf * b_c
-    g1_b = xf * xf * b_a2 + xf * b_a1
-    return DecompositionReport(
-        x=x,
-        e2=ValueWithBound(e2, e2_b, constants.c.bound_kind),
-        arithmetic_part=ValueWithBound(xf1, xf * f1_b,
-                                       constants.a1.bound_kind),
-        analytic_part=ValueWithBound(hg1, g1_b / 2, constants.a1.bound_kind),
-        residual=residual, exact_verdict=verdict)
+        verdicts = ["not-applicable"] * len(ks)
+    return {"x": xs, "E2": e2, "x_f1": xf1, "half_g1": hg1,
+            "residual": residual, "exact_verdict": verdicts}
 
 
 def decompose_batch(xs, table: TotientTable, constants: Constants) -> list:
-    """decompose at every x of a batch, on one sweep of the batch's sums."""
-    points = [_table_point(x, table, 1) for x in xs]
-    sums = _batch_sweep(points, table, _DECOMPOSE_SUMS)
-    return [_decompose(point, table, constants, sums) for point in points]
+    """decompose at every x of a batch, on one sweep of the batch's sums
+    (decompose_columns), each point's values with their bounds."""
+    cols = decompose_columns(xs, table, constants)
+    c, a1, a2 = constants.c, constants.a1, constants.a2
+    xf = cols["x"].astype(np.float64)
+    e2_b = c.bound * xf * xf
+    f1_b = a1.bound / 2 + 2 * xf * c.bound
+    g1_b = xf * xf * a2.bound + xf * a1.bound
+    values = (cols[name].tolist() for name in
+              ("x", "E2", "x_f1", "half_g1", "residual"))
+    bounds = (e2_b.tolist(), (xf * f1_b).tolist(), (g1_b / 2).tolist())
+    return [DecompositionReport(
+        x=x, e2=ValueWithBound(e2, e2_bound, c.bound_kind),
+        arithmetic_part=ValueWithBound(xf1, xf1_bound, a1.bound_kind),
+        analytic_part=ValueWithBound(hg1, hg1_bound, a1.bound_kind),
+        residual=residual, exact_verdict=verdict)
+        for x, e2, xf1, hg1, residual, e2_bound, xf1_bound, hg1_bound, verdict
+        in zip(*values, *bounds, cols["exact_verdict"])]
 
 
 def verify_identity_batch(xs, table: TotientTable) -> list:
@@ -632,6 +705,7 @@ def verify_identity_batch(xs, table: TotientTable) -> list:
     """
     _require_mode(table, "exact", "the reduced identity")
     points = [_table_point(x, table, 1) for x in xs]
-    sums = _batch_sweep(points, table, _DECOMPOSE_SUMS)
+    ks = np.array([k for _, _, k in points], dtype=np.int64)
+    sums = _batch_sweep(ks, table, _DECOMPOSE_SUMS)
     return [(x, *_reduced_residual(x, table, k, sums))
             for _, x, k in points]

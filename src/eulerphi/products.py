@@ -25,6 +25,7 @@ ValueWithBound, an estimate plus an absolute error radius.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -65,6 +66,8 @@ def _plain(v) -> Number:
     Collapses numpy scalars too.  A Fraction is rounded with float(), so
     exact-mode code keeps its Fractions away from this helper.
     """
+    if type(v) is float:   # as it is: a batch keeps its x
+        return v
     if isinstance(v, Fraction):
         return float(v)
     v = complex(v)
@@ -307,6 +310,8 @@ def custom_product(degree: int, roots: dict, default_rule: str = "zero") -> Eule
 # ---------------------------------------------------------------------------
 
 def _as_fraction(x: Number) -> Fraction:
+    if type(x) is Fraction:   # immutable, so no copy: a batch keeps its x
+        return x
     if isinstance(x, complex):
         if x.imag != 0:
             raise ModeUnavailable("complex value in exact-rational arithmetic")
@@ -569,7 +574,7 @@ def _one_rule_rest(d: int) -> ValueWithBound:
         dropped += abs(coeffs[keep])
 
     ps = primes_upto(big)
-    z3 = zeta_value(3.0)
+    z3 = _zeta_once(3.0)
     terms = [b * math.log(z3.value)]
     for p in ps[ps <= q].tolist():
         terms += [math.log((p ** d * (p - 1) + (p - 1) ** d) / p ** (d + 1)),
@@ -610,10 +615,10 @@ def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWith
         a principal character, custom with default one), where
         f_1(p) = 1 - gamma_1(p)/p^2 is the default-one rule of degree d:
         C = (1/2) prod_{p in S} (1 - gamma(p)/p^2)/f_1(p) * zeta(2)^-d R,
-        with zeta(2) from zeta_value and R = 1 for d = 1 (zeta, principal
-        characters and degree-1 custom products: gamma_1 = 1), else
-        _one_rule_rest(d), a zeta(3)-accelerated Euler product whose tail
-        past 1e5 is bounded.  The cutoff is not read;
+        with zeta(2) from zeta_value (summed once a process) and R = 1 for
+        d = 1 (zeta, principal characters and degree-1 custom products:
+        gamma_1 = 1), else _one_rule_rest(d), a zeta(3)-accelerated Euler
+        product whose tail past 1e5 is bounded.  The cutoff is not read;
       * any other product (a non-principal character): c_truncated at
         prime_cutoff.
     In the closed form, each factor is p (p - 1 + local_p)/D_p with
@@ -642,7 +647,7 @@ def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWith
         spec, primes, Fraction(1, 2),
         lambda p, local: p * (p - 1 + local) / Fraction(
             p ** d * (p - 1) + (p - 1) ** d, p ** (d - 1)))
-    z = zeta_value(2.0)
+    z = _zeta_once(2.0)
     if exact:
         value = float(half / Fraction(z.value) ** d)
         slop = _U * abs(value)
@@ -770,6 +775,13 @@ _TRIVIAL = CharacterSpec(modulus=1, values=(1,), is_real=True,
 def zeta_value(s: float) -> ValueWithBound:
     """zeta(s) for finite s > 1, by l_value, with its rigorous bound."""
     return l_value(_TRIVIAL, s)
+
+
+@functools.lru_cache(maxsize=None)
+def _zeta_once(s: float) -> ValueWithBound:
+    """zeta_value(s), summed once per process: c_constant reads zeta(2)
+    and zeta(3) on every call, at about 0.2 ms a sum."""
+    return zeta_value(s)
 
 
 # ---------------------------------------------------------------------------

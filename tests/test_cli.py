@@ -20,6 +20,7 @@ from hypothesis import given, strategies as st
 from eulerphi.cli import (
     _COMMANDS,
     _build_parser,
+    _command_parser,
     build_spec,
     emit_report,
     main,
@@ -606,6 +607,9 @@ def test_exact_reports_match_golden_digests(tmp_path, args, digest):
 # sweep must leave every one where it was.  Float bits can also move with
 # the platform (numpy's SIMD log and power, libm): these were taken on
 # x86-64 Linux with CPython 3.11 and numpy 2.4.
+KRONECKER_4 = ["--product", "dirichlet", "--kronecker", "-4"]
+FLOAT_POINTS = ["--x", "1,2,2.5,3,4,6,7.5,10,12,133.7,1338,4999.5,12345.6,"
+                "20000", "--mode", "float"]
 FLOAT_GOLDEN_REPORTS = [
     (["growth", "--X", "20000", "--samples", "12"],
      "f37c374cd9072f646b5202bcf22da91d62b9b57aa0a1d959f1d289749c8208d6",
@@ -634,6 +638,22 @@ FLOAT_GOLDEN_REPORTS = [
     (["volterra", "--op", "probe", "--X", "10", "--h", "0.01"],
      "9acb8d373dcba0510e731902b0147fdb09b31f09dbb66831208cb9b66f8d737b",
      "1a975ea21cbb18cc4bce567d5b5a83fb261f8634c65870cfe1984d1da79e9ca4"),
+    # the float point commands on a complex128 table, whose E2 and residual
+    # cells print as complex and whose x_f1 and half_g1 cells collapse to
+    # floats, and on a character of both signs; integers, halves and
+    # zeros among the cells
+    (["error-term"] + COMPLEX_ROOTS + FLOAT_POINTS,
+     "f77b93cab82424f3ebb9ca792a45b091e0721c4ef72ec8ce3117f8677eaf7efb",
+     "0e7dc76534e29fbc439abb2655fafa5aa79a538684b48302ecd7edb62b5a1e3c"),
+    (["error-term"] + KRONECKER_4 + FLOAT_POINTS,
+     "1819778f522c58b1e98f793c571bfd84436a8e95db4e2c143ccdd95ec2c083fb",
+     "b96ff78d1390d8d0dde2e17296dfac18bc4d8c4d8280759dbab7d2e40e46b544"),
+    (["decompose"] + COMPLEX_ROOTS + FLOAT_POINTS,
+     "59b8d31032df64abd32fda3a0a33c51ab6baeb252f38ec51fd5ec9e9f047bb59",
+     "95d69957cdb434a96f2319bd9343ef7c7817434f12b7b98a14dc24c14ba4e70f"),
+    (["decompose"] + KRONECKER_4 + FLOAT_POINTS,
+     "efdf5335280324c0d227214201f7460fe91ee6fe083a409ffaad8f0aca414ac1",
+     "a5dc1ace580a6a294d4da1e299201fb798de90e579d085d70c46a0d8d864c877"),
 ]
 
 
@@ -687,6 +707,25 @@ def test_help_and_usage_texts_match_the_full_parser(argv, capsys, monkeypatch):
     full = _parser_output(lambda a: _build_parser().parse_args(a), argv,
                           capsys)
     assert _parser_output(parse_config, argv, capsys) == full
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_command_parser_prints_as_its_subparser(name, capsys, monkeypatch):
+    # parse_config reads a command's arguments with that command's parser
+    # alone: its help, its usage and its message for a bad value must be
+    # the subparser's, byte for byte
+    monkeypatch.setenv("COLUMNS", "80")
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[name]
+    alone = _command_parser(name)
+    assert alone.format_help() == sub.format_help()
+    assert alone.format_usage() == sub.format_usage()
+    code, out, err = _parser_output(alone.parse_args, ["--format", "xml"],
+                                    capsys)
+    assert (code, out, err) == _parser_output(sub.parse_args,
+                                              ["--format", "xml"], capsys)
+    assert code == 2 and err.startswith("usage: eulerphi " + name)
+    assert f"eulerphi {name}: error: argument --format: invalid" in err
 
 
 def test_parser_holds_only_the_invoked_commands_options():

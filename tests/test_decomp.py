@@ -1,5 +1,6 @@
 """The sawtooth series f1, the fractional-part series g1, and the identity."""
 
+import functools
 import math
 import random
 import tracemalloc
@@ -7,10 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from eulerphi import coeffs, decomp
 from eulerphi.coeffs import (
     error_term,
+    error_term_batch,
     growth_scan,
     make_e2,
     phi_direct,
@@ -41,7 +44,14 @@ from eulerphi.errors import (
     XBelowN,
     XBelowOne,
 )
-from eulerphi.products import compute_constants, custom_product
+from eulerphi.products import (
+    _plain,
+    build_character,
+    compute_constants,
+    custom_product,
+    dirichlet_product,
+    zeta_product,
+)
 from eulerphi.volterra import solution_family
 
 PI2 = math.pi ** 2
@@ -339,6 +349,114 @@ def test_float_decompose_batch_has_each_points_bits(zeta_float_100k,
         assert [repr(rep) for rep in batch] == [
             repr(decompose(x, table, cons)) for x in xs]
         assert all(rep.exact_verdict == "not-applicable" for rep in batch)
+
+
+# the float products of the batch property: real alpha of both signs, and
+# complex128 tables (conjugate roots) whose values collapse cell by cell
+ORACLE_SPECS = {
+    "zeta": zeta_product(),
+    "kronecker -4": dirichlet_product(build_character(kronecker=-4)),
+    "complex roots": custom_product(
+        2, {2: [1j, -1j], 3: [(1 + 1j) / 2, (1 - 1j) / 2]}, "zero"),
+}
+ORACLE_N = 3000
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_product(name):
+    spec = ORACLE_SPECS[name]
+    return phi_table(spec, ORACLE_N, mode="float"), compute_constants(spec)
+
+
+def _old_frac(x, n):
+    # {x/n} as the per-point code took it: round(x/n) * n == x at every x
+    quot = x / n
+    r = np.floor(quot)
+    np.subtract(quot, r, out=r)
+    quot = np.round(quot, out=quot)
+    quot *= n
+    r[quot == x] = 0.0
+    return r
+
+
+def _per_point_oracle(xs, table, cons):
+    """(E plain, E2, x f1, g1, g1/2, residual) at each x, as the per-point
+    code formed them: X-long np.cumsum sums, one masked {x/n} and one sum
+    of terms a point, each operation on Python or numpy scalars."""
+    alpha, phi = table.alpha, table.phi
+    ks = [math.floor(x) for x in xs]
+    top = max(ks)
+    n = np.arange(1, top + 1, dtype=np.float64)
+    dtype = np.result_type(alpha, phi, np.float64)
+    sums = {}
+    for name, (column, power) in {"p1": (alpha, 1), "p2": (alpha, 2),
+                                  "s_f": (phi, 1)}.items():
+        sums[name] = np.zeros(top + 1, dtype=dtype)
+        sums[name][1:] = np.cumsum(column[1 : top + 1] / n ** power)
+    s_phi = np.cumsum(phi[: top + 1])
+    nz = np.flatnonzero(alpha[1 : top + 1]) + 1
+    nzf, a = nz.astype(np.float64), alpha[nz]
+    c, a1, a2 = (_plain(v.value) for v in (cons.c, cons.a1, cons.a2))
+    rows = []
+    for x, k in zip(xs, ks):
+        plain = s = s_phi[k]
+        if x == k and k >= 1:
+            s = s - _plain(phi[k]) / 2
+        e2 = s - c * x * x
+        s_f = _plain(sums["s_f"][k])
+        if x == k:
+            s_f = s_f - _plain(phi[k]) / 2 / k
+        xf1 = x * (a1 / 2 - 2 * c * x + s_f)
+        j = np.searchsorted(nz, k, "right")
+        r = _old_frac(x, nzf[:j])
+        terms = a[:j] * r
+        r -= 1
+        terms *= r
+        s_g = _plain(np.sum(terms))
+        p1, p2 = _plain(sums["p1"][k]), _plain(sums["p2"][k])
+        g = _plain(s_g + x * x * (a2 - p2) - x * (a1 - p1))
+        rows.append((plain - c * x * x, e2, xf1, g, g / 2, e2 - xf1 - g / 2))
+    return rows
+
+
+def _bits(v):
+    """Whether v is complex, and every bit of it, -0.0 included."""
+    if isinstance(v, complex):
+        return "complex", v.real.hex(), v.imag.hex()
+    return "float", float(v).hex()
+
+
+@given(st.data())
+def test_float_batches_equal_the_per_point_oracle(data):
+    # whole-batch assembly, read-point running sums and the fused S_g
+    # kernel give each point the bits, and the float or complex type, of
+    # the per-point code: for decompose_batch, g1 and error_term_batch, at
+    # integers, halves, sevenths and 3 + 2^-40, unsorted, with repeats,
+    # and with blocks of 7 entries as well as full ones
+    name = data.draw(st.sampled_from(sorted(ORACLE_SPECS)), "product")
+    table, cons = _oracle_product(name)
+    N = table.N
+    point = st.one_of(st.integers(1, N).map(float),
+                      st.integers(2, 2 * N - 1).map(lambda m: m / 2),
+                      st.integers(7, 7 * N - 1).map(lambda m: m / 7),
+                      st.just(3 + 2 ** -40))
+    xs = data.draw(st.lists(point, min_size=1, max_size=12), "xs")
+    xs = data.draw(st.permutations(
+        xs + data.draw(st.lists(st.sampled_from(xs), max_size=3))), "xs")
+    chunk = data.draw(st.sampled_from([coeffs._CHUNK, 7]), "chunk")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(coeffs, "_CHUNK", chunk)
+        reports = decompose_batch(xs, table, cons)
+        g1s = [g1(x, table, cons) for x in xs]
+        plain = error_term_batch(table, cons.c, xs).tolist()
+        symmetric = error_term_batch(table, cons.c, xs, "symmetric").tolist()
+    got = [(e, rep.e2.value, rep.arithmetic_part.value, g,
+            rep.analytic_part.value, rep.residual)
+           for e, rep, g in zip(plain, reports, g1s)]
+    want = _per_point_oracle(xs, table, cons)
+    assert [[_bits(v) for v in row] for row in got] == [
+        [_bits(v) for v in row] for row in want]
+    assert symmetric == [rep.e2.value for rep in reports]
 
 
 def test_s_f_kernel_matches_phi_direct(zeta_spec, mod4_spec, custom100_spec):
