@@ -333,11 +333,43 @@ def _parse_number(tok: str):
 _X_POINTS_CAP = 10 ** 7
 
 
-def parse_x_values(text: str, exact: bool) -> list:
-    """LIST 'a,b,c' or RANGE 'a:b:step' (inclusive ends when step divides).
+def _parse_float(tok: str) -> float:
+    """float(Fraction(tok)), bit for bit, without the Fraction where it can.
 
-    A range is counted before it is built, and one of more than
-    _X_POINTS_CAP points raises OutOfMemory."""
+    A decimal token is float(tok) and a p/q one int(p) / int(q), both
+    correctly rounded, as float(Fraction) is.  A token that Fraction's
+    grammar may refuse (a space or a sign after the slash), one that
+    float() reads as a zero (its -0.0), an infinity or NaN, and any that
+    int() or float() refuse go through Fraction, so they are refused as an
+    exact run refuses them.  A value beyond the float range is a
+    UsageError.
+    """
+    try:
+        if "/" in tok:
+            p, q = tok.split("/", 1)
+            if p == p.rstrip() and q[:1].isdigit():
+                return int(p) / int(q)
+        else:
+            x = float(tok)
+            if x and math.isfinite(x):
+                return x
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    try:
+        return float(_parse_number(tok))
+    except OverflowError:
+        raise UsageError(f"{tok.strip()!r} is beyond the float range")
+
+
+def parse_x_values(text: str, exact: bool) -> list:
+    """LIST 'a,b,c' or RANGE 'a:b:step' (inclusive ends when step divides),
+    as Fractions when exact and as floats otherwise.
+
+    The floats are those of the Fractions, bit for bit, parsed without
+    them: a list's tokens by _parse_float, a range's points as int
+    quotients over its common denominator.  A range is counted before it
+    is built, and one of more than _X_POINTS_CAP points raises
+    OutOfMemory."""
     if text is None:
         raise UsageError("--x is required for this command")
     if isinstance(text, (int, float)):
@@ -353,17 +385,20 @@ def parse_x_values(text: str, exact: bool) -> list:
         if count > _X_POINTS_CAP:
             raise OutOfMemory(f"--x range capped at {_X_POINTS_CAP} points, "
                               f"got {count}")
-        # a + k step over one common denominator d: one gcd a point
+        # a + k step over one common denominator d: one gcd a point, or one
+        # correctly rounded int quotient
         d = math.lcm(a.denominator, step.denominator)
         first, stride = int(a * d), int(step * d)
-        out = [Fraction(first + k * stride, d) for k in range(count)]
+        if exact:
+            out = [Fraction(first + k * stride, d) for k in range(count)]
+        else:
+            out = [(first + k * stride) / d for k in range(count)]
     else:
-        out = [_parse_number(t) for t in text.split(",") if t.strip()]
+        parse = _parse_number if exact else _parse_float
+        out = [parse(t) for t in text.split(",") if t.strip()]
     if not out:
         raise UsageError(f"empty x list {text!r}")
-    if exact:
-        return out
-    return [float(v) for v in out]
+    return out
 
 
 def parse_anchor(text: str) -> tuple:
@@ -443,7 +478,20 @@ def build_spec(cfg: RunConfig) -> _products.EulerProductSpec:
     raise UsageError(f"unknown product {kind!r}")
 
 
+# commands that read the alpha column; the others (error-term, volterra,
+# growth) read phi alone, and their tables hold phi alone
+_READS_ALPHA = frozenset({"table", "decompose", "verify-identity",
+                          "series-check"})
+
+
 def get_table(cfg: RunConfig, spec, n: int, mode: str) -> _coeffs.TotientTable:
+    """The run's table up to n: loaded from the float cache when it holds
+    it, built otherwise.
+
+    A built table holds alpha only when the command reads it
+    (_READS_ALPHA) or the table is about to be saved, as a cache file holds
+    both columns; a loaded one holds both.
+    """
     o = cfg.options
     cache_dir = o["cache_dir"] or os.environ.get(CACHE_ENV)
     mode = _coeffs._resolve_mode(spec, n, mode)
@@ -458,7 +506,8 @@ def get_table(cfg: RunConfig, spec, n: int, mode: str) -> _coeffs.TotientTable:
                 # stale or corrupt: rebuild below
                 _log.warning("rejected cache file %s: %s: %s", path,
                              type(e).__name__, e)
-    table = _coeffs.phi_table(spec, n, mode=mode)
+    table = _coeffs.phi_table(spec, n, mode=mode,
+                              alpha=use_cache or cfg.command in _READS_ALPHA)
     if use_cache:
         try:
             _coeffs.save_table(table, path)
@@ -490,13 +539,19 @@ def _points_and_table(cfg: RunConfig, spec) -> tuple:
     """The --x points in the number type of the run's mode, and the table
     sized for them.
 
-    The mode is resolved on the exact points; a float run then sizes its
-    table on the float points, since float(x) can round up past floor(x).
+    A run that is float whatever its points (--mode float, or auto on a
+    product without exact tables) parses floats.  Any other resolves its
+    mode on the exact points, and when that is float converts them.  A
+    float run sizes its table on the float points, since float(x) can
+    round up past floor(x).
     """
-    xs = parse_x_values(cfg.options["x"], exact=True)
-    mode = _coeffs._resolve_mode(spec, _needed_n(cfg, xs), cfg.options["mode"])
-    if mode == "float":
-        xs = [float(v) for v in xs]
+    mode = cfg.options["mode"]
+    floats = mode == "float" or (mode == "auto" and not spec.exact_capable)
+    xs = parse_x_values(cfg.options["x"], exact=not floats)
+    if not floats:
+        mode = _coeffs._resolve_mode(spec, _needed_n(cfg, xs), mode)
+        if mode == "float":
+            xs = [float(v) for v in xs]
     return xs, get_table(cfg, spec, _needed_n(cfg, xs), mode)
 
 
@@ -535,6 +590,7 @@ def cmd_table(cfg: RunConfig):
     spec = build_spec(cfg)
     n = o["n"] or 1000
     table = get_table(cfg, spec, n, o["mode"])
+    _coeffs._require_alpha(table, "table")
     limit = n if o["limit"] is None else min(o["limit"], n)
     rows = slice(1, limit + 1)
     columns = {"n": np.arange(1, limit + 1)}

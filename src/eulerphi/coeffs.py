@@ -21,7 +21,8 @@ when every gamma(p) is rational, hold Python ints when every gamma(p) they
 read is an integer (zeta, real characters, integral custom roots; sieved in
 int64 while a bound keeps every entry inside it), and fractions.Fraction
 entries otherwise.  'float' tables hold numpy float64/complex128 arrays.
-A table holds alpha and phi only.  The sum of phi, which the error term
+A table holds alpha and phi only, or phi alone for a reader of nothing
+else (phi_table(..., alpha=False)).  The sum of phi, which the error term
 E(x) = sum_{n<=x} phi(n) - C x^2 reads, is formed where it is read, at the
 floor values of a batch of points (phi_sums, error_term_batch), by the
 column kernels that the decomposition's sweep also runs; scan/report
@@ -107,7 +108,7 @@ class CoefficientTable:
     spec: EulerProductSpec
     N: int
     mode: str                      # 'exact' | 'float'
-    alpha: Union[list, np.ndarray]
+    alpha: Optional[Union[list, np.ndarray]]
 
     @property
     def exact(self) -> bool:
@@ -116,16 +117,22 @@ class CoefficientTable:
 
 @dataclass
 class TotientTable(CoefficientTable):
-    """alpha(0..N) and phi(0..N).
+    """alpha(0..N) and phi(0..N), or phi(0..N) alone.
 
-    Entry 0 of each is 0.  Exact tables hold lists of Python ints when every
-    gamma(p) up to N is an integer and of Fractions otherwise; float tables
-    hold numpy arrays, in which phi of an integral gamma(p) is an exact
-    integer.  A division of an exact entry goes through Fraction, since
-    int / int would round to a float.  The table holds no running sum:
-    phi_sums and the decomposition kernel sum phi, phi(n)/n and alpha
-    afresh for each batch of points, up to its largest floor(x), and keep
-    only the values its formulas read.
+    alpha is None on a table sieved without it (phi_table(..., alpha=False)):
+    E(x), E2 and f1's closed form read phi only, and a reader of alpha (the
+    P1, P2 and S_g sums, the series identity, an export or a cache file)
+    refuses such a table with ModeUnavailable (_require_alpha).
+
+    Entry 0 of each column is 0, and the columns share one number type.
+    Exact tables hold lists of Python ints when every gamma(p) up to N is
+    an integer and of Fractions otherwise; float tables hold numpy arrays,
+    in which phi of an integral gamma(p) is an exact integer.  A division
+    of an exact entry goes through Fraction, since int / int would round to
+    a float.  The table holds no running sum: phi_sums and the
+    decomposition kernel sum phi, phi(n)/n and alpha afresh for each batch
+    of points, up to its largest floor(x), and keep only the values its
+    formulas read.
 
     The mode is the number type of every call on the table (_table_point):
     an exact table takes a float x as Fraction(x).  The float-grid kernels
@@ -139,6 +146,13 @@ def _require_mode(table: CoefficientTable, mode: str, what: str) -> None:
     """Refuse a table of the other mode: ModeUnavailable."""
     if table.mode != mode:
         raise ModeUnavailable(f"{what} needs a {mode} table")
+
+
+def _require_alpha(table: CoefficientTable, what: str) -> None:
+    """Refuse a table sieved without its alpha column: ModeUnavailable."""
+    if table.alpha is None:
+        raise ModeUnavailable(f"{what} reads alpha, and this table holds "
+                              f"phi only (phi_table(..., alpha=False))")
 
 
 # ---------------------------------------------------------------------------
@@ -306,20 +320,24 @@ def phi_direct(spec: EulerProductSpec, n: int,
     return num.collapse(out)
 
 
-def phi_table(spec: EulerProductSpec, N: int, mode: str = "auto") -> TotientTable:
-    """Build alpha(0..N) and phi(0..N) on one SPF table.
+def phi_table(spec: EulerProductSpec, N: int, mode: str = "auto",
+              alpha: bool = True) -> TotientTable:
+    """Build alpha(0..N) and phi(0..N) on one SPF table, or phi(0..N) alone
+    when alpha is False (the table's alpha is then None).
 
     phi is sieved itself, phi(n) = phi(m) (p if p | m else p - gamma(p)),
     in the table's number type, so integral gamma(p) give integers
     throughout: Python ints in exact tables, whole float64 values in float
-    ones.
+    ones.  Each column is sieved on its own, so phi has the same bits with
+    or without alpha beside it; a float table of phi alone holds half the
+    memory, and its sieve takes about half the time.
     """
     mode, spf, ps, gam, one = _sieve(spec, N, mode)
     exact = mode == "exact"
-    alpha, phi = _multiplicative(spf, ps, [(-gam, 0, one),
-                                           (ps - gam, spf, one)])
-    return TotientTable(spec=spec, N=N, mode=mode, alpha=_stored(alpha, exact),
-                        phi=_stored(phi, exact))
+    columns = [(ps - gam, spf, one)] + ([(-gam, 0, one)] if alpha else [])
+    outs = [_stored(c, exact) for c in _multiplicative(spf, ps, columns)]
+    return TotientTable(spec=spec, N=N, mode=mode,
+                        alpha=outs[1] if alpha else None, phi=outs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +597,7 @@ def _cells(values, table: CoefficientTable, collapse: bool = True
     _plain's float or complex); without, it is kept as it comes (an int, a
     Fraction, or a complex whose imaginary part may be zero).
     """
-    if not table.exact and not np.iscomplexobj(table.alpha):
+    if not table.exact and not np.iscomplexobj(table.phi):
         return np.asarray(values, dtype=np.float64)
     if isinstance(values, np.ndarray):
         values = values.tolist()
@@ -702,9 +720,15 @@ def _log_power_tail(N: int, s: float, d: int) -> float:
     return out
 
 
-def _sum_and_rounding(terms: np.ndarray) -> tuple:
+def _sum_and_rounding(terms: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> tuple:
     """(np.sum(terms), a bound on its distance from the sum of the exact
     products c(n) n^-s that terms rounds, c(n) the stored entries).
+
+    The bound reads |terms|, formed in out when given (a float64 array of
+    len(terms); terms itself, for real terms, takes it in place once the
+    sum is taken) and in a new array otherwise; terms is written only
+    through out.
 
     Summation of m terms in any order errs by at most gamma_{m-1} sum |t|,
     gamma_k = k u / (1 - k u), in each of the real and imaginary parts, so
@@ -715,8 +739,9 @@ def _sum_and_rounding(terms: np.ndarray) -> tuple:
     """
     spread = math.sqrt(2) if np.iscomplexobj(terms) else 1.0
     k = len(terms) + 5
-    rounding = spread * k * _U / (1 - k * _U) * float(np.sum(np.abs(terms)))
-    return np.sum(terms), rounding
+    total = np.sum(terms)
+    magnitude = float(np.sum(np.abs(terms, out=out)))
+    return total, spread * k * _U / (1 - k * _U) * magnitude
 
 
 def series_identity_check(spec: EulerProductSpec, s: float, N: int,
@@ -731,6 +756,14 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
     in floats for s >= 2).  The rounding of each sum is _sum_and_rounding's,
     the product zeta(s-1) sum alpha(n)/n^s adds u of itself, and the factor
     1 + 64u covers the bound's own rounding.
+
+    The check owns two buffers of N + 1 entries beside the table: n^-s,
+    formed in place, and the terms of one sum at a time.  On a real table
+    each sum takes |terms| in place in the terms buffer, and n^-s, no
+    longer read after the last product, takes the last |terms| and
+    |alpha|; on a complex one the first |terms| takes a third, float64
+    buffer for the time of its sum.  The table must hold alpha
+    (_require_alpha).
     """
     if not (isinstance(s, (int, float)) and s > 2):
         raise SOutOfRange(f"need real s > 2, got {s}")
@@ -738,21 +771,20 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
     if table is None:
         table = phi_table(spec, N, mode="float")
     _require_mode(table, "float", "series_identity_check")
+    _require_alpha(table, "series_identity_check")
     if table.N < N:
         raise XBeyondTable(f"table holds N = {table.N} < {N}")
     alpha = table.alpha[: N + 1]
-    # n^-s (1 at n = 0) formed in place, and one buffer for the terms of
-    # both sums: two arrays of N + 1 entries beside the table, and a third,
-    # |terms|, while _sum_and_rounding takes each bound
-    w = np.arange(N + 1, dtype=np.float64)
+    w = np.arange(N + 1, dtype=np.float64)   # n^-s, 1 at n = 0
     w[0] = 1.0
     np.power(w, -s, out=w)
     terms = np.multiply(table.phi[: N + 1], w)
-    lhs, lhs_rounding = _sum_and_rounding(terms)
+    lhs, lhs_rounding = _sum_and_rounding(
+        terms, out=None if np.iscomplexobj(terms) else terms)
     zeta = zeta_value(s - 1.0)
     zs = zeta.value
     alpha_sum, alpha_rounding = _sum_and_rounding(
-        np.multiply(alpha, w, out=terms))
+        np.multiply(alpha, w, out=terms), out=w)
     rhs = zs * alpha_sum
 
     d = spec.degree
@@ -761,7 +793,7 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
         alpha_tail = N ** (1.0 - s) / (s - 1.0)
         kind = "rigorous"
     else:
-        scale = float(np.max(np.abs(alpha))) if N >= 1 else 1.0
+        scale = float(np.max(np.abs(alpha, out=w))) if N >= 1 else 1.0
         alpha_tail = scale * N ** (1.0 - s) / (s - 1.0)
         kind = "heuristic"
     bound = (phi_tail + lhs_rounding + abs(zs) * (alpha_tail + alpha_rounding)
@@ -855,6 +887,7 @@ def save_table(table: TotientTable, path: str) -> None:
     """
     if table.exact:
         raise ModeUnavailable("only float tables are cached")
+    _require_alpha(table, "save_table")
     header = json.dumps({"version": _CACHE_VERSION,
                          "spec_hash": spec_hash(table.spec),
                          "N": table.N, "mode": "float"}, sort_keys=True)

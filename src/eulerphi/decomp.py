@@ -92,6 +92,7 @@ from .coeffs import (
     _float_column,
     _float_sums,
     _phi_at,
+    _require_alpha,
     _require_mode,
     _table_point,
     error_term,
@@ -163,8 +164,11 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
     O(sqrt k) values k//j.  Exact sweeps ignore "alpha_nz".
 
     _value reads a sum at a k as a number of the table's type, _column at
-    every point of a batch.
+    every point of a batch.  A sum of alpha needs a table that holds it
+    (coeffs._require_alpha).
     """
+    if {"p1", "p2"} & set(names):
+        _require_alpha(table, "the sums of alpha (P1, P2, S_g)")
     alpha, phi = table.alpha, table.phi
     columns = {"p1": (alpha, 1), "p2": (alpha, 2), "s_f": (phi, 1)}
     ks = np.asarray(ks, dtype=np.int64)
@@ -304,6 +308,7 @@ def _nonzero_alpha(table: TotientTable, top: int) -> tuple:
     one of alpha(n).  On an exact table: object arrays of the ints and of
     alpha(n) as Fractions.
     """
+    _require_alpha(table, "the sums of alpha (P1, P2, S_g)")
     alpha = table.alpha
     if table.exact:
         ns = [n for n in range(1, top + 1) if alpha[n]]

@@ -84,7 +84,9 @@ class PrecisionUnreachable(EulerphiError):
 
 
 class ModeUnavailable(EulerphiError):
-    """Requested evaluation mode does not exist for this product kind."""
+    """Requested evaluation mode does not exist for this product kind, or a
+    table lacks what a call reads: the other number type, or the alpha
+    column of a table sieved for phi alone."""
 
     exit_code = 20
 

@@ -95,6 +95,32 @@ def test_parse_x_range_is_a_plus_k_step(a, span, step):
         float(x) for x in want]
 
 
+# the characters of Fraction's grammar, so that most tokens parse
+_NUMBER_TEXT = st.text(alphabet="0123456789.eE+-_/ ", min_size=1, max_size=12)
+
+
+@given(tok=st.one_of(
+    _NUMBER_TEXT,
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.fractions().map(str),
+    st.tuples(st.integers(-10 ** 30, 10 ** 30), st.integers(0, 10 ** 30),
+              st.sampled_from(["", " "])).map(lambda t: f"{t[2]}{t[0]}/{t[1]}")))
+def test_float_points_are_those_of_the_fractions(tok):
+    # a float run's point is float(Fraction(tok)) bit for bit, parsed
+    # without the Fraction, and a token an exact run refuses, or one beyond
+    # the float range, is a usage error
+    try:
+        want = float(Fraction(tok))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        with pytest.raises(UsageError):
+            parse_x_values(tok, exact=False)
+        return
+    got, = parse_x_values(tok, exact=False)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), tok
+
+
 def test_parse_anchor():
     assert parse_anchor("1.5=auto") == (1.5, "auto")
     assert parse_anchor("2=3.5") == (2.0, 3.5)
@@ -768,6 +794,47 @@ def test_float_points_size_their_own_table(command, capsys):
     assert out.splitlines()[2].startswith("300001,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--n", "100"],
+    ["decompose", "--x", "1:50:2.5"],
+    ["decompose", "--x", "1:50:2.5", "--mode", "float"],
+    ["series-check", "--n", "100"],
+    ["verify-identity", "--x", "7.5"],
+], ids=lambda v: " ".join(v[:1] + v[-1:]))
+def test_readers_of_alpha_refuse_a_phi_only_table(argv, monkeypatch, capsys):
+    # a command that reads alpha, given a table sieved for phi alone, exits
+    # with ModeUnavailable's code and one line, not an internal error
+    monkeypatch.setattr(cli, "_READS_ALPHA", frozenset())
+    assert main(argv) == ModeUnavailable.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ModeUnavailable: ") and "reads alpha" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["growth", "error-term", "volterra"])
+def test_commands_that_read_phi_build_phi_alone(command, monkeypatch):
+    # growth, error-term and volterra read phi only: a table they build at
+    # N = 1e6 holds one float64 column (8 MB), not alpha beside it; a table
+    # that goes to the cache holds both
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    cfg = parse_config([command])
+    N = 10 ** 6
+    tracemalloc.start()
+    try:
+        table = cli.get_table(cfg, zeta_product(), N, "float")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.alpha is None and len(table.phi) == N + 1
+    assert held < 1.25 * 8 * (N + 1), held
+    for reader in sorted(cli._READS_ALPHA):
+        assert cli.get_table(parse_config([reader]), zeta_product(), 100,
+                             "float").alpha is not None
+    cfg.options["cache_dir"] = "unused"
+    monkeypatch.setattr(coeffs, "save_table", lambda table, path: None)
+    assert cli.get_table(cfg, zeta_product(), 100, "float").alpha is not None
+
+
 @pytest.mark.parametrize("argv, refused", [
     (["volterra", "--X", "5"], "exact"),
     (["growth", "--X", "100"], "exact"),
@@ -919,6 +986,25 @@ def test_closed_stdout_pipe_is_io_error():
     assert len(lines) == 1, err
     assert lines[0].startswith(
         "error: IoError: cannot write report to stdout: ")
+
+
+def test_commands_do_not_load_openssl():
+    # spec_hash takes SHA-256 from CPython's built-in module: hashlib would
+    # load _hashlib, which maps OpenSSL's libcrypto into every run
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(eulerphi.__file__)))
+    code = """if True:
+        import os, sys
+        import eulerphi.cli
+        loaded = lambda: sorted({"hashlib", "_hashlib"} & set(sys.modules))
+        print(loaded())
+        assert eulerphi.cli.main(["constants", "--output", os.devnull]) == 0
+        print(loaded())
+    """
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n[]\n"
 
 
 def test_float_commands_do_not_import_mpmath():

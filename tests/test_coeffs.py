@@ -1,5 +1,7 @@
 """Coefficient sieves, totient tables, error terms, scans, and the cache."""
 
+import hashlib
+import json
 import math
 import random
 import tracemalloc
@@ -12,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import TRUE_C_ZETA
-from eulerphi import coeffs
+from eulerphi import coeffs, decomp
 from eulerphi.coeffs import (
     GrowthScanReport,
     TotientTable,
@@ -52,6 +54,8 @@ from eulerphi.products import (
     c_constant,
     gamma_values,
     spec_from_dict,
+    spec_hash,
+    spec_to_dict,
     zeta_product,
 )
 
@@ -664,6 +668,95 @@ def test_growth_scan_memory_does_not_grow_with_x(N, zeta_spec):
         tracemalloc.stop()
     assert rep.x_max == N and len(rep.rows) == 30
     assert peak < 4 * 2 ** 20, peak
+
+
+# (spec, modes) of the phi-only tables checked against full ones: a real
+# character, complex roots of degree 2, and degree 3 with Fraction exact
+# tables
+PHI_ONLY_SPECS = {
+    "zeta": (zeta_product(), ("float", "exact")),
+    "kronecker-8": (GROWTH_SPECS["kronecker-8"], ("float", "exact")),
+    "complex-degree-2": (GROWTH_SPECS["complex-degree-2"], ("float",)),
+    "degree-3": (GROWTH_SPECS["degree-3"], ("float", "exact")),
+}
+
+
+@pytest.mark.parametrize("N", [coeffs._CHUNK - 1, coeffs._CHUNK + 1,
+                               4 * 10 ** 5])
+@pytest.mark.parametrize("name", PHI_ONLY_SPECS)
+def test_phi_only_table_has_the_full_tables_phi(name, N):
+    # each column is sieved on its own, so phi keeps its bits without alpha
+    # beside it, in both number types, across the sieve's run edges
+    spec, modes = PHI_ONLY_SPECS[name]
+    for mode in modes:
+        full = phi_table(spec, N, mode=mode)
+        alone = phi_table(spec, N, mode=mode, alpha=False)
+        assert alone.alpha is None and full.alpha is not None
+        assert (alone.mode, alone.N) == (full.mode, full.N) == (mode, N)
+        assert _bits(alone.phi) == _bits(full.phi), mode
+
+
+def test_phi_only_table_is_refused_by_readers_of_alpha(tmp_path, zeta_spec,
+                                                       zeta_constants):
+    # E(x), E2 and f1's closed form read phi alone; every reader of alpha
+    # refuses the table with ModeUnavailable, never an AttributeError
+    table = phi_table(zeta_spec, 1000, mode="float", alpha=False)
+    cF = zeta_constants.c
+    assert error_term(table, cF, 500.5) == error_term(
+        phi_table(zeta_spec, 1000, mode="float"), cF, 500.5)
+    make_e2(table, cF)(np.array([2.5, 999.0]))
+    decomp.f1_closed(17.5, table, zeta_constants)
+    exact = phi_table(zeta_spec, 1000, mode="exact", alpha=False)
+    for call in (lambda: series_identity_check(zeta_spec, 3.0, 1000, table),
+                 lambda: save_table(table, str(tmp_path / "t.npz")),
+                 lambda: decomp.decompose(17.5, table, zeta_constants),
+                 lambda: decomp.g1(17.5, table, zeta_constants),
+                 lambda: decomp.f1_series(17.5, table, zeta_constants, 100),
+                 lambda: decomp.decompose(Fraction(35, 2), exact,
+                                          zeta_constants),
+                 lambda: decomp.verify_identity_batch([Fraction(35, 2)],
+                                                      exact)):
+        with pytest.raises(ModeUnavailable, match="reads alpha"):
+            call()
+    assert not (tmp_path / "t.npz").exists()
+
+
+@pytest.mark.parametrize("name", ["zeta", "degree-3"])
+def test_series_identity_check_holds_two_buffers(name, zeta_spec):
+    # n^-s and one buffer of terms beside the table: each sum takes |terms|
+    # in place, not in a third array of N + 1 entries; degree 3 also takes
+    # the heuristic scale max |alpha|
+    spec = zeta_spec if name == "zeta" else GROWTH_SPECS[name]
+    N = 2 * 10 ** 5
+    table = phi_table(spec, N, mode="float")
+    buffer = 8 * (N + 1)
+    tracemalloc.start()
+    try:
+        rep = series_identity_check(spec, 3.0, N, table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak < 2.5 * buffer, peak / buffer
+
+
+SPEC_HASH_SPECS = [
+    zeta_product(),
+    *(dirichlet_product(build_character(kronecker=d)) for d in (-4, 8, -8)),
+    COMPLEX_SPEC, INTEGRAL_CUSTOM, COMPLEX_CUSTOM, RATIONAL_CUSTOM,
+    *GROWTH_SPECS.values(),
+    custom_product(2, {2: [1, 1], 3: [1, 1]}, "zero"),
+    custom_product(2, {2: [1j, -1j]}, "zero"),
+]
+
+
+@pytest.mark.parametrize("spec", SPEC_HASH_SPECS)
+def test_spec_hash_is_hashlibs_sha256(spec):
+    # the built-in SHA-256 gives hashlib's digest, so report meta and cache
+    # file names keep their names
+    blob = json.dumps(spec_to_dict(spec), sort_keys=True,
+                      separators=(",", ":")).encode()
+    assert spec_hash(spec) == hashlib.sha256(blob).hexdigest()[:16]
 
 
 def test_cache_roundtrip_float(tmp_path, zeta_spec):
