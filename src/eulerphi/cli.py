@@ -98,9 +98,6 @@ _DEFAULTS = {
     "op": "residual",
     "convention": "symmetric",
     "tolerance": 1e-5,
-    "prime_cutoff": 10 ** 6,
-    "a1_mode": "auto",
-    "a1_cutoff": 10 ** 6,
     "samples": 20,
     "x_min": 2,
     "limit": None,
@@ -127,10 +124,6 @@ def _add_common(p: argparse.ArgumentParser, *, tables=True):
         p.add_argument("--n", type=int, metavar="N")
         p.add_argument("--cache-dir", metavar="DIR")
         p.add_argument("--no-cache", action="store_true", default=None)
-    p.add_argument("--prime-cutoff", type=int)
-    p.add_argument("--a1-mode",
-                   choices=("auto", "closed_form", "partial_sums"))
-    p.add_argument("--a1-cutoff", type=int)
     p.add_argument("--output", metavar="PATH")
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--config", metavar="PATH")
@@ -516,15 +509,6 @@ def get_table(cfg: RunConfig, spec, n: int, mode: str) -> _coeffs.TotientTable:
     return table
 
 
-def get_constants(cfg: RunConfig, spec, l1=None) -> _products.Constants:
-    """C, A1 and A2 by the run's options; an L(1, chi) already computed is
-    reused."""
-    o = cfg.options
-    return _products.compute_constants(
-        spec, prime_cutoff=o["prime_cutoff"], a1_mode=o["a1_mode"],
-        a1_cutoff=o["a1_cutoff"], l1=l1)
-
-
 def _needed_n(cfg: RunConfig, xs) -> int:
     if cfg.options["n"] is not None:
         n = cfg.options["n"]
@@ -576,7 +560,8 @@ def cmd_constants(cfg: RunConfig):
         l_values = [(f"L{s}_chi", _products.l_value(spec.character, float(s)))
                     for s in (1, 2)]
     # A1 = 1/L(1, chi) reads the L1_chi row's value, not a second sum
-    cons = get_constants(cfg, spec, l1=l_values[0][1] if l_values else None)
+    cons = _products.compute_constants(
+        spec, l1=l_values[0][1] if l_values else None)
     named = [("C_F", cons.c), ("A1", cons.a1), ("A2", cons.a2)] + l_values
     columns = {"name": [name for name, _ in named],
                "value": [v.value for _, v in named],
@@ -610,7 +595,7 @@ def cmd_error_term(cfg: RunConfig):
     o = cfg.options
     spec = build_spec(cfg)
     xs, table = _points_and_table(cfg, spec)
-    c = _products.c_constant(spec, o["prime_cutoff"])
+    c = _products.c_constant(spec)
     # float(x) ** 2 is libm's pow, which numpy's square need not match
     bound = c.bound * np.array([float(x) ** 2 for x in xs])
     columns = {
@@ -621,10 +606,9 @@ def cmd_error_term(cfg: RunConfig):
 
 
 def cmd_decompose(cfg: RunConfig):
-    o = cfg.options
     spec = build_spec(cfg)
     xs, table = _points_and_table(cfg, spec)
-    cons = get_constants(cfg, spec)
+    cons = _products.compute_constants(spec)
     columns = _decomp.decompose_columns(xs, table, cons)
     ok = "fail" not in columns["exact_verdict"]
     return {"meta": _meta(cfg, spec, table.mode), "columns": columns}, ok
@@ -654,7 +638,7 @@ def cmd_volterra(cfg: RunConfig):
     grid = _volterra.make_grid(X, h)  # noqa: F841
     n = o["n"] or int(math.ceil(X))
     table = get_table(cfg, spec, n, "float")
-    cons = get_constants(cfg, spec)
+    cons = _products.compute_constants(spec)
     e2p = _coeffs.make_e2(table, cons.c)
     tol = o["tolerance"]
 
@@ -698,7 +682,7 @@ def cmd_growth(cfg: RunConfig):
     if X > n:
         raise UsageError(f"--X {X} beyond --n {n}")
     table = get_table(cfg, spec, n, "float")
-    c = _products.c_constant(spec, o["prime_cutoff"])
+    c = _products.c_constant(spec)
     rep = _coeffs.growth_scan(table, c, X, samples=o["samples"],
                               x_min=o["x_min"])
     columns = {"x": [x for x, _, _ in rep.rows],

@@ -500,11 +500,16 @@ def _float_column(column: np.ndarray, power: int, top: int,
     np.cumsum in place, and a block's running sum starts from the last one
     of the block before it, so every sum has the bits of one np.cumsum of
     the terms from n = 1.  Only the sums at the read points are kept: the
-    pass holds one block beside its result, whatever top.
+    pass holds one block beside its result, whatever top.  Every sum of a
+    column itself (power 0) is one np.cumsum into the result, which has
+    no terms to form and so no block to copy them into.
     """
     dtype = np.result_type(column, np.float64)
     dense = reads is None
     out = np.zeros(top + 1 if dense else len(reads), dtype=dtype)
+    if dense and not power:
+        np.cumsum(column[1 : top + 1], out=out[1:])
+        return out
     buf = None if dense else np.empty(min(_CHUNK, top), dtype=dtype)
     i = 0 if dense else int(np.searchsorted(reads, 1))
     carry = None
@@ -674,7 +679,7 @@ def make_e2(table: TotientTable, cF: ValueWithBound):
     """
     _require_mode(table, "float", "make_e2")
     N, phi = table.N, table.phi
-    cumulative = np.cumsum(phi)
+    cumulative = _float_column(phi, 0, N)
     c = _plain(cF.value)
 
     def e2(xs):

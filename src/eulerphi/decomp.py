@@ -397,10 +397,10 @@ def sawtooth(x: Scalar) -> Scalar:
 def _f1(xs: np.ndarray, ks: np.ndarray, s_f: np.ndarray,
         table: TotientTable, constants: Constants) -> np.ndarray:
     """f1(x) at each point (xs, ks) of a batch from S_f at its floor value,
-    by the operations of one point: S_f - phi(x)/2/x at an integer x, then
-    A1/2 - 2 C x + S_f."""
+    by the operations of one point: S_f - phi(x)/2/x at an integer x >= 1,
+    then A1/2 - 2 C x + S_f."""
     c, a1, _ = _constants(_number_type(table.exact), constants)
-    at = np.flatnonzero(xs == ks)
+    at = np.flatnonzero((xs == ks) & (ks >= 1))
     if len(at):
         s_f = s_f.copy()
         s_f[at] = s_f[at] - _phi_at(table, ks[at]) / 2 / ks[at]
@@ -495,16 +495,11 @@ def f1_values(xs: np.ndarray, table: TotientTable,
         raise XBelowOne(f"need x >= 0, got {xs.min()}")
     if xs.max() > table.N:
         raise XBeyondTable(f"{xs.max()} beyond table N = {table.N}")
-    c, a1, _ = _constants(_number_type(False), constants)
     k = np.floor(xs).astype(np.int64)
     # S_f at every k, indexed by floor
     s_f = _float_column(table.phi, 1, int(k.max()))
-    out = a1 / 2 - 2 * c * xs + s_f[k]
-    at_int = (xs == k) & (k >= 1)
-    if np.any(at_int):
-        kk = np.maximum(k, 1)
-        out = out - np.where(at_int, table.phi[kk] / (2.0 * kk), 0.0)
-    out = np.where(xs == 0, 0.0, out)
+    out = _f1(xs, k, s_f[k], table, constants)
+    out[xs == 0] = 0
     return out
 
 

@@ -18,7 +18,8 @@ C(F) reads zeta(2) from it wherever gamma(p) follows the default-one rule
 at all but finitely many primes (zeta, principal characters, custom with
 default one); at degree d >= 2 it also reads zeta(3) and multiplies out an
 accelerated product over the primes up to 1e5 with a rigorous tail bound.
-Only a non-principal character multiplies out the primes up to a cutoff.
+Only a non-principal character multiplies out the primes up to a fixed
+cutoff, _PRIME_CUTOFF = 1e6.  C, A1 and A2 are functions of the spec alone.
 Values that involve infinite products/series are returned as
 ValueWithBound, an estimate plus an absolute error radius.
 """
@@ -427,7 +428,7 @@ class ValueWithBound:
     """An estimate plus an absolute error radius.
 
     bound_kind 'rigorous' means the true value provably lies within bound of
-    value; 'heuristic' means the radius is an oscillation-based estimate.
+    value; 'heuristic' means the radius is an estimate, not a proof.
     Exact values carry bound 0.
     """
 
@@ -613,10 +614,13 @@ def _one_rule_rest(d: int) -> ValueWithBound:
                           "rigorous")
 
 
-def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWithBound:
+# the primes a non-principal character's C(F) multiplies out
+_PRIME_CUTOFF = 10 ** 6
+
+
+def c_constant(spec: EulerProductSpec) -> ValueWithBound:
     """C(F) = (1/2) prod_p (1 - gamma(p)/p^2), with a rigorous bound.
 
-    prime_cutoff is range-checked first, whichever branch follows.
       * finite support (custom, default zero): the finite product over the
         listed primes, a Fraction with bound 0 when every root is rational;
       * gamma(p) = gamma_1(p) off a finite set S (_exceptional_primes: zeta,
@@ -626,9 +630,9 @@ def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWith
         with zeta(2) from zeta_value (summed once a process) and R = 1 for
         d = 1 (zeta, principal characters and degree-1 custom products:
         gamma_1 = 1), else _one_rule_rest(d), a zeta(3)-accelerated Euler
-        product whose tail past 1e5 is bounded.  The cutoff is not read;
+        product whose tail past 1e5 is bounded;
       * any other product (a non-principal character): c_truncated at
-        prime_cutoff.
+        _PRIME_CUTOFF.
     In the closed form, each factor is p (p - 1 + local_p)/D_p with
     D_p = (p^d (p - 1) + (p - 1)^d)/p^(d - 1), the integer p^2 - 1 at
     d = 1.  The product is a Fraction when every gamma(p) is rational, and
@@ -639,7 +643,6 @@ def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWith
     division.  With e the bound of z, z^-d is within d e/(z (z - e)^d) of
     zeta(2)^-d.  The product by R rounds once more.
     """
-    _check_cutoff(prime_cutoff)
     if spec.finite_support:
         # 1 - gamma(p)/p^2 with gamma(p) = p (1 - local)
         value, exact = _listed_product(
@@ -649,7 +652,7 @@ def c_constant(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6) -> ValueWith
         return ValueWithBound(value, slop, "rigorous")
     primes = _exceptional_primes(spec)
     if primes is None:
-        return c_truncated(spec, prime_cutoff)
+        return c_truncated(spec, _PRIME_CUTOFF)
     d = spec.degree
     half, exact = _listed_product(
         spec, primes, Fraction(1, 2),
@@ -679,8 +682,10 @@ def c_truncated(spec: EulerProductSpec, prime_cutoff: int) -> ValueWithBound:
     The tail over p > cutoff is controlled rigorously through the uniform
     bound |gamma(p)| <= d 2^(d-1) =: B and sum_{n>P} 1/n^2 < 1/P, giving
     |C - C_P| <= |C_P| (exp(2B/P) - 1) once B/P^2 <= 1/2.  c_constant takes
-    this route for a non-principal character only; for the other products
-    it is the independent cross-check of the tests.
+    this route, at _PRIME_CUTOFF, for a non-principal character only; for
+    the other products it is the independent cross-check of the tests.
+    prime_cutoff is range-checked (_check_cutoff) before anything is
+    allocated.
     """
     _check_cutoff(prime_cutoff)
     b = gamma_abs_bound(spec)
@@ -796,13 +801,11 @@ def _zeta_once(s: float) -> ValueWithBound:
 # A1 = sum alpha(n)/n
 # ---------------------------------------------------------------------------
 
-def a1_constant(spec: EulerProductSpec, mode: str = "auto",
-                cutoff: int = 10 ** 6,
+def a1_constant(spec: EulerProductSpec,
                 l1: Optional[ValueWithBound] = None) -> ValueWithBound:
     """A1 = sum_{n>=1} alpha(n)/n, assumed convergent (hypothesis on the user).
 
-    closed_form, the choice of auto for every kind; formally
-    sum alpha(n) n^-s = 1/F(s), and each value is rigorous:
+    Formally sum alpha(n) n^-s = 1/F(s), and A1 is its rigorous closed form:
       * zeta -> exactly 0 (the classical fact, Abel's theorem on 1/zeta);
       * dirichlet principal -> exactly 0 (the same fact: the coefficients
         restrict mu to n coprime to q); non-principal -> 1/L(1,chi);
@@ -812,55 +815,36 @@ def a1_constant(spec: EulerProductSpec, mode: str = "auto",
       * custom, default one -> exactly 0: 1/F(s) = zeta(s)^-d H(s) with H a
         finite product, so under the assumed convergence Abel's theorem
         gives 0, as for zeta.
-    partial_sums, the independent cross-check, never chosen by auto: the
-    partial sum at cutoff of its own float alpha sieve, with a heuristic
-    radius, the maximum deviation of the partial sums over the last decade
-    [cutoff/10, cutoff].  l1 is L(1, chi) when
-    the caller has computed it already.
+    l1 is L(1, chi) when the caller has computed it already.
     """
-    if mode == "auto":
-        mode = "closed_form"
-    if mode == "closed_form":
-        if spec.finite_support:
-            value, exact = _listed_product(spec, sorted(spec.roots), 1,
-                                           lambda p, local: local)
-            # per root, 1 - alpha/p costs at most 2 unit roundoffs and the
-            # complex product it enters sqrt(5): under 2.5 _EPS, so 3 _EPS
-            # per root bounds the relative error of the whole product
-            slop = (0.0 if exact else
-                    3 * spec.degree * len(spec.roots) * _EPS * abs(value))
-            return ValueWithBound(value, slop, "rigorous")
-        if spec.kind != "dirichlet" or spec.character.is_principal:
-            return ValueWithBound(0.0, 0.0, "rigorous")
-        lv = l_value(spec.character, 1.0) if l1 is None else l1
-        la = abs(lv.value)
-        if la <= lv.bound:
-            raise PrecisionUnreachable("L(1,chi) not separated from zero")
-        a1 = _plain(1 / lv.value)
-        # the division rounds once for real chi; Python's complex division
-        # is within 5u, under 3 _EPS
-        bound = lv.bound / (la * (la - lv.bound)) + 3 * _EPS * abs(a1)
-        return ValueWithBound(a1, bound, "rigorous")
-    if mode != "partial_sums":
-        raise ModeUnavailable(f"unknown mode {mode!r}")
-    from . import coeffs as _coeffs
-    alpha = _coeffs.sieve_alpha(spec, cutoff, mode="float").alpha
-    n = np.arange(cutoff + 1, dtype=np.float64)
-    n[0] = 1.0
-    sums = np.cumsum(alpha / n)
-    value = sums[cutoff]
-    lo = max(1, cutoff // 10)
-    dev = float(np.max(np.abs(sums[lo:] - value)))
-    return ValueWithBound(_plain(value), dev, "heuristic")
+    if spec.finite_support:
+        value, exact = _listed_product(spec, sorted(spec.roots), 1,
+                                       lambda p, local: local)
+        # per root, 1 - alpha/p costs at most 2 unit roundoffs and the
+        # complex product it enters sqrt(5): under 2.5 _EPS, so 3 _EPS
+        # per root bounds the relative error of the whole product
+        slop = (0.0 if exact else
+                3 * spec.degree * len(spec.roots) * _EPS * abs(value))
+        return ValueWithBound(value, slop, "rigorous")
+    if spec.kind != "dirichlet" or spec.character.is_principal:
+        return ValueWithBound(0.0, 0.0, "rigorous")
+    lv = l_value(spec.character, 1.0) if l1 is None else l1
+    la = abs(lv.value)
+    if la <= lv.bound:
+        raise PrecisionUnreachable("L(1,chi) not separated from zero")
+    a1 = _plain(1 / lv.value)
+    # the division rounds once for real chi; Python's complex division
+    # is within 5u, under 3 _EPS
+    bound = lv.bound / (la * (la - lv.bound)) + 3 * _EPS * abs(a1)
+    return ValueWithBound(a1, bound, "rigorous")
 
 
-def compute_constants(spec: EulerProductSpec, prime_cutoff: int = 10 ** 6,
-                      a1_mode: str = "auto", a1_cutoff: int = 10 ** 6,
+def compute_constants(spec: EulerProductSpec,
                       l1: Optional[ValueWithBound] = None) -> Constants:
     """Bundle C(F), A1, and A2 = 2 C(F) for the decomposition routines;
     l1 is passed on to a1_constant."""
-    c = c_constant(spec, prime_cutoff)
-    a1 = a1_constant(spec, mode=a1_mode, cutoff=a1_cutoff, l1=l1)
+    c = c_constant(spec)
+    a1 = a1_constant(spec, l1=l1)
     a2 = ValueWithBound(2 * c.value, 2 * c.bound, c.bound_kind)
     return Constants(c=c, a1=a1, a2=a2)
 

@@ -48,17 +48,17 @@ def custom100_spec():
 
 @pytest.fixture(scope="session")
 def zeta_constants(zeta_spec):
-    return compute_constants(zeta_spec, prime_cutoff=10 ** 6)
+    return compute_constants(zeta_spec)
 
 
 @pytest.fixture(scope="session")
 def mod4_constants(mod4_spec):
-    return compute_constants(mod4_spec, prime_cutoff=10 ** 6)
+    return compute_constants(mod4_spec)
 
 
 @pytest.fixture(scope="session")
 def custom100_constants(custom100_spec):
-    return compute_constants(custom100_spec, a1_cutoff=10 ** 4)
+    return compute_constants(custom100_spec)
 
 
 @pytest.fixture(scope="session")

@@ -53,11 +53,24 @@ from eulerphi.products import spec_hash, zeta_product
 # --- parsing -----------------------------------------------------------------
 
 def test_parse_constants_flags():
-    cfg = parse_config(["constants", "--product", "zeta",
-                        "--prime-cutoff", "1000000"])
+    cfg = parse_config(["constants", "--product", "dirichlet",
+                        "--kronecker", "-4", "--format", "json"])
     assert cfg.command == "constants"
-    assert cfg.options["product"] == "zeta"
-    assert cfg.options["prime_cutoff"] == 10 ** 6
+    assert cfg.options["product"] == "dirichlet"
+    assert cfg.options["kronecker"] == -4
+    assert cfg.options["format"] == "json"
+
+
+@pytest.mark.parametrize("flag, value", [("--prime-cutoff", "1000000"),
+                                         ("--a1-mode", "closed_form"),
+                                         ("--a1-cutoff", "10")])
+def test_removed_constants_flags_exit_2(flag, value, capsys):
+    # C, A1 and A2 are functions of the product alone: no option sets how
+    # they are computed
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_parse_x_range(monkeypatch):
@@ -139,10 +152,13 @@ def test_config_file_merge_and_override(tmp_path, capsys):
 
 
 def test_config_unknown_key_named(tmp_path):
+    # the keys of the removed constants options are unknown keys too
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({"bogus_key": 1}))
-    with pytest.raises(UsageError, match="bogus_key"):
-        parse_config(["constants", "--config", str(cfg_path)])
+    for key, value in (("bogus_key", 1), ("prime_cutoff", 10 ** 6),
+                       ("a1_mode", "closed_form"), ("a1_cutoff", 10)):
+        cfg_path.write_text(json.dumps({key: value}))
+        with pytest.raises(UsageError, match=f"unknown config key '{key}'"):
+            parse_config(["constants", "--config", str(cfg_path)])
 
 
 @pytest.mark.parametrize("command, options", [
@@ -1141,12 +1157,12 @@ def test_oversized_volterra_grid_is_refused_before_any_allocation(X, h,
 
 
 @pytest.mark.parametrize("args, message", [
-    (["constants", "--prime-cutoff", "10000000000"], "prime cutoff capped"),
+    (["table", "--n", "100000000"], "float table capped"),
     (["error-term", "--x", "1:2:1/100000000"], "--x range capped")])
 def test_oversized_inputs_are_refused_before_any_allocation(args, message,
                                                             capsys):
-    # a 1e10 prime sieve (about 18 GB) and a list of 1e8 points: refused
-    # before either is built
+    # a 1e8-entry float table (twice the cap of 5e7) and a list of 1e8
+    # points: refused before either is built
     tracemalloc.start()
     try:
         code = main(args)

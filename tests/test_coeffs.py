@@ -605,7 +605,7 @@ def test_growth_scan_blocks_keep_whole_array_bits(name, zeta_spec):
     # x_min on either side of a block edge, and a first block skipped
     spec = zeta_spec if name == "zeta" else GROWTH_SPECS[name]
     table = phi_table(spec, 4 * 10 ** 5, mode="float")
-    cF = c_constant(spec, 10 ** 4)
+    cF = c_constant(spec)
     chunk = coeffs._CHUNK
     for X in (chunk - 1, chunk, chunk + 1, 4 * 10 ** 5):
         for x_min in [m for m in (1, 2, chunk - 3, chunk + 1, X) if m <= X]:
@@ -620,7 +620,7 @@ def test_growth_scan_keeps_bits_on_unaligned_blocks(monkeypatch):
     # blocks whose length is no multiple of a SIMD width still give the
     # whole-array bits
     table = phi_table(GROWTH_SPECS["complex-degree-2"], 20000, mode="float")
-    cF = c_constant(table.spec, 10 ** 4)
+    cF = c_constant(table.spec)
     for chunk in (1000, 7):
         monkeypatch.setattr(coeffs, "_CHUNK", chunk)
         for x_min in (2, 999, 1001):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from test_coeffs import GROWTH_SPECS
 from eulerphi import coeffs, decomp
 from eulerphi.coeffs import (
     error_term,
@@ -491,10 +492,18 @@ def test_verify_identity_needs_exact(zeta_float_100k):
 
 
 def test_f1_values_matches_scalar(zeta_float_100k, zeta_constants):
-    xs = np.array([0.0, 0.5, 1.0, 2.5, 7.0, 137.25, 500.0])
-    got = f1_values(xs, zeta_float_100k, zeta_constants)
-    want = [f1_closed(x, zeta_float_100k, zeta_constants) for x in xs]
-    assert np.allclose(got, want, rtol=0, atol=1e-10)
+    # one body (_f1): the batch has f1_closed's bits at 0, at halves and at
+    # integers, on a real and on a complex product
+    xs = np.array([0.0, 0.5, 1.0, 2.5, 7.0, 137.25, 499.5, 500.0])
+    spec = GROWTH_SPECS["complex-degree-2"]
+    cases = [(zeta_float_100k, zeta_constants),
+             (phi_table(spec, 500, mode="float"), compute_constants(spec))]
+    for table, cons in cases:
+        got = f1_values(xs, table, cons)
+        want = np.array([f1_closed(x, table, cons) for x in xs],
+                        dtype=got.dtype)
+        assert got.tobytes() == want.tobytes()
+    assert np.iscomplexobj(got)
 
 
 def test_f1_values_domain(zeta_float_100k, zeta_constants):

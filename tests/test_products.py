@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -227,15 +228,13 @@ def test_c_constant_mod4_matches_catalan(mod4_constants):
 
 def test_c_constant_finite_support_exact():
     spec = custom_product(2, {2: [1, 1], 3: [1, 1]}, "zero")
-    c = c_constant(spec, prime_cutoff=100)
+    c = c_constant(spec)
     assert c.value == Fraction(55, 216)
     assert c.bound == 0
 
 
 def test_c_constant_cutoff_too_small():
-    # the truncated product needs cutoff^2 >= 2 d 2^(d-1); c_constant no
-    # longer reads the cutoff of a default-one product, so c_truncated,
-    # which does, keeps the check
+    # the truncated product needs cutoff^2 >= 2 d 2^(d-1)
     spec = custom_product(3, {2: [1, 1, 1]}, "one")
     with pytest.raises(CutoffTooSmall):
         c_truncated(spec, prime_cutoff=4)
@@ -307,13 +306,18 @@ def test_closed_form_c_within_bounds(case):
         assert c.bound <= 1e-15 * abs(c.value)
 
 
-def test_closed_form_c_range_checks_the_cutoff_but_does_not_read_it():
-    for spec in (zeta_product(), DEGREE_2_ONE):
-        assert c_constant(spec, prime_cutoff=2) == c_constant(spec)
-        with pytest.raises(CutoffTooSmall):
-            c_constant(spec, prime_cutoff=1)
-        with pytest.raises(OutOfMemory):
-            c_constant(spec, prime_cutoff=10 ** 10)
+def test_c_truncated_refuses_an_oversized_cutoff_before_allocating():
+    # a 1e10 prime sieve (about 18 GB) is refused before anything is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(OutOfMemory, match="prime cutoff capped"):
+            c_truncated(zeta_product(), 10 ** 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    with pytest.raises(CutoffTooSmall):
+        c_truncated(zeta_product(), 1)
 
 
 def _default_one_c(spec, below=100, terms=60):
@@ -514,11 +518,25 @@ def test_a1_mod4_is_4_over_pi(mod4_constants):
     assert a1.bound < 1e-9
 
 
+def _a1_partial_sums(spec, cutoff=10 ** 6):
+    """(A1 by partial sums, radius), the test oracle of the closed form:
+    sum_{n<=cutoff} alpha(n)/n from a float alpha sieve, and the largest
+    deviation of the partial sums over the last decade [cutoff/10, cutoff]
+    from it, a heuristic radius."""
+    alpha = sieve_alpha(spec, cutoff, mode="float").alpha
+    n = np.arange(cutoff + 1, dtype=np.float64)
+    n[0] = 1.0
+    sums = np.cumsum(alpha / n)
+    value = sums[cutoff]
+    lo = max(1, cutoff // 10)
+    return value, float(np.max(np.abs(sums[lo:] - value)))
+
+
 def test_a1_partial_sums_finite_support():
     # gamma(2) = 3/2, gamma(3) = 5/3: A1 = (1 - 3/4)(1 - 5/9) = 1/9
     spec = custom_product(2, {2: [1, 1], 3: [1, 1]}, "zero")
-    a1 = a1_constant(spec, mode="partial_sums", cutoff=5000)
-    assert abs(a1.value - 1 / 9) < 1e-12
+    value, _ = _a1_partial_sums(spec, cutoff=5000)
+    assert abs(value - 1 / 9) < 1e-12
 
 
 def test_a1_closed_form_for_custom():
@@ -530,10 +548,9 @@ def test_a1_closed_form_for_custom():
         ({p: [half, quarter] for p in (2, 3, 5)}, Fraction(4389, 10240)),
     ]
     for roots, want in rational:
-        for mode in ("auto", "closed_form"):
-            a1 = a1_constant(custom_product(2, roots, "zero"), mode=mode)
-            assert (a1.value, a1.bound, a1.bound_kind) == (want, 0, "rigorous")
-            assert isinstance(a1.value, Fraction)
+        a1 = a1_constant(custom_product(2, roots, "zero"))
+        assert (a1.value, a1.bound, a1.bound_kind) == (want, 0, "rigorous")
+        assert isinstance(a1.value, Fraction)
     # complex roots: (5/4)(13/18), a float within its rounding slop
     spec = custom_product(2, {2: [1j, -1j], 3: [0.5 + 0.5j, 0.5 - 0.5j]},
                           "zero")
@@ -548,12 +565,12 @@ def test_a1_closed_form_for_custom():
 
 
 def test_a1_closed_form_zero_within_partial_sums_radius():
-    # the independent cross-check of the default-one closed form 0, at the
-    # default cutoff 1e6 (the benchmark's custom product)
-    roots = {p: [0.5, 0.25] for p in (2, 3, 5)}
-    partial = a1_constant(custom_product(2, roots, "one"), mode="partial_sums")
-    assert partial.bound_kind == "heuristic"
-    assert abs(partial.value) <= partial.bound
+    # the independent cross-check of the default-one closed form 0, at
+    # cutoff 1e6 (the benchmark's custom product)
+    spec = custom_product(2, {p: [0.5, 0.25] for p in (2, 3, 5)}, "one")
+    assert a1_constant(spec).value == 0
+    value, radius = _a1_partial_sums(spec)
+    assert abs(value) <= radius
 
 
 # alpha is supported on the divisors of prod_{listed p} p^d, so the sum over

@@ -37,7 +37,7 @@ from eulerphi.volterra import (
 @pytest.fixture(scope="module")
 def small_setup(zeta_spec):
     table = phi_table(zeta_spec, 25, mode="float")
-    cons = compute_constants(zeta_spec, prime_cutoff=10 ** 5)
+    cons = compute_constants(zeta_spec)
     return table, cons, make_e2(table, cons.c)
 
 
