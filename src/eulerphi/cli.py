@@ -481,9 +481,10 @@ def get_table(cfg: RunConfig, spec, n: int, mode: str) -> _coeffs.TotientTable:
     """The run's table up to n: loaded from the float cache when it holds
     it, built otherwise.
 
-    A built table holds alpha only when the command reads it
-    (_READS_ALPHA) or the table is about to be saved, as a cache file holds
-    both columns; a loaded one holds both.
+    A table holds alpha only when the command reads it (_READS_ALPHA), or
+    when it is built to be saved, as a cache file holds both columns; a
+    loaded one is read in place from the file (load_table).  A cache file
+    that fails to load is logged, rebuilt and overwritten.
     """
     o = cfg.options
     cache_dir = o["cache_dir"] or os.environ.get(CACHE_ENV)
@@ -494,7 +495,8 @@ def get_table(cfg: RunConfig, spec, n: int, mode: str) -> _coeffs.TotientTable:
         path = _coeffs.cache_path(cache_dir, spec, n)
         if os.path.exists(path):
             try:
-                return _coeffs.load_table(path, spec, n)
+                return _coeffs.load_table(
+                    path, spec, n, alpha=cfg.command in _READS_ALPHA)
             except (CacheMismatch, OSError, ValueError, KeyError) as e:
                 # stale or corrupt: rebuild below
                 _log.warning("rejected cache file %s: %s: %s", path,

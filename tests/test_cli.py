@@ -3,14 +3,17 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import logging
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
+import zipfile
 from fractions import Fraction
 
 import numpy as np
@@ -1198,3 +1201,148 @@ def test_rejected_cache_file_is_logged(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="eulerphi"):
         assert main(args) == 0
     assert not [r for r in caplog.records if r.name == "eulerphi"]
+
+
+def _member_span(path, member):
+    """The byte range of a stored zip member's data in the file at path."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(member)
+    with open(path, "rb") as fh:
+        fh.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<HH", fh.read(4))
+    start = info.header_offset + 30 + name_len + extra_len
+    return start, start + info.compress_size
+
+
+def _flip_last_byte(member):
+    def corrupt(path, spec, n):
+        _, end = _member_span(path, member)
+        with open(path, "r+b") as fh:
+            fh.seek(end - 1)
+            byte = fh.read(1)
+            fh.seek(end - 1)
+            fh.write(bytes([byte[0] ^ 1]))
+    return corrupt
+
+
+def _truncate(path, spec, n):
+    os.truncate(path, 5000)
+
+
+def _short_phi(path, spec, n):
+    table = phi_table(spec, n, mode="float")
+    with np.load(path) as z:
+        header = z["header"]
+    np.savez(path, header=header, alpha=table.alpha, phi=table.phi[:-1])
+
+
+@pytest.mark.parametrize("argv, corrupt, reason", [
+    (["growth", "--X", "3000"], _truncate, "not an npz file"),
+    (["growth", "--X", "3000"], _flip_last_byte("phi.npy"),
+     "bad CRC-32 for phi.npy"),
+    (["table", "--n", "3000", "--mode", "float"], _flip_last_byte("alpha.npy"),
+     "bad CRC-32 for alpha.npy"),
+    (["error-term", "--x", "1:3000:7.5", "--mode", "float"], _short_phi,
+     "phi.npy holds float64 of shape (3000,)"),
+], ids=["truncated", "phi-byte", "alpha-byte", "short-phi"])
+def test_corrupt_cache_file_is_rebuilt(tmp_path, caplog, argv, corrupt,
+                                       reason):
+    # a cache file that fails a check is logged once and rebuilt, and the
+    # report is the one a run without the cache writes
+    spec, n = zeta_product(), 3000
+    cache = tmp_path / "cache"
+    path = cache_path(str(cache), spec, n)
+    want = tmp_path / "want.csv"
+    assert main(argv + ["--no-cache", "--output", str(want)]) == 0
+    args = argv + ["--n", str(n), "--cache-dir", str(cache)]
+    assert main(args + ["--output", str(tmp_path / "cold.csv")]) == 0
+    corrupt(path, spec, n)
+    with caplog.at_level(logging.WARNING, logger="eulerphi"):
+        assert main(args + ["--output", str(tmp_path / "warm.csv")]) == 0
+    [record] = [r for r in caplog.records if r.name == "eulerphi"]
+    assert record.levelno == logging.WARNING
+    assert path in record.getMessage() and reason in record.getMessage()
+    assert (tmp_path / "warm.csv").read_bytes() == want.read_bytes()
+    # the rebuilt file loads
+    assert load_table(path, spec, n).phi.tobytes() == \
+        phi_table(spec, n, mode="float").phi.tobytes()
+
+
+def test_readers_of_phi_do_not_check_alpha(tmp_path, caplog):
+    # a run that reads phi alone never reads alpha.npy, so a flipped alpha
+    # byte goes unseen by growth and is caught by table
+    spec, n = zeta_product(), 3000
+    cache = str(tmp_path)
+    args = ["--n", str(n), "--cache-dir", cache, "--output", os.devnull]
+    assert main(["table", "--mode", "float"] + args) == 0
+    _flip_last_byte("alpha.npy")(cache_path(cache, spec, n), spec, n)
+    with caplog.at_level(logging.WARNING, logger="eulerphi"):
+        assert main(["growth", "--X", str(n)] + args) == 0
+        assert not [r for r in caplog.records if r.name == "eulerphi"]
+        assert main(["table", "--mode", "float"] + args) == 0
+    [record] = [r for r in caplog.records if r.name == "eulerphi"]
+    assert "bad CRC-32 for alpha.npy" in record.getMessage()
+
+
+@pytest.mark.parametrize("argv, reads_alpha", [
+    (["growth"], False),
+    (["error-term"], False),
+    (["volterra"], False),
+    (["table"], True),
+    (["series-check"], True),
+    (["decompose", "--mode", "float"], True),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_warm_tables_hold_the_columns_their_command_reads(
+        tmp_path, monkeypatch, argv, reads_alpha):
+    # a warm run reads alpha.npy only when its command reads alpha; what it
+    # reads are read-only arrays over the file, not copies
+    spec, n = zeta_product(), 2000
+    save_table(phi_table(spec, n, mode="float"),
+               cache_path(str(tmp_path), spec, n))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the warm run built its table")
+
+    monkeypatch.setattr(coeffs, "phi_table", no_build)
+    cfg = parse_config(argv + ["--cache-dir", str(tmp_path)])
+    table = cli.get_table(cfg, spec, n, "float")
+    assert (table.alpha is not None) == reads_alpha
+    for column in (table.alpha, table.phi):
+        if column is not None:
+            assert not column.flags.writeable and not column.flags.owndata
+
+
+def _perfbench_module(name):
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_warm_cache_reuse_ops_equal_uncached(tmp_path, monkeypatch):
+    # every op of the benchmark's cache-reuse workload (seed 7), run warm
+    # after a cold pass has filled the cache, writes the report that the
+    # same op writes with --no-cache; no warm op builds a float table
+    workloads = _perfbench_module("workloads")
+    ops = workloads.build("cache-reuse", 7)
+    argvs = workloads.with_cache_dir(ops, str(tmp_path / "cache"))
+    for argv in argvs:
+        assert main(argv + ["--output", os.devnull]) == 0
+    built = []
+    phi_table_ = coeffs.phi_table
+
+    def recording(spec, n, mode="auto", **kwargs):
+        table = phi_table_(spec, n, mode=mode, **kwargs)
+        built.append(table.mode)
+        return table
+
+    monkeypatch.setattr(coeffs, "phi_table", recording)
+    for i, argv in enumerate(argvs):
+        assert main(argv + ["--output", str(tmp_path / f"warm{i}")]) == 0
+    assert "float" not in built
+    for i, argv in enumerate(argvs):
+        uncached = tmp_path / f"uncached{i}"
+        assert main(argv + ["--no-cache", "--output", str(uncached)]) == 0
+        assert (tmp_path / f"warm{i}").read_bytes() == uncached.read_bytes(), argv

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import logging
 import math
+import os
 import random
 import tracemalloc
 from dataclasses import fields
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import TRUE_C_ZETA
 from eulerphi import coeffs, decomp
+from eulerphi.cli import main as cli_main
 from eulerphi.coeffs import (
     GrowthScanReport,
     TotientTable,
@@ -759,7 +762,7 @@ def test_spec_hash_is_hashlibs_sha256(spec):
     assert spec_hash(spec) == hashlib.sha256(blob).hexdigest()[:16]
 
 
-def test_cache_roundtrip_float(tmp_path, zeta_spec):
+def test_cache_roundtrip_float(tmp_path, zeta_spec, caplog):
     table = phi_table(zeta_spec, 2000, mode="float")
     path = cache_path(str(tmp_path), zeta_spec, 2000)
     save_table(table, path)
@@ -769,12 +772,80 @@ def test_cache_roundtrip_float(tmp_path, zeta_spec):
                           np.asarray(table.alpha))
     with np.load(path) as z:
         assert sorted(z.files) == ["alpha", "header", "phi"]
-    # files written compressed (before format 3 went uncompressed) load
+    # a compressed file cannot be read in place: it is refused, and a run
+    # that finds one logs it and rebuilds it uncompressed
     with np.load(path) as z:
         np.savez_compressed(path, **{k: z[k] for k in z.files})
+    with pytest.raises(ValueError, match="compressed"):
+        load_table(path, zeta_spec, 2000)
+    with caplog.at_level(logging.WARNING, logger="eulerphi"):
+        assert cli_main(["table", "--n", "2000", "--mode", "float",
+                         "--cache-dir", str(tmp_path),
+                         "--output", str(tmp_path / "t.csv")]) == 0
+    [record] = [r for r in caplog.records if r.name == "eulerphi"]
+    assert record.levelno == logging.WARNING
+    assert path in record.getMessage()
+    assert "compressed" in record.getMessage()
     back = load_table(path, zeta_spec, 2000)
     assert np.array_equal(back.phi, table.phi)
     assert np.array_equal(back.alpha, table.alpha)
+
+
+@pytest.mark.parametrize("spec, dtype", [
+    (zeta_product(), np.float64),
+    (dirichlet_product(build_character(kronecker=-8)), np.float64),
+    (COMPLEX_SPEC, np.complex128),
+], ids=["zeta", "kronecker-8", "complex-degree-2"])
+def test_loaded_columns_are_read_only_and_bit_identical(tmp_path, spec,
+                                                        dtype):
+    # columns are read in place from the file: read-only arrays whose bits
+    # and dtype (complex128 for complex gamma(p)) are those of the built ones
+    N = 5000
+    table = phi_table(spec, N, mode="float")
+    path = cache_path(str(tmp_path), spec, N)
+    save_table(table, path)
+    back = load_table(path, spec, N)
+    for got, want in ((back.alpha, table.alpha), (back.phi, table.phi)):
+        assert got.dtype == want.dtype and got.shape == (N + 1,)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.writeable is False
+    assert back.phi.dtype == back.alpha.dtype == dtype
+    phi_only = load_table(path, spec, N, alpha=False)
+    assert phi_only.alpha is None
+    assert phi_only.phi.tobytes() == table.phi.tobytes()
+
+
+def test_save_table_replaces_the_file(tmp_path, zeta_spec, mod4_spec,
+                                      monkeypatch):
+    # a save writes a temporary file and renames it onto the path, so a
+    # table loaded from the old file keeps its values, and nothing but the
+    # table file is left in the directory
+    N = 1000
+    path = cache_path(str(tmp_path / "cache"), zeta_spec, N)
+    zeta = phi_table(zeta_spec, N, mode="float")
+    save_table(zeta, path)
+    assert os.listdir(tmp_path / "cache") == [os.path.basename(path)]
+    # the size perfbench/spans.py records for a save
+    assert os.path.getsize(path) > 16 * (N + 1)
+    held = load_table(path, zeta_spec, N)
+    other = phi_table(mod4_spec, N, mode="float")
+    save_table(other, path)
+    assert os.listdir(tmp_path / "cache") == [os.path.basename(path)]
+    assert held.phi.tobytes() == zeta.phi.tobytes()
+    assert held.alpha.tobytes() == zeta.alpha.tobytes()
+    with pytest.raises(CacheMismatch):
+        load_table(path, zeta_spec, N)
+    assert load_table(path, mod4_spec, N).phi.tobytes() == other.phi.tobytes()
+
+    # a failed save removes its temporary file and leaves the old one
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(np, "savez", full_disk)
+    with pytest.raises(OSError):
+        save_table(zeta, path)
+    assert os.listdir(tmp_path / "cache") == [os.path.basename(path)]
+    assert load_table(path, mod4_spec, N).phi.tobytes() == other.phi.tobytes()
 
 
 def test_cache_mismatch(tmp_path, zeta_spec, mod4_spec):
