@@ -509,8 +509,10 @@ def _float_column(column: np.ndarray, power: int, top: int,
     pass holds one block beside its result, whatever top.  Every sum of a
     column itself (power 0) is one np.cumsum in place in the result, which
     has no terms to form and so no block to copy them into; the column is
-    copied into it first, as np.cumsum straight from a column that a
-    loaded table maps unaligned takes about three times as long.
+    copied into it first.  save_table aligns the columns it writes, but a
+    cache file written before it did still loads with unaligned columns,
+    and np.cumsum straight from one of those takes about three times as
+    long.
     """
     dtype = np.result_type(column, np.float64)
     dense = reads is None
@@ -684,19 +686,27 @@ def _error_term(table: TotientTable, cF: ValueWithBound, xs: np.ndarray,
 def make_e2(table: TotientTable, cF: ValueWithBound):
     """Vectorized E2 provider: xs array -> symmetric-convention error term.
 
-    Valid for 0 <= x < N+1; raises XBeyondTable past the table.
+    Valid for 0 <= x < N+1; raises XBeyondTable past the table.  The
+    provider holds the running sum of phi up to the largest floor(x) it has
+    been given, from _float_column, and sums it afresh to a larger one:
+    one np.cumsum from n = 1, so every sum keeps its bits whatever the
+    calls before it.
     """
     _require_mode(table, "float", "make_e2")
     N, phi = table.N, table.phi
-    cumulative = _float_column(phi, 0, N)
+    cumulative = _float_column(phi, 0, 0)
     c = _plain(cF.value)
 
     def e2(xs):
+        nonlocal cumulative
         xs = np.asarray(xs, dtype=np.float64)
         if xs.size and (xs.min() < 0 or xs.max() >= N + 1):
             raise XBeyondTable(
                 f"E2 provider covers [0, {N + 1}), got [{xs.min()}, {xs.max()}]")
         k = np.floor(xs).astype(np.int64)
+        top = int(k.max(initial=0))
+        if top >= len(cumulative):
+            cumulative = _float_column(phi, 0, top)
         out = cumulative[k] - c * xs * xs
         at_int = (xs == k) & (k >= 1)
         if np.any(at_int):
@@ -734,28 +744,71 @@ def _log_power_tail(N: int, s: float, d: int) -> float:
     return out
 
 
-def _sum_and_rounding(terms: np.ndarray,
-                      out: Optional[np.ndarray] = None) -> tuple:
-    """(np.sum(terms), a bound on its distance from the sum of the exact
-    products c(n) n^-s that terms rounds, c(n) the stored entries).
+class _BlockSum:
+    """A sum of terms given a block at a time (add), and a bound on its
+    distance from the sum of the exact products c(n) n^-s that the terms
+    round, c(n) the stored entries (result).
 
-    The bound reads |terms|, formed in out when given (a float64 array of
-    len(terms); terms itself, for real terms, takes it in place once the
-    sum is taken) and in a new array otherwise; terms is written only
-    through out.
+    Each block is summed by np.sum, and the block sums by math.fsum, the
+    real and imaginary parts apart, so the sum holds a few numbers per
+    block, not its terms.  sum |t| is taken the same way.
 
     Summation of m terms in any order errs by at most gamma_{m-1} sum |t|,
     gamma_k = k u / (1 - k u), in each of the real and imaginary parts, so
     by sqrt(2) times that for complex terms (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2002, section 4.2).  numpy's pow gives n^-s
-    within 2 ulp (4u) and the product adds u, so each term is within
-    gamma_6 |t| of the exact one; gamma_{m-1} + gamma_6 <= gamma_{m+5}.
+    of Numerical Algorithms, 2002, section 4.2).  The two-level sum is such
+    an order: a block of b terms errs by at most gamma_{b-1} of its sum |t|,
+    and fsum rounds the exact sum of the block sums once, adding u of it,
+    so the whole errs by at most gamma_{b-1} + u (1 + gamma_{b-1}) <=
+    gamma_b of sum |t|, and b <= m - 1 when there is more than one block
+    (one block's fsum is exact).  numpy's pow gives n^-s within 2 ulp (4u)
+    and the product adds u, so each term is within gamma_6 |t| of the
+    exact one; gamma_{m-1} + gamma_6 <= gamma_{m+5}.
     """
-    spread = math.sqrt(2) if np.iscomplexobj(terms) else 1.0
-    k = len(terms) + 5
-    total = np.sum(terms)
-    magnitude = float(np.sum(np.abs(terms, out=out)))
-    return total, spread * k * _U / (1 - k * _U) * magnitude
+
+    def __init__(self):
+        self.real, self.imag, self.magnitudes = [], [], []
+        self.count = 0
+        self.complex = False
+
+    def add(self, terms: np.ndarray) -> None:
+        total = np.sum(terms)
+        self.real.append(float(total.real))
+        self.imag.append(float(total.imag))
+        self.magnitudes.append(float(np.sum(np.abs(terms))))
+        self.count += len(terms)
+        self.complex |= np.iscomplexobj(terms)
+
+    def result(self) -> tuple:
+        """(the sum, the bound on its rounding)."""
+        total = math.fsum(self.real)
+        if self.complex:
+            total = complex(total, math.fsum(self.imag))
+        spread = math.sqrt(2) if self.complex else 1.0
+        k = self.count + 5
+        return total, (spread * k * _U / (1 - k * _U)
+                       * math.fsum(self.magnitudes))
+
+
+def _series_sums(table: TotientTable, s: float, N: int) -> tuple:
+    """(sum phi(n) n^-s, sum alpha(n) n^-s, max |alpha(n)|) over n <= N.
+
+    The sums are _BlockSums.  n^-s and both products are formed one block
+    of _CHUNK entries at a time, so the pass holds a few blocks beside the
+    table, whatever N.  Entry 0 of each column is 0, and n^-s is 1 there.
+    """
+    lhs, alpha_sum, scale = _BlockSum(), _BlockSum(), 0.0
+    for lo in range(0, N + 1, _CHUNK):
+        hi = min(lo + _CHUNK, N + 1)
+        w = np.arange(lo, hi, dtype=np.float64)
+        if lo == 0:
+            w[0] = 1.0
+        np.power(w, -s, out=w)
+        lhs.add(table.phi[lo:hi] * w)
+        alpha = table.alpha[lo:hi]
+        alpha_sum.add(alpha * w)
+        scale = max(scale, float(np.max(np.abs(alpha))))
+    return lhs, alpha_sum, scale
 
 
 def series_identity_check(spec: EulerProductSpec, s: float, N: int,
@@ -767,17 +820,13 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
     the alpha tail uses |alpha(n)| <= 1 for the degree-1 kinds (rigorous) and
     the largest tabulated |alpha| as a scale for custom kinds (heuristic).
     zeta(s-1) comes from zeta_value with its rigorous bound (s - 1 is exact
-    in floats for s >= 2).  The rounding of each sum is _sum_and_rounding's,
-    the product zeta(s-1) sum alpha(n)/n^s adds u of itself, and the factor
+    in floats for s >= 2).  The rounding of each sum is _BlockSum's, the
+    product zeta(s-1) sum alpha(n)/n^s adds u of itself, and the factor
     1 + 64u covers the bound's own rounding.
 
-    The check owns two buffers of N + 1 entries beside the table: n^-s,
-    formed in place, and the terms of one sum at a time.  On a real table
-    each sum takes |terms| in place in the terms buffer, and n^-s, no
-    longer read after the last product, takes the last |terms| and
-    |alpha|; on a complex one the first |terms| takes a third, float64
-    buffer for the time of its sum.  The table must hold alpha
-    (_require_alpha).
+    Both sums are streamed a block of _CHUNK entries at a time
+    (_series_sums), so the check holds a few blocks beside the table,
+    whatever N.  The table must hold alpha (_require_alpha).
     """
     if not (isinstance(s, (int, float)) and s > 2):
         raise SOutOfRange(f"need real s > 2, got {s}")
@@ -788,17 +837,11 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
     _require_alpha(table, "series_identity_check")
     if table.N < N:
         raise XBeyondTable(f"table holds N = {table.N} < {N}")
-    alpha = table.alpha[: N + 1]
-    w = np.arange(N + 1, dtype=np.float64)   # n^-s, 1 at n = 0
-    w[0] = 1.0
-    np.power(w, -s, out=w)
-    terms = np.multiply(table.phi[: N + 1], w)
-    lhs, lhs_rounding = _sum_and_rounding(
-        terms, out=None if np.iscomplexobj(terms) else terms)
+    phi_terms, alpha_terms, scale = _series_sums(table, s, N)
+    lhs, lhs_rounding = phi_terms.result()
+    alpha_sum, alpha_rounding = alpha_terms.result()
     zeta = zeta_value(s - 1.0)
     zs = zeta.value
-    alpha_sum, alpha_rounding = _sum_and_rounding(
-        np.multiply(alpha, w, out=terms), out=w)
     rhs = zs * alpha_sum
 
     d = spec.degree
@@ -807,8 +850,7 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
         alpha_tail = N ** (1.0 - s) / (s - 1.0)
         kind = "rigorous"
     else:
-        scale = float(np.max(np.abs(alpha, out=w))) if N >= 1 else 1.0
-        alpha_tail = scale * N ** (1.0 - s) / (s - 1.0)
+        alpha_tail = (scale if N >= 1 else 1.0) * N ** (1.0 - s) / (s - 1.0)
         kind = "heuristic"
     bound = (phi_tail + lhs_rounding + abs(zs) * (alpha_tail + alpha_rounding)
              + zeta.bound * abs(complex(alpha_sum))
@@ -892,11 +934,20 @@ def growth_scan(table: TotientTable, cF: ValueWithBound, X: int,
 # the dtypes of a float table's columns
 _COLUMN_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
 # bytes of a .npy member that can hold its magic, header length and header
-# (np.lib.format refuses headers over 10000 bytes); np.savez writes format
-# version 1.0 for any header that short
+# (np.lib.format refuses headers over 10000 bytes); save_table writes format
+# version 1.0, as np.savez does for any header that short
 _NPY_HEAD = 10 + 10000
 # a zip local file header: signature, fixed fields, then name and extra
 _LOCAL_HEADER = struct.Struct("<4s22xHH")
+# the ZIP64 extra field zipfile puts in a local header under force_zip64:
+# id, size, and the member's two 8-byte sizes
+_ZIP64_EXTRA = 4 + 16
+# save_table's padding of a local header's extra field, the alignment record
+# of Android's zipalign: id 0xd935, size, the alignment, then zero bytes
+_ALIGN_EXTRA = struct.Struct("<HHH")
+# the file offset of every .npy payload is a multiple of this; np.lib.format
+# pads a .npy header to a multiple of it too
+_ALIGN = 64
 
 
 def cache_path(directory: str, spec: EulerProductSpec, N: int) -> str:
@@ -905,6 +956,13 @@ def cache_path(directory: str, spec: EulerProductSpec, N: int) -> str:
 
 def save_table(table: TotientTable, path: str) -> None:
     """Persist a float totient table, one numpy array per column.
+
+    The file is an uncompressed npz, as np.savez writes it, that np.load
+    and load_table read: a zip of header.npy, alpha.npy and phi.npy, each
+    with its CRC-32.  Each column is written in place, from a memoryview of
+    the array, not a copy of its bytes, and each member's zip extra field
+    is padded so that its .npy payload starts at a multiple of 64 bytes in
+    the file: the columns load_table maps are aligned.
 
     The file is written under a temporary name in path's directory and
     renamed onto path, so a run that has loaded the old file keeps reading
@@ -923,14 +981,33 @@ def save_table(table: TotientTable, path: str) -> None:
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "xb")
     try:
-        with fh:
-            np.savez(fh, header=np.array(header), alpha=table.alpha,
-                     phi=table.phi)
+        with fh, zipfile.ZipFile(fh, "w") as zf:
+            for name, array in (("header", np.array(header)),
+                                ("alpha", table.alpha), ("phi", table.phi)):
+                _npz_write(zf, fh, name, array)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def _npz_write(zf: zipfile.ZipFile, fh, name: str, array: np.ndarray) -> None:
+    """Write array to zf, stored, as member name + '.npy' (.npy format 1.0),
+    its payload at a multiple of _ALIGN in fh, zf's file."""
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        head, np.lib.format.header_data_from_array_1_0(array))
+    info = zipfile.ZipInfo(name + ".npy")
+    # zipfile writes the local header at fh's position, and the member's
+    # data right after it
+    start = (fh.tell() + _LOCAL_HEADER.size + len(info.filename)
+             + _ALIGN_EXTRA.size + _ZIP64_EXTRA)
+    pad = -start % _ALIGN
+    info.extra = _ALIGN_EXTRA.pack(0xD935, 2 + pad, _ALIGN) + bytes(pad)
+    with zf.open(info, "w", force_zip64=True) as out:
+        out.write(head.getvalue())
+        out.write(memoryview(array))
 
 
 def load_table(path: str, spec: EulerProductSpec, N: int,

@@ -665,9 +665,10 @@ FLOAT_GOLDEN_REPORTS = [
     (["growth", "--X", "20000"] + COMPLEX_ROOTS,
      "27102b62024f7e8af4626d36f158096f495c65cf502822674e81fd4c57c51ba3",
      "3d60984befb2e74a69581a49f2b4d1457cd4ba407a8fc4a43ed4600e1ae9cb8e"),
+    # two blocks of _CHUNK terms, whose np.sum results math.fsum adds
     (["series-check", "--n", "20000"],
-     "cc8a2d66b08dd7a1e77f7a700d165f40b85cf4c437b2956f6c71e5ee5d0298ea",
-     "b69d9820705161371b68fc4651bdddf7bfae53008ff79948a7ae4af82010079d"),
+     "e84be8dd1fbce1135641bd9a8783f9228e51c9d51f60426827d04f7f26ffabde",
+     "bbbcac71a9b668c455ee91f55ddee28d9d9020873fe8368fd7af7cb6bfeb996a"),
     (["error-term", "--x", "1:20000:97.3", "--mode", "float"],
      "108a14a55fa40fe2c03e6803a54571d970151f92d79e5643f818ec0bf0746fce",
      "b8b173e605517add7fbc3cdcbdc348b97ed6741183a499339934a44c5fd55a54"),

@@ -21,7 +21,8 @@ from eulerphi.cli import main as cli_main
 from eulerphi.coeffs import (
     GrowthScanReport,
     TotientTable,
-    _sum_and_rounding,
+    _BlockSum,
+    _series_sums,
     cache_path,
     error_term,
     growth_scan,
@@ -505,6 +506,29 @@ def test_make_e2_matches_scalar(zeta_float_100k, zeta_constants):
         e2(np.array([100001.5]))
 
 
+def test_make_e2_sums_phi_up_to_its_largest_floor(zeta_spec, zeta_constants):
+    # evaluated up to x = 30, the provider of a 1e6-entry table holds the
+    # running sum of phi up to 30, not up to N; a larger x later sums it
+    # afresh to its floor, with the bits of the whole table's sum
+    table = phi_table(zeta_spec, 10 ** 6, mode="float", alpha=False)
+    xs = np.linspace(0.5, 30.0, 60)
+    tracemalloc.start()
+    try:
+        e2 = make_e2(table, zeta_constants.c)
+        small = e2(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    cum = np.cumsum(table.phi)
+    c = zeta_constants.c.value
+    for xs in (xs, np.array([999999.5, 30.0, 10 ** 6])):
+        k = np.floor(xs).astype(np.int64)
+        want = cum[k] - c * xs * xs - np.where(k == xs, table.phi[k] / 2, 0)
+        assert e2(xs).tobytes() == want.tobytes()
+    assert small.tobytes() == e2(np.linspace(0.5, 30.0, 60)).tobytes()
+
+
 def test_float_scans_read_stored_cumulative(zeta_float_100k, mod4_float_100k,
                                             zeta_constants, mod4_constants):
     for table, cF in ((zeta_float_100k, zeta_constants.c),
@@ -545,7 +569,9 @@ def test_sum_rounding_bound_covers_cancelling_sums():
     terms = rng.permutation(np.concatenate([big, -big,
                                             rng.uniform(0, 1, 5000)]))
     for t in (terms, terms + 1j * rng.permutation(terms)):
-        total, rounding = _sum_and_rounding(t)
+        block_sum = _BlockSum()
+        block_sum.add(t)
+        total, rounding = block_sum.result()
         parts = [(total.real, t.real), (complex(total).imag, t.imag)]
         err = [Fraction(got) - sum(map(Fraction, ts.tolist()))
                for got, ts in parts]
@@ -724,15 +750,15 @@ def test_phi_only_table_is_refused_by_readers_of_alpha(tmp_path, zeta_spec,
     assert not (tmp_path / "t.npz").exists()
 
 
+@pytest.mark.parametrize("N", [2 * 10 ** 5, 10 ** 6])
 @pytest.mark.parametrize("name", ["zeta", "degree-3"])
-def test_series_identity_check_holds_two_buffers(name, zeta_spec):
-    # n^-s and one buffer of terms beside the table: each sum takes |terms|
-    # in place, not in a third array of N + 1 entries; degree 3 also takes
-    # the heuristic scale max |alpha|
+def test_series_identity_check_holds_no_column(name, N, zeta_spec):
+    # n^-s, the terms and |terms| are formed a block of _CHUNK entries at a
+    # time, so the check holds a few blocks beside the table, not an array
+    # of N + 1 entries; degree 3 also takes the heuristic scale max |alpha|
     spec = zeta_spec if name == "zeta" else GROWTH_SPECS[name]
-    N = 2 * 10 ** 5
     table = phi_table(spec, N, mode="float")
-    buffer = 8 * (N + 1)
+    block = 8 * coeffs._CHUNK
     tracemalloc.start()
     try:
         rep = series_identity_check(spec, 3.0, N, table=table)
@@ -740,7 +766,37 @@ def test_series_identity_check_holds_two_buffers(name, zeta_spec):
     finally:
         tracemalloc.stop()
     assert rep.ok
-    assert peak < 2.5 * buffer, peak / buffer
+    assert peak < 6 * block, peak / block
+
+
+def _fsum_oracle(terms):
+    total = math.fsum(terms.real.tolist())
+    if np.iscomplexobj(terms):
+        return complex(total, math.fsum(terms.imag.tolist()))
+    return total
+
+
+@pytest.mark.parametrize("N", [1, coeffs._CHUNK - 1, coeffs._CHUNK,
+                               coeffs._CHUNK + 1, 2 * 10 ** 5])
+@pytest.mark.parametrize("spec", [
+    zeta_product(), GROWTH_SPECS["kronecker-8"], COMPLEX_CUSTOM,
+], ids=["zeta", "kronecker-8", "complex-custom"])
+def test_streamed_series_sums_lie_within_their_rounding(spec, N):
+    # each block sum is np.sum's and the block sums are added by fsum: the
+    # sums lie within their rounding terms of the correctly rounded sum of
+    # the same products, formed over the whole column at once, and the
+    # heuristic scale is the largest |alpha(n)| over n <= N
+    s = 3.0
+    table = phi_table(spec, N, mode="float")
+    n = np.arange(N + 1, dtype=np.float64)
+    n[0] = 1.0
+    w = n ** -s
+    phi_terms, alpha_terms, scale = _series_sums(table, s, N)
+    for block_sum, column in ((phi_terms, table.phi), (alpha_terms, table.alpha)):
+        total, rounding = block_sum.result()
+        assert block_sum.count == N + 1
+        assert abs(complex(total) - complex(_fsum_oracle(column * w))) <= rounding
+    assert scale == float(np.max(np.abs(table.alpha)))
 
 
 SPEC_HASH_SPECS = [
@@ -815,6 +871,28 @@ def test_loaded_columns_are_read_only_and_bit_identical(tmp_path, spec,
     assert phi_only.phi.tobytes() == table.phi.tobytes()
 
 
+@pytest.mark.parametrize("N", [10 ** 3, 3 * 10 ** 5])
+@pytest.mark.parametrize("spec", [
+    zeta_product(), dirichlet_product(build_character(kronecker=-8)),
+    COMPLEX_CUSTOM,
+], ids=["zeta", "kronecker-8", "complex-custom"])
+def test_loaded_columns_are_aligned(tmp_path, spec, N):
+    # save_table pads each member's zip extra field so that its .npy
+    # payload starts at a multiple of 64 bytes in the file: the columns
+    # load_table maps from it are aligned, and np.load reads the file
+    table = phi_table(spec, N, mode="float")
+    path = cache_path(str(tmp_path), spec, N)
+    save_table(table, path)
+    back = load_table(path, spec, N)
+    for got, want in ((back.alpha, table.alpha), (back.phi, table.phi)):
+        assert got.flags.aligned
+        assert got.ctypes.data % 64 == 0
+        assert got.tobytes() == want.tobytes()
+    with np.load(path) as z:
+        assert z["phi"].tobytes() == table.phi.tobytes()
+        assert z["alpha"].tobytes() == table.alpha.tobytes()
+
+
 def test_save_table_replaces_the_file(tmp_path, zeta_spec, mod4_spec,
                                       monkeypatch):
     # a save writes a temporary file and renames it onto the path, so a
@@ -837,11 +915,16 @@ def test_save_table_replaces_the_file(tmp_path, zeta_spec, mod4_spec,
         load_table(path, zeta_spec, N)
     assert load_table(path, mod4_spec, N).phi.tobytes() == other.phi.tobytes()
 
-    # a failed save removes its temporary file and leaves the old one
-    def full_disk(*args, **kwargs):
-        raise OSError(28, "No space left on device")
+    # a failed save removes its temporary file and leaves the old one; the
+    # disk fills after the header and alpha are written
+    write = coeffs._npz_write
 
-    monkeypatch.setattr(np, "savez", full_disk)
+    def full_disk(zf, fh, name, array):
+        if name == "phi":
+            raise OSError(28, "No space left on device")
+        write(zf, fh, name, array)
+
+    monkeypatch.setattr(coeffs, "_npz_write", full_disk)
     with pytest.raises(OSError):
         save_table(zeta, path)
     assert os.listdir(tmp_path / "cache") == [os.path.basename(path)]
