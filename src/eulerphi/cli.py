@@ -35,9 +35,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -70,12 +69,11 @@ _INTERNAL_ERROR_EXIT = EulerphiError.exit_code
 # RunConfig and parsing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything one command run needs, after merging flags and config file."""
 
     command: str
-    options: dict = field(default_factory=dict)
+    options: dict
 
 
 _DEFAULTS = {
@@ -301,9 +299,12 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.command == "volterra" and not o["h"] > 0:
         raise UsageError(f"--h must be > 0, got {o['h']}")
     # json reads NaN and Infinity, so a config file can hold them too
-    for key in ("X", "tolerance"):
+    for key in ("X", "tolerance", "A"):
         if not math.isfinite(o[key]):
             raise UsageError(f"--{key} must be finite, got {o[key]}")
+    # no sup or deviation is below a negative tolerance
+    if o["tolerance"] < 0:
+        raise UsageError(f"--tolerance must be >= 0, got {o['tolerance']}")
     for key in ("samples", "limit"):
         if o[key] is not None and o[key] < 0:
             raise UsageError(f"--{key} must be >= 0, got {o[key]}")
@@ -918,8 +919,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # exact rationals are written to reports as p/q, and their digits can
     # exceed Python's default int <-> str limit of 4300
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(0)
     try:
         cfg = parse_config(argv)
         data, ok = run_command(cfg)

@@ -57,7 +57,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -76,6 +76,7 @@ from .primes import primes_upto, smallest_prime_factor, spf_primes  # noqa: F401
 from .products import (
     EulerProductSpec,
     ValueWithBound,
+    _SlotRecord,
     _U,
     _number_type,
     _plain,
@@ -553,14 +554,15 @@ def _distinct(ks) -> np.ndarray:
     return ks[keep]
 
 
-@dataclass(frozen=True)
-class _ReadSums:
+class _ReadSums(_SlotRecord):
     """A float running sum at the k a batch reads: values[i] = S(reads[i]),
     reads distinct and ascending.  Indexed by a k, or by an array of them,
     as the full sum it stands for is; a k it does not hold is a KeyError."""
 
-    reads: np.ndarray
-    values: np.ndarray
+    __slots__ = _fields = ("reads", "values")
+
+    def __init__(self, reads: np.ndarray, values: np.ndarray):
+        self._init(reads, values)
 
     def __getitem__(self, k):
         i = np.searchsorted(self.reads, k)
@@ -720,8 +722,7 @@ def make_e2(table: TotientTable, cF: ValueWithBound):
 # Series identity check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesCheckReport:
+class SeriesCheckReport(NamedTuple):
     """Both sides of sum phi(n) n^{-s} = zeta(s-1) sum alpha(n) n^{-s}."""
 
     s: float
@@ -865,8 +866,7 @@ def series_identity_check(spec: EulerProductSpec, s: float, N: int,
 # Growth scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrowthScanReport:
+class GrowthScanReport(NamedTuple):
     """sup of |E(x)| / (x (log 2x)^d) over integers in [x_min, X]."""
 
     x_min: int

@@ -77,9 +77,8 @@ algebraically; the verdict keeps both.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -218,8 +217,7 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class _ExactSum:
+class _ExactSum(NamedTuple):
     """An exact running sum at the k a batch reads: numerators[k] / den.
 
     factor = scale // den brings a numerator over the sweep's scale, the
@@ -421,8 +419,7 @@ def f1_closed(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     return _f1(xs, ks, s_f, table, constants).item(0)
 
 
-@dataclass(frozen=True)
-class F1OneSided:
+class F1OneSided(NamedTuple):
     """One-sided limits of f1 at an integer; f1 there is their midpoint."""
 
     left: Scalar
@@ -589,8 +586,7 @@ def r_function(x: Scalar, table: TotientTable, constants: Constants,
 # Full decomposition report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """E2(x) against the arithmetic part x f1(x) and analytic part g1(x)/2.
 
     residual = e2 - arithmetic_part - analytic_part: pure rounding in float

@@ -29,10 +29,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -83,6 +82,50 @@ def _plain(v) -> Number:
     return v.real if v.imag == 0 else v
 
 
+class _SlotRecord:
+    """A record that a NamedTuple cannot be, for a check or a field derived
+    at construction: the subclass's __slots__, set once by __init__
+    through _init in __slots__ order, then read-only.  Records of one class
+    compare and hash as the tuple of their _fields, pickle and copy by
+    calling the class on it, and show as Name(field=value, ...) over it.
+
+    Plain records are NamedTuples: neither kind generates code at import,
+    as @dataclass does (about 1 ms a class).
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _init(self, *values) -> None:
+        for name, v in zip(self.__slots__, values):
+            object.__setattr__(self, name, v)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # Kronecker symbol
 # ---------------------------------------------------------------------------
@@ -119,8 +162,7 @@ def kronecker_symbol(a: int, n: int) -> int:
 # Dirichlet characters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CharacterSpec:
+class CharacterSpec(NamedTuple):
     """A Dirichlet character mod q stored as its value table on 0..q-1.
 
     Values are ints for real characters and complex otherwise; the table is
@@ -230,8 +272,7 @@ def build_character(q: Optional[int] = None, values=None,
 # Euler product specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EulerProductSpec:
+class EulerProductSpec(NamedTuple):
     """Local data (inverse roots at every prime) defining the product."""
 
     kind: str                                   # 'zeta' | 'dirichlet' | 'custom'
@@ -328,8 +369,7 @@ def _as_fraction(x: Number) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class _Numbers:
+class _Numbers(NamedTuple):
     """Exact rationals or floats.
 
     lift turns a root, local factor or integer into the type products are
@@ -423,8 +463,7 @@ def gamma_values(spec: EulerProductSpec, ps: np.ndarray,
 # Values with error radii
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValueWithBound:
+class ValueWithBound(_SlotRecord):
     """An estimate plus an absolute error radius.
 
     bound_kind 'rigorous' means the true value provably lies within bound of
@@ -432,17 +471,16 @@ class ValueWithBound:
     Exact values carry bound 0.
     """
 
-    value: Number
-    bound: float
-    bound_kind: str = "rigorous"
+    __slots__ = _fields = ("value", "bound", "bound_kind")
 
-    def __post_init__(self):
-        if self.bound < 0:
+    def __init__(self, value: Number, bound: float,
+                 bound_kind: str = "rigorous"):
+        if bound < 0:
             raise ValueError("bound must be nonnegative")
+        self._init(value, bound, bound_kind)
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(NamedTuple):
     """The constants entering the decomposition: C(F), A1, and A2 = 2 C(F)."""
 
     c: ValueWithBound

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .errors import (
     OutOfMemory,
     XBeyondGrid,
 )
-from .products import _plain
+from .products import _plain, _SlotRecord
 
 Provider = Callable[[np.ndarray], np.ndarray]
 
@@ -101,29 +100,27 @@ def make_grid(X: float, h: float) -> np.ndarray:
     return xs
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(_SlotRecord):
     """Values on the half-offset grid x_i = (i + 1/2) h over (0, X].
 
     The points xs are make_grid(X, h), taken here, so they are the grid by
     construction; only the values are checked: one finite value a point.
+    xs, derived from X and h, is not one of the fields that the record is
+    compared and shown by.
     """
 
-    values: np.ndarray
-    X: float
-    h: float
-    xs: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("values", "X", "h", "xs")
+    _fields = __slots__[:3]
 
-    def __post_init__(self):
-        xs = make_grid(self.X, self.h)
-        values = np.asarray(self.values)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "values", values)
+    def __init__(self, values: np.ndarray, X: float, h: float):
+        xs = make_grid(X, h)
+        values = np.asarray(values)
         if values.shape != xs.shape:
             raise BadGrid(f"{values.shape} values on a grid of {len(xs)} "
                           f"points")
         if not np.isfinite(values).all():
             raise BadGrid("values must be finite")
+        self._init(values, X, h, xs)
 
     def __len__(self):
         return len(self.xs)
@@ -210,8 +207,7 @@ def improper_integral(g: GridFunction, x: float) -> complex:
 # Residual of a candidate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """F - int_0^x F/t - E2 on the grid xs, its sup and where it is taken,
     and what it was built from: the candidate F (values) and E2 (e2)."""
 

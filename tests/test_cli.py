@@ -213,12 +213,18 @@ def test_config_values_converted_like_flags(tmp_path):
     ("growth", ["--samples", "-3"], {"samples": -3}),
     ("growth", ["--X", "1" + "0" * 400], {"X": 10 ** 400}),
     ("table", ["--limit", "-1"], {"limit": -1}),
+    ("volterra", ["--X", "5", "--h", "0.01", "--tolerance", "-1"],
+     {"X": 5, "h": 0.01, "tolerance": -1}),
+    ("volterra", ["--A", "nan"], {"A": math.nan}),
+    ("volterra", ["--A", "inf"], {"A": math.inf}),
 ])
 def test_non_finite_and_negative_values_are_usage_errors(
         tmp_path, capsys, command, flags, options):
-    # no comparison against NaN can pass, and int(inf) or a negative sample
-    # count would end as an internal error; json reads NaN and Infinity, so
-    # config files are checked the same way as flags
+    # no comparison against NaN can pass, no sup lies below a negative
+    # tolerance, a non-finite A gives a grid that fails its own check, and
+    # int(inf) or a negative sample count would end as an internal error;
+    # json reads NaN and Infinity, so config files are checked the same way
+    # as flags
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(options))
     for argv in ([command, *flags], [command, "--config", str(cfg_path)]):

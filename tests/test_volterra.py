@@ -119,12 +119,18 @@ def test_grid_function_validation():
         grid_function(2.0, lambda xs: xs, 0.3)
     with pytest.raises(BadGrid):
         GridFunction(values=np.zeros(1), X=0.5, h=0.5)     # one point
-    with pytest.raises(BadGrid, match="values on a grid of 4 points"):
-        GridFunction(values=np.zeros(3), X=2.0, h=0.5)
-    with pytest.raises(BadGrid, match="finite"):
-        GridFunction(values=np.array([0, 1, np.nan, 0]), X=2.0, h=0.5)
+    for values in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
+        with pytest.raises(BadGrid, match="values on a grid of 4 points"):
+            GridFunction(values=values, X=2.0, h=0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(BadGrid, match="finite"):
+            GridFunction(values=np.array([0, 1, bad, 0]), X=2.0, h=0.5)
     g = GridFunction(values=np.zeros(4, dtype=complex), X=2.0, h=0.5)
     assert g.xs.tolist() == [0.25, 0.75, 1.25, 1.75]
+    g = GridFunction([0, 1, 2, 3], 2.0, 0.5)    # values become an array
+    assert isinstance(g.values, np.ndarray) and len(g) == 4
+    with pytest.raises(AttributeError):         # xs is derived, not set
+        g.xs = np.zeros(4)
     g = grid_function(2.0, lambda xs: xs, 1e-3)
     assert len(g) == len(g.xs) == 2000
     assert g.xs.tobytes() == make_grid(2.0, 1e-3).tobytes()
