@@ -15,12 +15,6 @@ Layout:
 
 __version__ = "0.1.0"
 
-import logging
-
-# the library logs (a rejected cache file, say) through this logger and
-# prints nothing unless the application configures logging
-logging.getLogger(__name__).addHandler(logging.NullHandler())
-
 from .errors import (
     AnchorOutOfRange,
     BadGrid,

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -57,8 +56,6 @@ from .errors import (
 )
 
 CACHE_ENV = "EULERPHI_CACHE_DIR"
-
-_log = logging.getLogger("eulerphi")
 
 # any other exception escaping a command is a bug in eulerphi, and exits as
 # a bare EulerphiError does
@@ -498,10 +495,16 @@ def get_table(cfg: RunConfig, spec, n: int, mode: str) -> _coeffs.TotientTable:
             try:
                 return _coeffs.load_table(
                     path, spec, n, alpha=cfg.command in _READS_ALPHA)
-            except (CacheMismatch, OSError, ValueError, KeyError) as e:
-                # stale or corrupt: rebuild below
-                _log.warning("rejected cache file %s: %s: %s", path,
-                             type(e).__name__, e)
+            except (CacheMismatch, OSError, ValueError) as e:
+                # stale or corrupt: logged, and rebuilt below.  logging is
+                # imported here, the only place that logs; the library
+                # prints nothing unless the application configures logging
+                import logging
+                log = logging.getLogger("eulerphi")
+                if not log.handlers:
+                    log.addHandler(logging.NullHandler())
+                log.warning("rejected cache file %s: %s: %s", path,
+                            type(e).__name__, e)
     table = _coeffs.phi_table(spec, n, mode=mode,
                               alpha=use_cache or cfg.command in _READS_ALPHA)
     if use_cache:

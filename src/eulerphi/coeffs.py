@@ -47,13 +47,10 @@ of the point alone (_error_term).
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import math
 import mmap
 import os
-import struct
-import zipfile
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,7 +93,7 @@ _EXACT_N_CAP = 10 ** 6
 _EXACT_AUTO_CAP = 2 * 10 ** 5
 
 # bumped whenever the file layout changes, so older files fail the header check
-_CACHE_VERSION = 6
+_CACHE_VERSION = 7
 # entries per run of the multiplicative sieve and per block of the growth
 # scan and the float column sums; bounds their temporaries to about 1 MB (a
 # sieve run of two complex columns, a complex scan block), whatever the
@@ -507,21 +504,11 @@ def _float_column(column: np.ndarray, power: int, top: int,
     np.cumsum in place, and a block's running sum starts from the last one
     of the block before it, so every sum has the bits of one np.cumsum of
     the terms from n = 1.  Only the sums at the read points are kept: the
-    pass holds one block beside its result, whatever top.  Every sum of a
-    column itself (power 0) is one np.cumsum in place in the result, which
-    has no terms to form and so no block to copy them into; the column is
-    copied into it first.  save_table aligns the columns it writes, but a
-    cache file written before it did still loads with unaligned columns,
-    and np.cumsum straight from one of those takes about three times as
-    long.
+    pass holds one block beside its result, whatever top.
     """
     dtype = np.result_type(column, np.float64)
     dense = reads is None
     out = np.zeros(top + 1 if dense else len(reads), dtype=dtype)
-    if dense and not power:
-        out[1:] = column[1 : top + 1]
-        np.cumsum(out[1:], out=out[1:])
-        return out
     buf = None if dense else np.empty(min(_CHUNK, top), dtype=dtype)
     i = 0 if dense else int(np.searchsorted(reads, 1))
     carry = None
@@ -928,41 +915,30 @@ def growth_scan(table: TotientTable, cF: ValueWithBound, X: int,
 
 
 # ---------------------------------------------------------------------------
-# Table cache (npz with a JSON header)
+# Table cache (a JSON header, then the raw columns)
 # ---------------------------------------------------------------------------
 
-# the dtypes of a float table's columns
-_COLUMN_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
-# bytes of a .npy member that can hold its magic, header length and header
-# (np.lib.format refuses headers over 10000 bytes); save_table writes format
-# version 1.0, as np.savez does for any header that short
-_NPY_HEAD = 10 + 10000
-# a zip local file header: signature, fixed fields, then name and extra
-_LOCAL_HEADER = struct.Struct("<4s22xHH")
-# the ZIP64 extra field zipfile puts in a local header under force_zip64:
-# id, size, and the member's two 8-byte sizes
-_ZIP64_EXTRA = 4 + 16
-# save_table's padding of a local header's extra field, the alignment record
-# of Android's zipalign: id 0xd935, size, the alignment, then zero bytes
-_ALIGN_EXTRA = struct.Struct("<HHH")
-# the file offset of every .npy payload is a multiple of this; np.lib.format
-# pads a .npy header to a multiple of it too
+# the dtypes a cache file's columns may have, as numpy names them
+_COLUMN_DTYPES = ("<f8", "<c16")
+# bytes of the space-padded JSON header at the start of a cache file
+_HEADER = 256
+# the file offset of every column is a multiple of this
 _ALIGN = 64
 
 
 def cache_path(directory: str, spec: EulerProductSpec, N: int) -> str:
-    return os.path.join(directory, f"table-{spec_hash(spec)}-{N}-float.npz")
+    return os.path.join(directory, f"table-{spec_hash(spec)}-{N}-float.bin")
 
 
 def save_table(table: TotientTable, path: str) -> None:
-    """Persist a float totient table, one numpy array per column.
+    """Persist a float totient table: a header, then its two columns.
 
-    The file is an uncompressed npz, as np.savez writes it, that np.load
-    and load_table read: a zip of header.npy, alpha.npy and phi.npy, each
-    with its CRC-32.  Each column is written in place, from a memoryview of
-    the array, not a copy of its bytes, and each member's zip extra field
-    is padded so that its .npy payload starts at a multiple of 64 bytes in
-    the file: the columns load_table maps are aligned.
+    Bytes [0, 256) hold a JSON object padded with spaces: the format
+    version, the spec hash, N, the mode, the columns' dtype (<f8 or <c16)
+    and the CRC-32 of each column.  alpha starts at byte 256, and phi at
+    the first multiple of 64 after alpha's end, so the columns load_table
+    maps are aligned.  Each column is written in place, from a memoryview
+    of the array, not a copy of its bytes.
 
     The file is written under a temporary name in path's directory and
     renamed onto path, so a run that has loaded the old file keeps reading
@@ -975,39 +951,26 @@ def save_table(table: TotientTable, path: str) -> None:
     _require_alpha(table, "save_table")
     header = json.dumps({"version": _CACHE_VERSION,
                          "spec_hash": spec_hash(table.spec),
-                         "N": table.N, "mode": "float"}, sort_keys=True)
+                         "N": table.N, "mode": "float",
+                         "dtype": table.phi.dtype.str,
+                         "crc": {"alpha": zlib.crc32(table.alpha),
+                                 "phi": zlib.crc32(table.phi)}},
+                        sort_keys=True)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     # a fresh name beside path, created with open's usual permissions
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "xb")
     try:
-        with fh, zipfile.ZipFile(fh, "w") as zf:
-            for name, array in (("header", np.array(header)),
-                                ("alpha", table.alpha), ("phi", table.phi)):
-                _npz_write(zf, fh, name, array)
+        with fh:
+            fh.write(header.ljust(_HEADER).encode())
+            for column in (table.alpha, table.phi):
+                fh.write(bytes(-fh.tell() % _ALIGN))
+                fh.write(memoryview(column))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-
-
-def _npz_write(zf: zipfile.ZipFile, fh, name: str, array: np.ndarray) -> None:
-    """Write array to zf, stored, as member name + '.npy' (.npy format 1.0),
-    its payload at a multiple of _ALIGN in fh, zf's file."""
-    head = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        head, np.lib.format.header_data_from_array_1_0(array))
-    info = zipfile.ZipInfo(name + ".npy")
-    # zipfile writes the local header at fh's position, and the member's
-    # data right after it
-    start = (fh.tell() + _LOCAL_HEADER.size + len(info.filename)
-             + _ALIGN_EXTRA.size + _ZIP64_EXTRA)
-    pad = -start % _ALIGN
-    info.extra = _ALIGN_EXTRA.pack(0xD935, 2 + pad, _ALIGN) + bytes(pad)
-    with zf.open(info, "w", force_zip64=True) as out:
-        out.write(head.getvalue())
-        out.write(memoryview(array))
 
 
 def load_table(path: str, spec: EulerProductSpec, N: int,
@@ -1017,66 +980,38 @@ def load_table(path: str, spec: EulerProductSpec, N: int,
     phi is always read, alpha only when asked for; a table loaded without
     it has alpha None, like one sieved with phi_table(..., alpha=False).
     Each column is a read-only array over a read-only map of the file, not
-    a copy, after its CRC-32 has been checked against the zip directory.
-    Raises CacheMismatch when the header names another table, KeyError
-    when a member is missing, and ValueError when the file is not an
-    uncompressed npz of float64 or complex128 columns of N + 1 entries
-    whose bytes match their CRCs.
+    a copy, after its CRC-32 has been checked against the header.  Raises
+    CacheMismatch when the header names another table, and ValueError when
+    the file is not one save_table writes: a header that is not a JSON
+    object, a dtype other than float64 or complex128, a column past the
+    end of the file or bytes that do not match its CRC.
     """
     with open(path, "rb") as fh:
-        try:
-            zf = zipfile.ZipFile(fh)
-        except zipfile.BadZipFile as e:
-            raise ValueError(f"not an npz file: {e}") from None
-        with zf:
-            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            head = _npz_member(zf, mm, "header")
-            header = json.loads(str(np.lib.format.read_array(
-                io.BytesIO(head), allow_pickle=False)))
-            want = {"version": _CACHE_VERSION, "spec_hash": spec_hash(spec),
-                    "N": N, "mode": "float"}
-            if header != want:
-                raise CacheMismatch(
-                    f"cache header {header} != requested {want}")
-            columns = {name: _npz_column(zf, mm, name, N)
-                       for name in (("alpha", "phi") if alpha else ("phi",))}
+        mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
+        header = json.loads(mm[:_HEADER])
+    except ValueError as e:     # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"unreadable cache header: {e}") from None
+    if not isinstance(header, dict):
+        raise ValueError("the cache header is not a JSON object")
+    want = {"version": _CACHE_VERSION, "spec_hash": spec_hash(spec),
+            "N": N, "mode": "float"}
+    got = {key: header.get(key) for key in want}
+    if got != want:
+        raise CacheMismatch(f"cache header {got} != requested {want}")
+    dtype, crc = header.get("dtype"), header.get("crc")
+    if dtype not in _COLUMN_DTYPES or not isinstance(crc, dict):
+        raise ValueError(f"cache header {header} has no column dtype or CRCs")
+    size = np.dtype(dtype).itemsize * (N + 1)
+    starts = {"alpha": _HEADER, "phi": _HEADER + size + -size % _ALIGN}
+    columns = {}
+    for name in ("alpha", "phi") if alpha else ("phi",):
+        start = starts[name]
+        if start + size > len(mm):
+            raise ValueError(f"{name} lies past the end of the file")
+        data = memoryview(mm)[start : start + size]
+        if zlib.crc32(data) != crc.get(name):
+            raise ValueError(f"bad CRC-32 for {name}")
+        columns[name] = np.frombuffer(data, dtype=dtype)
     return TotientTable(spec=spec, N=N, mode="float",
                         alpha=columns.get("alpha"), phi=columns["phi"])
-
-
-def _npz_member(zf: zipfile.ZipFile, mm: mmap.mmap, name: str) -> memoryview:
-    """The bytes of member name + '.npy', in place in mm, CRC-checked."""
-    info = zf.getinfo(name + ".npy")
-    if info.compress_type != zipfile.ZIP_STORED:
-        raise ValueError(f"{info.filename} is compressed")
-    at = info.header_offset
-    if at + _LOCAL_HEADER.size > len(mm):
-        raise ValueError(f"{info.filename} lies outside the file")
-    magic, name_len, extra_len = _LOCAL_HEADER.unpack_from(mm, at)
-    if magic != b"PK\x03\x04":
-        raise ValueError(f"{info.filename} has no local header")
-    start = at + _LOCAL_HEADER.size + name_len + extra_len
-    end = start + info.compress_size
-    if end > len(mm):
-        raise ValueError(f"{info.filename} lies outside the file")
-    data = memoryview(mm)[start:end]
-    if zlib.crc32(data) != info.CRC:
-        raise ValueError(f"bad CRC-32 for {info.filename}")
-    return data
-
-
-def _npz_column(zf: zipfile.ZipFile, mm: mmap.mmap, name: str,
-                N: int) -> np.ndarray:
-    """A float64 or complex128 column of N + 1 entries, in place in mm."""
-    data = _npz_member(zf, mm, name)
-    head = io.BytesIO(data[:_NPY_HEAD])
-    version = np.lib.format.read_magic(head)
-    if version != (1, 0):
-        raise ValueError(f"{name}.npy has .npy format version {version}")
-    shape, _, dtype = np.lib.format.read_array_header_1_0(head)
-    offset = head.tell()
-    if (dtype not in _COLUMN_DTYPES or shape != (N + 1,)
-            or offset + dtype.itemsize * (N + 1) != len(data)):
-        raise ValueError(f"{name}.npy holds {dtype} of shape {shape}, not "
-                         f"a float64 or complex128 column of {N + 1} entries")
-    return np.frombuffer(data, dtype=dtype, offset=offset)

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import io
@@ -9,16 +10,16 @@ import json
 import logging
 import math
 import os
-import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
-import zipfile
+import zlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eulerphi.cli import (
     _COMMANDS,
@@ -50,7 +51,7 @@ from eulerphi.errors import (
     UsageError,
     XBelowOne,
 )
-from eulerphi.products import spec_hash, zeta_product
+from eulerphi.products import zeta_product
 
 
 # --- parsing -----------------------------------------------------------------
@@ -555,32 +556,28 @@ def test_cache_warm_equals_cold(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_old_cache_format_is_rejected_and_rebuilt(tmp_path):
-    # format 3 held a fourth column, sum_{n<=k} phi(n)/n, that format 4 no
-    # longer stores; format 4 held float phi as n times phi(n)/n, whose last
-    # bits format 5's exact formula moves, here every entry by one ulp;
-    # format 5 held the running sum of phi, which format 6 no longer stores
+def test_old_cache_format_is_rejected_and_rebuilt(tmp_path, monkeypatch):
+    # a file whose header names an older format version is rebuilt, though
+    # its columns pass their CRCs: here they are one ulp off, so a report
+    # from them would differ.  The npz files of formats 3 to 6
+    # (table-*-float.npz) are never read, nor removed
     spec, n = zeta_product(), 60
     table = phi_table(spec, n, mode="float")
-    cumulative = np.cumsum(table.phi)
-    ratio_cumsum = np.cumsum(table.phi / np.maximum(np.arange(n + 1), 1))
-    old_columns = {
-        3: dict(phi=table.phi, cumulative=cumulative,
-                ratio_cumsum=ratio_cumsum),
-        4: dict(phi=np.nextafter(table.phi, np.inf),
-                cumulative=np.nextafter(cumulative, np.inf)),
-        5: dict(phi=table.phi, cumulative=cumulative)}
+    stale = coeffs.TotientTable(spec=spec, N=n, mode="float",
+                                alpha=table.alpha,
+                                phi=np.nextafter(table.phi, np.inf))
     cold = tmp_path / "cold.csv"
     args = ["table", "--n", str(n), "--mode", "float"]
     assert main(args + ["--no-cache", "--output", str(cold)]) == 0
-    for version, columns in old_columns.items():
+    for version in (3, 4, 5, 6):
         cache = tmp_path / f"format{version}"
         path = cache_path(str(cache), spec, n)
-        cache.mkdir()
-        header = json.dumps({"version": version, "spec_hash": spec_hash(spec),
-                             "N": n, "mode": "float"}, sort_keys=True)
-        np.savez(path, header=np.array(header), alpha=table.alpha,
-                 **columns)
+        with monkeypatch.context() as m:
+            m.setattr(coeffs, "_CACHE_VERSION", version)
+            save_table(stale, path)
+        npz = path[: -len(".bin")] + ".npz"
+        with open(npz, "wb") as fh:
+            fh.write(b"an npz file of format 6")
         with pytest.raises(CacheMismatch):
             load_table(path, spec, n)
         warm = tmp_path / f"warm{version}.csv"
@@ -590,8 +587,10 @@ def test_old_cache_format_is_rejected_and_rebuilt(tmp_path):
         back = load_table(path, spec, n)
         for got, want in ((back.alpha, table.alpha), (back.phi, table.phi)):
             assert np.array_equal(got, want)
-        with np.load(path) as z:
-            assert sorted(z.files) == ["alpha", "header", "phi"]
+        assert sorted(os.listdir(cache)) == sorted(
+            os.path.basename(p) for p in (path, npz))
+        with open(npz, "rb") as fh:
+            assert fh.read() == b"an npz file of format 6"
 
 
 def test_exact_tables_are_not_cached(tmp_path):
@@ -608,7 +607,7 @@ def test_exact_tables_are_not_cached(tmp_path):
                             "--output", str(cached)]) == 0
         assert cached.read_bytes() == cold.read_bytes()
         assert os.listdir(cache) == []
-    path = tmp_path / "exact.npz"
+    path = tmp_path / "exact.bin"
     with pytest.raises(ModeUnavailable):
         save_table(phi_table(zeta_product(), 50, mode="exact"), str(path))
     assert not path.exists()
@@ -1185,9 +1184,34 @@ def test_oversized_inputs_are_refused_before_any_allocation(args, message,
     assert peak < 2 ** 20
 
 
-def test_library_logger_prints_nothing_by_default():
-    handlers = logging.getLogger("eulerphi").handlers
-    assert any(isinstance(h, logging.NullHandler) for h in handlers)
+def test_cli_import_leaves_logging_out():
+    # only a rejected cache file is logged, so a run imports logging there
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(eulerphi.__file__)))
+    code = "import sys, eulerphi.cli; print('logging' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
+def test_rejected_cache_file_prints_nothing_by_default(tmp_path):
+    # the library logs through the eulerphi logger, which prints nothing
+    # unless the application configures logging
+    spec, n = zeta_product(), 50
+    path = cache_path(str(tmp_path), spec, n)
+    with open(path, "wb") as fh:
+        fh.write(b"not a cache file")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(eulerphi.__file__)))
+    code = "import sys; from eulerphi.cli import main; sys.exit(main())"
+    run = subprocess.run(
+        [sys.executable, "-c", code, "table", "--n", str(n), "--mode",
+         "float", "--cache-dir", str(tmp_path), "--output", os.devnull],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+    assert load_table(path, spec, n).phi.tobytes() == \
+        phi_table(spec, n, mode="float").phi.tobytes()
 
 
 def test_rejected_cache_file_is_logged(tmp_path, caplog):
@@ -1210,20 +1234,19 @@ def test_rejected_cache_file_is_logged(tmp_path, caplog):
     assert not [r for r in caplog.records if r.name == "eulerphi"]
 
 
-def _member_span(path, member):
-    """The byte range of a stored zip member's data in the file at path."""
-    with zipfile.ZipFile(path) as zf:
-        info = zf.getinfo(member)
+def _column_span(path, name):
+    """The byte range of column name (alpha or phi) in the cache file at
+    path: a 256-byte header, then alpha, then phi at a multiple of 64."""
     with open(path, "rb") as fh:
-        fh.seek(info.header_offset + 26)
-        name_len, extra_len = struct.unpack("<HH", fh.read(4))
-    start = info.header_offset + 30 + name_len + extra_len
-    return start, start + info.compress_size
+        header = json.loads(fh.read(256))
+    size = np.dtype(header["dtype"]).itemsize * (header["N"] + 1)
+    start = 256 if name == "alpha" else 256 + -(-size // 64) * 64
+    return start, start + size
 
 
-def _flip_last_byte(member):
+def _flip_last_byte(name):
     def corrupt(path, spec, n):
-        _, end = _member_span(path, member)
+        _, end = _column_span(path, name)
         with open(path, "r+b") as fh:
             fh.seek(end - 1)
             byte = fh.read(1)
@@ -1237,20 +1260,26 @@ def _truncate(path, spec, n):
 
 
 def _short_phi(path, spec, n):
+    # phi one entry short, under a header whose CRC matches its bytes
     table = phi_table(spec, n, mode="float")
-    with np.load(path) as z:
-        header = z["header"]
-    np.savez(path, header=header, alpha=table.alpha, phi=table.phi[:-1])
+    _, end = _column_span(path, "phi")
+    with open(path, "rb") as fh:
+        header = json.loads(fh.read(256))
+    header["crc"]["phi"] = zlib.crc32(table.phi[:-1])
+    with open(path, "r+b") as fh:
+        fh.write(json.dumps(header).ljust(256).encode())
+        fh.truncate(end - table.phi.itemsize)
 
 
 @pytest.mark.parametrize("argv, corrupt, reason", [
-    (["growth", "--X", "3000"], _truncate, "not an npz file"),
-    (["growth", "--X", "3000"], _flip_last_byte("phi.npy"),
-     "bad CRC-32 for phi.npy"),
-    (["table", "--n", "3000", "--mode", "float"], _flip_last_byte("alpha.npy"),
-     "bad CRC-32 for alpha.npy"),
+    (["growth", "--X", "3000"], _truncate,
+     "phi lies past the end of the file"),
+    (["growth", "--X", "3000"], _flip_last_byte("phi"),
+     "bad CRC-32 for phi"),
+    (["table", "--n", "3000", "--mode", "float"], _flip_last_byte("alpha"),
+     "bad CRC-32 for alpha"),
     (["error-term", "--x", "1:3000:7.5", "--mode", "float"], _short_phi,
-     "phi.npy holds float64 of shape (3000,)"),
+     "phi lies past the end of the file"),
 ], ids=["truncated", "phi-byte", "alpha-byte", "short-phi"])
 def test_corrupt_cache_file_is_rebuilt(tmp_path, caplog, argv, corrupt,
                                        reason):
@@ -1276,19 +1305,83 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path, caplog, argv, corrupt,
 
 
 def test_readers_of_phi_do_not_check_alpha(tmp_path, caplog):
-    # a run that reads phi alone never reads alpha.npy, so a flipped alpha
+    # a run that reads phi alone never reads alpha, so a flipped alpha
     # byte goes unseen by growth and is caught by table
     spec, n = zeta_product(), 3000
     cache = str(tmp_path)
     args = ["--n", str(n), "--cache-dir", cache, "--output", os.devnull]
     assert main(["table", "--mode", "float"] + args) == 0
-    _flip_last_byte("alpha.npy")(cache_path(cache, spec, n), spec, n)
+    _flip_last_byte("alpha")(cache_path(cache, spec, n), spec, n)
     with caplog.at_level(logging.WARNING, logger="eulerphi"):
         assert main(["growth", "--X", str(n)] + args) == 0
         assert not [r for r in caplog.records if r.name == "eulerphi"]
         assert main(["table", "--mode", "float"] + args) == 0
     [record] = [r for r in caplog.records if r.name == "eulerphi"]
-    assert "bad CRC-32 for alpha.npy" in record.getMessage()
+    assert "bad CRC-32 for alpha" in record.getMessage()
+
+
+# runs that read both columns of a small real and a small complex table
+CORRUPTED_RUNS = {
+    "real": ["table", "--n", "300", "--mode", "float"],
+    "complex": ["table", "--n", "300", "--mode", "float", *NONREAL_ROOT],
+}
+
+
+@functools.cache
+def _saved_table(kind):
+    """(spec, table, its cache file's bytes, the byte ranges of the header
+    and the columns, the report of the CORRUPTED_RUNS run without the
+    cache)."""
+    argv = CORRUPTED_RUNS[kind]
+    spec = build_spec(parse_config(argv))
+    table = phi_table(spec, 300, mode="float")
+    with tempfile.TemporaryDirectory() as d:
+        path, report = os.path.join(d, "t.bin"), os.path.join(d, "report")
+        save_table(table, path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        spans = {"header": (0, 256), "alpha": _column_span(path, "alpha"),
+                 "phi": _column_span(path, "phi")}
+        assert main(argv + ["--no-cache", "--output", report]) == 0
+        with open(report, "rb") as fh:
+            want = fh.read()
+    return spec, table, blob, spans, want
+
+
+@settings(deadline=None)
+@given(kind=st.sampled_from(sorted(CORRUPTED_RUNS)),
+       where=st.sampled_from(["truncate", "header", "alpha", "phi"]),
+       data=st.data())
+def test_corrupt_cache_file_loads_or_is_refused(kind, where, data):
+    # a cache file cut short, or with a byte of its header or of a column
+    # changed, loads with the columns it was saved with, or is refused with
+    # CacheMismatch or ValueError; a run on it writes the report of a run
+    # without the cache
+    spec, table, blob, spans, want = _saved_table(kind)
+    blob = bytearray(blob)
+    if where == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="length"):]
+    else:
+        lo, hi = spans[where]
+        i = data.draw(st.integers(lo, hi - 1), label="offset")
+        blob[i] ^= data.draw(st.integers(1, 255), label="xor")
+    with tempfile.TemporaryDirectory() as cache:
+        path = cache_path(cache, spec, table.N)
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        for alpha in (True, False):
+            try:
+                back = load_table(path, spec, table.N, alpha=alpha)
+            except (CacheMismatch, ValueError):
+                continue
+            assert back.phi.tobytes() == table.phi.tobytes()
+            if alpha:
+                assert back.alpha.tobytes() == table.alpha.tobytes()
+        report = os.path.join(cache, "report")
+        assert main(CORRUPTED_RUNS[kind]
+                    + ["--cache-dir", cache, "--output", report]) == 0
+        with open(report, "rb") as fh:
+            assert fh.read() == want
 
 
 @pytest.mark.parametrize("argv, reads_alpha", [
@@ -1301,7 +1394,7 @@ def test_readers_of_phi_do_not_check_alpha(tmp_path, caplog):
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_warm_tables_hold_the_columns_their_command_reads(
         tmp_path, monkeypatch, argv, reads_alpha):
-    # a warm run reads alpha.npy only when its command reads alpha; what it
+    # a warm run reads alpha only when its command reads alpha; what it
     # reads are read-only arrays over the file, not copies
     spec, n = zeta_product(), 2000
     save_table(phi_table(spec, n, mode="float"),

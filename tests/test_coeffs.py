@@ -2,11 +2,11 @@
 
 import hashlib
 import json
-import logging
 import math
 import os
 import random
 import tracemalloc
+import zlib
 from dataclasses import fields
 from fractions import Fraction
 
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from conftest import TRUE_C_ZETA
 from eulerphi import coeffs, decomp
-from eulerphi.cli import main as cli_main
 from eulerphi.coeffs import (
     GrowthScanReport,
     TotientTable,
@@ -737,7 +736,7 @@ def test_phi_only_table_is_refused_by_readers_of_alpha(tmp_path, zeta_spec,
     decomp.f1_closed(17.5, table, zeta_constants)
     exact = phi_table(zeta_spec, 1000, mode="exact", alpha=False)
     for call in (lambda: series_identity_check(zeta_spec, 3.0, 1000, table),
-                 lambda: save_table(table, str(tmp_path / "t.npz")),
+                 lambda: save_table(table, str(tmp_path / "t.bin")),
                  lambda: decomp.decompose(17.5, table, zeta_constants),
                  lambda: decomp.g1(17.5, table, zeta_constants),
                  lambda: decomp.f1_series(17.5, table, zeta_constants, 100),
@@ -747,7 +746,7 @@ def test_phi_only_table_is_refused_by_readers_of_alpha(tmp_path, zeta_spec,
                                                       exact)):
         with pytest.raises(ModeUnavailable, match="reads alpha"):
             call()
-    assert not (tmp_path / "t.npz").exists()
+    assert not (tmp_path / "t.bin").exists()
 
 
 @pytest.mark.parametrize("N", [2 * 10 ** 5, 10 ** 6])
@@ -818,33 +817,26 @@ def test_spec_hash_is_hashlibs_sha256(spec):
     assert spec_hash(spec) == hashlib.sha256(blob).hexdigest()[:16]
 
 
-def test_cache_roundtrip_float(tmp_path, zeta_spec, caplog):
+def test_cache_roundtrip_float(tmp_path, zeta_spec):
+    # a 256-byte JSON header padded with spaces, alpha at byte 256, and phi
+    # at the first multiple of 64 bytes after alpha's end
     table = phi_table(zeta_spec, 2000, mode="float")
     path = cache_path(str(tmp_path), zeta_spec, 2000)
+    assert path.endswith(f"table-{spec_hash(zeta_spec)}-2000-float.bin")
     save_table(table, path)
     back = load_table(path, zeta_spec, 2000)
     assert np.array_equal(np.asarray(back.phi), np.asarray(table.phi))
     assert np.array_equal(np.asarray(back.alpha),
                           np.asarray(table.alpha))
-    with np.load(path) as z:
-        assert sorted(z.files) == ["alpha", "header", "phi"]
-    # a compressed file cannot be read in place: it is refused, and a run
-    # that finds one logs it and rebuilds it uncompressed
-    with np.load(path) as z:
-        np.savez_compressed(path, **{k: z[k] for k in z.files})
-    with pytest.raises(ValueError, match="compressed"):
-        load_table(path, zeta_spec, 2000)
-    with caplog.at_level(logging.WARNING, logger="eulerphi"):
-        assert cli_main(["table", "--n", "2000", "--mode", "float",
-                         "--cache-dir", str(tmp_path),
-                         "--output", str(tmp_path / "t.csv")]) == 0
-    [record] = [r for r in caplog.records if r.name == "eulerphi"]
-    assert record.levelno == logging.WARNING
-    assert path in record.getMessage()
-    assert "compressed" in record.getMessage()
-    back = load_table(path, zeta_spec, 2000)
-    assert np.array_equal(back.phi, table.phi)
-    assert np.array_equal(back.alpha, table.alpha)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    assert json.loads(blob[:256]) == {
+        "version": 7, "spec_hash": spec_hash(zeta_spec), "N": 2000,
+        "mode": "float", "dtype": "<f8",
+        "crc": {"alpha": zlib.crc32(table.alpha),
+                "phi": zlib.crc32(table.phi)}}
+    assert blob[256 : 256 + 16008] == table.alpha.tobytes()
+    assert blob[256 + 16064 :] == table.phi.tobytes()
 
 
 @pytest.mark.parametrize("spec, dtype", [
@@ -877,9 +869,8 @@ def test_loaded_columns_are_read_only_and_bit_identical(tmp_path, spec,
     COMPLEX_CUSTOM,
 ], ids=["zeta", "kronecker-8", "complex-custom"])
 def test_loaded_columns_are_aligned(tmp_path, spec, N):
-    # save_table pads each member's zip extra field so that its .npy
-    # payload starts at a multiple of 64 bytes in the file: the columns
-    # load_table maps from it are aligned, and np.load reads the file
+    # every column starts at a multiple of 64 bytes in the file, so the
+    # columns load_table maps from it are aligned
     table = phi_table(spec, N, mode="float")
     path = cache_path(str(tmp_path), spec, N)
     save_table(table, path)
@@ -888,9 +879,6 @@ def test_loaded_columns_are_aligned(tmp_path, spec, N):
         assert got.flags.aligned
         assert got.ctypes.data % 64 == 0
         assert got.tobytes() == want.tobytes()
-    with np.load(path) as z:
-        assert z["phi"].tobytes() == table.phi.tobytes()
-        assert z["alpha"].tobytes() == table.alpha.tobytes()
 
 
 def test_save_table_replaces_the_file(tmp_path, zeta_spec, mod4_spec,
@@ -917,23 +905,62 @@ def test_save_table_replaces_the_file(tmp_path, zeta_spec, mod4_spec,
 
     # a failed save removes its temporary file and leaves the old one; the
     # disk fills after the header and alpha are written
-    write = coeffs._npz_write
+    class FullDisk:
+        def __init__(self, *args):
+            self.fh = open(*args)
 
-    def full_disk(zf, fh, name, array):
-        if name == "phi":
-            raise OSError(28, "No space left on device")
-        write(zf, fh, name, array)
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
 
-    monkeypatch.setattr(coeffs, "_npz_write", full_disk)
-    with pytest.raises(OSError):
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if self.fh.tell() > 256 + 8 * (N + 1):
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    with monkeypatch.context() as m, pytest.raises(OSError, match="space"):
+        m.setattr(coeffs, "open", FullDisk, raising=False)
         save_table(zeta, path)
     assert os.listdir(tmp_path / "cache") == [os.path.basename(path)]
     assert load_table(path, mod4_spec, N).phi.tobytes() == other.phi.tobytes()
 
 
+@pytest.mark.parametrize("header, message", [
+    (lambda h: b"{not json", "unreadable cache header"),
+    (lambda h: b'{"N": "\xff"}', "unreadable cache header"),
+    (lambda h: json.dumps([h]).encode(), "not a JSON object"),
+    (lambda h: json.dumps({**h, "dtype": "<f4"}).encode(), "no column dtype"),
+    (lambda h: json.dumps({**h, "dtype": ["<f8"]}).encode(),
+     "no column dtype"),
+    (lambda h: json.dumps({**h, "crc": [1, 2]}).encode(), "no column dtype"),
+    (lambda h: json.dumps({**h, "crc": {"alpha": h["crc"]["alpha"],
+                                        "phi": "0"}}).encode(),
+     "bad CRC-32 for phi"),
+], ids=["not-json", "not-utf-8", "array", "dtype", "dtype-list", "crc-list",
+        "crc-string"])
+def test_unreadable_cache_header_is_a_value_error(tmp_path, zeta_spec,
+                                                  header, message):
+    # a header that does not parse, is no JSON object, or holds a bad dtype
+    # or malformed CRCs is a plain ValueError, as a run's warning names it
+    path = str(tmp_path / "t.bin")
+    save_table(phi_table(zeta_spec, 100, mode="float"), path)
+    with open(path, "r+b") as fh:
+        blob = header(json.loads(fh.read(256)))
+        fh.seek(0)
+        fh.write(blob.ljust(256))
+    with pytest.raises(ValueError, match=message) as raised:
+        load_table(path, zeta_spec, 100)
+    assert type(raised.value) is ValueError
+
+
 def test_cache_mismatch(tmp_path, zeta_spec, mod4_spec):
     table = phi_table(zeta_spec, 100, mode="float")
-    path = str(tmp_path / "t.npz")
+    path = str(tmp_path / "t.bin")
     save_table(table, path)
     with pytest.raises(CacheMismatch):
         load_table(path, mod4_spec, 100)
