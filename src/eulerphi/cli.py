@@ -30,6 +30,7 @@ Exit codes: 0 all requested verifications passed; 1 a verification failed;
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -576,6 +577,29 @@ def cmd_constants(cfg: RunConfig):
     return {"meta": _meta(cfg, spec, "float"), "columns": columns}, True
 
 
+def _int_column(values) -> np.ndarray:
+    """Python ints as an int64 array, or as an object array when one of
+    them lies outside int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _running_sum(column: np.ndarray) -> np.ndarray:
+    """The running sum of an integer column from _int_column.
+
+    Every partial sum is at most len(column) max|entry| in size: below
+    2^63, the sum is one int64 np.cumsum.  Past that bound it is taken in
+    Python ints, and _int_column checks each sum itself.
+    """
+    if column.dtype == np.int64:
+        top = max(-int(column.min(initial=0)), int(column.max(initial=0)))
+        if len(column) * top < 2 ** 63:
+            return np.cumsum(column)
+    return _int_column(list(itertools.accumulate(column.tolist())))
+
+
 def cmd_table(cfg: RunConfig):
     o = cfg.options
     spec = build_spec(cfg)
@@ -585,16 +609,22 @@ def cmd_table(cfg: RunConfig):
     limit = n if o["limit"] is None else min(o["limit"], n)
     rows = slice(1, limit + 1)
     columns = {"n": np.arange(1, limit + 1)}
-    # the running sum of phi only over the exported rows
+    report = {"meta": _meta(cfg, spec, table.mode), "columns": columns}
+    if table.exact and type(table.phi[0]) is int:
+        phi = _int_column(table.phi[rows])
+        columns.update(alpha=_int_column(table.alpha[rows]), phi=phi,
+                       cumulative=_running_sum(phi))
+        # exact values, spelled "1" in JSON like a Fraction's p/q
+        report["exact_columns"] = ["alpha", "phi", "cumulative"]
+        return report, True
+    # a Fraction or float table: the running sum of phi only over the
+    # exported rows
     cumulative = _coeffs.phi_sums(table, range(limit + 1))
     if table.exact:
         cumulative = [cumulative[k] for k in range(limit + 1)]
-    for name, values in (("alpha", table.alpha), ("phi", table.phi),
-                         ("cumulative", cumulative)):
-        # integer tables print as exact values, "1" in JSON, like Fractions
-        columns[name] = (list(map(Fraction, values[rows])) if table.exact
-                         else values[rows])
-    return {"meta": _meta(cfg, spec, table.mode), "columns": columns}, True
+    columns.update(alpha=table.alpha[rows], phi=table.phi[rows],
+                   cumulative=cumulative[rows])
+    return report, True
 
 
 def cmd_error_term(cfg: RunConfig):
@@ -841,22 +871,25 @@ def _json_cell(v) -> str:
     return _nested(v, 3) if isinstance(v, list) else json.dumps(v)
 
 
-def _json_rows(columns: dict):
+def _json_rows(columns: dict, exact):
     """block -> the text of its rows as json.dump(indent=2) lays them out
     inside "rows": [...], without the brackets.
 
     Each row is one % template of that layout: %r spells a cell of a
     finite float64 array as json does, repr, and %d a cell of an integer
-    array.  Every other cell (of a list, a complex array, or a float array
-    holding NaN or an infinity, which json spells NaN, Infinity and
-    -Infinity) is spelled by _json_cell.
+    array.  A column named in exact holds integers that are exact values,
+    spelled as strings like a Fraction's p/q: its cells take "%d", quoted,
+    which spells an int64 cell and a Python int of any size alike.  Every
+    other cell (of a list, a complex array, or a float array holding NaN
+    or an infinity, which json spells NaN, Infinity and -Infinity) is
+    spelled by _json_cell.
     """
     formats = []
-    for c in columns.values():
+    for name, c in columns.items():
         fmt = _column_format(c)
         if fmt == "%.17g":
             fmt = "%r" if np.isfinite(c).all() else None
-        formats.append(fmt)
+        formats.append('"%d"' if name in exact else fmt)
     template = "    {\n" + ",\n".join(
         f"      {json.dumps(key).replace('%', '%%')}: {fmt or '%s'}"
         for key, fmt in zip(columns, formats)) + "\n    }"
@@ -874,7 +907,7 @@ def _write_json(data: dict, out) -> None:
     at a time."""
     columns = data["columns"]
     out.write('{\n  "meta": ' + _nested(data["meta"]) + ',\n  "rows": ')
-    rows = _json_rows(columns)
+    rows = _json_rows(columns, data.get("exact_columns", ()))
     opening = "[\n"
     for block in _blocks(columns):
         out.write(opening + rows(block))
@@ -892,6 +925,10 @@ def emit_report(data: dict, format: str = "csv",
                 path: Optional[str] = None) -> None:
     """Write {meta, columns[, summary]} as CSV (a header row, then one line
     per row) or as JSON {meta, rows[, summary]}, a block of rows at a time.
+
+    An optional "exact_columns" key names integer columns that hold exact
+    values: JSON spells their cells as strings ("-1"), as it spells a
+    Fraction, and CSV as it spells any integer.
 
     A failed write, to --output or to stdout, is an IoError.  When stdout's
     reader has gone (a closed pipe), stdout is pointed at os.devnull so that

@@ -357,8 +357,15 @@ def _row_emit(data: dict, format: str) -> bytes:
 
 
 def _as_rows(data: dict) -> dict:
-    """A columns report as the row dicts of numpy scalars commands built."""
-    columns = data["columns"]
+    """A columns report as the row dicts of numpy scalars commands built.
+
+    A cell of a column that "exact_columns" names is an exact value, and
+    goes to the row as the Fraction commands built for it, which the row
+    emitter spells as a p/q string in JSON.
+    """
+    columns = dict(data["columns"])
+    for name in data.get("exact_columns", ()):
+        columns[name] = [Fraction(int(v)) for v in columns[name]]
     rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
     out = {"meta": data["meta"], "rows": rows}
     if "summary" in data:
@@ -405,7 +412,7 @@ ORACLE_RUNS = [
 @pytest.mark.parametrize("args", ORACLE_RUNS, ids=" ".join)
 def test_columns_emit_like_rows(tmp_path, args):
     data, _ = run_command(parse_config(args))
-    assert set(data) <= {"meta", "columns", "summary"}
+    assert set(data) <= {"meta", "columns", "summary", "exact_columns"}
     _assert_emits_like_rows(data, tmp_path)
 
 
@@ -650,6 +657,108 @@ def test_exact_reports_match_golden_digests(tmp_path, args, digest):
     out = tmp_path / "report.csv"
     assert main(args + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of exact integer-table exports, CSV and JSON, of no row, one row
+# and every row up to --n: zeta, and real characters of both signs.  Their
+# alpha, phi and cumulative cells are spelled from int64 columns, in JSON
+# as strings ("-1"), like the Fractions they were once spelled from
+INTEGER_TABLES = {"zeta": [],
+                  "kronecker -4": ["--product", "dirichlet", "--kronecker", "-4"],
+                  "kronecker 8": ["--product", "dirichlet", "--kronecker", "8"]}
+INTEGER_TABLE_DIGESTS = {
+    ("zeta", "0"): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                    "031b366aeee6d67a36f20ce94224c29634f905edaa81ce7a90ab67c8c2772789"),
+    ("zeta", "1"): ("f383e25791e951d2445897fd27d7d07b0620a61556e62a7092f048d2d4ae75e2",
+                    "11cf3c0ba05d6ed9f7aefb861621eab1d38c03b7b3d1980adae9364cb29d1594"),
+    ("zeta", None): ("9d8df68ed395a76101254caa54cb82e71389bdb043eb31af8e09ddb89e50a5db",
+                     "b271f950dbb5bd1cdb8bcd12527ebbd21608cdc15ec3daf1468b47afd8de1380"),
+    ("kronecker -4", "0"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "abae3d448f58fcca68ddb8df3e3ffc7825ad4cbd6d8881cd356a57ff513e32bc"),
+    ("kronecker -4", "1"): (
+        "f383e25791e951d2445897fd27d7d07b0620a61556e62a7092f048d2d4ae75e2",
+        "f8930a0c88137d0fde80c6aac9985cff1ce3f4a7f76dbf52c8222c1e7f63561e"),
+    ("kronecker -4", None): (
+        "b2c047cc3461da4cdc3cf0442333439c43e8b72fa37f88afdb497e1d1df33f9d",
+        "ac71a86ab866dbc1e02ecde27be343373e0f8ca59f3779668a8d555a9cc0fb26"),
+    ("kronecker 8", "0"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4f3767d973d6e84902d35e05c289a245a68cca41504654640ed1d508d504c46f"),
+    ("kronecker 8", "1"): (
+        "f383e25791e951d2445897fd27d7d07b0620a61556e62a7092f048d2d4ae75e2",
+        "85873b7d9f593b6c5bbcbdc3782c2d65cef0def8b9b522f808ac0603aaebda6a"),
+    ("kronecker 8", None): (
+        "1620bff8198fecae659d5c0cf8237dce7e7a749fbfb2fa105e5dd3d5ac68dca0",
+        "b9679c05aad6fe8abf8b54187f14a989f3e3b43cf29bd8e98af611fd9f5617cd"),
+}
+
+
+@pytest.mark.parametrize("product, limit", INTEGER_TABLE_DIGESTS,
+                         ids=lambda v: v if v in INTEGER_TABLES
+                         else f"limit {v or 'n'}")
+def test_integer_table_exports_match_golden_digests(tmp_path, product, limit):
+    args = (["table", "--n", "1200", "--mode", "exact"]
+            + INTEGER_TABLES[product]
+            + ([] if limit is None else ["--limit", limit]))
+    digests = INTEGER_TABLE_DIGESTS[product, limit]
+    for format, digest in zip(("csv", "json"), digests):
+        out = tmp_path / f"report.{format}"
+        assert main(args + ["--format", format, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, format
+
+
+def test_exact_table_columns_by_number_type():
+    # an integral exact table reaches the writer as int64 columns, named as
+    # exact values; a Fraction table as lists of Fractions, named as none
+    for product in INTEGER_TABLES.values():
+        data, _ = run_command(parse_config(
+            ["table", "--n", "300", "--mode", "exact"] + product))
+        assert data["exact_columns"] == ["alpha", "phi", "cumulative"]
+        for name in ("n", *data["exact_columns"]):
+            assert data["columns"][name].dtype == np.int64, name
+    data, _ = run_command(parse_config(
+        ["table", "--n", "300", "--mode", "exact"] + DEFAULT_ONE))
+    assert "exact_columns" not in data
+    for name in ("alpha", "phi", "cumulative"):
+        assert {type(v) for v in data["columns"][name]} == {Fraction}, name
+
+
+@pytest.mark.parametrize("phi, dtype", [
+    # entries near 2^62: the third partial sum passes int64
+    ([2 ** 62, 2 ** 62 - 1, 2 ** 62 - 3, -5, 7], object),
+    # len * max|phi| passes 2^63, but every partial sum fits
+    ([2 ** 62, -(2 ** 62), 2 ** 62, -(2 ** 62), 2 ** 62 - 1], np.int64),
+    # an entry past int64
+    ([3, 2 ** 64, -(2 ** 70), 1, 1], object),
+    # the bound holds at the edge: 5 (2^63 - 1) / 5
+    ([(2 ** 63 - 1) // 5] * 5, np.int64),
+], ids=["sum past int64", "bound past int64", "entry past int64", "bound"])
+def test_running_sum_of_big_entries(monkeypatch, tmp_path, phi, dtype):
+    # a table of Python ints built directly: the cumulative column is taken
+    # in int64 only where every partial sum fits, with no wraparound, and
+    # the cells are those of phi_sums
+    N = len(phi)
+    alpha = [0, 1] + [-(2 ** 62)] * (N - 1)
+    table = coeffs.TotientTable(spec=zeta_product(), N=N, mode="exact",
+                                alpha=alpha, phi=[0] + phi)
+    monkeypatch.setattr(cli, "get_table", lambda *args: table)
+    cfg = parse_config(["table", "--n", str(N), "--mode", "exact"])
+    data, _ = run_command(cfg)
+    assert data["columns"]["cumulative"].dtype == dtype
+    sums = coeffs.phi_sums(table, range(N + 1))
+    want = [[k, alpha[k], phi[k - 1], sums[k]] for k in range(1, N + 1)]
+    for format in ("csv", "json"):
+        out = tmp_path / f"report.{format}"
+        emit_report(data, format, str(out))
+        text = out.read_text()
+        if format == "csv":
+            header, *lines = text.splitlines()
+            assert header == "n,alpha,phi,cumulative"
+            assert lines == [",".join(map(str, row)) for row in want]
+        else:
+            assert [list(row.values()) for row in json.loads(text)["rows"]
+                    ] == [[k] + list(map(str, cells)) for k, *cells in want]
 
 
 # SHA-256 of float reports, CSV and JSON, one run of each kind of op the
