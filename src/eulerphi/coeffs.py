@@ -36,7 +36,10 @@ numpy object arrays, and one pass over the segments brings each segment's
 sum over the common denominator and adds it on.  The float one
 (_float_column) runs numpy's cumulative sum over blocks of _CHUNK terms,
 each block starting from the last sum of the one before, and keeps the
-sums at the read points only, or at every k for a reader of them all.
+sums at the read points only, or at every k for a reader of them all; on
+request it also keeps the running sum of their rounding errors, found
+exactly by TwoSum, so that a difference of two sums is as accurate as the
+terms between them.
 
 A batch of points is a column of values (_cells): a float64 array on a
 real float table, an object array of Python numbers on any other, so that
@@ -495,7 +498,8 @@ def _exact_column(column, power: int, top: int, reads: set,
 
 
 def _float_column(column: np.ndarray, power: int, top: int,
-                  reads: Optional[np.ndarray] = None) -> np.ndarray:
+                  reads: Optional[np.ndarray] = None,
+                  errors: bool = False):
     """The sums S(k) = sum_{n<=k} column(n)/n^power of a float column, at
     each k of reads (distinct and ascending) or, when reads is None, at
     every k <= top; S(0) = 0.
@@ -505,11 +509,25 @@ def _float_column(column: np.ndarray, power: int, top: int,
     of the block before it, so every sum has the bits of one np.cumsum of
     the terms from n = 1.  Only the sums at the read points are kept: the
     pass holds one block beside its result, whatever top.
+
+    With errors (and reads), the result is (sums, lo): lo at each read is
+    the running sum, by the same blocked np.cumsum, of the rounding errors
+    of every addition up to it, each found exactly by TwoSum (Knuth), so
+    that sums + lo is the exact sum of the terms as formed, up to the
+    rounding of lo's own sum.  A difference
+    (sums[b] - sums[a]) + (lo[b] - lo[a]) then has the accuracy of the
+    terms in (a, b], not that of the whole prefix (the cascaded summation
+    of Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005).
     """
     dtype = np.result_type(column, np.float64)
     dense = reads is None
     out = np.zeros(top + 1 if dense else len(reads), dtype=dtype)
-    buf = None if dense else np.empty(min(_CHUNK, top), dtype=dtype)
+    size = min(_CHUNK, top)
+    buf = None if dense else np.empty(size, dtype=dtype)
+    if errors:
+        lo_out = np.zeros(len(reads), dtype=dtype)
+        terms, err = (np.empty(size, dtype=dtype) for _ in range(2))
+        lo_carry = 0
     i = 0 if dense else int(np.searchsorted(reads, 1))
     carry = None
     for lo in range(1, top + 1, _CHUNK):
@@ -517,18 +535,38 @@ def _float_column(column: np.ndarray, power: int, top: int,
         block = out[lo:hi] if dense else buf[: hi - lo]
         if power:
             n = np.arange(lo, hi, dtype=np.float64)
-            np.divide(column[lo:hi], n ** power, out=block)
+            n **= power
+            np.divide(column[lo:hi], n, out=block)
         else:
             block[...] = column[lo:hi]
+        if errors:
+            t, e = terms[: hi - lo], err[: hi - lo]
+            t[...] = block
+            first = 0 if carry is None else carry
         if carry is not None:
             block[0] += carry
         np.cumsum(block, out=block)
+        if errors:
+            # TwoSum of each addition s = a + t, a the sum before it
+            e[0] = block[0] - first
+            np.subtract(block[1:], block[:-1], out=e[1:])    # v = s - a
+            t -= e                                           # t - v
+            np.subtract(block, e, out=e)                     # s - v
+            e[0] = first - e[0]
+            np.subtract(block[:-1], e[1:], out=e[1:])        # a - (s - v)
+            e += t
+            e[0] += lo_carry
+            np.cumsum(e, out=e)
+            lo_carry = e[-1]
         carry = block[-1]
         if not dense:
             j = int(np.searchsorted(reads, hi))
-            out[i:j] = block[reads[i:j] - lo]
+            at = reads[i:j] - lo
+            out[i:j] = block[at]
+            if errors:
+                lo_out[i:j] = e[at]
             i = j
-    return out
+    return (out, lo_out) if errors else out
 
 
 def _distinct(ks) -> np.ndarray:
@@ -544,12 +582,15 @@ def _distinct(ks) -> np.ndarray:
 class _ReadSums(_SlotRecord):
     """A float running sum at the k a batch reads: values[i] = S(reads[i]),
     reads distinct and ascending.  Indexed by a k, or by an array of them,
-    as the full sum it stands for is; a k it does not hold is a KeyError."""
+    as the full sum it stands for is; a k it does not hold is a KeyError.
+    errors, when given, holds the running sum of the rounding errors of
+    values at the same reads (_float_column with errors)."""
 
-    __slots__ = _fields = ("reads", "values")
+    __slots__ = _fields = ("reads", "values", "errors")
 
-    def __init__(self, reads: np.ndarray, values: np.ndarray):
-        self._init(reads, values)
+    def __init__(self, reads: np.ndarray, values: np.ndarray,
+                 errors: Optional[np.ndarray] = None):
+        self._init(reads, values, errors)
 
     def __getitem__(self, k):
         i = np.searchsorted(self.reads, k)

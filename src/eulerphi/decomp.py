@@ -40,9 +40,10 @@ Every formula has one body, built from four private pieces:
     block carrying its last sum into the next, so every sum has the bits
     of one cumulative sum and only the read points are kept, never arrays
     of floor(x) entries (a reader of every k, f1_values or the integral
-    route's T, asks for them).  Terms n > x of both series collapse onto
-    A1 - P1 and A2 - P2, which is how f1_series and g1 sum their infinite
-    tails.
+    route's T, asks for them).  The sums of alpha that float S_g reads
+    also carry the running sum of their rounding errors (compensated).
+    Terms n > x of both series collapse onto A1 - P1 and A2 - P2, which is
+    how f1_series and g1 sum their infinite tails.
   * the scale of an exact batch, the lcm of its sums' denominators.  It
     lives only in the integer verdict (_reduced_residual): the sums enter
     there as integer numerators over the scale, and both sides of the
@@ -50,17 +51,18 @@ Every formula has one body, built from four private pieces:
     Every value formula (E2, x f1, g1) takes plain numbers, each sum read
     as a Fraction over its own denominator (_value, _column).
   * _s_g, which gives S_g(x) = sum_{n<=x} alpha(n) {x/n}({x/n} - 1) (for
-    g1 and the float decompose).  In exact mode _scaled_s_g, which the
-    verdict reads too, expands S_g into P2(k), P1(k) and sums of P1 and
-    A0 = sum_{n<=k} alpha(n) at k//j, which the sweep records only at the
-    O(sqrt k) values k//j and sums over the blocks of constant k//j in
-    integers.  In float mode one fused kernel sums S_g term by term over
-    the prefix n <= floor(x) of the n with alpha(n) != 0 (_nonzero_alpha,
-    once per batch: the sweep's "alpha_nz"), in two buffers the batch
-    owns: divide, floor and subtract give {x/n} (_frac, the one
-    fractional-part routine, which also feeds the bare sawtooth sum of
-    f1_series_raw), then alpha(n) {x/n}, {x/n} - 1 and their product in
-    place, and np.sum of the prefix.
+    g1 and the float decompose) from the blocks of n on which floor(x/n)
+    is constant, in O(sqrt x) work a point.  In exact mode _scaled_s_g,
+    which the verdict reads too, expands S_g into P2(k), P1(k) and sums of
+    P1 and A0 = sum_{n<=k} alpha(n) at k//j, which the sweep records only
+    at the O(sqrt k) values k//j and sums over the blocks of constant k//j
+    in integers.  That global expansion cancels x^2-sized terms in floats,
+    so float mode sums the n <= k // (isqrt(k) + 1) term by term ({x/n}
+    from _frac, the one fractional-part routine, which also feeds the bare
+    sawtooth sum of f1_series_raw) and each group n in
+    (k // (q + 1), k // q], q <= isqrt(k), by its expansion, whose terms
+    are O(x), from differences of the sweep's compensated sums of
+    alpha/n^2, alpha/n and alpha at the group's edges.
 
 Only the primitives branch on exact/float, since that is where Python
 integer loops and numpy arrays really differ.  The routes that check each
@@ -82,8 +84,10 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from . import coeffs
 from .coeffs import (
     TotientTable,
+    _ReadSums,
     _batch_points,
     _cells,
     _error_term,
@@ -144,14 +148,19 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
     integral route's second accumulator.  Each maps to something indexed
     by every k of ks, and by an array of them.
 
+    blocks names the k whose S_g the batch reads (_s_g).
+
     On float tables each column is summed by coeffs._float_column: in
     blocks, each carrying its running sum into the next, so that every sum
     has the bits of one numpy cumulative sum, and kept only at the
     distinct k of ks (coeffs._float_sums).  A sweep for T (a dict of numpy
     sums of S_f) keeps the sums at every k up to the top instead, as
-    arrays.  With "alpha_nz" a float sweep also returns
-    _nonzero_alpha up to the top, which the batch's S_g reads (_s_g), so
-    the alpha column is scanned for its nonzero entries once per batch.
+    arrays.  When blocks is not empty, "p2", "p1" and "a0" (A0(k) =
+    sum_{n<=k} alpha(n)) are kept at the k of ks and at every group edge
+    k//q, q <= isqrt(k) + 1, of each k of blocks, each with the running
+    sum of its rounding errors (coeffs._ReadSums.errors), which float
+    S_g's group differences read; P1 and P2 at the k of ks keep the bits
+    of the plain sums.
 
     On exact tables a sum is an _ExactSum, integer numerators over the
     sum's denominator, and "scale" is the lcm of those denominators; no
@@ -160,13 +169,13 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
     map each k of blocks to the numerators of sum_{j<=k} P1(k//j) and
     sum_{j<=k} 2j A0(k//j), A0(k) = sum_{n<=k} alpha(n), summed in
     integers over the floor blocks from P1 and A0 recorded only at the
-    O(sqrt k) values k//j.  Exact sweeps ignore "alpha_nz".
+    O(sqrt k) values k//j.
 
     _value reads a sum at a k as a number of the table's type, _column at
     every point of a batch.  A sum of alpha needs a table that holds it
     (coeffs._require_alpha).
     """
-    if {"p1", "p2"} & set(names):
+    if {"p1", "p2"} & set(names) or len(blocks):
         _require_alpha(table, "the sums of alpha (P1, P2, S_g)")
     alpha, phi = table.alpha, table.phi
     columns = {"p1": (alpha, 1), "p2": (alpha, 2), "s_f": (phi, 1)}
@@ -175,15 +184,20 @@ def _sweep(table: TotientTable, ks, names: tuple, blocks=()) -> dict:
     if not table.exact:
         dense = "t_f" in names
         columns["s_phi"] = (phi, 0)
+        # the sums of alpha that S_g's groups read, compensated
+        grouped = {"p2": 2, "p1": 1, "a0": 0} if len(blocks) else {}
         out = {}
-        for name in columns.keys() & set(names):
+        for name in columns.keys() & set(names) - grouped.keys():
             column, power = columns[name]
             out[name] = (_float_column(column, power, top) if dense
                          else _float_sums(column, power, ks))
         if "t_f" in names:
             out["t_f"] = {k: np.sum(out["s_f"][1:k]) for k in ks.tolist()}
-        if "alpha_nz" in names:
-            out["alpha_nz"] = _nonzero_alpha(table, top)
+        if grouped:
+            reads = _group_reads(ks, blocks)
+            for name, power in grouped.items():
+                out[name] = _ReadSums(reads, *_float_column(
+                    alpha, power, top, reads, errors=True))
         return out
     ks = ks.tolist()
     out = {"s_phi": phi_sums(table, ks)} if "s_phi" in names else {}
@@ -254,13 +268,13 @@ def _column(sums: dict, name: str, ks: np.ndarray, table: TotientTable,
 
 
 def _batch_sweep(ks: np.ndarray, table: TotientTable, names: tuple) -> dict:
-    """_sweep at the floor values ks of a batch's points; on an exact table
-    every point also gets its floor blocks, which exact S_g reads."""
-    return _sweep(table, ks, names, ks.tolist() if table.exact else ())
+    """_sweep at the floor values ks of a batch's points, with the sums that
+    S_g reads at each of them (_s_g)."""
+    return _sweep(table, ks, names, ks.tolist())
 
 
 # what decompose and the reduced identity read at each point
-_DECOMPOSE_SUMS = ("p1", "p2", "s_f", "s_phi", "alpha_nz")
+_DECOMPOSE_SUMS = ("p1", "p2", "s_f", "s_phi")
 
 
 def _constants(num: _Numbers, constants: Constants) -> tuple:
@@ -269,8 +283,9 @@ def _constants(num: _Numbers, constants: Constants) -> tuple:
                  for v in (constants.c, constants.a1, constants.a2))
 
 
-def _frac(x, n, num: _Numbers, out: tuple = None) -> np.ndarray:
-    """{x/n} for a sequence of positive integers n, in num's type.
+def _frac(x, n, num: _Numbers) -> np.ndarray:
+    """{x/n} for a sequence of positive integers n, in num's type; in float
+    mode x may also be an array, broadcast against n.
 
     A float quotient x/n is correctly rounded.  For |x| < 2^53 it is an
     integer exactly when n divides x: then x/n is exact, and otherwise
@@ -278,24 +293,19 @@ def _frac(x, n, num: _Numbers, out: tuple = None) -> np.ndarray:
     ulp(x), which keeps x/n more than half an ulp of the quotient away
     from m.  From 2^53 up, where x need not be the multiple of n that it
     rounds, the quotient counts as integral iff round(x/n) * n reproduces
-    x.  out: for a float x, two float64 buffers of len(n), one for the
-    result and one for the floor values.
+    x.
     """
     if num.exact:
         x = Fraction(x)
         p, q = x.numerator, x.denominator
         return np.array([Fraction(p % (q * m), q * m) for m in n], dtype=object)
-    x = float(x)
+    x = np.asarray(x, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
-    quot, whole = (None, None) if out is None else out
-    quot = np.divide(x, n, out=quot)
-    whole = np.floor(quot, out=whole)
-    big = abs(x) >= 2.0 ** 53
-    if big:
-        integral = np.round(quot) * n == x
-    r = np.subtract(quot, whole, out=quot)
-    if big:
-        r[integral] = 0.0
+    quot = x / n
+    r = np.subtract(quot, np.floor(quot))
+    big = np.abs(x) >= 2.0 ** 53
+    if big.any():
+        r[big & (np.round(quot) * n == x)] = 0.0
     return r
 
 
@@ -342,18 +352,49 @@ def _scaled_s_g(x, k: int, sums: dict) -> tuple:
     return s_g, p1, p2
 
 
+def _group_sums(s: _ReadSums, edge: np.ndarray) -> np.ndarray:
+    """The sums of a compensated running sum s over the groups between
+    consecutive edges of each row, as indices of s.reads (descending):
+    (hi_b - hi_a) + (lo_b - lo_a) over (a, b]."""
+    hi, lo = s.values[edge], s.errors[edge]
+    return (hi[:, :-1] - hi[:, 1:]) + (lo[:, :-1] - lo[:, 1:])
+
+
+def _group_reads(ks: np.ndarray, blocks) -> np.ndarray:
+    """The k of ks and the group edges k // q, q <= isqrt(k) + 1, of each k
+    of blocks (_s_g), distinct and ascending: one flag a k up to the top,
+    so they cost top bytes at most, however many points and edges the
+    batch has."""
+    read = np.zeros(int(ks.max(initial=0)) + 1, dtype=bool)
+    read[ks] = True
+    for k in blocks:
+        read[k // np.arange(1, math.isqrt(k) + 2)] = True
+    return np.flatnonzero(read)
+
+
 def _s_g(xs: np.ndarray, ks: np.ndarray, sums: dict,
          table: TotientTable) -> np.ndarray:
     """S_g(x) = sum_{n<=x} alpha(n) {x/n}({x/n} - 1) at each point (xs, ks)
     of a batch, from its sweep's sums, as a column of the batch.
 
-    Exact mode reads S_g off _scaled_s_g.  Float mode sums S_g term by
-    term instead, since the expanded form cancels x^2-sized terms in
-    floats, over the prefix n <= k of the sweep's "alpha_nz", in two
-    buffers that the batch owns: {x/n} from _frac, then alpha(n) {x/n},
-    then that times {x/n} - 1, all in place, and np.sum of the prefix.  A
-    point's terms are the elements, in the order, of a scan up to its own
-    k, so its sum has the same bits whatever the batch.
+    Exact mode reads S_g off _scaled_s_g.  Float mode cannot use that
+    global expansion, whose x^2-sized terms cancel in floats, and splits
+    S_g at L = k // (Q + 1), Q = isqrt(k), instead.  The terms n <= L are
+    formed one by one, {x/n} from _frac.  The n > L fall into one group
+    for each q <= Q, n in (k // (q + 1), k // q], where floor(x/n) = q, and
+    the group's terms sum to
+
+        x^2 dP2 - x (2q + 1) dP1 + q (q + 1) dA0,
+
+    dP2, dP1 and dA0 the group's sums of alpha/n^2, alpha/n and alpha:
+    differences of the sweep's compensated running sums at the group's
+    edges (_group_sums), exact up to the rounding of the group's own
+    terms, which are about 3x at most.  So a point costs O(sqrt k), not
+    O(k).  A point's S_g adds, one after another from -0.0, its direct
+    terms by ascending n and then its group values by ascending q: one
+    np.cumsum along a row a point, whose padding, -0.0, leaves every sum
+    as it is.  The elements and their order are the point's own, so its
+    bits are the same whatever the batch or its chunks.
     """
     if table.exact:
         scale = sums["scale"]
@@ -361,20 +402,36 @@ def _s_g(xs: np.ndarray, ks: np.ndarray, sums: dict,
                                 x.denominator ** 2 * scale)
                        for x, k in zip(xs.tolist(), ks.tolist())],
                       table, collapse=False)
-    n, a = sums["alpha_nz"]
+    p2, p1, a0 = (sums[name] for name in ("p2", "p1", "a0"))
+    dtype = p1.values.dtype
+    # the padding of the rows: x + zero == x for every x, zeros included
+    zero = complex(-0.0, -0.0) if dtype.kind == "c" else -0.0
     num = _number_type(False)
-    js = np.searchsorted(n, ks, "right")
-    size = int(js.max(initial=0))
-    r_buf, terms_buf = np.empty(size), np.empty(size, dtype=a.dtype)
-    # the floor values of {x/n} are spent before the terms are formed
-    floor_buf = terms_buf.view(np.float64)
-    out = np.empty(len(ks), dtype=a.dtype)
-    for i, (x, j) in enumerate(zip(xs.tolist(), js.tolist())):
-        r = _frac(x, n[:j], num, out=(r_buf[:j], floor_buf[:j]))
-        terms = np.multiply(a[:j], r, out=terms_buf[:j])
+    xs = xs.astype(np.float64)
+    roots = np.array([math.isqrt(k) for k in ks.tolist()], dtype=np.int64)
+    out = np.empty(len(ks), dtype=dtype)
+    # chunks of whole points whose rows, 2 isqrt(k) + 2 entries a point at
+    # most, fit in coeffs._CHUNK entries at the batch's largest k
+    size = max(1, coeffs._CHUNK // (2 * int(roots.max(initial=0)) + 2))
+    for at in (slice(i, i + size) for i in range(0, len(ks), size)):
+        x, k, root = xs[at, None], ks[at], roots[at]
+        direct = k // (root + 1)
+        n = np.arange(1, int(direct.max()) + 1)
+        q = np.arange(1, root.max() + 1, dtype=np.float64)
+        rows = np.empty((len(k), 1 + len(n) + len(q)), dtype=dtype)
+        terms, groups = rows[:, 1 : 1 + len(n)], rows[:, 1 + len(n) :]
+        r = _frac(x, n, num)
+        np.multiply(table.alpha[n], r, out=terms)
         r -= 1
         terms *= r    # alpha(n) {x/n} ({x/n} - 1), in that order
-        out[i] = np.sum(terms)
+        edge = np.searchsorted(p1.reads,
+                               k[:, None] // np.arange(1, len(q) + 2))
+        d2, d1, d0 = (_group_sums(s, edge) for s in (p2, p1, a0))
+        groups[...] = x * x * d2 - x * (2 * q + 1) * d1 + q * (q + 1) * d0
+        rows[:, 0] = zero
+        terms[n > direct[:, None]] = zero
+        groups[q > root[:, None]] = zero
+        out[at] = np.cumsum(rows, axis=1, out=rows)[:, -1]
     return _cells(out, table)
 
 
@@ -522,7 +579,7 @@ def g1(x: Scalar, table: TotientTable, constants: Constants) -> Scalar:
     x^2 (A2 - P2(x)) - x (A1 - P1(x)).
     """
     xs, ks = _batch_points([_table_point(x, table)], table)
-    sums = _batch_sweep(ks, table, ("p1", "p2", "alpha_nz"))
+    sums = _batch_sweep(ks, table, ("p1", "p2"))
     return _g1(xs, ks, sums, table, constants).item(0)
 
 

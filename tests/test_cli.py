@@ -763,9 +763,13 @@ def test_running_sum_of_big_entries(monkeypatch, tmp_path, phi, dtype):
 
 # SHA-256 of float reports, CSV and JSON, one run of each kind of op the
 # float-scan benchmark makes; they pin float bits, so a faster sieve or
-# sweep must leave every one where it was.  Float bits can also move with
-# the platform (numpy's SIMD log and power, libm): these were taken on
-# x86-64 Linux with CPython 3.11 and numpy 2.4.
+# sweep must leave every one where it was.  The three float decompose
+# digests pin S_g's split into direct terms and floor-quotient groups over
+# compensated sums (decomp._s_g): their E2 and x_f1 cells are those of the
+# term-by-term S_g before it, and only half_g1 and the residual moved, by
+# 2.8e-11 at most (1.5e-15 x).  Float bits can also move with the platform
+# (numpy's SIMD log and power, libm): these were taken on x86-64 Linux
+# with CPython 3.11 and numpy 2.4.
 KRONECKER_4 = ["--product", "dirichlet", "--kronecker", "-4"]
 FLOAT_POINTS = ["--x", "1,2,2.5,3,4,6,7.5,10,12,133.7,1338,4999.5,12345.6,"
                 "20000", "--mode", "float"]
@@ -787,8 +791,8 @@ FLOAT_GOLDEN_REPORTS = [
      "108a14a55fa40fe2c03e6803a54571d970151f92d79e5643f818ec0bf0746fce",
      "b8b173e605517add7fbc3cdcbdc348b97ed6741183a499339934a44c5fd55a54"),
     (["decompose", "--x", "1:20000:133.7", "--mode", "float"],
-     "efec1ec8505add39ea1007a98e4817d3d10db6f9b16211675da3e0e34697f1fe",
-     "ce90c141f53de2aced63df66d0dc4eca96f931949b65c92b652649c8a9f415a8"),
+     "42c0fc62746ef439ec0eeddb1dcebdbe27c81f1b70f9c68069d4eca4143ca509",
+     "ed89667c6a86d10fbb8c5ea9a31920b25f28c2427d25e991ff6b7a3d637efd8d"),
     (["volterra", "--op", "residual", "--X", "10", "--h", "0.01"],
      "feafc9c7cd29e01bc9e2c00cdeb92d77149d61b1e685067436c6e29b2a87d33e",
      "9408918424e166c0f7c6c1ece8839e9776b86582e46799c72fd58910d1d1cdfc"),
@@ -809,11 +813,11 @@ FLOAT_GOLDEN_REPORTS = [
      "1819778f522c58b1e98f793c571bfd84436a8e95db4e2c143ccdd95ec2c083fb",
      "b96ff78d1390d8d0dde2e17296dfac18bc4d8c4d8280759dbab7d2e40e46b544"),
     (["decompose"] + COMPLEX_ROOTS + FLOAT_POINTS,
-     "59b8d31032df64abd32fda3a0a33c51ab6baeb252f38ec51fd5ec9e9f047bb59",
-     "95d69957cdb434a96f2319bd9343ef7c7817434f12b7b98a14dc24c14ba4e70f"),
+     "61c531ed4bc8f5379491d4a11929319c29ee5f1d7108eb730218c5a46a6315f0",
+     "3307ae4d57335a0700f45d9f162229b035a7c7129f5a5216a2263db950c1b1a9"),
     (["decompose"] + KRONECKER_4 + FLOAT_POINTS,
-     "efdf5335280324c0d227214201f7460fe91ee6fe083a409ffaad8f0aca414ac1",
-     "a5dc1ace580a6a294d4da1e299201fb798de90e579d085d70c46a0d8d864c877"),
+     "a42940a74047219ef6795ca5cd6e7e26914e6fa9a67bcff1ee9f940953e1d7a4",
+     "2ad14452278f1936d6e2bc56d20ad44446b76db290277a2780ac5bce04c2a7f4"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Coefficient sieves, totient tables, error terms, scans, and the cache."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -252,6 +253,35 @@ def test_small_tables_match_phi_direct(monkeypatch, zeta_spec, mod4_spec,
                 ct = sieve_alpha(spec, N, mode="exact")
                 assert ct.alpha == alpha[: N + 1]
                 assert {type(v) for v in ct.alpha} == {_exact_type(spec, N)}
+
+
+def test_float_column_errors_complete_each_sum(monkeypatch, zeta_spec,
+                                               custom100_spec):
+    # with errors, a float column sum keeps beside each running sum the
+    # running sum of its additions' exact rounding errors (TwoSum): the
+    # sums keep the bits of the plain pass, and sum + error is the exact
+    # sum of the terms as formed up to the rounding of the errors' own sum,
+    # across block edges (blocks of 7) and at 0
+    N = 3000
+    reads = np.array([0, 1, 2, 6, 7, 8, 100, 1499, 2999, 3000])
+    n = np.arange(1, N + 1, dtype=np.float64)
+    for spec in (zeta_spec, custom100_spec):
+        alpha = phi_table(spec, N, mode="float").alpha
+        for power in (0, 1, 2):
+            terms = [Fraction(t) for t in alpha[1:] / n ** power]
+            exact = [Fraction(0), *itertools.accumulate(terms)]
+            for chunk in (coeffs._CHUNK, 7):
+                monkeypatch.setattr(coeffs, "_CHUNK", chunk)
+                plain = coeffs._float_column(alpha, power, N, reads)
+                hi, lo = coeffs._float_column(alpha, power, N, reads,
+                                              errors=True)
+                assert hi.tobytes() == plain.tobytes()
+                bound = N * 2.0 ** -52 * np.abs(lo).max()
+                for k, h, e in zip(reads.tolist(), hi, lo):
+                    assert abs(Fraction(h) + Fraction(e) - exact[k]) <= bound
+                if power:   # the plain sums alone are off by far more
+                    assert max(abs(Fraction(h) - exact[k])
+                               for k, h in zip(reads.tolist(), hi)) > bound
 
 
 def test_integer_tables_outside_int64_sieve_python_ints(monkeypatch,

@@ -22,6 +22,8 @@ from eulerphi.coeffs import (
     series_identity_check,
 )
 from eulerphi.decomp import (
+    _batch_sweep,
+    _s_g,
     _sweep,
     decompose,
     decompose_batch,
@@ -380,23 +382,32 @@ def _old_frac(x, n):
     return r
 
 
+def _running_sums(terms):
+    """(hi, lo) at every k >= 0: hi the np.cumsum of terms[1..k] and lo the
+    np.cumsum of the exact rounding errors of its additions, TwoSum's."""
+    hi = np.cumsum(terms)
+    prev = np.concatenate([[0], hi[:-1]])
+    bb = hi - prev
+    err = (prev - (hi - bb)) + (terms - bb)
+    zero = np.zeros(1, dtype=hi.dtype)
+    return np.concatenate([zero, hi]), np.concatenate([zero, np.cumsum(err)])
+
+
 def _per_point_oracle(xs, table, cons):
-    """(E plain, E2, x f1, g1, g1/2, residual) at each x, as the per-point
-    code formed them: X-long np.cumsum sums, one masked {x/n} and one sum
-    of terms a point, each operation on Python or numpy scalars."""
+    """(E plain, E2, x f1, g1, g1/2, residual) at each x, as one point alone
+    forms them: X-long np.cumsum sums, each operation on Python or numpy
+    scalars, and S_g as the terms n <= L = k // (isqrt(k) + 1), then one
+    value a group q <= isqrt(k), n in (k // (q + 1), k // q], from
+    compensated sums of alpha/n^2, alpha/n and alpha, added in turn."""
     alpha, phi = table.alpha, table.phi
     ks = [math.floor(x) for x in xs]
     top = max(ks)
     n = np.arange(1, top + 1, dtype=np.float64)
-    dtype = np.result_type(alpha, phi, np.float64)
     sums = {}
-    for name, (column, power) in {"p1": (alpha, 1), "p2": (alpha, 2),
-                                  "s_f": (phi, 1)}.items():
-        sums[name] = np.zeros(top + 1, dtype=dtype)
-        sums[name][1:] = np.cumsum(column[1 : top + 1] / n ** power)
+    for name, (column, power) in {"p2": (alpha, 2), "p1": (alpha, 1),
+                                  "a0": (alpha, 0), "s_f": (phi, 1)}.items():
+        sums[name] = _running_sums(column[1 : top + 1] / n ** power)
     s_phi = np.cumsum(phi[: top + 1])
-    nz = np.flatnonzero(alpha[1 : top + 1]) + 1
-    nzf, a = nz.astype(np.float64), alpha[nz]
     c, a1, a2 = (_plain(v.value) for v in (cons.c, cons.a1, cons.a2))
     rows = []
     for x, k in zip(xs, ks):
@@ -404,17 +415,29 @@ def _per_point_oracle(xs, table, cons):
         if x == k and k >= 1:
             s = s - _plain(phi[k]) / 2
         e2 = s - c * x * x
-        s_f = _plain(sums["s_f"][k])
+        s_f = _plain(sums["s_f"][0][k])
         if x == k:
             s_f = s_f - _plain(phi[k]) / 2 / k
         xf1 = x * (a1 / 2 - 2 * c * x + s_f)
-        j = np.searchsorted(nz, k, "right")
-        r = _old_frac(x, nzf[:j])
-        terms = a[:j] * r
+        root = math.isqrt(k)
+        L = k // (root + 1)
+        r = _old_frac(x, np.arange(1, L + 1, dtype=np.float64))
+        direct = alpha[1 : L + 1] * r
         r -= 1
-        terms *= r
-        s_g = _plain(np.sum(terms))
-        p1, p2 = _plain(sums["p1"][k]), _plain(sums["p2"][k])
+        direct *= r
+        groups = []
+        for q in range(1, root + 1):
+            b, a = k // q, k // (q + 1)
+            d2, d1, d0 = ((hi[b] - hi[a]) + (lo[b] - lo[a])
+                          for hi, lo in (sums["p2"], sums["p1"], sums["a0"]))
+            groups.append(x * x * d2 - x * (2 * q + 1) * d1
+                          + q * (q + 1) * d0)
+        # one after another from -0.0, which leaves each sum as it is
+        s_g = complex(-0.0, -0.0) if np.iscomplexobj(alpha) else -0.0
+        for term in [*direct, *groups]:
+            s_g = s_g + term
+        s_g = _plain(s_g)
+        p1, p2 = _plain(sums["p1"][0][k]), _plain(sums["p2"][0][k])
         g = _plain(s_g + x * x * (a2 - p2) - x * (a1 - p1))
         rows.append((plain - c * x * x, e2, xf1, g, g / 2, e2 - xf1 - g / 2))
     return rows
@@ -458,6 +481,31 @@ def test_float_batches_equal_the_per_point_oracle(data):
     assert [[_bits(v) for v in row] for row in got] == [
         [_bits(v) for v in row] for row in want]
     assert symmetric == [rep.e2.value for rep in reports]
+
+
+def test_float_s_g_matches_exact_s_g(zeta_spec, mod4_spec, custom100_spec):
+    # S_g, the sum g1 reads below its tail, from float direct terms and
+    # floor-quotient groups over compensated sums, against the exact S_g of
+    # the same product at the same points (a float x is the rational it
+    # holds): integers, halves and sevenths at k = 1, 2, 3 and m^2 - 1,
+    # m^2, m(m + 1), where the group edges k // q meet the split at
+    # isqrt(k), up to k = 100172.  One sweep of each table serves all
+    # points; the float sum is good to 1e-13 x
+    ks = sorted({1, 2, 3} | {e for m in (2, 3, 7, 31, 100, 316)
+                             for e in (m * m - 1, m * m, m * (m + 1))})
+    xs = [float(k + frac) for k in ks
+          for frac in (Fraction(0), Fraction(1, 2), Fraction(3, 7))]
+    for spec in (zeta_spec, mod4_spec, custom100_spec):
+        got = []
+        for mode in ("float", "exact"):
+            table = phi_table(spec, ks[-1] + 1, mode=mode)
+            points, floors = coeffs._batch_points(
+                (coeffs._table_point(x, table) for x in xs), table)
+            sums = _batch_sweep(floors, table, ("p1", "p2"))
+            got.append(_s_g(points, floors, sums, table).tolist())
+        for x, f, e in zip(xs, *got):
+            assert isinstance(e, Fraction)
+            assert abs(Fraction(f) - e) <= 1e-13 * max(x, 1), (spec.kind, x)
 
 
 def test_s_f_kernel_matches_phi_direct(zeta_spec, mod4_spec, custom100_spec):
