@@ -19,8 +19,9 @@ a closed stdout pipe included, is an IoError.  A JSON config file may hold
 any long-option value under its dest name; command-line flags win, unknown
 keys are rejected.
 Float tables are cached under EULERPHI_CACHE_DIR (or --cache-dir) keyed by
-spec hash and size; exact tables are always built, since loading one would
-create as many Python ints or Fractions as building it.
+spec hash and size; exact tables are always built, since an integral one is
+sieved in int64 in about 0.05 s at the exact cap of N = 10^6, and one of
+Fractions holds objects, not raw columns.
 
 Exit codes: 0 all requested verifications passed; 1 a verification failed;
 2 usage error; 10-35 one code per library error class (its exit_code);
@@ -30,7 +31,6 @@ Exit codes: 0 all requested verifications passed; 1 a verification failed;
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -577,29 +577,6 @@ def cmd_constants(cfg: RunConfig):
     return {"meta": _meta(cfg, spec, "float"), "columns": columns}, True
 
 
-def _int_column(values) -> np.ndarray:
-    """Python ints as an int64 array, or as an object array when one of
-    them lies outside int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _running_sum(column: np.ndarray) -> np.ndarray:
-    """The running sum of an integer column from _int_column.
-
-    Every partial sum is at most len(column) max|entry| in size: below
-    2^63, the sum is one int64 np.cumsum.  Past that bound it is taken in
-    Python ints, and _int_column checks each sum itself.
-    """
-    if column.dtype == np.int64:
-        top = max(-int(column.min(initial=0)), int(column.max(initial=0)))
-        if len(column) * top < 2 ** 63:
-            return np.cumsum(column)
-    return _int_column(list(itertools.accumulate(column.tolist())))
-
-
 def cmd_table(cfg: RunConfig):
     o = cfg.options
     spec = build_spec(cfg)
@@ -608,12 +585,11 @@ def cmd_table(cfg: RunConfig):
     _coeffs._require_alpha(table, "table")
     limit = n if o["limit"] is None else min(o["limit"], n)
     rows = slice(1, limit + 1)
-    columns = {"n": np.arange(1, limit + 1)}
+    columns = {"n": np.arange(1, limit + 1), "alpha": table.alpha[rows],
+               "phi": table.phi[rows]}
     report = {"meta": _meta(cfg, spec, table.mode), "columns": columns}
-    if table.exact and type(table.phi[0]) is int:
-        phi = _int_column(table.phi[rows])
-        columns.update(alpha=_int_column(table.alpha[rows]), phi=phi,
-                       cumulative=_running_sum(phi))
+    if table.exact and type(table.phi[0]) is not Fraction:
+        columns["cumulative"] = _coeffs._int_running_sum(columns["phi"])
         # exact values, spelled "1" in JSON like a Fraction's p/q
         report["exact_columns"] = ["alpha", "phi", "cumulative"]
         return report, True
@@ -622,8 +598,7 @@ def cmd_table(cfg: RunConfig):
     cumulative = _coeffs.phi_sums(table, range(limit + 1))
     if table.exact:
         cumulative = [cumulative[k] for k in range(limit + 1)]
-    columns.update(alpha=table.alpha[rows], phi=table.phi[rows],
-                   cumulative=cumulative[rows])
+    columns["cumulative"] = cumulative[rows]
     return report, True
 
 

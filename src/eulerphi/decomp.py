@@ -313,17 +313,15 @@ def _nonzero_alpha(table: TotientTable, top: int) -> tuple:
     """(n, alpha(n)) over the n <= top with alpha(n) != 0, ascending.
 
     On a float table: a float64 array of the n and a float64 or complex128
-    one of alpha(n).  On an exact table: object arrays of the ints and of
-    alpha(n) as Fractions.
+    one of alpha(n).  On an exact table: object arrays of the Python ints n
+    and of alpha(n) as Fractions (_cells), so that alpha(n)/n stays exact.
     """
     _require_alpha(table, "the sums of alpha (P1, P2, S_g)")
-    alpha = table.alpha
+    n = np.flatnonzero(table.alpha[1 : top + 1]) + 1
+    alpha = table.alpha[n]
     if table.exact:
-        ns = [n for n in range(1, top + 1) if alpha[n]]
-        return (np.array(ns, dtype=object),
-                np.array([Fraction(alpha[n]) for n in ns], dtype=object))
-    n = np.flatnonzero(alpha[1 : top + 1]) + 1
-    return n.astype(np.float64), alpha[n]
+        return n.astype(object), _cells(alpha, table)
+    return n.astype(np.float64), alpha
 
 
 def _sawtooth(r: np.ndarray) -> np.ndarray:
@@ -499,7 +497,7 @@ def f1_one_sided(N: int, table: TotientTable, constants: Constants) -> F1OneSide
     left = base + _value(sums, "s_f", N - 1)
     right = base + _value(sums, "s_f", N)
     return F1OneSided(left=left, right=right, half=(left + right) / 2,
-                      jump=num.collapse(table.phi[N]) / N)
+                      jump=num.collapse(table.phi.item(N)) / N)
 
 
 def f1_series_raw(x: Scalar, table: TotientTable, M: int) -> Scalar:
@@ -683,8 +681,9 @@ def _reduced_residual(x: Fraction, table: TotientTable, k: int,
     lhs = 2 * b * b * sums["s_phi"][k] * scale
     rhs = 2 * a * b * sums["s_f"].scaled(k) + s_g - a * a * p2 + a * b * p1
     if b == 1:   # J times scale is whole: J = phi(k)/k is a term of S_f
-        lhs -= table.phi[k] * scale
-        rhs -= a * (table.phi[k] * scale // k)
+        phi = table.phi.item(k)   # a Python number, never an np.int64
+        lhs -= phi * scale
+        rhs -= a * (phi * scale // k)
     return lhs == rhs, Fraction(lhs - rhs, 2 * b * b * scale)
 
 

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import logging
 import math
@@ -710,7 +711,7 @@ def test_integer_table_exports_match_golden_digests(tmp_path, product, limit):
 
 def test_exact_table_columns_by_number_type():
     # an integral exact table reaches the writer as int64 columns, named as
-    # exact values; a Fraction table as lists of Fractions, named as none
+    # exact values; a Fraction table as columns of Fractions, named as none
     for product in INTEGER_TABLES.values():
         data, _ = run_command(parse_config(
             ["table", "--n", "300", "--mode", "exact"] + product))
@@ -735,18 +736,29 @@ def test_exact_table_columns_by_number_type():
     ([(2 ** 63 - 1) // 5] * 5, np.int64),
 ], ids=["sum past int64", "bound past int64", "entry past int64", "bound"])
 def test_running_sum_of_big_entries(monkeypatch, tmp_path, phi, dtype):
-    # a table of Python ints built directly: the cumulative column is taken
-    # in int64 only where every partial sum fits, with no wraparound, and
-    # the cells are those of phi_sums
+    # the integer running sum is taken in int64 only where every partial sum
+    # fits, with no wraparound, from an int64 column (where every entry
+    # fits) and from an object column of Python ints alike
+    want = list(itertools.accumulate(phi))
+    columns = [np.array(phi, dtype=object)]
+    if all(abs(v) < 2 ** 63 for v in phi):
+        columns.append(np.array(phi, dtype=np.int64))
+    for column in columns:
+        sums = coeffs._int_running_sum(column)
+        assert sums.dtype == dtype
+        assert sums.tolist() == want
+    # a table built directly: the table command's cumulative column is that
+    # sum, and its cells are those of phi_sums
     N = len(phi)
-    alpha = [0, 1] + [-(2 ** 62)] * (N - 1)
+    alpha = np.array([0, 1] + [-(2 ** 62)] * (N - 1), dtype=np.int64)
     table = coeffs.TotientTable(spec=zeta_product(), N=N, mode="exact",
-                                alpha=alpha, phi=[0] + phi)
+                                alpha=alpha, phi=np.insert(columns[-1], 0, 0))
     monkeypatch.setattr(cli, "get_table", lambda *args: table)
     cfg = parse_config(["table", "--n", str(N), "--mode", "exact"])
     data, _ = run_command(cfg)
     assert data["columns"]["cumulative"].dtype == dtype
     sums = coeffs.phi_sums(table, range(N + 1))
+    assert [sums[k] for k in range(1, N + 1)] == want
     want = [[k, alpha[k], phi[k - 1], sums[k]] for k in range(1, N + 1)]
     for format in ("csv", "json"):
         out = tmp_path / f"report.{format}"

@@ -1,6 +1,7 @@
 """Coefficient sieves, totient tables, error terms, scans, and the cache."""
 
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -17,7 +18,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import TRUE_C_ZETA
-from eulerphi import coeffs, decomp
+from eulerphi import cli, coeffs, decomp
+from eulerphi.cli import parse_config, run_command
 from eulerphi.coeffs import (
     GrowthScanReport,
     TotientTable,
@@ -25,6 +27,7 @@ from eulerphi.coeffs import (
     _series_sums,
     cache_path,
     error_term,
+    error_term_batch,
     growth_scan,
     load_table,
     make_e2,
@@ -52,6 +55,7 @@ from eulerphi.products import (
     ValueWithBound,
     _plain,
     build_character,
+    compute_constants,
     custom_product,
     dirichlet_product,
     gamma,
@@ -185,10 +189,16 @@ def _exact_type(spec, N):
 
 
 def _assert_exact_type(table):
+    """int64 columns and int sums where every gamma(p) is an integer (the
+    int64 bound holds for these tables), object arrays of Fractions and
+    Fraction sums otherwise."""
     want = _exact_type(table.spec, table.N)
+    where = (table.spec, table.N)
+    for column in (table.alpha, table.phi):
+        assert column.dtype == (np.int64 if want is int else object), where
+        assert {type(v) for v in column.tolist()} == {want}, where
     sums = phi_sums(table, range(table.N + 1)).values()
-    for seq in (table.alpha, table.phi, sums):
-        assert {type(v) for v in seq} == {want}, (table.spec, table.N)
+    assert {type(v) for v in sums} == {want}, where
 
 
 def test_phi_table_matches_divisor_sum_exact(zeta_spec, mod4_spec,
@@ -197,9 +207,11 @@ def test_phi_table_matches_divisor_sum_exact(zeta_spec, mod4_spec,
     for spec in (zeta_spec, mod4_spec, custom100_spec, INTEGRAL_CUSTOM):
         table = phi_table(spec, N, mode="exact")
         alpha, phi = _oracle(spec, N, exact=True)
-        assert table.alpha == alpha
-        assert table.phi == phi
+        assert table.alpha.tolist() == alpha
+        assert table.phi.tolist() == phi
         _assert_exact_type(table)
+        if spec is zeta_spec:   # int64 columns, 8 bytes an entry
+            assert table.phi.nbytes == table.alpha.nbytes == 8 * (N + 1)
         assert _exact_type(spec, N) is (Fraction if spec is custom100_spec
                                         else int)
         sums = phi_sums(table, [0, 1, N // 3, N])
@@ -245,14 +257,14 @@ def test_small_tables_match_phi_direct(monkeypatch, zeta_spec, mod4_spec,
             alpha, _ = _oracle(spec, 40, exact=True)
             for N in range(1, 41):
                 table = phi_table(spec, N, mode="exact")
-                assert table.alpha == alpha[: N + 1]
+                assert table.alpha.tolist() == alpha[: N + 1]
                 assert table.phi[0] == 0
                 _assert_exact_type(table)
-                assert table.phi[1:] == [phi_direct(spec, n, exact=True)
-                                         for n in range(1, N + 1)]
+                assert table.phi[1:].tolist() == [
+                    phi_direct(spec, n, exact=True) for n in range(1, N + 1)]
                 ct = sieve_alpha(spec, N, mode="exact")
-                assert ct.alpha == alpha[: N + 1]
-                assert {type(v) for v in ct.alpha} == {_exact_type(spec, N)}
+                assert ct.alpha.tolist() == alpha[: N + 1]
+                assert ct.alpha.dtype == table.alpha.dtype
 
 
 def test_float_column_errors_complete_each_sum(monkeypatch, zeta_spec,
@@ -293,24 +305,54 @@ def test_integer_tables_outside_int64_sieve_python_ints(monkeypatch,
     # ... and fails where an entry could leave int64
     big = np.full(len(ps), 2 ** 40, dtype=object)
     assert not coeffs._fits_int64(big, ps, 10 ** 6)
-    # past the bound the same sieve runs on Python ints
+    # past the bound the same sieve runs on Python ints, in object arrays
     int64_tables = [phi_table(spec, 3000, mode="exact")
                     for spec in (zeta_spec, mod4_spec)]
     monkeypatch.setattr(coeffs, "_fits_int64", lambda *args: False)
     ks = [0, 1, 1500, 2999, 3000]
+    xs = [Fraction(1), Fraction(7, 2), Fraction(1500), Fraction(5999, 2),
+          Fraction(3000)]
     for table in int64_tables:
         got = phi_table(table.spec, 3000, mode="exact")
+        assert table.alpha.dtype == table.phi.dtype == np.int64
+        assert got.alpha.dtype == got.phi.dtype == object
         sums = phi_sums(got, ks)
-        for a, b in ((got.alpha, table.alpha), (got.phi, table.phi),
+        for a, b in ((got.alpha.tolist(), table.alpha.tolist()),
+                     (got.phi.tolist(), table.phi.tolist()),
                      ([sums[k] for k in ks],
-                      [sum(table.phi[: k + 1]) for k in ks])):
+                      [sum(table.phi[: k + 1].tolist()) for k in ks])):
             assert a == b and {type(v) for v in a} == {int}
+        # every reader gives the same values, of the same types, on both
+        # storages
+        cons = compute_constants(table.spec)
+        assert decomp.verify_identity_batch(xs, got) == \
+            decomp.verify_identity_batch(xs, table)
+        want = decomp.decompose_columns(xs, table, cons)
+        for name, column in decomp.decompose_columns(xs, got, cons).items():
+            assert [(type(v), v) for v in list(column)] == [
+                (type(v), v) for v in list(want[name])], name
+        for convention in ("plain", "symmetric"):
+            assert error_term_batch(got, cons.c, xs, convention).tolist() \
+                == error_term_batch(table, cons.c, xs, convention).tolist()
+        reports = []
+        for held in (table, got):
+            monkeypatch.setattr(cli, "get_table", lambda *args: held)
+            data, _ = run_command(parse_config(
+                ["table", "--n", "3000", "--mode", "exact"]))
+            cells = {name: c.tolist() for name, c in data["columns"].items()}
+            texts = []
+            for write in (cli._write_csv, cli._write_json):
+                out = io.StringIO()
+                write(data, out)
+                texts.append(out.getvalue())
+            reports.append((cells, texts))
+        assert reports[0] == reports[1]
 
 
 def test_phi_sums_equal_the_sum_of_phi(monkeypatch, zeta_spec, mod4_spec):
     # the exact sums, read at a few k, in the table's own number type: int64
-    # sieved and Python-int tables take builtin sums, Fraction tables the
-    # binary-splitting route; float tables read the cumulative sum of phi
+    # and Python-int tables read their integer running sum, Fraction tables
+    # the binary-splitting route; float tables the cumulative sum of phi
     N = 3000
     rng = random.Random(11)
     ks = [0, 1, N // 2, N] + [rng.randrange(N + 1) for _ in range(20)]
@@ -374,6 +416,10 @@ def test_exact_column_equals_a_fraction_oracle(data):
                              "column")
     if kind == "fraction":
         column = [Fraction(v) for v in column]
+    # the column types of exact tables: int64, or object arrays of Python
+    # ints or of Fractions
+    oracle_column = column
+    column = np.array(column, dtype=np.int64 if kind == "int64" else object)
     below = st.integers(1, max(top, 1))
     reads = data.draw(st.one_of(
         st.just(set()), st.builds(lambda k: {k}, below), st.sets(below),
@@ -383,9 +429,11 @@ def test_exact_column_equals_a_fraction_oracle(data):
     total = data.draw(st.booleans(), "total")
 
     den, nums, tots = coeffs._exact_column(column, power, top, reads, total)
-    sums, running, lcm = _column_oracle(column, power, top, reads)
+    sums, running, lcm = _column_oracle(oracle_column, power, top, reads)
     assert den == lcm
     assert nums.keys() == tots.keys() == sums.keys()
+    # Python ints, never np.int64, whatever the column's dtype
+    assert {type(v) for v in (den, *nums.values(), *tots.values())} == {int}
     for k in sums:
         assert Fraction(nums[k], den) == sums[k]
         assert Fraction(tots[k], den) == (running[k] if total else 0)

@@ -214,32 +214,56 @@ def test_decompose_exact(request):
             assert rep.analytic_part.value == g1(x, table, cons) / 2
 
 
-def test_exact_values_stay_fractions(request):
-    # exact tables hold ints where every gamma(p) is integral, and int / int
-    # is a float: every value read off an exact table, at integer and
-    # half-integer x, must come back a Fraction all the same
+def _assert_python_fraction(v, where):
+    # an np.int64 numerator passes type(v) is Fraction, and its products
+    # wrap past 2^63: an exact value is a Fraction of Python ints
+    assert type(v) is Fraction, where
+    assert type(v.numerator) is int and type(v.denominator) is int, where
+
+
+def test_exact_values_stay_fractions(request, monkeypatch):
+    # exact tables hold int64 or Python ints where every gamma(p) is
+    # integral, and int / int is a float: every value read off an exact
+    # table, at integer and half-integer x, must come back a Fraction of
+    # Python ints all the same, whichever column type the table holds
     integral = custom_product(1, {2: [1], 3: [-1]}, "zero")
     products = exact_products(request) + [
         (phi_table(integral, 500, mode="exact"), compute_constants(integral))]
+    with monkeypatch.context() as m:
+        m.setattr(coeffs, "_fits_int64", lambda *args: False)
+        products.append((phi_table(integral, 500, mode="exact"),
+                         compute_constants(integral)))
+    assert [t.phi.dtype for t, _ in products] == [
+        np.int64, np.int64, object, np.int64, object]
     for table, cons in products:
+        alpha = table.alpha.tolist()
         for x in (Fraction(137), Fraction(275, 2), 40):
+            where = (table.spec, table.phi.dtype, x)
             for _, _, res in verify_identity_batch([x], table):
-                assert type(res) is Fraction and res == 0
+                _assert_python_fraction(res, where)
+                assert res == 0
             rep = decompose(x, table, cons)
-            for v in (rep.e2.value, rep.arithmetic_part.value,
+            for v in (rep.x, rep.e2.value, rep.arithmetic_part.value,
                       rep.analytic_part.value, rep.residual):
-                assert type(v) is Fraction, (table.spec, x)
+                _assert_python_fraction(v, where)
             # a float quotient inside would come back a Fraction of it
-            raw = sum(Fraction(table.alpha[n], n) * sawtooth(
-                Fraction(x, n)) for n in range(1, 301))
+            raw = sum(Fraction(alpha[n], n) * sawtooth(Fraction(x, n))
+                      for n in range(1, 301))
             got = f1_series_raw(x, table, 300)
-            assert type(got) is Fraction and got == raw
+            _assert_python_fraction(got, where)
+            assert got == raw
             for convention in ("plain", "symmetric"):
-                e = error_term(table, cons.c, x, convention=convention)
-                assert type(e) is Fraction
-        assert type(f1_one_sided(40, table, cons).jump) is Fraction
-        assert f1_one_sided(40, table, cons).jump == Fraction(table.phi[40],
-                                                             40)
+                _assert_python_fraction(
+                    error_term(table, cons.c, x, convention=convention), where)
+        one_sided = f1_one_sided(40, table, cons)
+        for v in one_sided:
+            _assert_python_fraction(v, table.spec)
+        assert one_sided.jump == Fraction(table.phi.item(40), 40)
+        for v in coeffs.phi_sums(table, [0, 1, 40, 137, 500]).values():
+            if type(table.phi[0]) is Fraction:
+                _assert_python_fraction(v, table.spec)
+            else:
+                assert type(v) is int, table.spec
 
 
 def test_exact_tables_take_float_points_as_rationals(request):
@@ -615,7 +639,7 @@ def test_g1_matches_definition_at_block_edges(request):
         for k in ks:
             for x in (Fraction(k), k + Fraction(1, 2), k + Fraction(3, 7)):
                 assert g1(x, table, cons) == _g1_oracle(
-                    x, table.alpha, a1, a2), (table.spec.kind, x)
+                    x, table.alpha.tolist(), a1, a2), (table.spec.kind, x)
 
 
 def test_verify_identity_detects_changed_entries(zeta_spec, custom100_spec,
