@@ -39,18 +39,18 @@ at a set of read points.  In the exact one (_exact_column) the read points
 cut 1..top into segments; _split sums every segment's terms by binary
 splitting with lcm denominators, one level of the tree at a time over
 numpy object arrays, and one pass over the segments brings each segment's
-sum over the common denominator and adds it on.  The float one
-(_float_column) runs numpy's cumulative sum over blocks of _CHUNK terms,
-each block starting from the last sum of the one before, and keeps the
-sums at the read points only, or at every k for a reader of them all; on
-request it also keeps the running sum of their rounding errors, found
-exactly by TwoSum, so that a difference of two sums is as accurate as the
-terms between them.
+sum over the common denominator and adds it on.  The float one is one
+loop (_float_blocks): numpy's cumulative sum over blocks of _CHUNK terms,
+each block starting from the last sum of the one before, and on request
+the running sum of their rounding errors, found exactly by TwoSum, so that
+a difference of two sums is as accurate as the terms between them; the
+sums at read points (_float_column) and the growth scan both come from it.
 
 A batch of points is a column of values (_cells): a float64 array on a
 real float table, an object array of Python numbers on any other, so that
 a formula over the batch makes each point's operations, and bits, those
-of the point alone (_error_term).
+of the point alone; E and E2 have that one formula for every command
+(_error_term).
 """
 
 from __future__ import annotations
@@ -103,10 +103,10 @@ _EXACT_AUTO_CAP = 2 * 10 ** 5
 
 # bumped whenever the file layout changes, so older files fail the header check
 _CACHE_VERSION = 7
-# entries per run of the multiplicative sieve and per block of the growth
-# scan and the float column sums; bounds their temporaries to about 1 MB (a
-# sieve run of two complex columns, a complex scan block), whatever the
-# table's size
+# entries per run of the multiplicative sieve and per block of the float
+# running sums (_float_blocks, which the growth scan reads); bounds their
+# temporaries to about 1 MB (a sieve run of two complex columns, a complex
+# scan block), whatever the table's size
 _CHUNK = 1 << 14
 
 
@@ -513,42 +513,32 @@ def _int_running_sum(column: np.ndarray) -> np.ndarray:
         return sums
 
 
-def _float_column(column: np.ndarray, power: int, top: int,
-                  reads: Optional[np.ndarray] = None,
+def _float_blocks(column: np.ndarray, power: int, top: int,
                   errors: bool = False):
-    """The sums S(k) = sum_{n<=k} column(n)/n^power of a float column, at
-    each k of reads (distinct and ascending) or, when reads is None, at
-    every k <= top; S(0) = 0.
+    """The running sums S(k) = sum_{n<=k} column(n)/n^power of a float
+    column over 1..top, a block of _CHUNK k at a time: yields
+    (lo, sums, errs), sums[i] = S(lo + i).
 
-    The terms are formed and summed a block of _CHUNK entries at a time, by
-    np.cumsum in place, and a block's running sum starts from the last one
-    of the block before it, so every sum has the bits of one np.cumsum of
-    the terms from n = 1.  Only the sums at the read points are kept: the
-    pass holds one block beside its result, whatever top.
+    A block's terms are formed, and summed by np.cumsum in place, from the
+    last sum of the block before, so every sum has the bits of one np.cumsum
+    from n = 1.  With errors, errs[i] is the running sum, by the same
+    blocked np.cumsum, of the rounding errors of every addition up to
+    lo + i, each found exactly by TwoSum (Knuth), so that S + errs is the
+    exact sum of the terms as formed, up to the rounding of errs' own sum.
 
-    With errors (and reads), the result is (sums, lo): lo at each read is
-    the running sum, by the same blocked np.cumsum, of the rounding errors
-    of every addition up to it, each found exactly by TwoSum (Knuth), so
-    that sums + lo is the exact sum of the terms as formed, up to the
-    rounding of lo's own sum.  A difference
-    (sums[b] - sums[a]) + (lo[b] - lo[a]) then has the accuracy of the
-    terms in (a, b], not that of the whole prefix (the cascaded summation
-    of Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005).
+    The next block reuses a yielded block's buffers: a consumer may read or
+    write a block, but not keep it.
     """
     dtype = np.result_type(column, np.float64)
-    dense = reads is None
-    out = np.zeros(top + 1 if dense else len(reads), dtype=dtype)
     size = min(_CHUNK, top)
-    buf = None if dense else np.empty(size, dtype=dtype)
+    buf = np.empty(size, dtype=dtype)
     if errors:
-        lo_out = np.zeros(len(reads), dtype=dtype)
         terms, err = (np.empty(size, dtype=dtype) for _ in range(2))
         lo_carry = 0
-    i = 0 if dense else int(np.searchsorted(reads, 1))
     carry = None
     for lo in range(1, top + 1, _CHUNK):
         hi = min(lo + _CHUNK, top + 1)
-        block = out[lo:hi] if dense else buf[: hi - lo]
+        block = buf[: hi - lo]
         if power:
             n = np.arange(lo, hi, dtype=np.float64)
             n **= power
@@ -575,13 +565,38 @@ def _float_column(column: np.ndarray, power: int, top: int,
             np.cumsum(e, out=e)
             lo_carry = e[-1]
         carry = block[-1]
-        if not dense:
-            j = int(np.searchsorted(reads, hi))
-            at = reads[i:j] - lo
-            out[i:j] = block[at]
-            if errors:
-                lo_out[i:j] = e[at]
-            i = j
+        yield lo, block, e if errors else None
+
+
+def _float_column(column: np.ndarray, power: int, top: int,
+                  reads: Optional[np.ndarray] = None,
+                  errors: bool = False):
+    """_float_blocks' sums S(k) at each k of reads (distinct and ascending)
+    or, when reads is None, at every k <= top; S(0) = 0.  Only the read
+    points are kept: the pass holds one block beside its result.
+
+    With errors (and reads), the result is (sums, lo), lo the error sums at
+    each read.  A difference (sums[b] - sums[a]) + (lo[b] - lo[a]) then has
+    the accuracy of the terms in (a, b], not that of the whole prefix (the
+    cascaded summation of Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26,
+    2005).
+    """
+    dtype = np.result_type(column, np.float64)
+    if reads is None:
+        out = np.zeros(top + 1, dtype=dtype)
+        for lo, block, _ in _float_blocks(column, power, top):
+            out[lo : lo + len(block)] = block
+        return out
+    out = np.zeros(len(reads), dtype=dtype)
+    lo_out = np.zeros(len(reads), dtype=dtype) if errors else None
+    i = int(np.searchsorted(reads, 1))
+    for lo, block, err in _float_blocks(column, power, top, errors):
+        j = int(np.searchsorted(reads, lo + len(block)))
+        at = reads[i:j] - lo
+        out[i:j] = block[at]
+        if errors:
+            lo_out[i:j] = err[at]
+        i = j
     return (out, lo_out) if errors else out
 
 
@@ -715,48 +730,41 @@ def _error_term(table: TotientTable, cF: ValueWithBound, xs: np.ndarray,
                 ks: np.ndarray, s: np.ndarray, convention: str) -> np.ndarray:
     """E(x) at each point (xs, ks) of a batch from s, the sum of phi up to
     its floor value, by the operations of one point: s - phi(x)/2 at an
-    integer x >= 1 under the symmetric convention, then s - (C x) x."""
+    integer x >= 1 under the symmetric convention, then s - (C x) x.  Also
+    run on a float table's numpy columns (growth_scan, make_e2), where s may
+    be complex beside a real C x^2; ks is read under symmetric only."""
     if convention == "symmetric":
         at = np.flatnonzero((xs == ks) & (ks >= 1))
         if len(at):
             s = s.copy()
             s[at] = s[at] - _phi_at(table, ks[at]) / 2
-    # in place, so that a batch of Fractions holds one array of them at a
-    # time beside its points
     e = _number_type(table.exact).collapse(cF.value) * xs
     e *= xs
+    if e.dtype != s.dtype:
+        return s - e
+    # in place, so that a batch of Fractions holds one array of them at a
+    # time beside its points
     return np.subtract(s, e, out=e)
 
 
 def make_e2(table: TotientTable, cF: ValueWithBound):
     """Vectorized E2 provider: xs array -> symmetric-convention error term.
 
-    Valid for 0 <= x < N+1; raises XBeyondTable past the table.  The
-    provider holds the running sum of phi up to the largest floor(x) it has
-    been given, from _float_column, and sums it afresh to a larger one:
-    one np.cumsum from n = 1, so every sum keeps its bits whatever the
-    calls before it.
+    Valid for 0 <= x < N+1; raises XBeyondTable past the table.  It keeps
+    nothing between calls: each sums phi up to its own largest floor(x)
+    (_float_column) and forms E2 by _error_term, with the bits of
+    error_term_batch at the same points.
     """
     _require_mode(table, "float", "make_e2")
-    N, phi = table.N, table.phi
-    cumulative = _float_column(phi, 0, 0)
-    c = _plain(cF.value)
 
     def e2(xs):
-        nonlocal cumulative
         xs = np.asarray(xs, dtype=np.float64)
-        if xs.size and (xs.min() < 0 or xs.max() >= N + 1):
-            raise XBeyondTable(
-                f"E2 provider covers [0, {N + 1}), got [{xs.min()}, {xs.max()}]")
-        k = np.floor(xs).astype(np.int64)
-        top = int(k.max(initial=0))
-        if top >= len(cumulative):
-            cumulative = _float_column(phi, 0, top)
-        out = cumulative[k] - c * xs * xs
-        at_int = (xs == k) & (k >= 1)
-        if np.any(at_int):
-            out = out - np.where(at_int, phi[np.minimum(k, N)] / 2, 0)
-        return out
+        if xs.size and (xs.min() < 0 or xs.max() >= table.N + 1):
+            raise XBeyondTable(f"E2 provider covers [0, {table.N + 1}), "
+                               f"got [{xs.min()}, {xs.max()}]")
+        ks = np.floor(xs).astype(np.int64)
+        s = _float_column(table.phi, 0, int(ks.max(initial=0)))[ks]
+        return _error_term(table, cF, xs, ks, s, "symmetric")
 
     return e2
 
@@ -923,36 +931,26 @@ def growth_scan(table: TotientTable, cF: ValueWithBound, X: int,
                 samples: int = 20, x_min: int = 2) -> GrowthScanReport:
     """Scan the plain error term against the x (log 2x)^degree envelope.
 
-    E(x) = sum_{n<=x} phi(n) - (C x) x and |E(x)| / (x (log 2x)^d) are
-    formed in place, in that order of operations, one block of _CHUNK
-    entries at a time.  A block's running sum starts from the last one of
-    the block before it, so every E(x) has the bits of one cumulative sum
-    of the whole table, and the scan holds one block's temporaries beside
-    the table, whatever X.  argmax is the first x of the largest ratio.
+    E(x) (_error_term, with error_term's bits) and |E(x)| / (x (log 2x)^d)
+    are formed one block of _float_blocks' running sums at a time, so the
+    scan holds one block's temporaries beside the table, whatever X.
+    argmax is the first x of the largest ratio.
     """
     _require_mode(table, "float", "growth_scan")
     if X > table.N:
         raise XBeyondTable(f"X = {X} beyond table N = {table.N}")
     if x_min < 1 or x_min > X:
         raise UsageError(f"need 1 <= x_min <= X, got x_min={x_min}, X={X}")
-    c = _plain(cF.value)
     idx = _distinct(np.geomspace(x_min, X, num=min(samples, X - x_min + 1)
                                  ).round())
-    rows, peaks, carry = [], [], 0
-    for lo in range(0, X + 1, _CHUNK):
-        hi = min(lo + _CHUNK, X + 1)
-        e = table.phi[lo:hi].copy()
-        e[0] += carry
-        np.cumsum(e, out=e)
-        carry = e[-1]
+    rows, peaks = [], []
+    for lo, sums, _ in _float_blocks(table.phi, 0, X):
+        hi = lo + len(sums)
         start = max(lo, x_min)
         if start >= hi:
             continue
-        e = e[start - lo :]
         xs = np.arange(start, hi, dtype=np.float64)
-        main = c * xs
-        main *= xs
-        e -= main
+        e = _error_term(table, cF, xs, None, sums[start - lo :], "plain")
         envelope = 2 * xs
         np.log(envelope, out=envelope)
         envelope **= table.spec.degree

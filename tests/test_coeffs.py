@@ -574,11 +574,9 @@ def test_make_e2_matches_scalar(zeta_float_100k, zeta_constants):
     e2 = make_e2(zeta_float_100k, zeta_constants.c)
     xs = np.array([0.25, 1.0, 2.5, 7.0, 10.0, 499.5, 99999.75, 100000.0])
     got = e2(xs)
-    want = [error_term(zeta_float_100k, zeta_constants.c, x,
-                       convention="symmetric") for x in xs]
-    # the scalar route takes half of phi(x) off before C x^2, the vector
-    # route after; they may differ by rounding at the top end
-    assert np.allclose(got, want, rtol=0, atol=1e-7)
+    want = np.array([error_term(zeta_float_100k, zeta_constants.c, x,
+                                convention="symmetric") for x in xs])
+    assert got.tobytes() == want.tobytes()
     with pytest.raises(XBeyondTable):
         e2(np.array([100001.5]))
 
@@ -702,6 +700,47 @@ GROWTH_SPECS = {
     "degree-3": custom_product(3, {2: [1, 1, 0.5], 3: [1, -1, 0.25],
                                    5: [0.5, 0.5, 0.5]}, "one"),
 }
+
+
+@pytest.mark.parametrize("name", ["zeta", *GROWTH_SPECS])
+def test_growth_scan_rows_are_the_error_term(name, zeta_spec):
+    # growth forms E by error_term's formula: every sampled row's E is
+    # error_term's value at its x, bit for bit
+    spec = zeta_spec if name == "zeta" else GROWTH_SPECS[name]
+    table = phi_table(spec, 10 ** 5, mode="float", alpha=False)
+    cF = c_constant(spec)
+    rep = growth_scan(table, cF, 10 ** 5, samples=60, x_min=1)
+    assert len(rep.rows) > 50
+    for x, e, _ in rep.rows:
+        want = error_term(table, cF, x, "plain")
+        assert repr(complex(e)) == repr(complex(want)), x
+
+
+# the products whose E2 is checked against error_term_batch: zeta, a real
+# character and three products with non-integral float tables
+E2_SPECS = {
+    "zeta": zeta_product(),
+    "kronecker-4": dirichlet_product(build_character(kronecker=-4)),
+    "custom-complex": custom_product(2, {2: [0.5, 0.25], 3: [1j, -1j]},
+                                     "one"),
+    "complex-degree-2": GROWTH_SPECS["complex-degree-2"],
+    "degree-3": GROWTH_SPECS["degree-3"],
+}
+
+
+@pytest.mark.parametrize("name", E2_SPECS)
+def test_make_e2_has_the_error_term_bits(name):
+    # E2 has one formula: the provider's values are those of
+    # error_term_batch's symmetric convention, bit for bit, at every
+    # integer x <= 2e4, where phi(x)/2 is taken off, and every half-integer
+    spec = E2_SPECS[name]
+    N = 2 * 10 ** 4
+    table = phi_table(spec, N, mode="float", alpha=False)
+    cF = c_constant(spec)
+    xs = np.arange(1, 2 * N + 1) / 2
+    got = make_e2(table, cF)(xs)
+    want = error_term_batch(table, cF, xs, "symmetric").astype(got.dtype)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["zeta", *GROWTH_SPECS])

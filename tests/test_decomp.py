@@ -122,6 +122,19 @@ def test_f1_series_errors(zeta_exact_500, zeta_constants):
         f1_series(300, zeta_exact_500, zeta_constants, 200)
     with pytest.raises(MBeyondTable):
         f1_series_raw(2.5, zeta_exact_500, 501)
+    # M may be the table's N, and as small as 1; below 1 it is refused
+    t = zeta_exact_500
+    alpha = t.alpha.tolist()
+
+    def s(u):
+        return 0 if u.denominator == 1 else Fraction(1, 2) - (u - math.floor(u))
+
+    x = Fraction(1001, 4)
+    assert f1_series_raw(x, t, t.N) == sum(
+        Fraction(alpha[n], n) * s(x / n) for n in range(1, t.N + 1))
+    assert f1_series_raw(2.25, t, 1) == Fraction(1, 4)
+    with pytest.raises(UsageError):
+        f1_series_raw(2.5, t, 0)
 
 
 def test_one_sided_limits(zeta_exact_500, mod4_exact_500,
