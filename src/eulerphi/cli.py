@@ -411,11 +411,6 @@ def _parse_char_values(text: str) -> list:
 # Spec / table / constants assembly
 # ---------------------------------------------------------------------------
 
-# options read only for one product kind
-_KIND_OPTIONS = {"dirichlet": ("kronecker", "modulus", "values"),
-                 "custom": ("degree", "roots", "default")}
-
-
 def _given(o: dict, keys) -> list:
     """The flags of the options among keys that are set."""
     return [f"--{key}" for key in keys if o[key] is not None]
@@ -426,8 +421,8 @@ def build_spec(cfg: RunConfig) -> _products.EulerProductSpec:
     its kind's options; any option that would be ignored is a UsageError."""
     o = cfg.options
     if o["spec_file"]:
-        clash = _given(o, ("product", *(k for keys in _KIND_OPTIONS.values()
-                                        for k in keys)))
+        clash = _given(o, ("product", *(
+            k for keys in _products._SPEC_KEYS.values() for k in keys)))
         if clash:
             raise UsageError(f"--spec-file defines the product; drop "
                              f"{', '.join(clash)}")
@@ -436,7 +431,7 @@ def build_spec(cfg: RunConfig) -> _products.EulerProductSpec:
         except OSError as e:
             raise IoError(f"cannot read spec file {o['spec_file']}: {e}")
     kind = o["product"] or "zeta"
-    for other, keys in _KIND_OPTIONS.items():
+    for other, keys in _products._SPEC_KEYS.items():
         for key in keys:
             if o[key] is not None and kind != other:
                 raise UsageError(f"--{key} is read only with --product {other}")

@@ -946,10 +946,11 @@ def _json_list(v, what: str) -> list:
     return v
 
 
-# the keys a spec of each kind reads
-_SPEC_KEYS = {"zeta": {"kind"},
-              "dirichlet": {"kind", "kronecker", "modulus", "values"},
-              "custom": {"kind", "degree", "roots", "default"}}
+# the keys a spec of each kind reads besides "kind", in the order of the
+# CLI's options of the same names, which are read only with that kind
+_SPEC_KEYS = {"zeta": (),
+              "dirichlet": ("kronecker", "modulus", "values"),
+              "custom": ("degree", "roots", "default")}
 
 
 def spec_from_dict(d: dict) -> EulerProductSpec:
@@ -960,7 +961,7 @@ def spec_from_dict(d: dict) -> EulerProductSpec:
     kind = d.get("kind")
     if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise BadProductSpec(f"unknown product kind {kind!r}")
-    unread = sorted(set(d) - _SPEC_KEYS[kind])
+    unread = sorted(set(d).difference(("kind",), _SPEC_KEYS[kind]))
     if unread:
         raise BadProductSpec(f"a {kind} spec reads no key "
                              f"{', '.join(map(repr, unread))}")

@@ -321,6 +321,36 @@ def test_decompose_float(zeta_float_100k, zeta_constants):
     assert rep.e2.bound > 0
 
 
+def test_decompose_batch_bounds(request):
+    # E2's bound is C's times x^2, x f1's is x (A1/2 + 2 x C) and g1/2's
+    # (x^2 A2 + x A1)/2, each at the float of x, with C's kind on E2 and
+    # A1's on the parts.  Kronecker -4 is the one product with a nonzero A1
+    # bound; custom100's constants are exact, so its bounds are all 0
+    xs = [Fraction(1), Fraction(2), Fraction(137), Fraction(500),
+          Fraction(7, 2), Fraction(499, 2), Fraction(300, 7),
+          Fraction(3499, 7)]
+    for table_name, cons_name in (("zeta_exact_500", "zeta_constants"),
+                                  ("zeta_float_100k", "zeta_constants"),
+                                  ("mod4_exact_500", "mod4_constants"),
+                                  ("mod4_float_100k", "mod4_constants"),
+                                  ("custom100_exact_500",
+                                   "custom100_constants")):
+        table = request.getfixturevalue(table_name)
+        cons = request.getfixturevalue(cons_name)
+        c, a1, a2 = cons.c, cons.a1, cons.a2
+        pts = xs if table.exact else [float(x) for x in xs]
+        for x, rep in zip(pts, decompose_batch(pts, table, cons)):
+            x = float(x)
+            assert rep.e2.bound == c.bound * x * x, (table_name, x)
+            assert rep.arithmetic_part.bound == x * (
+                a1.bound / 2 + 2 * x * c.bound), (table_name, x)
+            assert rep.analytic_part.bound == (
+                x * x * a2.bound + x * a1.bound) / 2, (table_name, x)
+            assert rep.e2.bound_kind == c.bound_kind
+            assert rep.arithmetic_part.bound_kind == a1.bound_kind
+            assert rep.analytic_part.bound_kind == a1.bound_kind
+
+
 def test_verify_identity_batch(request):
     xs = [Fraction(k, 2) for k in range(2, 41)] + [Fraction(3000, 7), 500]
     for table, _ in exact_products(request):
